@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -48,6 +49,9 @@ _VERIFY_SEED = 1302
 
 #: evolve warns when t_max * expected decay rate falls below this.
 _DECAY_COVERAGE = 3.0
+
+#: CSV rows formatted and written per write call.
+_CSV_CHUNK_ROWS = 4096
 
 
 class _UsageError(Exception):
@@ -76,11 +80,22 @@ class _Run:
         return os.path.join(self.out_dir, name)
 
     def write_csv(self, name: str, header: str, rows) -> None:
+        """Write the header line, then one line per row.
+
+        rows is a sequence of equal-length tuples (a slice of it must
+        iterate as tuples) whose cells have the types of the first row's:
+        floats carry 17 significant digits, ints print in full and strings
+        as they are.
+        """
         path = self.path(name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+            line = None
+            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+                chunk = list(rows[start:start + _CSV_CHUNK_ROWS])
+                if line is None:
+                    line = ",".join(map(_cell_format, chunk[0])) + "\n"
+                fh.write("".join([line % row for row in chunk]))
         self.outputs.append(path)
 
     def write_json(self, name: str, payload: dict) -> None:
@@ -106,12 +121,29 @@ class _Run:
             fh.write("\n")
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+def _cell_format(value) -> str:
+    if isinstance(value, str):
+        return "%s"
+    if isinstance(value, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
+class _Columns:
+    """Equal-length numpy columns read as a sequence of row tuples.
+
+    A slice converts only its own rows to Python scalars, so a long table
+    never exists as Python objects all at once.
+    """
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, rows: slice):
+        return zip(*(column[rows].tolist() for column in self.columns))
 
 
 def _workers() -> int:
@@ -147,7 +179,7 @@ def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
     modes = find_modes(d, j_min=args.j_min, j_max=args.j_max, tol=args.tol,
                        workers=_workers())
     rows = [(m.j, m.theta.theta.real, m.theta.theta.imag, m.residual,
-             m.lifetime, m.converged) for m in modes]
+             m.lifetime, "true" if m.converged else "false") for m in modes]
     run.write_csv("modes.csv", "j,re_theta,im_theta,residual,lifetime,converged",
                   rows)
     bad = [m for m in modes if not m.converged]
@@ -232,13 +264,18 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
         raise _UsageError(
             f"decay fit failed: {exc}{hint}; increase --t-max or pass a "
             f"later --fit-start/--fit-end") from exc
-    rows = [(s, wv.real, wv.imag, abs(wv))
-            for s, wv in zip(result.times, result.w)]
-    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w", rows)
+    start = time.perf_counter()
+    w = result.w
+    # Python's complex abs, not np.abs: the two differ in the last digit.
+    abs_w = np.fromiter(map(abs, w.tolist()), dtype=float, count=w.size)
+    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w",
+                  _Columns(result.times, w.real, w.imag, abs_w))
     run.extras["fit"] = {"omega_fit": result.omega_fit,
                          "gamma_fit": result.gamma_fit,
                          "fit_residual": result.fit_residual,
                          "dt_used": result.dt_used}
+    run.extras["dde"] = {**result.diagnostics,
+                         "write_s": time.perf_counter() - start}
     return EXIT_OK
 
 

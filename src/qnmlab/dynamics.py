@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +46,13 @@ _BLOCK_EXPONENT_CAP = 400.0
 
 
 class FitWindowError(ValueError):
-    """Raised when a decay-fit window is unusable."""
+    """Raised when a decay-fit window is unusable.
+
+    When raised by evolve_atom, `trajectory` holds the integrated
+    DdeTrajectory the fit was given, so the run is not lost.
+    """
+
+    trajectory: DdeTrajectory | None = None
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,31 @@ class FitResult:
 
 
 @dataclass(frozen=True)
+class DdeTrajectory:
+    """Integrated amplitude on the thinned output grid, with step counts.
+
+    n_per is the number of steps per delay interval, n_intervals the number
+    of intervals integrated, stride the steps between kept samples and
+    peak_abs_w the largest |w| over every integration node.
+    """
+
+    times: np.ndarray
+    w: np.ndarray
+    dt_used: float
+    n_per: int
+    n_intervals: int
+    stride: int
+    peak_abs_w: float
+
+
+@dataclass(frozen=True)
 class DdeResult:
-    """Recorded trajectory plus the tail fit."""
+    """Recorded trajectory plus the tail fit.
+
+    diagnostics holds the integration counts of the DdeTrajectory
+    (n_per, n_intervals, stride, output_points, peak_abs_w) and the wall
+    seconds of integration and fit (integrate_s, fit_s).
+    """
 
     times: np.ndarray
     w: np.ndarray
@@ -97,6 +127,7 @@ class DdeResult:
     gamma_fit: float
     fit_residual: float
     dt_used: float
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def _exp_integrals(z: complex) -> list[complex]:
@@ -142,45 +173,24 @@ def _hermite_forcing_weights(z: complex, dt: float) -> tuple[complex, complex,
     return c_wa, c_da, c_wb, c_db
 
 
-def _advance_interval(w_start: complex, b: np.ndarray, lam: complex,
-                      dt: float) -> np.ndarray:
-    """Solve w_{k+1} = exp(-lam dt) w_k + b_k over one interval, vectorised.
-
-    Writing w_k = exp(-lam k dt) (w_0 + S_{k-1}) with
-    S_k = sum_{j<=k} exp(lam (j+1) dt) b_j turns the recurrence into a cumsum.
-    The growing factor exp(lam (j+1) dt) spans exp(kappa) over a full delay
-    interval, so the work is chunked to keep every intermediate below
-    exp(400); each chunk restarts the recurrence from its own w_start.
-    """
-    n = b.size
-    out = np.empty(n + 1, dtype=complex)
-    out[0] = w_start
-    re_z = lam.real * dt
-    block = n if re_z * n <= _BLOCK_EXPONENT_CAP else max(
-        1, int(_BLOCK_EXPONENT_CAP / re_z))
-    k0 = 0
-    w_run = w_start
-    while k0 < n:
-        m = min(block, n - k0)
-        idx = np.arange(1, m + 1)
-        grow = np.exp(lam * dt * idx)
-        partial = np.cumsum(b[k0:k0 + m] * grow)
-        out[k0 + 1:k0 + m + 1] = (w_run + partial) / grow
-        w_run = out[k0 + m]
-        k0 += m
-    return out
-
-
-def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None,
-                max_output_points: int = 400_000) -> DdeResult:
-    """Integrate the DDE to t_max and fit the decaying tail.
+def integrate_dde(cfg: DdeConfig,
+                  max_output_points: int = 400_000) -> DdeTrajectory:
+    """Integrate the DDE from w(0) = cfg.w0 to t_max by the method of steps.
 
     The trajectory is recorded on a thinned output grid (at most roughly
     max_output_points samples, thinned only in whole integration steps and
     never so far that the phase advances more than ~pi/2 between samples).
-    fit_window defaults to [10 * ROUND_TRIP, t_max]. Raises RuntimeError if
-    |w| ever exceeds 1 by more than 1e-6: the exact dynamics conserve the
-    single-excitation norm, so sustained growth means an integration bug.
+    Raises RuntimeError if |w| ever exceeds 1 by more than 1e-6 at any
+    integration node: the exact dynamics conserve the single-excitation
+    norm, so growth means an integration bug.
+
+    Within delay interval m the step recurrence w_{k+1} = exp(-lam dt) w_k
+    + b_k is solved as a cumsum: w_k = exp(-lam k dt) (w_0 + S_{k-1}) with
+    S_k = sum_{j<=k} exp(lam (j+1) dt) b_j. The growing factor spans
+    exp(kappa) over a full interval, so the work is chunked to keep every
+    intermediate below exp(400); each chunk restarts from its own start
+    value. The factor depends only on the step index within a chunk, so it
+    is computed once per run, and the loop works in buffers allocated once.
     """
     d = cfg.d
     kappa, w_level = d.kappa, d.W
@@ -199,54 +209,107 @@ def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None,
     if phase_rate > 0:
         stride = min(stride, max(1, int(max_phase_step / (phase_rate * dt))))
 
-    c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
+    # Kept samples are the nodes whose global step index g is a multiple of
+    # the stride; node g > 0 is node i = g - m n_per of interval m.
+    g = np.arange(0, total_steps + 1, stride)
+    interval = np.maximum(g - 1, 0) // n_per
+    times = ROUND_TRIP * interval + dt * (g - n_per * interval)
+    w_out = np.empty(g.size, dtype=complex)
+    w_out[0] = cfg.w0
 
-    def _kept_nodes(interval: int) -> np.ndarray:
-        # Keep nodes whose global step index is a multiple of the stride;
-        # node 0 of interval m duplicates node n_per of interval m - 1.
-        g0 = interval * n_per
-        start = (-g0) % stride
-        if start == 0:
-            start = stride
-        return np.arange(start, n_per + 1, stride)
+    c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
+    re_z = lam.real * dt
+    block = n_per if re_z * n_per <= _BLOCK_EXPONENT_CAP else max(
+        1, int(_BLOCK_EXPONENT_CAP / re_z))
+    grow = np.exp(lam * dt * np.arange(1, block + 1))
 
     node_times = dt * np.arange(n_per + 1)
     w_prev = cfg.w0 * np.exp(-lam * node_times)     # interval 0: closed form
     d_prev = -lam * w_prev                           # its exact derivative
-    out_times = [np.array([0.0])]
-    out_w = [np.array([cfg.w0], dtype=complex)]
-    keep = _kept_nodes(0)
-    out_times.append(node_times[keep])
-    out_w.append(w_prev[keep])
-    max_abs = float(np.max(np.abs(w_prev)))
+    w_cur = np.empty_like(w_prev)
+    d_cur = np.empty_like(w_prev)
+    # Products never overwrite an operand: numpy's in-place multiply of a
+    # one-element array can round differently from the out-of-place one.
+    acc = np.empty(n_per, dtype=complex)
+    tmp = np.empty(n_per + 1, dtype=complex)
+    b = tmp[:-1]
+    abs_w = np.empty(n_per + 1)
+    # Node 0 of interval m duplicates node n_per of interval m - 1.
+    w_out[1:1 + n_per // stride] = w_prev[stride::stride]
+    pos = 1 + n_per // stride
+    peak = np.max(np.abs(w_prev, out=abs_w))
 
     for m in range(1, n_intervals):
-        b = half_kappa * (c_wa * w_prev[:-1] + c_da * d_prev[:-1]
-                          + c_wb * w_prev[1:] + c_db * d_prev[1:])
-        w_cur = _advance_interval(w_prev[-1], b, lam, dt)
-        d_cur = -lam * w_cur + half_kappa * w_prev
-        keep = _kept_nodes(m)
-        out_times.append(ROUND_TRIP * m + node_times[keep])
-        out_w.append(w_cur[keep])
-        max_abs = max(max_abs, float(np.max(np.abs(w_cur))))
-        w_prev, d_prev = w_cur, d_cur
+        # b_k: exact step integral of the cubic-Hermite delayed forcing.
+        np.multiply(c_wa, w_prev[:-1], out=acc)
+        np.multiply(c_da, d_prev[:-1], out=b)
+        np.add(acc, b, out=acc)
+        np.multiply(c_wb, w_prev[1:], out=b)
+        np.add(acc, b, out=acc)
+        np.multiply(c_db, d_prev[1:], out=b)
+        np.add(acc, b, out=acc)
+        np.multiply(half_kappa, acc, out=b)
 
-    if max_abs > 1.0 + 1e-6:
+        w_cur[0] = w_run = w_prev[-1]
+        for k0 in range(0, n_per, block):
+            k1 = min(k0 + block, n_per)
+            chunk, factor = acc[k0:k1], grow[:k1 - k0]
+            np.multiply(b[k0:k1], factor, out=chunk)
+            np.cumsum(chunk, out=chunk)
+            np.add(w_run, chunk, out=chunk)
+            np.divide(chunk, factor, out=w_cur[k0 + 1:k1 + 1])
+            w_run = w_cur[k1]
+
+        np.multiply(-lam, w_cur, out=d_cur)
+        np.multiply(half_kappa, w_prev, out=tmp)
+        np.add(d_cur, tmp, out=d_cur)
+
+        first = -(m * n_per) % stride or stride
+        kept = w_cur[first::stride]
+        w_out[pos:pos + kept.size] = kept
+        pos += kept.size
+        # np.maximum, unlike max(), keeps a NaN peak, which fails the guard.
+        peak = np.maximum(peak, np.max(np.abs(w_cur, out=abs_w)))
+        w_prev, w_cur = w_cur, w_prev
+        d_prev, d_cur = d_cur, d_prev
+
+    if not peak <= 1.0 + 1e-6:
         raise RuntimeError(
-            f"|w| reached {max_abs}, above the single-excitation bound; "
+            f"|w| reached {peak}, above the single-excitation bound; "
             f"integration convention bug")
 
-    times = np.concatenate(out_times)
-    w = np.concatenate(out_w)
-    inside = times <= cfg.t_max + 0.5 * dt
-    times, w = times[inside], w[inside]
+    inside = int(np.count_nonzero(times <= cfg.t_max + 0.5 * dt))
+    return DdeTrajectory(times=times[:inside], w=w_out[:inside], dt_used=dt,
+                         n_per=n_per, n_intervals=n_intervals, stride=stride,
+                         peak_abs_w=float(peak))
 
+
+def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None,
+                max_output_points: int = 400_000) -> DdeResult:
+    """Integrate the DDE to t_max (integrate_dde) and fit the decaying tail.
+
+    fit_window defaults to [10 * ROUND_TRIP, last sample time]. A
+    FitWindowError from the fit carries the integrated trajectory in its
+    `trajectory` attribute.
+    """
+    start = time.perf_counter()
+    traj = integrate_dde(cfg, max_output_points)
+    integrated = time.perf_counter()
     if fit_window is None:
-        fit_window = (10.0 * ROUND_TRIP, float(times[-1]))
-    fit = fit_decay(times, w, fit_window)
-    return DdeResult(times=times, w=w, omega_fit=fit.omega_fit,
+        fit_window = (10.0 * ROUND_TRIP, float(traj.times[-1]))
+    try:
+        fit = fit_decay(traj.times, traj.w, fit_window)
+    except FitWindowError as exc:
+        exc.trajectory = traj
+        raise
+    diagnostics = {"n_per": traj.n_per, "n_intervals": traj.n_intervals,
+                   "stride": traj.stride, "output_points": int(traj.times.size),
+                   "peak_abs_w": traj.peak_abs_w,
+                   "integrate_s": integrated - start,
+                   "fit_s": time.perf_counter() - integrated}
+    return DdeResult(times=traj.times, w=traj.w, omega_fit=fit.omega_fit,
                      gamma_fit=fit.gamma_fit, fit_residual=fit.fit_residual,
-                     dt_used=dt)
+                     dt_used=traj.dt_used, diagnostics=diagnostics)
 
 
 def fit_decay(times: np.ndarray, w: np.ndarray,

@@ -5,7 +5,10 @@ re-derived by integrating the wave equation with the atom's delta potential
 regularized as a narrow Lorentzian, the resonance width by a Breit-Wigner
 least-squares fit of the inverse enhancement, and the time-domain amplitude
 by the exact piecewise-analytic solution of the delay equation. Tests
-compare package outputs against these, never the other way round.
+compare package outputs against these, never the other way round. One
+helper is not independent on purpose: interval_recurrence_dde is the
+integrator's own method written the plain way, the bit-for-bit reference
+for its optimised loop.
 """
 
 from __future__ import annotations
@@ -130,3 +133,76 @@ def _polyval(coeffs: list[complex], u: float) -> complex:
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
+
+
+def interval_recurrence_dde(cfg, max_output_points: int = 400_000
+                            ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(times, w, peak |w|) of the DDE by the plain per-interval recurrence.
+
+    The reference for qnmlab.dynamics.integrate_dde, which must reproduce it
+    bit for bit: the same method of steps and the same floating-point
+    operations in the same order, written the direct way, with fresh arrays,
+    a recomputed growth factor and per-interval lists on every interval.
+    Raises RuntimeError above the single-excitation bound, as the package
+    does.
+    """
+    from qnmlab.dynamics import _BLOCK_EXPONENT_CAP, _hermite_forcing_weights
+
+    d = cfg.d
+    kappa, w_level = d.kappa, d.W
+    n_per = int(round(2.0 / cfg.dt))
+    dt = 2.0 / n_per
+    lam = 1j * w_level + kappa / 2.0
+    half_kappa = kappa / 2.0
+    n_intervals = int(math.ceil(cfg.t_max / 2.0 - 1e-12))
+    total_steps = n_per * n_intervals
+    stride = max(1, int(total_steps / max_output_points))
+    phase_rate = w_level + math.pi
+    if phase_rate > 0:
+        stride = min(stride, max(1, int((math.pi / 2.0) / (phase_rate * dt))))
+    c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
+
+    def advance(w_start, b):
+        n = b.size
+        out = np.empty(n + 1, dtype=complex)
+        out[0] = w_start
+        re_z = lam.real * dt
+        block = n if re_z * n <= _BLOCK_EXPONENT_CAP else max(
+            1, int(_BLOCK_EXPONENT_CAP / re_z))
+        k0 = 0
+        w_run = w_start
+        while k0 < n:
+            m = min(block, n - k0)
+            grow = np.exp(lam * dt * np.arange(1, m + 1))
+            partial = np.cumsum(b[k0:k0 + m] * grow)
+            out[k0 + 1:k0 + m + 1] = (w_run + partial) / grow
+            w_run = out[k0 + m]
+            k0 += m
+        return out
+
+    def kept(interval):
+        start = (-interval * n_per) % stride
+        return np.arange(start or stride, n_per + 1, stride)
+
+    node_times = dt * np.arange(n_per + 1)
+    w_prev = cfg.w0 * np.exp(-lam * node_times)
+    d_prev = -lam * w_prev
+    out_times = [np.array([0.0]), node_times[kept(0)]]
+    out_w = [np.array([cfg.w0], dtype=complex), w_prev[kept(0)]]
+    max_abs = float(np.max(np.abs(w_prev)))
+    for m in range(1, n_intervals):
+        b = half_kappa * (c_wa * w_prev[:-1] + c_da * d_prev[:-1]
+                          + c_wb * w_prev[1:] + c_db * d_prev[1:])
+        w_cur = advance(w_prev[-1], b)
+        d_cur = -lam * w_cur + half_kappa * w_prev
+        keep = kept(m)
+        out_times.append(2.0 * m + node_times[keep])
+        out_w.append(w_cur[keep])
+        max_abs = max(max_abs, float(np.max(np.abs(w_cur))))
+        w_prev, d_prev = w_cur, d_cur
+    if max_abs > 1.0 + 1e-6:
+        raise RuntimeError(f"|w| reached {max_abs}")
+    times = np.concatenate(out_times)
+    w = np.concatenate(out_w)
+    inside = times <= cfg.t_max + 0.5 * dt
+    return times[inside], w[inside], max_abs

@@ -5,10 +5,15 @@ import json
 import math
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from qnmlab import __version__
 from qnmlab.cli import main
+from qnmlab.dynamics import DdeConfig, evolve_atom
+from qnmlab.model import DimensionlessParams
+from qnmlab.qnm import find_modes, refine_root, seed_mode, sweep_decay
+from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from refs import ROOTS
 
 MANIFEST_KEYS = {"command", "parameters", "tool_version", "timestamp",
@@ -172,6 +177,11 @@ def test_evolve_decoupled_atom_keeps_norm(tmp_path):
     assert all(abs(float(r[3]) - 1.0) <= 1e-12 for r in rows)
     manifest = _manifest(tmp_path)
     assert manifest["fit"]["gamma_fit"] == 0.0
+    dde = manifest["dde"]
+    assert (dde["n_per"], dde["n_intervals"], dde["stride"]) == (2000, 20, 1)
+    assert dde["output_points"] == len(rows) == 40001
+    assert abs(dde["peak_abs_w"] - 1.0) <= 1e-12
+    assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s", "write_s"))
 
 
 def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
@@ -183,6 +193,80 @@ def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "barely decays" in err
     assert "--t-max" in err
+
+
+# --- CSV writer -----------------------------------------------------------
+
+def _reference_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return f"{float(value):.17g}"
+
+
+def _spectrum_rows():
+    d = DimensionlessParams(kappa=200.0, W=math.pi)
+    return [(m.j, m.theta.theta.real, m.theta.theta.imag, m.residual,
+             m.lifetime, m.converged) for m in find_modes(d)]
+
+
+def _sweep_rows():
+    d = DimensionlessParams(kappa=200.0, W=1.0)
+    return [(p.w, p.im_theta_min, p.j_used)
+            for p in sweep_decay(d, np.linspace(-1.0, math.pi, 5))]
+
+
+def _scatter_rows():
+    d = DimensionlessParams(kappa=200.0, W=5.0)
+    return [(p.theta, p.delta, p.delay, p.enhancement)
+            for p in enhancement_scan(d, np.linspace(3.13, 3.17, 101))]
+
+
+def _wavefunction_rows():
+    d = DimensionlessParams(kappa=200.0, W=5.0)
+    mode = refine_root(seed_mode(1, d), d)
+    return [(p.x, p.value.real, p.value.imag, p.magnitude)
+            for p in qnm_wavefunction(mode, np.linspace(0.0, 3.0, 31))]
+
+
+def _evolve_rows():
+    cfg = DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0), t_max=334.0,
+                    dt=0.01)
+    res = evolve_atom(cfg, fit_window=(167.0, 334.0))
+    return [(s, wv.real, wv.imag, abs(wv))
+            for s, wv in zip(res.times.tolist(), res.w.tolist())]
+
+
+@pytest.mark.parametrize("argv, name, header, reference, markers", [
+    # W = pi: the j=1 row is an exact bound state with infinite lifetime
+    (["spectrum", "--kappa", "200", "--w", repr(math.pi)], "modes.csv",
+     "j,re_theta,im_theta,residual,lifetime,converged", _spectrum_rows,
+     [",inf,true\n"]),
+    # W = -1 is a gap row (nan, exit 2); the last row is the W = pi bound state
+    (["sweep", "--kappa", "200", "--w-min", "-1", "--w-max", repr(math.pi),
+      "--steps", "5"], "sweep.csv", "w,im_theta_min,j_used", _sweep_rows,
+     ["\n-1,nan,0\n", "\n3.1415926535897931,0,1\n"]),
+    (["scatter", "--kappa", "200", "--w", "5", "--theta-min", "3.13",
+      "--theta-max", "3.17", "--samples", "101"], "scatter.csv",
+     "theta,delta,delay,enhancement", _scatter_rows, []),
+    (["wavefunction", "--kappa", "200", "--w", "5", "--j", "1", "--x-max",
+      "3", "--samples", "31"], "wavefunction.csv", "x,re_phi,im_phi,abs_phi",
+     _wavefunction_rows, []),
+    # |w| as Python's complex abs: np.abs differs in the last digit on about
+    # a third of these rows
+    (["evolve", "--kappa", "10", "--w", "2", "--t-max", "334", "--dt",
+      "0.01", "--fit-start", "167", "--fit-end", "334"], "evolve.csv",
+     "s,re_w,im_w,abs_w", _evolve_rows, []),
+], ids=["spectrum", "sweep", "scatter", "wavefunction", "evolve"])
+def test_csv_bytes_match_per_cell_reference(tmp_path, argv, name, header,
+                                            reference, markers):
+    assert main(argv + ["--out-dir", str(tmp_path)]) in (0, 2)
+    expected = header + "\n" + "".join(
+        ",".join(map(_reference_cell, row)) + "\n" for row in reference())
+    text = (tmp_path / name).read_bytes().decode()
+    assert text == expected
+    assert all(marker in text for marker in markers)
 
 
 # --- map ----------------------------------------------------------------

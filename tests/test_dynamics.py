@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from qnmlab.dynamics import (DdeConfig, FitWindowError, dde_pole_identity_gap,
-                             evolve_atom, fit_decay, pole_check)
+                             evolve_atom, fit_decay, integrate_dde,
+                             pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
-from oracle_helpers import piecewise_delay_solution
+from oracle_helpers import interval_recurrence_dde, piecewise_delay_solution
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -61,7 +62,47 @@ def test_matches_interval_polynomial_solution():
     assert np.max(np.abs(res.w - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("kappa, w_level, t_max", [
+    (50.0, 2.0, 400.0),
+    (0.0, 5.0, 50.0),
+    # kappa * dt * n_per / 2 = 1000 > 400: every interval runs in blocks
+    (1000.0, 3.1516, 400.0),
+])
+def test_integration_reproduces_interval_recurrence_bit_for_bit(
+        kappa, w_level, t_max):
+    cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
+                    t_max=t_max)
+    traj = integrate_dde(cfg)
+    times, w_ref, peak = interval_recurrence_dde(cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.w, w_ref)
+    assert traj.peak_abs_w == peak
+    assert (traj.n_per, traj.n_intervals) == (2000, int(t_max / 2.0))
+    assert traj.stride == 1 and traj.times.size == 1000 * int(t_max) + 1
+
+
+def test_failed_fit_keeps_the_trajectory():
+    # |w| underflows inside the default window, so the fit must refuse
+    cfg = DdeConfig(d=DimensionlessParams(kappa=1000.0, W=3.1516),
+                    t_max=400.0)
+    with pytest.raises(FitWindowError, match="underflows") as info:
+        evolve_atom(cfg)
+    assert np.array_equal(info.value.trajectory.w, integrate_dde(cfg).w)
+
+
 # --- amplitude bound ------------------------------------------------------
+
+def test_amplitude_above_the_norm_bound_is_an_integration_error():
+    with pytest.raises(RuntimeError, match="single-excitation bound"):
+        integrate_dde(DdeConfig(d=D50, t_max=40.0, w0=1.5))
+    # kappa * dt / 2 = 5000: exp of one step overflows and w turns NaN,
+    # which must fail the guard rather than come back as a trajectory
+    stiff = DdeConfig(d=DimensionlessParams(kappa=1e6, W=2.0), t_max=20.0,
+                      dt=0.01)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="single-excitation bound"):
+        integrate_dde(stiff)
+
 
 def test_single_excitation_norm_never_exceeds_one():
     res = evolve_atom(DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0),
