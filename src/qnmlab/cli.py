@@ -146,21 +146,6 @@ class _Columns:
         return zip(*(column[rows].tolist() for column in self.columns))
 
 
-def _workers() -> int:
-    raw = os.environ.get("QNMLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _UsageError(f"QNMLAB_THREADS must be a positive integer, "
-                          f"got {raw!r}") from None
-    if n < 1:
-        raise _UsageError(f"QNMLAB_THREADS must be a positive integer, "
-                          f"got {raw!r}")
-    return n
-
-
 def _ensure_out_dir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -176,12 +161,13 @@ def _params_of(args: argparse.Namespace) -> dict:
 
 def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
-    modes = find_modes(d, j_min=args.j_min, j_max=args.j_max, tol=args.tol,
-                       workers=_workers())
+    modes = find_modes(d, j_min=args.j_min, j_max=args.j_max, tol=args.tol)
     rows = [(m.j, m.theta.theta.real, m.theta.theta.imag, m.residual,
              m.lifetime, "true" if m.converged else "false") for m in modes]
     run.write_csv("modes.csv", "j,re_theta,im_theta,residual,lifetime,converged",
                   rows)
+    run.extras["modes"] = [{"j": m.j, "iterations": m.iterations,
+                            "note": m.note} for m in modes]
     bad = [m for m in modes if not m.converged]
     for m in bad:
         run.warnings.append(f"mode j={m.j} not converged: {m.note or 'no note'}")
@@ -193,7 +179,7 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
         raise _UsageError("--steps must be >= 1")
     d = DimensionlessParams(kappa=args.kappa, W=1.0)  # W comes per point
     ws = np.linspace(args.w_min, args.w_max, args.steps)
-    points = sweep_decay(d, ws, tol=args.tol, workers=_workers())
+    points = sweep_decay(d, ws, tol=args.tol)
     rows = [(p.w, p.im_theta_min, p.j_used) for p in points]
     run.write_csv("sweep.csv", "w,im_theta_min,j_used", rows)
     gaps = [p for p in points if not p.converged]
@@ -260,23 +246,31 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
     try:
         result = evolve_atom(cfg, fit_window=window)
     except FitWindowError as exc:
+        traj = exc.trajectory
+        _write_evolve(run, traj.times, traj.w, exc.diagnostics)
+        run.warnings.append(f"decay fit failed: {exc}")
         hint = f" ({coverage_note})" if coverage_note else ""
-        raise _UsageError(
-            f"decay fit failed: {exc}{hint}; increase --t-max or pass a "
-            f"later --fit-start/--fit-end") from exc
-    start = time.perf_counter()
-    w = result.w
-    # Python's complex abs, not np.abs: the two differ in the last digit.
-    abs_w = np.fromiter(map(abs, w.tolist()), dtype=float, count=w.size)
-    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w",
-                  _Columns(result.times, w.real, w.imag, abs_w))
+        print(f"decay fit failed: {exc}{hint}; increase --t-max or pass a "
+              f"later --fit-start/--fit-end", file=sys.stderr)
+        return EXIT_USAGE
+    _write_evolve(run, result.times, result.w, result.diagnostics)
     run.extras["fit"] = {"omega_fit": result.omega_fit,
                          "gamma_fit": result.gamma_fit,
                          "fit_residual": result.fit_residual,
                          "dt_used": result.dt_used}
-    run.extras["dde"] = {**result.diagnostics,
-                         "write_s": time.perf_counter() - start}
     return EXIT_OK
+
+
+def _write_evolve(run: _Run, times: np.ndarray, w: np.ndarray,
+                  diagnostics: dict) -> None:
+    """evolve.csv from a trajectory, and the manifest's dde block."""
+    start = time.perf_counter()
+    # Python's complex abs, not np.abs: the two differ in the last digit.
+    abs_w = np.fromiter(map(abs, w.tolist()), dtype=float, count=w.size)
+    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w",
+                  _Columns(times, w.real, w.imag, abs_w))
+    run.extras["dde"] = {**diagnostics,
+                         "write_s": time.perf_counter() - start}
 
 
 def _squid_from_args(args: argparse.Namespace, scale: float) -> SquidSpec:
@@ -343,12 +337,9 @@ def _check_pole_identity(n_points: int) -> tuple[bool, str]:
     d = DimensionlessParams(kappa=200.0, W=5.0)
     thetas = (rng.uniform(-5.0, 20.0, n_points)
               + 1j * rng.uniform(-1.0, 0.5, n_points))
-    worst = 0.0
-    for theta in thetas:
-        theta = complex(theta)
-        f_abs = abs(characteristic(theta, d))
-        gap = abs(pole_check(d, theta) - f_abs) / (1.0 + f_abs)
-        worst = max(worst, gap)
+    f_abs = np.abs(characteristic(thetas, d)).tolist()
+    worst = max(abs(pole_check(d, theta) - f) / (1.0 + f)
+                for theta, f in zip(thetas.tolist(), f_abs))
     return worst <= 1e-12, f"max normalized gap {worst:.3e} over {n_points} points"
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DimensionlessParams
-from .qnm import _char
+from .qnm import characteristic
 
 #: Round-trip delay in natural units (mirror at x=0, atom at x=1, v_g=1).
 ROUND_TRIP = 2.0
@@ -49,10 +49,12 @@ class FitWindowError(ValueError):
     """Raised when a decay-fit window is unusable.
 
     When raised by evolve_atom, `trajectory` holds the integrated
-    DdeTrajectory the fit was given, so the run is not lost.
+    DdeTrajectory the fit was given and `diagnostics` the counts and wall
+    seconds a DdeResult would carry, so the run is not lost.
     """
 
     trajectory: DdeTrajectory | None = None
+    diagnostics: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -289,24 +291,25 @@ def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None,
     """Integrate the DDE to t_max (integrate_dde) and fit the decaying tail.
 
     fit_window defaults to [10 * ROUND_TRIP, last sample time]. A
-    FitWindowError from the fit carries the integrated trajectory in its
-    `trajectory` attribute.
+    FitWindowError from the fit carries the integrated trajectory and the
+    diagnostics in its `trajectory` and `diagnostics` attributes.
     """
     start = time.perf_counter()
     traj = integrate_dde(cfg, max_output_points)
     integrated = time.perf_counter()
+    diagnostics = {"n_per": traj.n_per, "n_intervals": traj.n_intervals,
+                   "stride": traj.stride, "output_points": int(traj.times.size),
+                   "peak_abs_w": traj.peak_abs_w,
+                   "integrate_s": integrated - start}
     if fit_window is None:
         fit_window = (10.0 * ROUND_TRIP, float(traj.times[-1]))
     try:
         fit = fit_decay(traj.times, traj.w, fit_window)
     except FitWindowError as exc:
-        exc.trajectory = traj
+        exc.trajectory, exc.diagnostics = traj, diagnostics
         raise
-    diagnostics = {"n_per": traj.n_per, "n_intervals": traj.n_intervals,
-                   "stride": traj.stride, "output_points": int(traj.times.size),
-                   "peak_abs_w": traj.peak_abs_w,
-                   "integrate_s": integrated - start,
-                   "fit_s": time.perf_counter() - integrated}
+    finally:
+        diagnostics["fit_s"] = time.perf_counter() - integrated
     return DdeResult(times=traj.times, w=traj.w, omega_fit=fit.omega_fit,
                      gamma_fit=fit.gamma_fit, fit_residual=fit.fit_residual,
                      dt_used=traj.dt_used, diagnostics=diagnostics)
@@ -369,4 +372,4 @@ def pole_check(d: DimensionlessParams, theta: complex) -> float:
 
 def dde_pole_identity_gap(d: DimensionlessParams, theta: complex) -> float:
     """|pole_check(theta) - |f(theta)||, for the cross-route identity test."""
-    return abs(pole_check(d, theta) - abs(_char(theta, d.kappa, d.W)))
+    return abs(pole_check(d, theta) - abs(characteristic(theta, d)))

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .model import DimensionlessParams
-from .qnm import ApproximationRangeError, _newton, _seed, seed_mode
+from .qnm import (ApproximationRangeError, CharacteristicParams, newton_roots,
+                  seed_mode)
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,15 @@ def modified_emission_numeric(d: DimensionlessParams, j: int,
     numeric rate is |Im theta| of the converged root.
     """
     formula = modified_emission_formula(d, j)  # also validates j, kappa
-    w_c = complex(d.W, -d.gamma_ext)
-    if d.gamma_ext == 0.0:
-        seed = seed_mode(j, d)
-    else:
-        seed = _seed(j, d.kappa, w_c)
-    theta, resid, _iters, ok = _newton(seed, d.kappa, w_c, tol, 50)
-    if not ok:
+    continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
+    theta, resid, _iters, ok = newton_roots(seed_mode(j, continued), continued,
+                                            tol)
+    if not ok[0]:
         raise RuntimeError(
             f"complex-W root search did not converge for j={j}, "
             f"kappa={d.kappa}, W={d.W}, gamma_ext={d.gamma_ext} "
-            f"(residual {resid:.3e})")
-    gamma_numeric = abs(theta.imag)
+            f"(residual {resid[0]:.3e})")
+    gamma_numeric = float(abs(theta[0].imag))
     ratio = math.inf if d.gamma_ext == 0.0 else gamma_numeric / d.gamma_ext
     return EmissionReport(j=j, gamma_t_formula=formula,
                           gamma_t_numeric=gamma_numeric,

@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import e as _ECHARGE
-from scipy.constants import hbar as _HBAR
-from scipy.constants import physical_constants as _CONSTS
-
 from .model import DimensionlessParams, PhysicalParams, to_dimensionless
 
-#: Magnetic flux quantum h/(2e) in Wb.
-FLUX_QUANTUM = _CONSTS["mag. flux quantum"][0]
+#: Exact SI-2019 elementary charge (C) and Planck constant (J s), the
+#: reduced Planck constant h/(2 pi) and the flux quantum h/(2e) (Wb).
+E_CHARGE = 1.602176634e-19
+PLANCK = 6.62607015e-34
+HBAR = PLANCK / (2.0 * math.pi)
+FLUX_QUANTUM = PLANCK / (2.0 * E_CHARGE)
 
 #: Hardware windows (ordinary frequency, Hz).
 LEVEL_SPACING_RANGE_HZ = (5e9, 15e9)
@@ -173,8 +173,8 @@ def squid_level_spacing(s: SquidSpec) -> SquidLevels:
     Omega = sqrt(B_z^2 + B_x^2). The attached flag checks Omega/(2 pi)
     against the 5-15 GHz hardware window.
     """
-    e_c = _ECHARGE**2 / (2.0 * (s.C_g + 2.0 * s.C_J) * _HBAR)
-    n_g = s.n_g if s.n_g is not None else s.C_g * s.V_g / (2.0 * _ECHARGE)
+    e_c = E_CHARGE**2 / (2.0 * (s.C_g + 2.0 * s.C_J) * HBAR)
+    n_g = s.n_g if s.n_g is not None else s.C_g * s.V_g / (2.0 * E_CHARGE)
     b_z = 4.0 * e_c * (2.0 * n_g - 1.0)
     b_x = 2.0 * s.E_J * _cos_pi_ratio(s.Phi_x / s.Phi_0)
     omega = math.hypot(b_z, b_x)
@@ -191,8 +191,8 @@ def squid_coupling(s: SquidSpec) -> CouplingReport:
     hardware; couplings below ~1 GHz additionally carry an advisory note,
     because long-lived quasi-bound modes need a GHz-scale coupling.
     """
-    v = (_ECHARGE * math.sin(s.mixing_angle) * (s.C_g / s.C_Sigma)
-         * math.sqrt(s.omega_mode / (s.L * s.c_line * _HBAR)))
+    v = (E_CHARGE * math.sin(s.mixing_angle) * (s.C_g / s.C_Sigma)
+         * math.sqrt(s.omega_mode / (s.L * s.c_line * HBAR)))
     value_hz = abs(v) / (2.0 * math.pi)
     flag = _flag("coupling", value_hz, COUPLING_RANGE_HZ)
     note = COUPLING_ADVISORY_NOTE if value_hz < COUPLING_ADVISORY_HZ else ""

@@ -23,14 +23,16 @@ For kappa > 1 an expansion of f around theta = j*pi gives the analytic seed
 accurate to O(1/kappa**3), from which Newton converges in a handful of steps.
 A mode with Im(theta) < 0 decays; W = j*pi puts a zero exactly at theta = j*pi
 (the photon decouples and the lifetime diverges).
+
+Every root search (one mode, a spectrum, a sweep over W, the slowest mode,
+the complex-W emission root) runs through one batched kernel, newton_roots.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,82 +124,119 @@ class SweepPoint:
     note: str = ""
 
 
-def characteristic(theta: complex, d: DimensionlessParams) -> complex:
-    """Evaluate f(theta) = kappa sin(theta) e^{i theta} - (W - theta)."""
-    return _char(theta, d.kappa, d.W)
+class CharacteristicParams(NamedTuple):
+    """kappa and a level spacing W that is complex (W - i*gamma_ext, the
+    emission route) or an array (one W per root, a sweep)."""
+
+    kappa: float
+    W: complex | np.ndarray
 
 
-def characteristic_derivative(theta: complex, d: DimensionlessParams) -> complex:
-    """Evaluate f'(theta) = kappa e^{2 i theta} + 1."""
-    return d.kappa * cmath.exp(2j * theta) + 1.0
+def characteristic(theta, d: DimensionlessParams | CharacteristicParams):
+    """Evaluate f(theta) = kappa sin(theta) e^{i theta} - (W - theta).
+
+    theta may be a scalar or an array; d.W may be complex, or an array
+    broadcasting against theta.
+    """
+    return d.kappa * np.sin(theta) * np.exp(1j * theta) - (d.W - theta)
 
 
-def _char(theta: complex, kappa: float, w: complex) -> complex:
-    return kappa * cmath.sin(theta) * cmath.exp(1j * theta) - (w - theta)
+def characteristic_derivative(theta,
+                              d: DimensionlessParams | CharacteristicParams):
+    """Evaluate f'(theta) = kappa e^{2 i theta} + 1 (scalar or array theta)."""
+    return d.kappa * np.exp(2j * theta) + 1.0
 
 
-def _char_np(theta: np.ndarray, kappa: float, w: complex) -> np.ndarray:
-    return kappa * np.sin(theta) * np.exp(1j * theta) - (w - theta)
+def seed_mode(j, d: DimensionlessParams | CharacteristicParams):
+    """Analytic seed for the mode near theta = j*pi. Requires kappa > 1.
 
-
-def _seed(j: int, kappa: float, w: complex) -> complex:
-    delta = w - j * math.pi
-    return (j * math.pi + delta * (kappa - 1.0) / kappa**2
-            - 1j * delta * delta / kappa**2)
-
-
-def seed_mode(j: int, d: DimensionlessParams) -> complex:
-    """Analytic seed for the mode near theta = j*pi. Requires kappa > 1."""
+    j may be an integer array, and d.W complex or an array broadcasting
+    against it.
+    """
     if d.kappa <= 1.0:
         raise ApproximationRangeError(
             f"seed formula needs kappa > 1 (atom more reflective than "
             f"transparent), got kappa = {d.kappa}")
-    return _seed(j, d.kappa, d.W)
+    kappa = d.kappa
+    delta = d.W - j * math.pi
+    # Real divisions only for real W: numpy's complex division rounds
+    # differently from Python's, and a seed must not depend on whether it
+    # was computed alone or in an array.
+    return (j * math.pi + delta * (kappa - 1.0) / kappa**2
+            - 1j * (delta * delta / kappa**2))
 
 
-def _newton(seed: complex, kappa: float, w: complex, tol: float,
-            max_iter: int) -> tuple[complex, float, int, bool]:
-    """Newton iteration on f with analytic derivative.
+def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
+                 tol: float = 1e-12, max_iter: int = 50
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Newton iteration on f from every seed at once.
 
-    Returns (theta, |f(theta)|, iterations, converged). Once |f| <= tol the
-    iterate is polished with up to three further steps as long as each one
-    strictly reduces |f|; this drives the residual to its floating-point
-    floor instead of stopping at the first sub-tolerance value.
+    seeds is a scalar or a 1-D array; d.W may be complex, or an array with
+    one level spacing per seed. Returns 1-D arrays (theta, |f(theta)|,
+    iterations, converged). Each element steps until |f| <= tol or until
+    max_iter steps. A converged element is then polished with up to three
+    further steps as long as each one strictly reduces |f|; this drives the
+    residual to its floating-point floor instead of stopping at the first
+    sub-tolerance value. An element whose next iterate is not finite (as
+    when f' vanishes) stops unconverged at its last finite iterate.
     """
-    theta = seed
-    resid = abs(_char(theta, kappa, w))
-    iterations = 0
-    perturbations = 0
-    while resid > tol and iterations < max_iter:
-        deriv = kappa * cmath.exp(2j * theta) + 1.0
-        if abs(deriv) < 1e-300:
-            if perturbations >= 3:
-                return theta, resid, iterations, False
-            theta += 1e-6 * (1.0 + 1.0j)
-            perturbations += 1
-            resid = abs(_char(theta, kappa, w))
-            continue
-        theta = theta - _char(theta, kappa, w) / deriv
-        resid = abs(_char(theta, kappa, w))
-        iterations += 1
-    if resid > tol:
-        return theta, resid, iterations, False
-    for _ in range(3):
-        deriv = kappa * cmath.exp(2j * theta) + 1.0
-        if abs(deriv) < 1e-300:
-            break
-        candidate = theta - _char(theta, kappa, w) / deriv
-        cand_resid = abs(_char(candidate, kappa, w))
-        if cand_resid < resid:
-            theta, resid = candidate, cand_resid
-            iterations += 1
-        else:
-            break
-    return theta, resid, iterations, True
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    theta = np.array(seeds, dtype=complex, ndmin=1)
+    w = np.broadcast_to(d.W, theta.shape)
+    f = characteristic(theta, CharacteristicParams(d.kappa, w))
+    resid = np.abs(f)
+    iterations = np.zeros(theta.shape, dtype=int)
+
+    def step(idx: np.ndarray, keep) -> np.ndarray:
+        # One Newton step at idx, taken where keep(new |f|, old |f|) holds.
+        sub = CharacteristicParams(d.kappa, w[idx])
+        cand = theta[idx] - f[idx] / characteristic_derivative(theta[idx], sub)
+        f_cand = characteristic(cand, sub)
+        r_cand = np.abs(f_cand)
+        taken = keep(r_cand, resid[idx])
+        idx = idx[taken]
+        theta[idx], f[idx] = cand[taken], f_cand[taken]
+        resid[idx] = r_cand[taken]
+        iterations[idx] += 1
+        return idx
+
+    live = np.flatnonzero(resid > tol)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if live.size == 0:
+                break
+            live = step(live, lambda new, old: np.isfinite(new))
+            live = live[resid[live] > tol]
+        polish = np.flatnonzero(resid <= tol)
+        for _ in range(3):
+            if polish.size == 0:
+                break
+            polish = step(polish, np.less)
+    return theta, resid, iterations, resid <= tol
 
 
-def _mode_note(j: int) -> str:
-    return LOW_ENERGY_NOTE if j <= 0 else ""
+def _classify(theta: np.ndarray, converged: np.ndarray, tol: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode index, converged flag and note of each root (see refine_root)."""
+    j = np.round(theta.real / math.pi).astype(int)
+    growing = converged & (theta.imag > tol)
+    notes = np.where(j <= 0, LOW_ENERGY_NOTE, "").astype(object)
+    notes[growing] = [(note + "; " if note else "") + "converged to a "
+                      "growing mode" for note in notes[growing]]
+    return j, converged & ~growing, notes
+
+
+def _modes(seeds, d: DimensionlessParams, tol: float,
+           max_iter: int = 50) -> list[QnmMode]:
+    """Refine every seed in one newton_roots call, one QnmMode per seed."""
+    theta, resid, iterations, converged = newton_roots(seeds, d, tol, max_iter)
+    j, converged, notes = _classify(theta, converged, tol)
+    return [QnmMode(j=jj, theta=ComplexFrequency(t), residual=r, iterations=n,
+                    converged=ok, lifetime=lifetime_from_theta(t), note=note)
+            for jj, t, r, n, ok, note in zip(
+                j.tolist(), theta.tolist(), resid.tolist(),
+                iterations.tolist(), converged.tolist(), notes)]
 
 
 def refine_root(seed: complex, d: DimensionlessParams, tol: float = 1e-12,
@@ -208,23 +247,7 @@ def refine_root(seed: complex, d: DimensionlessParams, tol: float = 1e-12,
     that converged onto the upper half plane (growing solution, impossible
     for this system) is returned unconverged and flagged.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    theta, resid, iterations, ok = _newton(seed, d.kappa, d.W, tol, max_iter)
-    j = int(round(theta.real / math.pi))
-    note = _mode_note(j)
-    if ok and theta.imag > tol:
-        ok = False
-        note = (note + "; " if note else "") + "converged to a growing mode"
-    return QnmMode(
-        j=j,
-        theta=ComplexFrequency(theta),
-        residual=resid,
-        iterations=iterations,
-        converged=ok,
-        lifetime=lifetime_from_theta(theta),
-        note=note,
-    )
+    return _modes(seed, d, tol, max_iter)[0]
 
 
 def lifetime_from_theta(theta: complex) -> float:
@@ -273,7 +296,7 @@ def _winding_or_none(d: DimensionlessParams, box: ContourBox,
     samples = samples_per_edge
     for _ in range(8):
         pts = _box_boundary(box, samples)
-        vals = _char_np(pts, d.kappa, d.W)
+        vals = characteristic(pts, d)
         if np.min(np.abs(vals)) <= 1e-9:
             return None
         increments = np.angle(vals[1:] / vals[:-1])
@@ -319,28 +342,17 @@ def _certification_box(theta: complex) -> ContourBox:
 
 
 def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
-               tol: float = 1e-12, workers: int = 1) -> list[QnmMode]:
+               tol: float = 1e-12) -> list[QnmMode]:
     """Seed, refine, deduplicate and certify modes for j in [j_min, j_max].
 
-    Each converged root is certified by an argument-principle count of 1 in
-    a tight box around it; a failed certification demotes the mode to
-    unconverged rather than aborting the batch. Results are sorted by
-    Re(theta). Workers > 1 evaluates seeds concurrently (the result order is
-    normalised afterwards, so the output is identical either way).
+    All seeds are refined in one newton_roots call. Each converged root is
+    certified by an argument-principle count of 1 in a tight box around it;
+    a failed certification demotes the mode to unconverged rather than
+    aborting the batch. Results are sorted by Re(theta).
     """
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
-    indices = list(range(j_min, j_max + 1))
-    seeds = [seed_mode(j, d) for j in indices]
-
-    def _refine(seed: complex) -> QnmMode:
-        return refine_root(seed, d, tol=tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            modes = list(pool.map(_refine, seeds))
-    else:
-        modes = [_refine(seed) for seed in seeds]
+    modes = _modes(seed_mode(np.arange(j_min, j_max + 1), d), d, tol)
 
     deduped: list[QnmMode] = []
     for mode in sorted(modes, key=lambda m: m.theta.theta.real):
@@ -364,66 +376,54 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
         else:
             if count >= 0:
                 detail = f"certification counted {count} roots, expected 1"
-            certified.append(QnmMode(
-                j=mode.j, theta=mode.theta, residual=mode.residual,
-                iterations=mode.iterations, converged=False,
-                lifetime=mode.lifetime,
-                note=(mode.note + "; " if mode.note else "") + detail,
-            ))
+            certified.append(replace(
+                mode, converged=False,
+                note=(mode.note + "; " if mode.note else "") + detail))
     return certified
 
 
-def sweep_decay(d: DimensionlessParams, w_values, tol: float = 1e-12,
-                workers: int = 1) -> list[SweepPoint]:
+def sweep_decay(d: DimensionlessParams, w_values,
+                tol: float = 1e-12) -> list[SweepPoint]:
     """Decay rate of the slowest mode as W is swept at fixed kappa.
 
     For each W the mode with j = round(W/pi) is refined (that index minimises
     |W - j*pi|, hence the decay rate); the row records |Im theta|. W within
     1e-9 of a positive multiple of pi is recorded as exactly 0 without
-    solving: theta = j*pi is an exact zero there. Failed points come back
-    flagged as gaps instead of aborting the sweep.
+    solving: theta = j*pi is an exact zero there. Every other point is
+    refined in one newton_roots call. Failed points come back flagged as
+    gaps instead of aborting the sweep. Requires kappa > 1, as seed_mode.
     """
-    w_list = [float(w) for w in w_values]
+    w = np.fromiter(map(float, w_values), dtype=float)
+    invalid = ~(np.isfinite(w) & (w >= 0))
+    j = np.round(np.where(invalid, 0.0, w) / math.pi).astype(int)
+    bound = ~invalid & (j >= 1) & (np.abs(w - j * math.pi) < 1e-9)
+    solve = np.flatnonzero(~invalid & ~bound)
+    sub = CharacteristicParams(d.kappa, w[solve])
+    theta, _, _, converged = newton_roots(seed_mode(j[solve], sub), sub, tol)
 
-    def _solve(w: float) -> SweepPoint:
-        if w < 0 or not math.isfinite(w):
-            return SweepPoint(w=w, im_theta_min=math.nan, j_used=0,
-                              converged=False, note="invalid W")
-        j = int(round(w / math.pi))
-        if j >= 1 and abs(w - j * math.pi) < 1e-9:
-            return SweepPoint(w=w, im_theta_min=0.0, j_used=j, converged=True,
-                              note="exact bound state in the continuum")
-        d_point = DimensionlessParams(kappa=d.kappa, W=w,
-                                      gamma_ext=d.gamma_ext)
-        try:
-            mode = refine_root(seed_mode(j, d_point), d_point, tol=tol)
-        except (ApproximationRangeError, ValueError) as exc:
-            return SweepPoint(w=w, im_theta_min=math.nan, j_used=j,
-                              converged=False, note=str(exc))
-        return SweepPoint(w=w, im_theta_min=abs(mode.theta.theta.imag),
-                          j_used=mode.j, converged=mode.converged,
-                          note=mode.note)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_solve, w_list))
-    return [_solve(w) for w in w_list]
+    im = np.where(bound, 0.0, math.nan)
+    im[solve] = np.abs(theta.imag)
+    ok = bound.copy()
+    notes = np.where(invalid, "invalid W", np.where(
+        bound, "exact bound state in the continuum", "")).astype(object)
+    j[solve], ok[solve], notes[solve] = _classify(theta, converged, tol)
+    return [SweepPoint(w=wi, im_theta_min=m, j_used=ji, converged=c, note=s)
+            for wi, m, ji, c, s in zip(w.tolist(), im.tolist(), j.tolist(),
+                                       ok.tolist(), notes)]
 
 
 def slowest_mode(d: DimensionlessParams, tol: float = 1e-12) -> QnmMode:
     """The mode with the smallest decay rate: floor(W/pi) vs ceil(W/pi).
 
     The lifetime maximum sits at the j minimising |W - j*pi|, which is one of
-    the two neighbours; both are refined and compared on |Im theta|. Indices
-    below 1 are included but carry the low-energy validity note.
+    the two neighbours; both are refined in one newton_roots call and
+    compared on |Im theta|. Indices below 1 are included but carry the
+    low-energy validity note.
     """
     j_lo = int(math.floor(d.W / math.pi))
-    j_hi = j_lo + 1
-    candidates = []
-    for j in (j_lo, j_hi):
-        mode = refine_root(seed_mode(j, d), d, tol=tol)
-        if mode.converged:
-            candidates.append(mode)
+    candidates = [mode for mode in _modes(seed_mode(np.array([j_lo, j_lo + 1]),
+                                                    d), d, tol)
+                  if mode.converged]
     if not candidates:
         raise ApproximationRangeError(
             f"no converged mode near W = {d.W} for kappa = {d.kappa}")

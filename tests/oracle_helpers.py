@@ -5,14 +5,16 @@ re-derived by integrating the wave equation with the atom's delta potential
 regularized as a narrow Lorentzian, the resonance width by a Breit-Wigner
 least-squares fit of the inverse enhancement, and the time-domain amplitude
 by the exact piecewise-analytic solution of the delay equation. Tests
-compare package outputs against these, never the other way round. One
-helper is not independent on purpose: interval_recurrence_dde is the
+compare package outputs against these, never the other way round. Two
+helpers are not independent on purpose: interval_recurrence_dde is the
 integrator's own method written the plain way, the bit-for-bit reference
-for its optimised loop.
+for its optimised loop, and scalar_newton is the one-seed-at-a-time Newton
+iteration in complex scalars, the reference for the batched root kernel.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -206,3 +208,48 @@ def interval_recurrence_dde(cfg, max_output_points: int = 400_000
     w = np.concatenate(out_w)
     inside = times <= cfg.t_max + 0.5 * dt
     return times[inside], w[inside], max_abs
+
+
+def _char(theta: complex, kappa: float, w: complex) -> complex:
+    return kappa * cmath.sin(theta) * cmath.exp(1j * theta) - (w - theta)
+
+
+def scalar_newton(seed: complex, kappa: float, w: complex, tol: float,
+                  max_iter: int) -> tuple[complex, float, int, bool]:
+    """Newton iteration on f with analytic derivative.
+
+    Returns (theta, |f(theta)|, iterations, converged). Once |f| <= tol the
+    iterate is polished with up to three further steps as long as each one
+    strictly reduces |f|; this drives the residual to its floating-point
+    floor instead of stopping at the first sub-tolerance value.
+    """
+    theta = seed
+    resid = abs(_char(theta, kappa, w))
+    iterations = 0
+    perturbations = 0
+    while resid > tol and iterations < max_iter:
+        deriv = kappa * cmath.exp(2j * theta) + 1.0
+        if abs(deriv) < 1e-300:
+            if perturbations >= 3:
+                return theta, resid, iterations, False
+            theta += 1e-6 * (1.0 + 1.0j)
+            perturbations += 1
+            resid = abs(_char(theta, kappa, w))
+            continue
+        theta = theta - _char(theta, kappa, w) / deriv
+        resid = abs(_char(theta, kappa, w))
+        iterations += 1
+    if resid > tol:
+        return theta, resid, iterations, False
+    for _ in range(3):
+        deriv = kappa * cmath.exp(2j * theta) + 1.0
+        if abs(deriv) < 1e-300:
+            break
+        candidate = theta - _char(theta, kappa, w) / deriv
+        cand_resid = abs(_char(candidate, kappa, w))
+        if cand_resid < resid:
+            theta, resid = candidate, cand_resid
+            iterations += 1
+        else:
+            break
+    return theta, resid, iterations, True

@@ -3,18 +3,24 @@ codes and rerun determinism (all driven in-process through main())."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qnmlab import __version__
 from qnmlab.cli import main
-from qnmlab.dynamics import DdeConfig, evolve_atom
+from qnmlab.dynamics import DdeConfig, evolve_atom, integrate_dde
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import find_modes, refine_root, seed_mode, sweep_decay
 from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from refs import ROOTS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MANIFEST_KEYS = {"command", "parameters", "tool_version", "timestamp",
                  "outputs", "warnings"}
@@ -56,6 +62,10 @@ def test_spectrum_writes_mode_table(tmp_path):
     assert manifest["command"] == "spectrum"
     assert manifest["warnings"] == []
     assert manifest["parameters"]["kappa"] == 200.0
+    # Newton diagnostics, one entry per modes.csv row
+    assert [m["j"] for m in manifest["modes"]] == [1, 2, 3, 4, 5, 6]
+    assert all(1 <= m["iterations"] <= 25 and m["note"] == ""
+               for m in manifest["modes"])
 
 
 def test_spectrum_bound_state_row(tmp_path):
@@ -110,12 +120,18 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
             == (tmp_path / "threaded" / "modes.csv").read_bytes())
 
 
-def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QNMLAB_THREADS", "soon")
-    code = main(["spectrum", "--kappa", "200", "--w", "5",
-                 "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--kappa", "1.2", "--w", "0.3", "--j-max", "3"],
+     "modes.csv"),
+    (["sweep", "--kappa", "200", "--w-min", "0.5", "--w-max", "12",
+      "--steps", "20"], "sweep.csv"),
+], ids=["spectrum", "sweep"])
+def test_bad_tolerance_is_usage_error(tmp_path, capsys, argv, name, tol):
+    code = main(argv + ["--tol", tol, "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "QNMLAB_THREADS" in capsys.readouterr().err
+    assert "tol" in capsys.readouterr().err
+    assert not (tmp_path / name).exists()
 
 
 # --- sweep --------------------------------------------------------------
@@ -193,6 +209,26 @@ def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "barely decays" in err
     assert "--t-max" in err
+
+
+def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
+    # the fit fails (exit 1), but the integrated run is written out
+    code = main(["evolve", "--kappa", "200", "--w", "5", "--t-max", "100",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    cfg = DdeConfig(d=DimensionlessParams(kappa=200.0, W=5.0), t_max=100.0)
+    traj = integrate_dde(cfg)
+    _, rows = _read_csv(tmp_path / "evolve.csv")
+    assert len(rows) == traj.times.size
+    assert [float(c) for c in rows[-1][:3]] == [
+        traj.times[-1], traj.w[-1].real, traj.w[-1].imag]
+    manifest = _manifest(tmp_path)
+    assert "fit" not in manifest
+    dde = manifest["dde"]
+    assert dde["output_points"] == len(rows)
+    assert (dde["n_per"], dde["n_intervals"]) == (traj.n_per, traj.n_intervals)
+    assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s", "write_s"))
+    assert any(w.startswith("decay fit failed") for w in manifest["warnings"])
 
 
 # --- CSV writer -----------------------------------------------------------
@@ -325,6 +361,13 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     code = main(["spectrum", "--w", "5", "--out-dir", str(tmp_path)])
     assert code == 1
     assert "--kappa" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, qnmlab.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 def test_version_flag(capsys):

@@ -6,7 +6,9 @@ import math
 import pytest
 from scipy.constants import e as ECHARGE
 from scipy.constants import hbar as HBAR
+from scipy.constants import physical_constants
 
+from qnmlab import platforms
 from qnmlab.platforms import (COUPLING_ADVISORY_NOTE, FLUX_QUANTUM,
                               CouplingReport, RamanSpec, RangeFlag, SquidSpec,
                               raman_coupling, squid_coupling,
@@ -23,6 +25,14 @@ def _spec(**overrides):
                 mixing_angle=sc["mixing_angle"], n_g=sc["n_g"])
     base.update(overrides)
     return SquidSpec(**base)
+
+
+# --- constants ---------------------------------------------------------
+
+def test_si_constants_equal_scipy_bit_for_bit():
+    assert platforms.E_CHARGE == ECHARGE
+    assert platforms.HBAR == HBAR
+    assert FLUX_QUANTUM == physical_constants["mag. flux quantum"][0]
 
 
 # --- charge qubit -------------------------------------------------------

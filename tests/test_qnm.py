@@ -6,13 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_helpers import scalar_newton
 from qnmlab.model import ComplexFrequency, DimensionlessParams
-from qnmlab.qnm import (ApproximationRangeError, ContourBox, QnmMode,
-                        characteristic, characteristic_derivative,
-                        count_roots_in_box, find_modes, lifetime,
-                        lifetime_from_theta, refine_root, seed_mode,
-                        slowest_mode, sweep_decay)
+from qnmlab.qnm import (ApproximationRangeError, CharacteristicParams,
+                        ContourBox, QnmMode, characteristic,
+                        characteristic_derivative, count_roots_in_box,
+                        find_modes, lifetime, lifetime_from_theta,
+                        newton_roots, refine_root, seed_mode, slowest_mode,
+                        sweep_decay)
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -99,6 +103,49 @@ def test_bound_state_root_is_exact():
     assert mode.lifetime == math.inf
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kappa=st.floats(1.0, 500.0, exclude_min=True),
+       ws=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=16))
+def test_batched_kernel_matches_scalar_reference(kappa, ws):
+    # one kernel call over several level spacings against the scalar
+    # iteration seed by seed; numpy's complex arithmetic rounds differently
+    # from Python's, so roots agree to a few ulps, not bit for bit
+    tol = 1e-12
+    w = np.array(ws)
+    d = CharacteristicParams(kappa, w)
+    seeds = seed_mode(np.round(w / math.pi).astype(int), d)
+    theta, resid, _, converged = newton_roots(seeds, d, tol)
+    for i, seed in enumerate(seeds.tolist()):
+        ref, _, _, ref_ok = scalar_newton(seed, kappa, ws[i], tol, 50)
+        assert converged[i] == ref_ok
+        assert abs(theta[i] - ref) <= 1e-14 * abs(ref)
+        if ref_ok:
+            assert resid[i] <= tol
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        refine_root(seed_mode(1, D200), D200, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        find_modes(D200, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        sweep_decay(D200, [-1.0, math.pi, 5.0], tol=tol)
+
+
+def test_non_finite_step_stops_unconverged_at_last_iterate():
+    # f' vanishes at theta = pi/2 + i ln(kappa)/2 up to rounding, so the
+    # Newton step from there overflows: that element stops at its seed,
+    # unconverged, while its neighbour in the same batch converges
+    kappa = 200.0
+    flat = complex(math.pi / 2, math.log(kappa) / 2)
+    assert abs(characteristic_derivative(flat, D200)) < 1e-12
+    d = CharacteristicParams(kappa, 5.0)
+    theta, _, iterations, converged = newton_roots([flat, seed_mode(1, d)], d)
+    assert theta[0] == flat and iterations[0] == 0 and not converged[0]
+    assert converged[1] and abs(theta[1] - ROOTS[(200.0, 5.0, 1)]) < 1e-11
+
+
 def test_refined_modes_are_passive():
     for j in range(1, 5):
         mode = refine_root(seed_mode(j, D200), D200)
@@ -172,11 +219,20 @@ def test_find_modes_returns_four_distinct_certified_roots():
         assert abs(m.theta.theta - ROOTS[(200.0, 5.0, m.j)]) < 1e-11
 
 
-def test_find_modes_workers_do_not_change_output():
-    serial = find_modes(D200, j_min=1, j_max=4)
-    threaded = find_modes(D200, j_min=1, j_max=4, workers=4)
-    assert [(m.j, m.theta.theta) for m in serial] == \
-           [(m.j, m.theta.theta) for m in threaded]
+def test_find_modes_matches_refine_root_per_seed():
+    batched = find_modes(D200, j_min=1, j_max=4)
+    alone = [refine_root(seed_mode(j, D200), D200) for j in range(1, 5)]
+    assert batched == alone
+
+
+def test_seeds_do_not_depend_on_batching():
+    # an array of seeds equals the seeds computed one at a time, bit for
+    # bit, so a root does not depend on which batch it was refined in
+    for kappa in (1.5, 37.0, 200.0, 1333.0):
+        for w in np.linspace(0.0, 12.0, 25).tolist():
+            d = DimensionlessParams(kappa=kappa, W=w)
+            batch = seed_mode(np.arange(0, 9), d).tolist()
+            assert batch == [seed_mode(j, d) for j in range(9)]
 
 
 def test_find_modes_rejects_weak_coupling_and_bad_range():
@@ -225,6 +281,12 @@ def test_sweep_row_at_level_five_uses_nearest_mode():
     assert rows[0].j_used == 2
     assert rows[0].im_theta_min == pytest.approx(4.0549524617653316e-5,
                                                  rel=1e-6)
+
+
+def test_sweep_rejects_weak_coupling():
+    # no seed exists for kappa <= 1, as for find_modes
+    with pytest.raises(ApproximationRangeError):
+        sweep_decay(DimensionlessParams(kappa=0.5, W=1.0), [1.0, math.pi])
 
 
 def test_slowest_mode_picks_the_smaller_linewidth_neighbour():
