@@ -146,6 +146,13 @@ class _Columns:
         return zip(*(column[rows].tolist() for column in self.columns))
 
 
+def _finite(text: str) -> float:
+    """argparse type of the range flags: a finite float."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _ensure_out_dir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -179,14 +186,13 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
         raise _UsageError("--steps must be >= 1")
     d = DimensionlessParams(kappa=args.kappa, W=1.0)  # W comes per point
     ws = np.linspace(args.w_min, args.w_max, args.steps)
-    points = sweep_decay(d, ws, tol=args.tol)
-    rows = [(p.w, p.im_theta_min, p.j_used) for p in points]
-    run.write_csv("sweep.csv", "w,im_theta_min,j_used", rows)
-    gaps = [p for p in points if not p.converged]
-    for p in gaps:
-        run.warnings.append(f"W={p.w:.17g}: no converged root "
-                            f"({p.note or 'no note'})")
-    return EXIT_PARTIAL if gaps else EXIT_OK
+    sweep = sweep_decay(d, ws, tol=args.tol)
+    run.write_csv("sweep.csv", "w,im_theta_min,j_used", _Columns(*sweep[:3]))
+    gaps = ~sweep.converged
+    for w, note in zip(sweep.w[gaps].tolist(), sweep.note[gaps]):
+        run.warnings.append(f"W={w:.17g}: no converged root "
+                            f"({note or 'no note'})")
+    return EXIT_PARTIAL if gaps.any() else EXIT_OK
 
 
 def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
@@ -216,12 +222,11 @@ def _cmd_scatter(args: argparse.Namespace, run: _Run) -> int:
         raise _UsageError("need 0 < --theta-min < --theta-max")
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     thetas = np.linspace(args.theta_min, args.theta_max, args.samples)
-    points = enhancement_scan(d, thetas)
-    rows = [(p.theta, p.delta, p.delay, p.enhancement) for p in points]
-    run.write_csv("scatter.csv", "theta,delta,delay,enhancement", rows)
-    for p in points:
-        if p.note:
-            run.warnings.append(f"theta={p.theta:.17g}: {p.note}")
+    scan = enhancement_scan(d, thetas)
+    run.write_csv("scatter.csv", "theta,delta,delay,enhancement",
+                  _Columns(*scan[:4]))
+    run.warnings += [f"theta={theta:.17g}: {note}" for theta, note
+                     in zip(scan.theta.tolist(), scan.note) if note]
     return EXIT_OK
 
 
@@ -429,8 +434,8 @@ def _build_parser() -> _Parser:
 
     p = add("sweep", _cmd_sweep, "decay-rate minima vs W -> sweep.csv")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--w-min", type=float, required=True)
-    p.add_argument("--w-max", type=float, required=True)
+    p.add_argument("--w-min", type=_finite, required=True)
+    p.add_argument("--w-max", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
 
@@ -439,7 +444,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--x-max", type=float, required=True)
+    p.add_argument("--x-max", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-12)
 
@@ -447,8 +452,8 @@ def _build_parser() -> _Parser:
             "phase shift / delay / enhancement -> scatter.csv")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--w", type=float, required=True)
-    p.add_argument("--theta-min", type=float, required=True)
-    p.add_argument("--theta-max", type=float, required=True)
+    p.add_argument("--theta-min", type=_finite, required=True)
+    p.add_argument("--theta-max", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=2000)
 
     p = add("evolve", _cmd_evolve, "time-domain amplitude -> evolve.csv")

@@ -25,7 +25,8 @@ A mode with Im(theta) < 0 decays; W = j*pi puts a zero exactly at theta = j*pi
 (the photon decouples and the lifetime diverges).
 
 Every root search (one mode, a spectrum, a sweep over W, the slowest mode,
-the complex-W emission root) runs through one batched kernel, newton_roots.
+the complex-W emission root) runs through one batched kernel, newton_roots;
+a sweep returns one Sweep of columns, not one object per W.
 """
 
 from __future__ import annotations
@@ -113,15 +114,14 @@ class ContourBox:
         return ContourBox(cre - hre, cre + hre, cim - him, cim + him)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One row of a decay-rate sweep over the level spacing W."""
+class Sweep(NamedTuple):
+    """A sweep over the level spacing W as columns; nan marks a gap."""
 
-    w: float
-    im_theta_min: float
-    j_used: int
-    converged: bool
-    note: str = ""
+    w: np.ndarray
+    im_theta_min: np.ndarray
+    j_used: np.ndarray
+    converged: np.ndarray
+    note: np.ndarray
 
 
 class CharacteristicParams(NamedTuple):
@@ -383,11 +383,11 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
 
 
 def sweep_decay(d: DimensionlessParams, w_values,
-                tol: float = 1e-12) -> list[SweepPoint]:
+                tol: float = 1e-12) -> Sweep:
     """Decay rate of the slowest mode as W is swept at fixed kappa.
 
     For each W the mode with j = round(W/pi) is refined (that index minimises
-    |W - j*pi|, hence the decay rate); the row records |Im theta|. W within
+    |W - j*pi|, hence the decay rate); the Sweep records |Im theta|. W within
     1e-9 of a positive multiple of pi is recorded as exactly 0 without
     solving: theta = j*pi is an exact zero there. Every other point is
     refined in one newton_roots call. Failed points come back flagged as
@@ -407,9 +407,7 @@ def sweep_decay(d: DimensionlessParams, w_values,
     notes = np.where(invalid, "invalid W", np.where(
         bound, "exact bound state in the continuum", "")).astype(object)
     j[solve], ok[solve], notes[solve] = _classify(theta, converged, tol)
-    return [SweepPoint(w=wi, im_theta_min=m, j_used=ji, converged=c, note=s)
-            for wi, m, ji, c, s in zip(w.tolist(), im.tolist(), j.tolist(),
-                                       ok.tolist(), notes)]
+    return Sweep(w, im, j, ok, notes)
 
 
 def slowest_mode(d: DimensionlessParams, tol: float = 1e-12) -> QnmMode:

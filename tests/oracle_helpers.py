@@ -8,8 +8,10 @@ by the exact piecewise-analytic solution of the delay equation. Tests
 compare package outputs against these, never the other way round. Two
 helpers are not independent on purpose: interval_recurrence_dde is the
 integrator's own method written the plain way, the bit-for-bit reference
-for its optimised loop, and scalar_newton is the one-seed-at-a-time Newton
-iteration in complex scalars, the reference for the batched root kernel.
+for its optimised loop, scalar_newton is the one-seed-at-a-time Newton
+iteration in complex scalars, the reference for the batched root kernel,
+and scalar_phase_shift is the one-energy-at-a-time scattering formula in
+Python floats, the reference for the array scattering kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from qnmlab.scattering import (DEGENERATE_OFFSET, DEGENERATE_TOL, DELAY_STEP,
+                               MIRROR_LIMIT_NOTE, NODE_DEGENERACY_NOTE,
+                               ScatterPoint)
 
 #: Half width of the Lorentzian that stands in for the delta potential.
 LORENTZIAN_HWHM = 1e-4
@@ -253,3 +259,71 @@ def scalar_newton(seed: complex, kappa: float, w: complex, tol: float,
         else:
             break
     return theta, resid, iterations, True
+
+
+def _scalar_delta_branch(theta: float, d) -> float:
+    """Phase shift on the branch that is continuous in theta with delta(g=0)=0.
+
+    At theta = W the weight g diverges and the atom reflects perfectly; the
+    g -> +/-inf limit of the atan2 expression is taken explicitly there.
+    With kappa = 0 the weight is identically zero and so is the phase.
+    """
+    if d.kappa == 0.0:
+        return 0.0
+    sin_t = math.sin(theta)
+    cos_t = math.cos(theta)
+    if abs(d.W - theta) < DEGENERATE_TOL:
+        return math.atan2(sin_t * sin_t, -sin_t * cos_t)
+    g = d.kappa / (d.W - theta)
+    return math.atan2(g * sin_t * sin_t, 1.0 - g * sin_t * cos_t)
+
+
+def _scalar_delay(theta: float, d) -> float:
+    """Wigner delay d(delta)/d(theta) by a central difference.
+
+    The raw difference is reduced mod pi: the physical phase is defined mod
+    pi and the atan2 branch can jump by pi across theta = W, while the true
+    local change over 2e-6 stays far below pi/2 even on resonance.
+    """
+    lo = max(theta - DELAY_STEP, DEGENERATE_TOL)
+    hi = theta + DELAY_STEP
+    diff = wrap_half_pi(_scalar_delta_branch(hi, d)
+                        - _scalar_delta_branch(lo, d))
+    return diff / (hi - lo)
+
+
+def _scalar_enhancement(theta: float, delta: float) -> float:
+    num = math.sin(theta + delta)
+    den = math.sin(theta)
+    return (num / den) ** 2
+
+
+def scalar_phase_shift(theta: float, d) -> ScatterPoint:
+    """Scattering point (delta, delay, enhancement) at real energy theta.
+
+    theta within 1e-12 of a positive multiple of pi makes the enhancement
+    0/0; such points are evaluated as the average of the two +/-1e-9 offset
+    points and flagged. theta = W is the perfect-mirror limit: the outside
+    wave has a node at the atom and the enhancement vanishes.
+    """
+    if not (theta > 0 and math.isfinite(theta)):
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    j_near = round(theta / math.pi)
+    if j_near >= 1 and abs(theta - j_near * math.pi) < DEGENERATE_TOL:
+        lo = scalar_phase_shift(theta - DEGENERATE_OFFSET, d)
+        hi = scalar_phase_shift(theta + DEGENERATE_OFFSET, d)
+        return ScatterPoint(
+            theta=theta,
+            delta=0.5 * (lo.delta + hi.delta),
+            delay=0.5 * (lo.delay + hi.delay),
+            enhancement=0.5 * (lo.enhancement + hi.enhancement),
+            note=NODE_DEGENERACY_NOTE,
+        )
+    delta = _scalar_delta_branch(theta, d)
+    delay = _scalar_delay(theta, d)
+    if d.kappa > 0.0 and abs(d.W - theta) < DEGENERATE_TOL:
+        # sin(theta + delta) -> 0 exactly in this limit: field node at the atom
+        return ScatterPoint(theta=theta, delta=delta, delay=delay,
+                            enhancement=0.0, note=MIRROR_LIMIT_NOTE)
+    return ScatterPoint(theta=theta, delta=delta, delay=delay,
+                        enhancement=_scalar_enhancement(theta, delta))

@@ -79,8 +79,7 @@ def test_04_sweep_minima_at_pi_multiples():
     ws = np.linspace(0.5, 12.0, 600)
     step = ws[1] - ws[0]
     points = sweep_decay(d, ws)
-    vals = np.array([p.im_theta_min if p.converged else math.inf
-                     for p in points])
+    vals = np.where(points.converged, points.im_theta_min, math.inf)
     for n in (1, 2, 3):
         center = n * math.pi
         window = np.where(np.abs(ws - center) <= 0.5)[0]
@@ -141,8 +140,8 @@ def test_08_scattering_cross_checks():
     width = abs(star.imag)
     grid = np.linspace(3.13, 3.17, 4001)
     points = enhancement_scan(D200, grid)
-    enh = np.array([p.enhancement for p in points])
-    delays = np.array([p.delay for p in points])
+    enh = points.enhancement
+    delays = points.delay
     assert abs(grid[int(np.argmax(enh))] - star.real) <= 1e-3
     assert np.max(delays) == pytest.approx(1.0 / width, rel=0.05)
     for theta in ORACLE_SCAN:

@@ -183,6 +183,30 @@ def test_scatter_rejects_bad_window(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+_WAVEFUNCTION = ["wavefunction", "--kappa", "200", "--w", "5", "--j", "1"]
+_SWEEP = ["sweep", "--kappa", "200", "--steps", "5"]
+_SCATTER = ["scatter", "--kappa", "200", "--w", "5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_WAVEFUNCTION + ["--x-max", "nan"], "--x-max"),
+    (_WAVEFUNCTION + ["--x-max", "inf"], "--x-max"),
+    (_SWEEP + ["--w-min", "nan", "--w-max", "5"], "--w-min"),
+    (_SWEEP + ["--w-min=-inf", "--w-max", "5"], "--w-min"),
+    (_SWEEP + ["--w-min", "1", "--w-max", "inf"], "--w-max"),
+    (_SCATTER + ["--theta-min", "nan", "--theta-max", "2"], "--theta-min"),
+    (_SCATTER + ["--theta-min", "1", "--theta-max", "inf"], "--theta-max"),
+], ids=["x-max-nan", "x-max-inf", "w-min-nan", "w-min-neg-inf", "w-max-inf",
+        "theta-min-nan", "theta-max-inf"])
+def test_non_finite_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+    # one line naming the flag, nothing printed from numpy
+    assert err.count("\n") == 1 and flag in err and "finite" in err
+
+
 # --- evolve -------------------------------------------------------------
 
 def test_evolve_decoupled_atom_keeps_norm(tmp_path):
@@ -249,14 +273,15 @@ def _spectrum_rows():
 
 def _sweep_rows():
     d = DimensionlessParams(kappa=200.0, W=1.0)
-    return [(p.w, p.im_theta_min, p.j_used)
-            for p in sweep_decay(d, np.linspace(-1.0, math.pi, 5))]
+    s = sweep_decay(d, np.linspace(-1.0, math.pi, 5))
+    return zip(s.w.tolist(), s.im_theta_min.tolist(), s.j_used.tolist())
 
 
 def _scatter_rows():
     d = DimensionlessParams(kappa=200.0, W=5.0)
-    return [(p.theta, p.delta, p.delay, p.enhancement)
-            for p in enhancement_scan(d, np.linspace(3.13, 3.17, 101))]
+    s = enhancement_scan(d, np.linspace(3.13, 3.17, 101))
+    return zip(s.theta.tolist(), s.delta.tolist(), s.delay.tolist(),
+               s.enhancement.tolist())
 
 
 def _wavefunction_rows():

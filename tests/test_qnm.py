@@ -254,22 +254,22 @@ def test_find_modes_contains_exact_real_root_at_level_pi():
 
 def test_sweep_records_exact_zero_at_pi():
     rows = sweep_decay(D200, [math.pi])
-    assert rows[0].im_theta_min == 0.0
-    assert rows[0].j_used == 1
-    assert rows[0].converged
-    assert "bound state" in rows[0].note
+    assert rows.im_theta_min[0] == 0.0
+    assert rows.j_used[0] == 1
+    assert rows.converged[0]
+    assert "bound state" in rows.note[0]
 
 
 def test_sweep_low_energy_points_are_flagged():
     rows = sweep_decay(D200, [0.4])
-    assert rows[0].j_used == 0
-    assert "low-energy" in rows[0].note
+    assert rows.j_used[0] == 0
+    assert "low-energy" in rows.note[0]
 
 
 def test_sweep_decay_grows_quadratically_off_the_minimum():
     ws = np.linspace(math.pi, math.pi + 0.5, 11)
     rows = sweep_decay(D200, ws)
-    vals = [r.im_theta_min for r in rows]
+    vals = rows.im_theta_min
     assert vals[0] == 0.0
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -278,8 +278,8 @@ def test_sweep_row_at_level_five_uses_nearest_mode():
     # round(5/pi) = 2: the nearest multiple of pi is above the level and
     # that mode decays slowest (4.05e-5, not the 8.5e-5 of the mode below)
     rows = sweep_decay(D200, [5.0])
-    assert rows[0].j_used == 2
-    assert rows[0].im_theta_min == pytest.approx(4.0549524617653316e-5,
+    assert rows.j_used[0] == 2
+    assert rows.im_theta_min[0] == pytest.approx(4.0549524617653316e-5,
                                                  rel=1e-6)
 
 
