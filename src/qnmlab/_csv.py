@@ -1,0 +1,211 @@
+"""CSV lines from equal-length columns, with floats as exactly '%.17g' % v.
+
+Python's '%.17g' costs about 1 us a cell, and a 400k-row `evolve.csv` has
+1.6M of them. Here whole columns are formatted in numpy instead:
+
+- k = floor(log10|x|) and y = |x| * 10**(16 - k), computed as a Dekker
+  two-product of |x| with a double-double table of powers of ten (error
+  below 1e-14 on y ~ 1e16), so the 17 significant digits are the integer
+  D = round(y), split into digits through a table of 4-digit ASCII groups.
+- Each cell is laid out at fixed positions in a zero-padded row of 32
+  bytes, built as four little-endian uint64 words: sign, '0.000' prefix,
+  first digit, the other 16 digits with the '.' slot, 'e+XX' exponent, and
+  the separator in the last byte. '%g' picks fixed notation for
+  -4 <= k < 17 and strips trailing zeros after the point only. The pad
+  bytes of a whole chunk are then dropped in one compress.
+
+A cell the fast path cannot certify goes to Python's '%.17g' instead: y
+within 1e-6 of a rounding tie, D outside (10**16, 10**17) (log10 put k one
+off, or rounding carried into an 18th digit; this also covers y < 2**53,
+where the high part of y need not be an integer), and x that is 0, nan,
+inf or outside (1e-200, 1e200), where the products could leave the
+normal range.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+#: Rows formatted per block; bounds the working memory, not the output.
+CHUNK_ROWS = 8192
+
+#: uint64 words of one float cell and its separator (the widest '%.17g',
+#: '-4.9406564584124654e-324', is 24 bytes).
+_CELL_WORDS = 4
+
+#: Decimal exponents k the fast path can meet for |x| in (1e-200, 1e200).
+_K_MIN, _K_MAX = -201, 200
+
+#: Veltkamp's splitter for float64: 2**27 + 1.
+_SPLITTER = 134217729.0
+
+#: Slots after the first digit: 16 digits and the '.'.
+_TAIL = 17
+
+
+def _word(text: bytes) -> int:
+    """The little-endian uint64 whose bytes from byte 1 on are text."""
+    return int.from_bytes(text, "little") << 8
+
+
+def _power_of_ten(p: int) -> tuple[float, float]:
+    """10**p as hi + lo, each correctly rounded (so is int / int)."""
+    if p >= 0:
+        hi = float(10 ** p)
+        return hi, float(10 ** p - int(hi))
+    q = 10 ** -p
+    hi = 1 / q
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * q) / (den * q)
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: v = high + low, each with at most 26 bits."""
+    c = v * _SPLITTER
+    high = c - (c - v)
+    return high, v - high
+
+
+def _exponent_tables() -> tuple[np.ndarray, ...]:
+    """Per k: the scale 10**(16 - k) as hi (and its split) + lo, the tail
+    slot of the '.' (_TAIL: none), the digits that are never stripped, and
+    the words holding the fixed-notation prefix and the exponent suffix."""
+    ks = range(_K_MIN, _K_MAX + 1)
+    fixed = [-4 <= k < 17 for k in ks]
+    hi, lo = np.array([_power_of_ten(16 - k) for k in ks]).T
+    dot = [k if 0 <= k < 17 else _TAIL if f else 0 for k, f in zip(ks, fixed)]
+    integer = [k + 1 if 0 <= k < 17 else 1 for k in ks]
+    prefix = [_word(b"0." + b"0" * (-k - 1)) if k < 0 and f else 0
+              for k, f in zip(ks, fixed)]
+    suffix = [0 if f else _word(b"e%+03d" % k) for k, f in zip(ks, fixed)]
+    return (hi, *_split(hi), lo, np.array(dot), np.array(integer),
+            np.array(prefix, np.uint64), np.array(suffix, np.uint64))
+
+
+(_TEN_HI, _TEN_HI_HIGH, _TEN_HI_LOW, _TEN_LO, _DOT, _INTEGER, _PREFIX,
+ _SUFFIX) = _exponent_tables()
+
+
+def _tail_masks() -> np.ndarray:
+    """For '.' slot t and e kept slots of the tail (index t * 18 + e): the
+    byte masks of the digits before and after the '.', and the '.', each
+    as the three words of the tail."""
+    t = np.arange(_TAIL + 1)[:, None, None]
+    e = np.arange(_TAIL + 1)[None, :, None]
+    j = np.arange(24)
+    table = np.stack((
+        np.where((j < t) & (j < e), 0xFF, 0),
+        np.where((t < j) & (j < e), 0xFF, 0),
+        np.where((j == t) & (t < e), ord("."), 0)))
+    words = table.astype(np.uint8).view("<u8")  # (3, 18, 18, 3)
+    return words.reshape(3, -1, 3).transpose(0, 2, 1).copy()
+
+
+#: [before, after, dot][word][t * 18 + e], see _tail_masks.
+_MASKS = _tail_masks()
+
+#: '%04d' % q as four bytes of a little-endian word, and its trailing zeros.
+_QUADS = sum((np.arange(10_000, dtype=np.uint64) // 10 ** (3 - i) % 10 + 48)
+             << np.uint64(8 * i) for i in range(4))
+_QUAD_ZEROS = sum(np.arange(10_000) % 10 ** e == 0 for e in range(1, 5))
+
+
+def format_floats(x: np.ndarray, cells: np.ndarray) -> int:
+    """Write '%.17g' % v of each float64 v of x into the rows of cells.
+
+    cells is an (x.size, 4) '<u8' array of zeros except for the separator
+    in the last byte; bytes 0..30 of each row receive the cell's ASCII,
+    with zero bytes as padding. Returns the number of cells formatted by
+    Python's '%'.
+    """
+    a = np.abs(x)
+    fast = (a > 1e-200) & (a < 1e200)
+    a = np.where(fast, a, 1.0)  # placeholder: these cells are overwritten
+    row = np.floor(np.log10(a)).astype(np.intp) - _K_MIN
+
+    # y = a * 10**(16 - k) = hi + lo: Dekker's exact product with the high
+    # part of the power, plus a times its low part.
+    hi = a * _TEN_HI.take(row)
+    a_high, a_low = _split(a)
+    b_high, b_low = _TEN_HI_HIGH.take(row), _TEN_HI_LOW.take(row)
+    lo = (((a_high * b_high - hi) + a_high * b_low + a_low * b_high)
+          + a_low * b_low) + a * _TEN_LO.take(row)
+    # hi >= 2**53 is an integer, so round(y) = hi + floor(lo) + (frac > 1/2)
+    whole = np.floor(lo)
+    frac = lo - whole
+    digits = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    certain = (fast & (np.abs(frac - 0.5) > 1e-6)
+               & (digits > 10 ** 16) & (digits < 10 ** 17))
+
+    # D = lead | q0 q1 | q2 q3 in 4-digit groups
+    top, low8 = np.divmod(digits, 10 ** 8)
+    lead, mid8 = np.divmod(top, 10 ** 8)
+    q0, q1 = np.divmod(mid8, 10_000)
+    q2, q3 = np.divmod(low8, 10_000)
+    words = [_QUADS.take(q0) | _QUADS.take(q1) << 32,
+             _QUADS.take(q2) | _QUADS.take(q3) << 32]
+
+    # '%g' strips trailing zeros, but only after the point
+    trailing = _QUAD_ZEROS.take(q3)
+    for i, q in enumerate((q2, q1, q0), 1):
+        trailing += (trailing == 4 * i) * _QUAD_ZEROS.take(q)
+    kept = np.maximum(17 - trailing, _INTEGER.take(row))
+    dot = _DOT.take(row)
+    layout = dot * (_TAIL + 1) + kept - 1 + (kept - 1 > dot)
+    shifted = [words[0] << 8, words[1] << 8 | words[0] >> 56, words[1] >> 56]
+
+    cells[:, 0] |= ((x < 0) * np.uint64(ord("-")) | _PREFIX.take(row)
+                    | (lead.astype(np.uint64) + 48) << 48)
+    for i in range(3):
+        before, after, point = (m[i].take(layout) for m in _MASKS)
+        word = shifted[i] & after | point
+        if i < 2:
+            word |= words[i] & before
+        cells[:, 1 + i] |= word
+    cells[:, 3] |= _SUFFIX.take(row)
+    slow = np.flatnonzero(~certain)
+    if slow.size:
+        text = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype="S31")
+        cells.view(np.uint8)[slow, :31] = text.view(np.uint8).reshape(-1, 31)
+    return int(slow.size)
+
+
+def _text_cells(column: np.ndarray) -> np.ndarray:
+    """Integer cells as '%d', anything else as '%s', as zero-padded bytes."""
+    if column.dtype.kind in "iu":
+        return column.astype(np.bytes_)
+    return np.array([str(v).encode() for v in column.tolist()],
+                    dtype=np.bytes_)
+
+
+def csv_chunks(columns):
+    """Yield (bytes, fallback cells) for the CSV lines of the columns.
+
+    columns are equal-length sequences; float columns print as '%.17g' %
+    value, integer columns as '%d' and others as '%s'. Each yield covers
+    CHUNK_ROWS rows and counts the float cells formatted by Python.
+    """
+    columns = [np.asarray(c) for c in columns]
+    columns = [c.astype(np.float64, copy=False) if c.dtype.kind == "f" else c
+               for c in columns]
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        parts = [c[start:start + CHUNK_ROWS] for c in columns]
+        texts = [None if p.dtype.kind == "f" else _text_cells(p)
+                 for p in parts]
+        # each cell ends in its separator byte, at the end of its words
+        widths = [_CELL_WORDS if t is None else t.itemsize // 8 + 1
+                  for t in texts]
+        ends = np.cumsum(widths)
+        block = np.zeros((parts[0].size, ends[-1]), "<u8")
+        view = block.view(np.uint8)
+        view[:, 8 * ends - 1] = ord(",")
+        view[:, -1] = ord("\n")
+        fallback = 0
+        for part, text, width, end in zip(parts, texts, widths, ends):
+            if text is None:
+                fallback += format_floats(part, block[:, end - width:end])
+            else:
+                start_byte = 8 * (end - width)
+                view[:, start_byte:start_byte + text.itemsize] = text.view(
+                    np.uint8).reshape(text.size, text.itemsize)
+        yield view[view != 0].tobytes(), fallback

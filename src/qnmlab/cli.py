@@ -7,9 +7,12 @@ verify (cross-module consistency suite).
 
 Every run writes its data files into --out-dir plus a manifest.json
 recording the command, the exact parameters used, tool version, ISO-8601
-timestamp, the list of emitted files and any warnings. Numeric CSV cells
-carry 17 significant digits, so reruns with identical flags are
-byte-identical and values round-trip to double precision.
+timestamp, the list of emitted files and any warnings. Every numeric CSV
+cell is exactly '%.17g' % value (integers '%d'), so reruns with identical
+flags are byte-identical and values round-trip to double precision. The
+manifest's csv block records, per CSV file, its rows, bytes, write_s (wall
+seconds) and fallback_cells (float cells formatted by Python's '%' rather
+than by the numpy column formatter, see _csv).
 
 Exit codes: 0 success; 1 usage or invalid parameters (message on stderr);
 2 partial results (some points failed, see warnings); 3 verification or
@@ -50,10 +53,6 @@ _VERIFY_SEED = 1302
 #: evolve warns when t_max * expected decay rate falls below this.
 _DECAY_COVERAGE = 3.0
 
-#: CSV rows formatted and written per write call.
-_CSV_CHUNK_ROWS = 4096
-
-
 class _UsageError(Exception):
     """Raised for bad flags/values; mapped to exit code 1."""
 
@@ -79,24 +78,29 @@ class _Run:
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def write_csv(self, name: str, header: str, rows) -> None:
-        """Write the header line, then one line per row.
+    def write_csv(self, name: str, header: str, *columns) -> None:
+        """Write the header line, then one line per row of the columns.
 
-        rows is a sequence of equal-length tuples (a slice of it must
-        iterate as tuples) whose cells have the types of the first row's:
-        floats carry 17 significant digits, ints print in full and strings
-        as they are.
+        columns are equal-length sequences: float cells are '%.17g' %
+        value, integer cells '%d' and any other '%s'. Records the file in
+        the manifest's csv block.
         """
+        # imported here: building its tables takes a few ms that --version,
+        # map and verify need not pay
+        from ._csv import csv_chunks
+
+        start = time.perf_counter()
         path = self.path(name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            line = None
-            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-                chunk = list(rows[start:start + _CSV_CHUNK_ROWS])
-                if line is None:
-                    line = ",".join(map(_cell_format, chunk[0])) + "\n"
-                fh.write("".join([line % row for row in chunk]))
+        fallback = 0
+        with open(path, "wb") as fh:
+            size = fh.write(header.encode() + b"\n")
+            for data, slow in csv_chunks(columns):
+                size += fh.write(data)
+                fallback += slow
         self.outputs.append(path)
+        self.extras.setdefault("csv", {})[name] = {
+            "rows": len(columns[0]), "bytes": size, "fallback_cells": fallback,
+            "write_s": time.perf_counter() - start}
 
     def write_json(self, name: str, payload: dict) -> None:
         path = self.path(name)
@@ -119,31 +123,6 @@ class _Run:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _cell_format(value) -> str:
-    if isinstance(value, str):
-        return "%s"
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    return "%.17g"
-
-
-class _Columns:
-    """Equal-length numpy columns read as a sequence of row tuples.
-
-    A slice converts only its own rows to Python scalars, so a long table
-    never exists as Python objects all at once.
-    """
-
-    def __init__(self, *columns: np.ndarray):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, rows: slice):
-        return zip(*(column[rows].tolist() for column in self.columns))
 
 
 def _finite(text: str) -> float:
@@ -169,10 +148,11 @@ def _params_of(args: argparse.Namespace) -> dict:
 def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     modes = find_modes(d, j_min=args.j_min, j_max=args.j_max, tol=args.tol)
-    rows = [(m.j, m.theta.theta.real, m.theta.theta.imag, m.residual,
-             m.lifetime, "true" if m.converged else "false") for m in modes]
+    thetas = np.array([m.theta.theta for m in modes], dtype=complex)
     run.write_csv("modes.csv", "j,re_theta,im_theta,residual,lifetime,converged",
-                  rows)
+                  [m.j for m in modes], thetas.real, thetas.imag,
+                  [m.residual for m in modes], [m.lifetime for m in modes],
+                  ["true" if m.converged else "false" for m in modes])
     run.extras["modes"] = [{"j": m.j, "iterations": m.iterations,
                             "note": m.note} for m in modes]
     bad = [m for m in modes if not m.converged]
@@ -187,7 +167,7 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
     d = DimensionlessParams(kappa=args.kappa, W=1.0)  # W comes per point
     ws = np.linspace(args.w_min, args.w_max, args.steps)
     sweep = sweep_decay(d, ws, tol=args.tol)
-    run.write_csv("sweep.csv", "w,im_theta_min,j_used", _Columns(*sweep[:3]))
+    run.write_csv("sweep.csv", "w,im_theta_min,j_used", *sweep[:3])
     gaps = ~sweep.converged
     for w, note in zip(sweep.w[gaps].tolist(), sweep.note[gaps]):
         run.warnings.append(f"W={w:.17g}: no converged root "
@@ -208,8 +188,10 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
         return EXIT_PARTIAL
     xs = np.linspace(0.0, args.x_max, args.samples)
     samples = qnm_wavefunction(mode, xs)
-    rows = [(s.x, s.value.real, s.value.imag, s.magnitude) for s in samples]
-    run.write_csv("wavefunction.csv", "x,re_phi,im_phi,abs_phi", rows)
+    values = np.array([s.value for s in samples])
+    run.write_csv("wavefunction.csv", "x,re_phi,im_phi,abs_phi",
+                  [s.x for s in samples], values.real, values.imag,
+                  [s.magnitude for s in samples])
     run.extras["mode"] = {"j": mode.j, "re_theta": mode.theta.theta.real,
                           "im_theta": mode.theta.theta.imag}
     return EXIT_OK
@@ -223,8 +205,7 @@ def _cmd_scatter(args: argparse.Namespace, run: _Run) -> int:
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     thetas = np.linspace(args.theta_min, args.theta_max, args.samples)
     scan = enhancement_scan(d, thetas)
-    run.write_csv("scatter.csv", "theta,delta,delay,enhancement",
-                  _Columns(*scan[:4]))
+    run.write_csv("scatter.csv", "theta,delta,delay,enhancement", *scan[:4])
     run.warnings += [f"theta={theta:.17g}: {note}" for theta, note
                      in zip(scan.theta.tolist(), scan.note) if note]
     return EXIT_OK
@@ -270,10 +251,9 @@ def _write_evolve(run: _Run, times: np.ndarray, w: np.ndarray,
                   diagnostics: dict) -> None:
     """evolve.csv from a trajectory, and the manifest's dde block."""
     start = time.perf_counter()
-    # Python's complex abs, not np.abs: the two differ in the last digit.
-    abs_w = np.fromiter(map(abs, w.tolist()), dtype=float, count=w.size)
-    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w",
-                  _Columns(times, w.real, w.imag, abs_w))
+    # hypot, as Python's complex abs: np.abs differs in the last digit.
+    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w", times, w.real, w.imag,
+                  np.hypot(w.real, w.imag))
     run.extras["dde"] = {**diagnostics,
                          "write_s": time.perf_counter() - start}
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +44,9 @@ MIN_STEPS_PER_DELAY = 200
 #: Largest |Re(lambda)*s| span handled in one vectorised block before the
 #: running rescale kicks in (exp(400) is still comfortably inside float64).
 _BLOCK_EXPONENT_CAP = 400.0
+
+#: Largest kappa*dt/2 of one step: exp of more overflows float64.
+_STEP_EXPONENT_MAX = math.log(sys.float_info.max)
 
 
 class FitWindowError(ValueError):
@@ -76,6 +80,13 @@ class DdeConfig:
                 f"dt must be in (0, {ROUND_TRIP / MIN_STEPS_PER_DELAY}] so the "
                 f"delay period is resolved by >= {MIN_STEPS_PER_DELAY} steps, "
                 f"got {self.dt}")
+        step = ROUND_TRIP / round(ROUND_TRIP / self.dt)  # as integrate_dde
+        if self.d.kappa * step / 2.0 > _STEP_EXPONENT_MAX:
+            raise ValueError(
+                f"dt = {self.dt} is too coarse for kappa = {self.d.kappa}: "
+                f"one step grows by exp(kappa*dt/2) = exp("
+                f"{self.d.kappa * step / 2.0:.6g}), above the float64 range; "
+                f"need kappa*dt/2 <= {_STEP_EXPONENT_MAX:.6g}")
         if not cmath.isfinite(self.w0):
             raise ValueError(f"w0 must be finite, got {self.w0!r}")
 

@@ -105,8 +105,10 @@ def test_rerun_is_byte_identical(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "modes.csv").read_bytes() == first_csv
     second_manifest = json.loads((tmp_path / "manifest.json").read_text())
-    first_manifest.pop("timestamp")
-    second_manifest.pop("timestamp")
+    for manifest in (first_manifest, second_manifest):
+        manifest.pop("timestamp")
+        # wall seconds differ between runs, as the timestamp does
+        assert manifest["csv"]["modes.csv"].pop("write_s") >= 0.0
     assert first_manifest == second_manifest
 
 
@@ -224,6 +226,17 @@ def test_evolve_decoupled_atom_keeps_norm(tmp_path):
     assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s", "write_s"))
 
 
+def test_evolve_too_coarse_step_is_usage_error(tmp_path, capsys):
+    # kappa * dt / 2 = 5000: one step's growth factor overflows float64
+    code = main(["evolve", "--kappa", "1e6", "--w", "2", "--t-max", "20",
+                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+    # one line naming dt, nothing printed from numpy
+    assert err.count("\n") == 1 and "dt = 0.01" in err
+
+
 def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
     # t_max * gamma ~ 4e-3 << 3: the run cannot see the slowest decay;
     # the beating tail is not a clean exponential and the fit refuses
@@ -330,6 +343,33 @@ def test_csv_bytes_match_per_cell_reference(tmp_path, argv, name, header,
     assert all(marker in text for marker in markers)
 
 
+@pytest.mark.parametrize("argv, name, specials", [
+    # the gap row's nan and the bound state's exact 0 go through Python
+    (["sweep", "--kappa", "200", "--w-min", "-1", "--w-max", repr(math.pi),
+      "--steps", "5"], "sweep.csv", 2),
+    # the bound state's infinite lifetime
+    (["spectrum", "--kappa", "200", "--w", repr(math.pi)], "modes.csv", 1),
+    (["scatter", "--kappa", "200", "--w", "5", "--theta-min", "3.13",
+      "--theta-max", "3.17", "--samples", "101"], "scatter.csv", 0),
+    # x = 0 and the mirror node phi(0) = 0
+    (["wavefunction", "--kappa", "200", "--w", "5", "--j", "1", "--x-max",
+      "3", "--samples", "31"], "wavefunction.csv", 4),
+    (["evolve", "--kappa", "0", "--w", "5", "--t-max", "40"], "evolve.csv",
+     1),
+], ids=["sweep", "spectrum", "scatter", "wavefunction", "evolve"])
+def test_manifest_records_each_csv(tmp_path, argv, name, specials):
+    assert main(argv + ["--out-dir", str(tmp_path)]) in (0, 2)
+    record = _manifest(tmp_path)["csv"]
+    assert list(record) == [name]
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines()
+    assert record[name]["rows"] == len(lines) - 1
+    assert record[name]["bytes"] == path.stat().st_size
+    assert record[name]["write_s"] >= 0.0
+    cells = record[name]["rows"] * len(lines[0].split(b","))
+    assert specials <= record[name]["fallback_cells"] <= cells
+
+
 # --- map ----------------------------------------------------------------
 
 def test_map_squid_report(tmp_path):
@@ -389,7 +429,11 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, qnmlab.cli; sys.exit('scipy' in sys.modules)"
+    # nor the exact-arithmetic modules: the CSV formatter's tables are built
+    # from Python ints
+    code = ("import sys, qnmlab.cli; "
+            "sys.exit(bool({'scipy', 'fractions', 'decimal'} & "
+            "set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=60).returncode == 0

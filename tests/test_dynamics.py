@@ -95,13 +95,23 @@ def test_failed_fit_keeps_the_trajectory():
 def test_amplitude_above_the_norm_bound_is_an_integration_error():
     with pytest.raises(RuntimeError, match="single-excitation bound"):
         integrate_dde(DdeConfig(d=D50, t_max=40.0, w0=1.5))
-    # kappa * dt / 2 = 5000: exp of one step overflows and w turns NaN,
-    # which must fail the guard rather than come back as a trajectory
-    stiff = DdeConfig(d=DimensionlessParams(kappa=1e6, W=2.0), t_max=20.0,
-                      dt=0.01)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(RuntimeError, match="single-excitation bound"):
-        integrate_dde(stiff)
+    # kappa * dt / 2 = 5000: exp of one step overflows, so the config
+    # itself is refused before any integration
+    with pytest.raises(ValueError, match="dt = 0.01"):
+        DdeConfig(d=DimensionlessParams(kappa=1e6, W=2.0), t_max=20.0,
+                  dt=0.01)
+
+
+def test_stiffest_accepted_step_reproduces_interval_recurrence():
+    # kappa * dt / 2 = 700, just inside log(float max) = 709.78: every
+    # step is its own block and exp(700) stays finite
+    cfg = DdeConfig(d=DimensionlessParams(kappa=1.4e6, W=2.0), t_max=20.0,
+                    dt=1e-3)
+    traj = integrate_dde(cfg)
+    times, w_ref, peak = interval_recurrence_dde(cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.w, w_ref)
+    assert traj.peak_abs_w == peak <= 1.0
 
 
 def test_single_excitation_norm_never_exceeds_one():
