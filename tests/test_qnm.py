@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from oracle_helpers import scalar_newton
 from qnmlab.model import ComplexFrequency, DimensionlessParams
-from qnmlab.qnm import (ApproximationRangeError, CharacteristicParams,
-                        ContourBox, QnmMode, characteristic,
+from qnmlab import qnm
+from qnmlab.qnm import (LOW_ENERGY_NOTE, ApproximationRangeError,
+                        CharacteristicParams, ContourBox, ContourError, QnmMode, characteristic,
                         characteristic_derivative, count_roots_in_box,
                         find_modes, lifetime, lifetime_from_theta,
                         newton_roots, refine_root, seed_mode, slowest_mode,
@@ -20,6 +21,10 @@ from qnmlab.qnm import (ApproximationRangeError, CharacteristicParams,
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
+
+
+def _raise_contour_error(d, box):
+    raise ContourError("no contour")
 
 
 # --- characteristic function -------------------------------------------
@@ -240,6 +245,35 @@ def test_find_modes_rejects_weak_coupling_and_bad_range():
         find_modes(DimensionlessParams(kappa=0.5, W=5.0))
     with pytest.raises(ValueError):
         find_modes(D200, j_min=3, j_max=1)
+
+
+def test_find_modes_drops_duplicate_roots():
+    # at this weak coupling the j = 4 and j = 5 seeds fall back onto the
+    # j = 2 and j = 1 roots; the stable sort on Re theta keeps the root
+    # from the lower seed (fewer iterations), and j = 6 does not converge
+    d = DimensionlessParams(kappa=3.0716, W=3.5611)
+    modes = find_modes(d)
+    assert [(m.j, m.theta.theta, m.iterations, m.converged, m.note)
+            for m in modes] == [
+        (1, complex(3.2439340804618246, -0.007952093547167045), 4, True, ""),
+        (2, complex(5.761681368592322, -0.25297091641332387), 6, True, ""),
+        (3, complex(8.72762215658331, -0.6144016484756893), 12, True, ""),
+        (5, complex(14.944189584094206, -1.0034838988085257), 50, False, ""),
+    ]
+
+
+@pytest.mark.parametrize("count, detail", [
+    (lambda d, box: 2, "certification counted 2 roots, expected 1"),
+    (_raise_contour_error, "certification failed: no contour"),
+], ids=["wrong-count", "contour-error"])
+def test_failed_certification_demotes_mode(monkeypatch, count, detail):
+    monkeypatch.setattr(qnm, "count_roots_in_box", count)
+    modes = find_modes(D200, j_min=0, j_max=2)
+    assert [(m.j, m.converged, m.note) for m in modes] == [
+        (0, False, LOW_ENERGY_NOTE + "; " + detail),
+        (1, False, detail),
+        (2, False, detail),
+    ]
 
 
 def test_find_modes_contains_exact_real_root_at_level_pi():
