@@ -38,8 +38,9 @@ from .model import DimensionlessParams
 from .platforms import (FLUX_QUANTUM, RamanSpec, SquidSpec, raman_coupling,
                         squid_coupling, squid_level_spacing)
 from .qnm import (ApproximationRangeError, ContourBox, ContourError,
-                  characteristic, count_roots_in_box, find_modes, refine_root,
-                  seed_mode, slowest_mode, sweep_decay)
+                  characteristic, count_roots_in_box, find_modes,
+                  lifetime_from_theta, refine_root, seed_mode, slowest_mode,
+                  sweep_decay)
 from .scattering import enhancement_scan, qnm_wavefunction
 
 EXIT_OK = 0
@@ -148,17 +149,17 @@ def _params_of(args: argparse.Namespace) -> dict:
 def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     modes = find_modes(d, j_min=args.j_min, j_max=args.j_max, tol=args.tol)
-    thetas = np.array([m.theta.theta for m in modes], dtype=complex)
     run.write_csv("modes.csv", "j,re_theta,im_theta,residual,lifetime,converged",
-                  [m.j for m in modes], thetas.real, thetas.imag,
-                  [m.residual for m in modes], [m.lifetime for m in modes],
-                  ["true" if m.converged else "false" for m in modes])
-    run.extras["modes"] = [{"j": m.j, "iterations": m.iterations,
-                            "note": m.note} for m in modes]
-    bad = [m for m in modes if not m.converged]
-    for m in bad:
-        run.warnings.append(f"mode j={m.j} not converged: {m.note or 'no note'}")
-    return EXIT_PARTIAL if bad else EXIT_OK
+                  modes.j, modes.theta.real, modes.theta.imag, modes.residual,
+                  lifetime_from_theta(modes.theta),
+                  np.where(modes.converged, "true", "false"))
+    run.extras["modes"] = [
+        {"j": j, "iterations": n, "note": note} for j, n, note
+        in zip(modes.j.tolist(), modes.iterations.tolist(), modes.note)]
+    bad = ~modes.converged
+    for j, note in zip(modes.j[bad].tolist(), modes.note[bad]):
+        run.warnings.append(f"mode j={j} not converged: {note or 'no note'}")
+    return EXIT_PARTIAL if bad.any() else EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
@@ -187,13 +188,12 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
                             f"(residual {mode.residual:.3e}); no samples")
         return EXIT_PARTIAL
     xs = np.linspace(0.0, args.x_max, args.samples)
-    samples = qnm_wavefunction(mode, xs)
-    values = np.array([s.value for s in samples])
+    phi = qnm_wavefunction(mode, xs)
+    # hypot, as Python's complex abs: np.abs differs in the last digit.
     run.write_csv("wavefunction.csv", "x,re_phi,im_phi,abs_phi",
-                  [s.x for s in samples], values.real, values.imag,
-                  [s.magnitude for s in samples])
-    run.extras["mode"] = {"j": mode.j, "re_theta": mode.theta.theta.real,
-                          "im_theta": mode.theta.theta.imag}
+                  xs, phi.real, phi.imag, np.hypot(phi.real, phi.imag))
+    run.extras["mode"] = {"j": mode.j, "re_theta": mode.theta.real,
+                          "im_theta": mode.theta.imag}
     return EXIT_OK
 
 
@@ -221,7 +221,7 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
         window = (args.fit_start, args.fit_end)
     coverage_note = ""
     if d.kappa > 1.0:
-        gamma_expected = abs(slowest_mode(d, tol=args.tol).theta.theta.imag)
+        gamma_expected = abs(slowest_mode(d, tol=args.tol).theta.imag)
         if args.t_max * gamma_expected < _DECAY_COVERAGE:
             coverage_note = (
                 f"t_max*gamma_expected = {args.t_max * gamma_expected:.3g} "
@@ -250,12 +250,10 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
 def _write_evolve(run: _Run, times: np.ndarray, w: np.ndarray,
                   diagnostics: dict) -> None:
     """evolve.csv from a trajectory, and the manifest's dde block."""
-    start = time.perf_counter()
     # hypot, as Python's complex abs: np.abs differs in the last digit.
     run.write_csv("evolve.csv", "s,re_w,im_w,abs_w", times, w.real, w.imag,
                   np.hypot(w.real, w.imag))
-    run.extras["dde"] = {**diagnostics,
-                         "write_s": time.perf_counter() - start}
+    run.extras["dde"] = diagnostics
 
 
 def _squid_from_args(args: argparse.Namespace, scale: float) -> SquidSpec:
@@ -333,11 +331,11 @@ def _check_root_count(tol: float) -> tuple[bool, str]:
     box = ContourBox(re_min=0.5, re_max=4.5 * math.pi,
                      im_min=-0.05, im_max=0.001)
     counted = count_roots_in_box(d, box)
-    modes = [m for m in find_modes(d, j_min=1, j_max=6, tol=tol)
-             if m.converged
-             and box.re_min <= m.theta.theta.real <= box.re_max
-             and box.im_min <= m.theta.theta.imag <= box.im_max]
-    found = len(modes)
+    modes = find_modes(d, j_min=1, j_max=6, tol=tol)
+    re, im = modes.theta.real, modes.theta.imag
+    found = int(np.count_nonzero(
+        modes.converged & (box.re_min <= re) & (re <= box.re_max)
+        & (box.im_min <= im) & (im <= box.im_max)))
     return counted == found, (f"argument principle counts {counted}, "
                               f"refinement found {found} distinct roots")
 
@@ -348,7 +346,7 @@ def _check_dde_agreement(full: bool, tol: float) -> tuple[bool, str]:
     ok = True
     for kappa, w in configs:
         d = DimensionlessParams(kappa=kappa, W=w)
-        star = slowest_mode(d, tol=tol).theta.theta
+        star = slowest_mode(d, tol=tol).theta
         gamma = abs(star.imag)
         t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
         result = evolve_atom(DdeConfig(d=d, t_max=t_max),
@@ -364,7 +362,7 @@ def _check_dde_agreement(full: bool, tol: float) -> tuple[bool, str]:
 def _check_bound_state(tol: float) -> tuple[bool, str]:
     d = DimensionlessParams(kappa=200.0, W=math.pi)
     mode = refine_root(seed_mode(1, d), d, tol=tol)
-    im = abs(mode.theta.theta.imag)
+    im = abs(mode.theta.imag)
     return (mode.converged and im <= 1e-12,
             f"W=pi root Im magnitude {im:.3e}")
 

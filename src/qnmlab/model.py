@@ -16,7 +16,6 @@ conversion functions in this module only.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,33 +77,6 @@ class DimensionlessParams:
         if self.gamma_ext < 0:
             raise ValueError(
                 f"gamma_ext must be non-negative, got {self.gamma_ext}")
-
-
-@dataclass(frozen=True)
-class ComplexFrequency:
-    """A complex mode energy theta = omega_tilde - i * gamma_tilde.
-
-    The sign convention is fixed once and for all here: a decaying mode has
-    Im(theta) < 0, so gamma_tilde = -Im(theta) >= 0 is the decay rate and the
-    time dependence is exp(-i * theta * s) = exp(-i * omega_tilde * s)
-    * exp(-gamma_tilde * s).
-    """
-
-    theta: complex
-
-    def __post_init__(self) -> None:
-        if not cmath.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
-
-    @property
-    def omega_tilde(self) -> float:
-        """Oscillation frequency, Re(theta)."""
-        return self.theta.real
-
-    @property
-    def gamma_tilde(self) -> float:
-        """Decay rate, -Im(theta)."""
-        return -self.theta.imag
 
 
 def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:

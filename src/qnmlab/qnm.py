@@ -21,23 +21,28 @@ For kappa > 1 an expansion of f around theta = j*pi gives the analytic seed
                  - i (W - j*pi)**2 / kappa**2,
 
 accurate to O(1/kappa**3), from which Newton converges in a handful of steps.
-A mode with Im(theta) < 0 decays; W = j*pi puts a zero exactly at theta = j*pi
-(the photon decouples and the lifetime diverges).
+
+Sign convention: a mode energy is theta = omega - i*gamma, so a decaying
+mode has Im(theta) < 0, gamma = -Im(theta) >= 0 is its decay rate and the
+time dependence is exp(-i theta s) = exp(-i omega s) exp(-gamma s).
+W = j*pi puts a zero exactly at theta = j*pi (the photon decouples and the
+lifetime diverges).
 
 Every root search (one mode, a spectrum, a sweep over W, the slowest mode,
-the complex-W emission root) runs through one batched kernel, newton_roots;
-a sweep returns one Sweep of columns, not one object per W.
+the complex-W emission root) runs through one batched kernel, newton_roots,
+and returns columns: a spectrum is one Modes, a sweep one Sweep. refine_root
+and slowest_mode return a one-row Modes whose fields are Python scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import ComplexFrequency, DimensionlessParams
+from .model import DimensionlessParams
 
 #: Modes with |Im theta| below this are reported as non-decaying (infinite
 #: lifetime): the bound-state-in-continuum marker.
@@ -55,42 +60,6 @@ class ApproximationRangeError(ValueError):
 
 class ContourError(RuntimeError):
     """Raised when an argument-principle contour cannot be certified."""
-
-
-@dataclass(frozen=True)
-class QnmMode:
-    """One refined quasi-normal mode.
-
-    j           mode index, round(Re(theta)/pi)
-    theta       complex mode energy
-    residual    |f(theta)| at the returned point
-    iterations  Newton iterations consumed
-    converged   True when residual met the requested tolerance
-    lifetime    1/|Im theta|, or math.inf below the bound-state cutoff
-    note        metadata flag, e.g. for the uncertain j <= 0 branch
-    """
-
-    j: int
-    theta: ComplexFrequency
-    residual: float
-    iterations: int
-    converged: bool
-    lifetime: float
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.residual < 0 or math.isnan(self.residual):
-            raise ValueError(f"residual must be >= 0, got {self.residual}")
-        if not (self.lifetime > 0):
-            raise ValueError(f"lifetime must be positive, got {self.lifetime}")
-
-    @property
-    def omega_tilde(self) -> float:
-        return self.theta.omega_tilde
-
-    @property
-    def gamma_tilde(self) -> float:
-        return self.theta.gamma_tilde
 
 
 @dataclass(frozen=True)
@@ -112,6 +81,25 @@ class ContourBox:
         hre = 0.5 * (self.re_max - self.re_min) * factor
         him = 0.5 * (self.im_max - self.im_min) * factor
         return ContourBox(cre - hre, cre + hre, cim - him, cim + him)
+
+
+class Modes(NamedTuple):
+    """Refined roots as equal-length columns, one row per root.
+
+    j           mode index, round(Re(theta)/pi)
+    theta       complex mode energy
+    residual    |f(theta)| at the returned point
+    iterations  Newton iterations consumed
+    converged   True when residual met the requested tolerance
+    note        metadata flag, e.g. for the uncertain j <= 0 branch
+    """
+
+    j: np.ndarray
+    theta: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    note: np.ndarray
 
 
 class Sweep(NamedTuple):
@@ -228,41 +216,48 @@ def _classify(theta: np.ndarray, converged: np.ndarray, tol: float
 
 
 def _modes(seeds, d: DimensionlessParams, tol: float,
-           max_iter: int = 50) -> list[QnmMode]:
-    """Refine every seed in one newton_roots call, one QnmMode per seed."""
+           max_iter: int = 50) -> Modes:
+    """Refine every seed in one newton_roots call, one row per seed."""
     theta, resid, iterations, converged = newton_roots(seeds, d, tol, max_iter)
+    bad = theta[~np.isfinite(theta)]
+    if bad.size:
+        raise ValueError(f"theta must be finite, got {bad.tolist()[0]!r}")
     j, converged, notes = _classify(theta, converged, tol)
-    return [QnmMode(j=jj, theta=ComplexFrequency(t), residual=r, iterations=n,
-                    converged=ok, lifetime=lifetime_from_theta(t), note=note)
-            for jj, t, r, n, ok, note in zip(
-                j.tolist(), theta.tolist(), resid.tolist(),
-                iterations.tolist(), converged.tolist(), notes)]
+    return Modes(j, theta, resid, iterations, converged, notes)
+
+
+def _row(modes: Modes, i: int) -> Modes:
+    """Row i of the columns, as Python scalars."""
+    return Modes(*(column.tolist()[i] for column in modes))
 
 
 def refine_root(seed: complex, d: DimensionlessParams, tol: float = 1e-12,
-                max_iter: int = 50) -> QnmMode:
+                max_iter: int = 50) -> Modes:
     """Refine a seed to a characteristic zero by Newton iteration.
 
     The mode index is assigned afterwards as j = round(Re(theta)/pi). A mode
     that converged onto the upper half plane (growing solution, impossible
-    for this system) is returned unconverged and flagged.
+    for this system) is returned unconverged and flagged. The result is one
+    row: mode.theta is a complex, mode.converged a bool.
     """
-    return _modes(seed, d, tol, max_iter)[0]
+    return _row(_modes(seed, d, tol, max_iter), 0)
 
 
-def lifetime_from_theta(theta: complex) -> float:
-    """Decay lifetime 1/|Im theta|; math.inf below the bound-state cutoff."""
-    if abs(theta.imag) < BOUND_STATE_IM_CUTOFF:
-        return math.inf
-    return 1.0 / abs(theta.imag)
+def lifetime_from_theta(theta):
+    """Decay lifetime 1/|Im theta| of a scalar or array theta; inf below
+    the bound-state cutoff."""
+    gamma = np.abs(np.imag(theta))
+    with np.errstate(divide="ignore"):
+        return np.where(gamma < BOUND_STATE_IM_CUTOFF, math.inf,
+                        1.0 / gamma)[()]
 
 
-def lifetime(mode: QnmMode) -> float:
-    """Lifetime of a converged mode (natural units of a/v_g)."""
+def lifetime(mode: Modes) -> float:
+    """Lifetime of a converged mode row (natural units of a/v_g)."""
     if not mode.converged:
         raise ValueError(f"mode j={mode.j} is not converged; its lifetime "
                          f"is not meaningful")
-    return mode.lifetime
+    return lifetime_from_theta(mode.theta)
 
 
 def count_roots_in_box(d: DimensionlessParams, box: ContourBox,
@@ -342,44 +337,37 @@ def _certification_box(theta: complex) -> ContourBox:
 
 
 def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
-               tol: float = 1e-12) -> list[QnmMode]:
+               tol: float = 1e-12) -> Modes:
     """Seed, refine, deduplicate and certify modes for j in [j_min, j_max].
 
     All seeds are refined in one newton_roots call. Each converged root is
     certified by an argument-principle count of 1 in a tight box around it;
     a failed certification demotes the mode to unconverged rather than
-    aborting the batch. Results are sorted by Re(theta).
+    aborting the batch. Returns one Modes, its rows sorted by Re(theta).
     """
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
     modes = _modes(seed_mode(np.arange(j_min, j_max + 1), d), d, tol)
 
-    deduped: list[QnmMode] = []
-    for mode in sorted(modes, key=lambda m: m.theta.theta.real):
-        if any(abs(mode.theta.theta - kept.theta.theta) < DEDUP_RADIUS
-               for kept in deduped):
+    thetas, notes = modes.theta.tolist(), modes.note
+    kept: list[int] = []
+    for i in np.argsort(modes.theta.real, kind="stable").tolist():
+        if any(abs(thetas[i] - thetas[k]) < DEDUP_RADIUS for k in kept):
             continue
-        deduped.append(mode)
-
-    certified: list[QnmMode] = []
-    for mode in deduped:
-        if not mode.converged:
-            certified.append(mode)
+        kept.append(i)
+        if not modes.converged[i]:
             continue
         try:
-            count = count_roots_in_box(d, _certification_box(mode.theta.theta))
+            count = count_roots_in_box(d, _certification_box(thetas[i]))
         except ContourError as exc:
             count = -1
             detail = f"certification failed: {exc}"
-        if count == 1:
-            certified.append(mode)
-        else:
+        if count != 1:
             if count >= 0:
                 detail = f"certification counted {count} roots, expected 1"
-            certified.append(replace(
-                mode, converged=False,
-                note=(mode.note + "; " if mode.note else "") + detail))
-    return certified
+            modes.converged[i] = False
+            notes[i] = (notes[i] + "; " if notes[i] else "") + detail
+    return Modes(*(column[kept] for column in modes))
 
 
 def sweep_decay(d: DimensionlessParams, w_values,
@@ -410,7 +398,7 @@ def sweep_decay(d: DimensionlessParams, w_values,
     return Sweep(w, im, j, ok, notes)
 
 
-def slowest_mode(d: DimensionlessParams, tol: float = 1e-12) -> QnmMode:
+def slowest_mode(d: DimensionlessParams, tol: float = 1e-12) -> Modes:
     """The mode with the smallest decay rate: floor(W/pi) vs ceil(W/pi).
 
     The lifetime maximum sits at the j minimising |W - j*pi|, which is one of
@@ -419,10 +407,9 @@ def slowest_mode(d: DimensionlessParams, tol: float = 1e-12) -> QnmMode:
     low-energy validity note.
     """
     j_lo = int(math.floor(d.W / math.pi))
-    candidates = [mode for mode in _modes(seed_mode(np.array([j_lo, j_lo + 1]),
-                                                    d), d, tol)
-                  if mode.converged]
-    if not candidates:
+    modes = _modes(seed_mode(np.array([j_lo, j_lo + 1]), d), d, tol)
+    if not modes.converged.any():
         raise ApproximationRangeError(
             f"no converged mode near W = {d.W} for kappa = {d.kappa}")
-    return min(candidates, key=lambda m: abs(m.theta.theta.imag))
+    decay = np.where(modes.converged, np.abs(modes.theta.imag), math.inf)
+    return _row(modes, int(np.argmin(decay)))

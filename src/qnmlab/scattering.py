@@ -14,24 +14,26 @@ enhancement inside the emergent cavity is |A/C|^2 = sin^2(theta + delta) /
 sin^2(theta) and peaks at the quasi-normal-mode positions; the Wigner delay
 d(delta)/d(theta) peaks there too, with height 1/|Im theta*|.
 enhancement_scan evaluates a theta grid in one array pass and returns a
-ScatterScan of columns; phase_shift, its one-point case, costs about 0.15 ms.
+ScatterScan of columns; phase_shift, its one-point case, returns one row of
+Python scalars and costs about 0.15 ms.
 
 qnm_wavefunction evaluates the leaky-mode profile itself at complex theta*:
 sin(theta* x) inside, sin(theta*) exp(i theta* (x-1)) outside, which grows
-exponentially with x as every quasi-normal mode does.
+exponentially with x as every quasi-normal mode does. It returns one complex
+array over the x grid.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import DimensionlessParams
-from .qnm import QnmMode
+from .qnm import Modes
 
 #: theta this close to a positive multiple of pi is treated as degenerate
 #: (the enhancement becomes 0/0) and evaluated by a small offset instead.
@@ -46,75 +48,26 @@ DELAY_STEP = 1e-6
 NODE_DEGENERACY_NOTE = "degenerate theta = j*pi, evaluated by +/-1e-9 offset"
 MIRROR_LIMIT_NOTE = "theta = W: perfect-mirror limit"
 
-
-@dataclass(frozen=True)
-class PotentialDescriptor:
-    """Effective delta-mirror at the atom: position, weight and divergence.
-
-    position is the atom's location (1 in natural units). At probe energy
-    theta = W the weight diverges and the singular flag is set.
-    """
-
-    position: float
-    strength: float
-    singular: bool
-
-    def __post_init__(self) -> None:
-        if self.singular != math.isinf(self.strength):
-            raise ValueError("singular flag must match an infinite strength")
+#: cmath.exp(z) takes e^Re(z) as e^(Re(z) - 1) * e above this, log(float
+#: max / 4), so that results just below overflow stay finite.
+_LOG_LARGE = math.log(sys.float_info.max / 4.0)
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    """Phase shift, Wigner delay and cavity enhancement at one energy."""
-
-    theta: float
-    delta: float
-    delay: float
-    enhancement: float
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.enhancement < 0:
-            raise ValueError(
-                f"enhancement must be >= 0, got {self.enhancement}")
+def _libm(func, *arrays: np.ndarray) -> np.ndarray:
+    """A math function mapped over arrays: numpy's atan2, exp, sinh and cosh
+    differ in the last digit from the libm that math and cmath call."""
+    return np.fromiter(map(func, *(a.tolist() for a in arrays)), dtype=float,
+                       count=arrays[0].size)
 
 
 class ScatterScan(NamedTuple):
-    """ScatterPoint's fields as equal-length columns over a theta grid."""
+    """Phase shift, Wigner delay, enhancement and note as columns."""
 
     theta: np.ndarray
     delta: np.ndarray
     delay: np.ndarray
     enhancement: np.ndarray
     note: np.ndarray
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """Mode wavefunction sample: phi(x) and |phi(x)|."""
-
-    x: float
-    value: complex
-    magnitude: float
-
-
-def potential_weight(theta: float, d: DimensionlessParams) -> PotentialDescriptor:
-    """Weight g = kappa / (W - theta) of the atom's effective delta mirror.
-
-    A decoupled atom (kappa = 0) has zero weight at every energy, including
-    theta = W where the coupled weight would diverge.
-    """
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if d.kappa == 0.0:
-        return PotentialDescriptor(position=1.0, strength=0.0, singular=False)
-    if abs(d.W - theta) < DEGENERATE_TOL:
-        return PotentialDescriptor(position=1.0, strength=math.inf,
-                                   singular=True)
-    return PotentialDescriptor(position=1.0,
-                               strength=d.kappa / (d.W - theta),
-                               singular=False)
 
 
 def _pointwise(theta: np.ndarray, d: DimensionlessParams
@@ -134,10 +87,8 @@ def _pointwise(theta: np.ndarray, d: DimensionlessParams
     g = d.kappa / np.where(on_level, 1.0, d.W - at)
     y = np.where(on_level, sin_t * sin_t, g * sin_t * sin_t)
     x = np.where(on_level, -sin_t * cos_t, 1.0 - g * sin_t * cos_t)
-    # math.atan2, not np.arctan2: the two differ in the last digit. With
-    # kappa = 0 the weight is identically zero and so is the phase.
-    phase = (np.fromiter(map(math.atan2, y, x), dtype=float, count=at.size)
-             if d.kappa > 0.0 else np.zeros(at.size))
+    # With kappa = 0 the weight is identically zero and so is the phase.
+    phase = _libm(math.atan2, y, x) if d.kappa > 0.0 else np.zeros(at.size)
     delta, at_lo, at_hi = np.split(phase, 3)
     diff = at_hi - at_lo
     # + 0.0 as Python's integer round has no -0.0: diff = -0.0 stays -0.0
@@ -181,33 +132,49 @@ def enhancement_scan(d: DimensionlessParams, thetas) -> ScatterScan:
                        enhancement, note)
 
 
-def phase_shift(theta: float, d: DimensionlessParams) -> ScatterPoint:
-    """Scattering point at real energy theta: enhancement_scan's one-point
-    case. A loop over energies should pass them to that as one array."""
-    # ScatterScan's columns are ScatterPoint's fields, in the same order.
-    return ScatterPoint(*(column.tolist()[0]
-                          for column in enhancement_scan(d, [theta])))
+def phase_shift(theta: float, d: DimensionlessParams) -> ScatterScan:
+    """Scattering at real energy theta: enhancement_scan's one-point case,
+    as one row of Python scalars. A loop over energies should pass them to
+    that as one array."""
+    return ScatterScan(*(column.tolist()[0]
+                         for column in enhancement_scan(d, [theta])))
 
 
-def qnm_wavefunction(mode: QnmMode, xs) -> list[WaveSample]:
-    """Quasi-normal-mode profile phi(x) for a refined mode, A = 1 inside.
+def qnm_wavefunction(mode: Modes, xs) -> np.ndarray:
+    """Quasi-normal-mode profile phi(x) of a refined mode row, A = 1 inside.
 
     phi(x) = sin(theta x) on 0 <= x <= 1 and sin(theta) exp(i theta (x - 1))
     beyond the atom; with Im(theta) < 0 the outgoing tail grows like
     exp(|Im theta| (x - 1)), the expected quasi-normal-mode divergence.
+    Returns one complex array, equal bit for bit to evaluating each x with
+    Python's complex arithmetic and cmath.
     """
     if not mode.converged:
         raise ValueError(f"mode j={mode.j} is not converged; refusing to "
                          f"evaluate its wavefunction")
-    theta = mode.theta.theta
-    samples = []
-    for x in xs:
-        x = float(x)
-        if not 0.0 <= x < math.inf:
-            raise ValueError(f"x must be finite and >= 0, got {x}")
-        if x <= 1.0:
-            value = cmath.sin(theta * x)
-        else:
-            value = cmath.sin(theta) * cmath.exp(1j * theta * (x - 1.0))
-        samples.append(WaveSample(x=x, value=value, magnitude=abs(value)))
-    return samples
+    x = np.fromiter(map(float, xs), dtype=float)
+    bad = x[~((x >= 0.0) & (x < math.inf))]
+    if bad.size:
+        raise ValueError(f"x must be finite and >= 0, got {bad[0]}")
+    theta = complex(mode.theta)
+    inside = x <= 1.0
+    phi = np.empty(x.shape, dtype=complex)
+    # theta * x as Python forms complex * float, (a*x - b*0.0) + (a*0.0 +
+    # b*x)i: the zero terms set the signs of zeros. cmath.sin(a + bi) is
+    # sin(a)cosh(b) + i cos(a)sinh(b), cmath.exp(a + bi) e^a(cos b + i sin b).
+    a, b = theta.real, theta.imag
+    xi = x[inside]
+    re, im = a * xi - b * 0.0, a * 0.0 + b * xi
+    phi.real[inside] = np.sin(re) * _libm(math.cosh, im)
+    phi.imag[inside] = np.cos(re) * _libm(math.sinh, im)
+    z = 1j * theta
+    xo = x[~inside] - 1.0
+    re, im = z.real * xo - z.imag * 0.0, z.real * 0.0 + z.imag * xo
+    big = re > _LOG_LARGE
+    scale = _libm(math.exp, re - big)
+    e = np.where(big, math.e, 1.0)
+    e_re, e_im = scale * np.cos(im) * e, scale * np.sin(im) * e
+    s = cmath.sin(theta)
+    phi.real[~inside] = s.real * e_re - s.imag * e_im
+    phi.imag[~inside] = s.real * e_im + s.imag * e_re
+    return phi

@@ -10,21 +10,26 @@ helpers are not independent on purpose: interval_recurrence_dde is the
 integrator's own method written the plain way, the bit-for-bit reference
 for its optimised loop, scalar_newton is the one-seed-at-a-time Newton
 iteration in complex scalars, the reference for the batched root kernel,
-and scalar_phase_shift is the one-energy-at-a-time scattering formula in
-Python floats, the reference for the array scattering kernel.
+scalar_phase_shift is the one-energy-at-a-time scattering formula in
+Python floats, the reference for the array scattering kernel, and
+scalar_wavefunction is the mode profile evaluated one x at a time with
+cmath, the reference for the array wavefunction. potential_weight, the
+atom's effective delta-mirror weight, is checked by the tests alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from qnmlab.model import DimensionlessParams
 from qnmlab.scattering import (DEGENERATE_OFFSET, DEGENERATE_TOL, DELAY_STEP,
                                MIRROR_LIMIT_NOTE, NODE_DEGENERACY_NOTE,
-                               ScatterPoint)
+                               ScatterScan)
 
 #: Half width of the Lorentzian that stands in for the delta potential.
 LORENTZIAN_HWHM = 1e-4
@@ -298,7 +303,7 @@ def _scalar_enhancement(theta: float, delta: float) -> float:
     return (num / den) ** 2
 
 
-def scalar_phase_shift(theta: float, d) -> ScatterPoint:
+def scalar_phase_shift(theta: float, d) -> ScatterScan:
     """Scattering point (delta, delay, enhancement) at real energy theta.
 
     theta within 1e-12 of a positive multiple of pi makes the enhancement
@@ -312,7 +317,7 @@ def scalar_phase_shift(theta: float, d) -> ScatterPoint:
     if j_near >= 1 and abs(theta - j_near * math.pi) < DEGENERATE_TOL:
         lo = scalar_phase_shift(theta - DEGENERATE_OFFSET, d)
         hi = scalar_phase_shift(theta + DEGENERATE_OFFSET, d)
-        return ScatterPoint(
+        return ScatterScan(
             theta=theta,
             delta=0.5 * (lo.delta + hi.delta),
             delay=0.5 * (lo.delay + hi.delay),
@@ -323,7 +328,58 @@ def scalar_phase_shift(theta: float, d) -> ScatterPoint:
     delay = _scalar_delay(theta, d)
     if d.kappa > 0.0 and abs(d.W - theta) < DEGENERATE_TOL:
         # sin(theta + delta) -> 0 exactly in this limit: field node at the atom
-        return ScatterPoint(theta=theta, delta=delta, delay=delay,
-                            enhancement=0.0, note=MIRROR_LIMIT_NOTE)
-    return ScatterPoint(theta=theta, delta=delta, delay=delay,
-                        enhancement=_scalar_enhancement(theta, delta))
+        return ScatterScan(theta=theta, delta=delta, delay=delay,
+                           enhancement=0.0, note=MIRROR_LIMIT_NOTE)
+    return ScatterScan(theta=theta, delta=delta, delay=delay,
+                       enhancement=_scalar_enhancement(theta, delta), note="")
+
+
+def scalar_wavefunction(theta: complex, xs) -> list[complex]:
+    """Mode profile phi(x) one x at a time: sin(theta x) on 0 <= x <= 1,
+    sin(theta) exp(i theta (x - 1)) beyond the atom."""
+    values = []
+    for x in xs:
+        x = float(x)
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"x must be finite and >= 0, got {x}")
+        if x <= 1.0:
+            value = cmath.sin(theta * x)
+        else:
+            value = cmath.sin(theta) * cmath.exp(1j * theta * (x - 1.0))
+        values.append(value)
+    return values
+
+
+@dataclass(frozen=True)
+class PotentialDescriptor:
+    """Effective delta-mirror at the atom: position, weight and divergence.
+
+    position is the atom's location (1 in natural units). At probe energy
+    theta = W the weight diverges and the singular flag is set.
+    """
+
+    position: float
+    strength: float
+    singular: bool
+
+    def __post_init__(self) -> None:
+        if self.singular != math.isinf(self.strength):
+            raise ValueError("singular flag must match an infinite strength")
+
+
+def potential_weight(theta: float, d: DimensionlessParams) -> PotentialDescriptor:
+    """Weight g = kappa / (W - theta) of the atom's effective delta mirror.
+
+    A decoupled atom (kappa = 0) has zero weight at every energy, including
+    theta = W where the coupled weight would diverge.
+    """
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    if d.kappa == 0.0:
+        return PotentialDescriptor(position=1.0, strength=0.0, singular=False)
+    if abs(d.W - theta) < DEGENERATE_TOL:
+        return PotentialDescriptor(position=1.0, strength=math.inf,
+                                   singular=True)
+    return PotentialDescriptor(position=1.0,
+                               strength=d.kappa / (d.W - theta),
+                               singular=False)

@@ -37,8 +37,8 @@ ORACLE_SCAN = np.concatenate([np.linspace(0.4, 3.14, 30),
 def test_01_reference_root_fast_and_accurate():
     mode = refine_root(seed_mode(1, D200), D200)
     assert mode.converged
-    assert mode.theta.theta.real == pytest.approx(3.15084, abs=1e-4)
-    assert 8.0e-5 <= abs(mode.theta.theta.imag) <= 9.2e-5
+    assert mode.theta.real == pytest.approx(3.15084, abs=1e-4)
+    assert 8.0e-5 <= abs(mode.theta.imag) <= 9.2e-5
     best = math.inf
     for _ in range(5):
         start = time.perf_counter()
@@ -56,7 +56,7 @@ def test_02_seed_formula_tracks_refined_roots():
             mode = refine_root(seed, d)
             assert mode.converged
             bound = 10.0 / kappa**2 + 5.0 / kappa**3
-            assert abs(mode.theta.theta - seed) <= bound
+            assert abs(mode.theta - seed) <= bound
 
 
 def test_03_bound_states_at_exact_multiples():
@@ -66,8 +66,8 @@ def test_03_bound_states_at_exact_multiples():
             d = DimensionlessParams(kappa=kappa, W=j * math.pi)
             mode = refine_root(seed_mode(j, d), d)
             assert mode.converged
-            assert mode.theta.theta == complex(j * math.pi, 0.0)
-            assert abs(mode.theta.theta.imag) <= 1e-12
+            assert mode.theta == complex(j * math.pi, 0.0)
+            assert abs(mode.theta.imag) <= 1e-12
             theta = j * mpmath.pi
             residual = abs(kappa * mpmath.sin(theta)
                            * mpmath.exp(1j * theta) - (d.W - theta))
@@ -98,15 +98,15 @@ def test_05_pole_identity_equivalence():
         theta = complex(theta)
         f_abs = abs(characteristic(theta, D200))
         assert abs(pole_check(D200, theta) - f_abs) <= 1e-12 * (1.0 + f_abs)
-    for mode in find_modes(D200):
-        if mode.converged:
-            assert pole_check(D200, mode.theta.theta) <= 1e-10
+    modes = find_modes(D200)
+    for theta in modes.theta[modes.converged].tolist():
+        assert pole_check(D200, theta) <= 1e-10
 
 
 def test_06_time_frequency_agreement():
     for kappa, w in ((50.0, 2.0), (200.0, 5.0), (200.0, 7.5)):
         d = DimensionlessParams(kappa=kappa, W=w)
-        star = slowest_mode(d).theta.theta
+        star = slowest_mode(d).theta
         gamma = abs(star.imag)
         t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
         assert t_max * gamma >= 3.0
@@ -136,7 +136,7 @@ def test_07_lifetime_quartic_in_coupling():
 
 
 def test_08_scattering_cross_checks():
-    star = refine_root(seed_mode(1, D200), D200).theta.theta
+    star = refine_root(seed_mode(1, D200), D200).theta
     width = abs(star.imag)
     grid = np.linspace(3.13, 3.17, 4001)
     points = enhancement_scan(D200, grid)
@@ -151,7 +151,7 @@ def test_08_scattering_cross_checks():
 
 
 def test_09_emission_suppression():
-    bare = abs(refine_root(seed_mode(1, D200), D200).theta.theta.imag)
+    bare = abs(refine_root(seed_mode(1, D200), D200).theta.imag)
     rates = []
     for g_ext in (1e-2, 1e-3, 1e-4):
         d = DimensionlessParams(kappa=200.0, W=5.0, gamma_ext=g_ext)
@@ -168,12 +168,13 @@ def test_10_root_count_certified():
     box = ContourBox(re_min=0.5, re_max=4.5 * math.pi,
                      im_min=-0.05, im_max=0.001)
     counted = count_roots_in_box(D200, box)
-    refined = {
-        mode.j for mode in find_modes(D200)
-        if mode.converged
-        and box.re_min <= mode.theta.theta.real <= box.re_max
-        and box.im_min <= mode.theta.theta.imag <= box.im_max
-    }
+    modes = find_modes(D200)
+    re, im = modes.theta.real, modes.theta.imag
+    refined = set(modes.j[
+        modes.converged
+        & (box.re_min <= re) & (re <= box.re_max)
+        & (box.im_min <= im) & (im <= box.im_max)
+    ].tolist())
     assert counted == len(refined) == 4
 
 

@@ -16,8 +16,10 @@ from qnmlab import __version__
 from qnmlab.cli import main
 from qnmlab.dynamics import DdeConfig, evolve_atom, integrate_dde
 from qnmlab.model import DimensionlessParams
-from qnmlab.qnm import find_modes, refine_root, seed_mode, sweep_decay
-from qnmlab.scattering import enhancement_scan, qnm_wavefunction
+from oracle_helpers import scalar_wavefunction
+from qnmlab.qnm import (find_modes, lifetime_from_theta, refine_root,
+                        seed_mode, sweep_decay)
+from qnmlab.scattering import enhancement_scan
 from refs import ROOTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -223,7 +225,8 @@ def test_evolve_decoupled_atom_keeps_norm(tmp_path):
     assert (dde["n_per"], dde["n_intervals"], dde["stride"]) == (2000, 20, 1)
     assert dde["output_points"] == len(rows) == 40001
     assert abs(dde["peak_abs_w"] - 1.0) <= 1e-12
-    assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s", "write_s"))
+    assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s"))
+    assert manifest["csv"]["evolve.csv"]["write_s"] >= 0.0
 
 
 def test_evolve_too_coarse_step_is_usage_error(tmp_path, capsys):
@@ -264,7 +267,8 @@ def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
     dde = manifest["dde"]
     assert dde["output_points"] == len(rows)
     assert (dde["n_per"], dde["n_intervals"]) == (traj.n_per, traj.n_intervals)
-    assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s", "write_s"))
+    assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s"))
+    assert manifest["csv"]["evolve.csv"]["write_s"] >= 0.0
     assert any(w.startswith("decay fit failed") for w in manifest["warnings"])
 
 
@@ -280,8 +284,11 @@ def _reference_cell(value) -> str:
 
 def _spectrum_rows():
     d = DimensionlessParams(kappa=200.0, W=math.pi)
-    return [(m.j, m.theta.theta.real, m.theta.theta.imag, m.residual,
-             m.lifetime, m.converged) for m in find_modes(d)]
+    modes = find_modes(d)
+    return [(j, theta.real, theta.imag, residual, lifetime_from_theta(theta),
+             converged) for j, theta, residual, converged in zip(
+                 modes.j.tolist(), modes.theta.tolist(),
+                 modes.residual.tolist(), modes.converged.tolist())]
 
 
 def _sweep_rows():
@@ -300,8 +307,9 @@ def _scatter_rows():
 def _wavefunction_rows():
     d = DimensionlessParams(kappa=200.0, W=5.0)
     mode = refine_root(seed_mode(1, d), d)
-    return [(p.x, p.value.real, p.value.imag, p.magnitude)
-            for p in qnm_wavefunction(mode, np.linspace(0.0, 3.0, 31))]
+    xs = np.linspace(0.0, 3.0, 31).tolist()
+    return [(x, phi.real, phi.imag, abs(phi))
+            for x, phi in zip(xs, scalar_wavefunction(mode.theta, xs))]
 
 
 def _evolve_rows():

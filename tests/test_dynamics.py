@@ -209,5 +209,5 @@ def test_pole_condition_equals_characteristic_everywhere():
 
 
 def test_every_converged_mode_sits_on_a_pole():
-    for mode in find_modes(D200, j_min=1, j_max=4):
-        assert pole_check(D200, mode.theta.theta) <= 1e-10
+    for theta in find_modes(D200, j_min=1, j_max=4).theta.tolist():
+        assert pole_check(D200, theta) <= 1e-10

@@ -46,7 +46,7 @@ def test_formula_rejects_low_mode_index():
 
 def test_numeric_without_loss_matches_bare_mode():
     report = modified_emission_numeric(D_BARE, 1)
-    bare = abs(refine_root(seed_mode(1, D_BARE), D_BARE).theta.theta.imag)
+    bare = abs(refine_root(seed_mode(1, D_BARE), D_BARE).theta.imag)
     assert report.gamma_t_numeric == pytest.approx(bare, rel=1e-12)
     assert report.gamma_t_numeric == pytest.approx(8.504536241580799e-5,
                                                    rel=1e-11)
@@ -71,7 +71,7 @@ def test_formula_tracks_numeric_within_factor_two():
 
 
 def test_rate_decreases_continuously_to_bare_limit():
-    bare = abs(refine_root(seed_mode(1, D_BARE), D_BARE).theta.theta.imag)
+    bare = abs(refine_root(seed_mode(1, D_BARE), D_BARE).theta.imag)
     rates = [modified_emission_numeric(_d(g), 1).gamma_t_numeric
              for g in (1e-2, 1e-3, 1e-4)]
     assert rates[0] > rates[1] > rates[2] > bare

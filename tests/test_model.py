@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from qnmlab.model import (ComplexFrequency, DimensionlessParams,
-                          PhysicalParams, to_dimensionless, to_physical)
+from qnmlab.model import (DimensionlessParams, PhysicalParams,
+                          to_dimensionless, to_physical)
 
 
 def test_physical_params_validation():
@@ -91,11 +91,3 @@ def test_rescaling_leaves_dimensionless_form_fixed():
         assert d.kappa == pytest.approx(d0.kappa, rel=1e-12)
         assert d.W == pytest.approx(d0.W, rel=1e-12)
 
-
-def test_complex_frequency_sign_convention():
-    # decaying mode: Im(theta) < 0, decay rate is -Im(theta)
-    z = ComplexFrequency(theta=complex(3.15, -8.5e-5))
-    assert z.omega_tilde == 3.15
-    assert z.gamma_tilde == 8.5e-5
-    with pytest.raises(ValueError):
-        ComplexFrequency(theta=complex(math.inf, 0.0))

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import scalar_newton
-from qnmlab.model import ComplexFrequency, DimensionlessParams
 from qnmlab import qnm
+from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import (LOW_ENERGY_NOTE, ApproximationRangeError,
-                        CharacteristicParams, ContourBox, ContourError, QnmMode, characteristic,
-                        characteristic_derivative, count_roots_in_box,
-                        find_modes, lifetime, lifetime_from_theta,
-                        newton_roots, refine_root, seed_mode, slowest_mode,
-                        sweep_decay)
+                        CharacteristicParams, ContourBox, ContourError, Modes,
+                        characteristic, characteristic_derivative,
+                        count_roots_in_box, find_modes, lifetime,
+                        lifetime_from_theta, newton_roots, refine_root,
+                        seed_mode, slowest_mode, sweep_decay)
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -86,9 +86,9 @@ def test_refined_root_matches_external_reference():
     assert mode.j == 1
     assert mode.residual <= 1e-12
     assert mode.iterations <= 25
-    assert abs(mode.theta.theta.real - 3.15084) < 1e-4
+    assert abs(mode.theta.real - 3.15084) < 1e-4
     ref = ROOTS[(200.0, 5.0, 1)]
-    assert abs(mode.theta.theta - ref) < 1e-11
+    assert abs(mode.theta - ref) < 1e-11
 
 
 def test_refinement_against_all_reference_roots():
@@ -96,16 +96,16 @@ def test_refinement_against_all_reference_roots():
         d = DimensionlessParams(kappa=kappa, W=w)
         mode = refine_root(seed_mode(j, d), d)
         assert mode.converged and mode.j == j
-        assert abs(mode.theta.theta - ref) < 1e-11
+        assert abs(mode.theta - ref) < 1e-11
 
 
 def test_bound_state_root_is_exact():
     d = DimensionlessParams(kappa=200.0, W=2 * math.pi)
     mode = refine_root(seed_mode(2, d), d)
     assert mode.converged
-    assert mode.theta.theta == complex(2 * math.pi, 0.0)
-    assert mode.theta.theta.imag == 0.0
-    assert mode.lifetime == math.inf
+    assert mode.theta == complex(2 * math.pi, 0.0)
+    assert mode.theta.imag == 0.0
+    assert lifetime(mode) == math.inf
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -154,7 +154,7 @@ def test_non_finite_step_stops_unconverged_at_last_iterate():
 def test_refined_modes_are_passive():
     for j in range(1, 5):
         mode = refine_root(seed_mode(j, D200), D200)
-        assert mode.theta.theta.imag <= 1e-12
+        assert mode.theta.imag <= 1e-12
 
 
 def test_characteristic_forms_agree_where_both_defined():
@@ -214,20 +214,20 @@ def test_count_roots_input_validation():
 
 def test_find_modes_returns_four_distinct_certified_roots():
     modes = find_modes(D200, j_min=1, j_max=4)
-    assert [m.j for m in modes] == [1, 2, 3, 4]
-    assert all(m.converged for m in modes)
-    res = [m.theta.theta.real for m in modes]
+    assert modes.j.tolist() == [1, 2, 3, 4]
+    assert modes.converged.all()
+    res = modes.theta.real.tolist()
     assert res == sorted(res)
-    for m in modes:
+    for j, theta in zip(modes.j.tolist(), modes.theta.tolist()):
         # seeds shift the roots off j*pi by (W - j*pi)*(kappa-1)/kappa^2
-        assert abs(m.theta.theta.real - m.j * math.pi) < 0.05
-        assert abs(m.theta.theta - ROOTS[(200.0, 5.0, m.j)]) < 1e-11
+        assert abs(theta.real - j * math.pi) < 0.05
+        assert abs(theta - ROOTS[(200.0, 5.0, j)]) < 1e-11
 
 
 def test_find_modes_matches_refine_root_per_seed():
     batched = find_modes(D200, j_min=1, j_max=4)
     alone = [refine_root(seed_mode(j, D200), D200) for j in range(1, 5)]
-    assert batched == alone
+    assert list(zip(*(column.tolist() for column in batched))) == alone
 
 
 def test_seeds_do_not_depend_on_batching():
@@ -253,8 +253,9 @@ def test_find_modes_drops_duplicate_roots():
     # from the lower seed (fewer iterations), and j = 6 does not converge
     d = DimensionlessParams(kappa=3.0716, W=3.5611)
     modes = find_modes(d)
-    assert [(m.j, m.theta.theta, m.iterations, m.converged, m.note)
-            for m in modes] == [
+    assert list(zip(modes.j.tolist(), modes.theta.tolist(),
+                    modes.iterations.tolist(), modes.converged.tolist(),
+                    modes.note)) == [
         (1, complex(3.2439340804618246, -0.007952093547167045), 4, True, ""),
         (2, complex(5.761681368592322, -0.25297091641332387), 6, True, ""),
         (3, complex(8.72762215658331, -0.6144016484756893), 12, True, ""),
@@ -269,7 +270,8 @@ def test_find_modes_drops_duplicate_roots():
 def test_failed_certification_demotes_mode(monkeypatch, count, detail):
     monkeypatch.setattr(qnm, "count_roots_in_box", count)
     modes = find_modes(D200, j_min=0, j_max=2)
-    assert [(m.j, m.converged, m.note) for m in modes] == [
+    assert list(zip(modes.j.tolist(), modes.converged.tolist(),
+                    modes.note)) == [
         (0, False, LOW_ENERGY_NOTE + "; " + detail),
         (1, False, detail),
         (2, False, detail),
@@ -279,9 +281,9 @@ def test_failed_certification_demotes_mode(monkeypatch, count, detail):
 def test_find_modes_contains_exact_real_root_at_level_pi():
     d = DimensionlessParams(kappa=200.0, W=math.pi)
     modes = find_modes(d, j_min=1, j_max=1)
-    assert len(modes) == 1
-    assert abs(modes[0].theta.theta.real - math.pi) <= 1e-12
-    assert abs(modes[0].theta.theta.imag) <= 1e-14
+    assert modes.theta.size == 1
+    assert abs(modes.theta[0].real - math.pi) <= 1e-12
+    assert abs(modes.theta[0].imag) <= 1e-14
 
 
 # --- sweep and slowest mode ---------------------------------------------
@@ -326,11 +328,11 @@ def test_sweep_rejects_weak_coupling():
 def test_slowest_mode_picks_the_smaller_linewidth_neighbour():
     mode = slowest_mode(D200)
     assert mode.j == 2
-    assert abs(mode.theta.theta - ROOTS[(200.0, 5.0, 2)]) < 1e-11
+    assert abs(mode.theta - ROOTS[(200.0, 5.0, 2)]) < 1e-11
 
     mode2 = slowest_mode(DimensionlessParams(kappa=50.0, W=2.0))
     assert mode2.j == 1
-    assert abs(mode2.theta.theta - ROOTS[(50.0, 2.0, 1)]) < 1e-11
+    assert abs(mode2.theta - ROOTS[(50.0, 2.0, 1)]) < 1e-11
 
 
 # --- lifetimes ----------------------------------------------------------
@@ -345,10 +347,17 @@ def test_lifetime_unbounded_below_cutoff():
     assert lifetime_from_theta(complex(math.pi, -1e-15)) == math.inf
 
 
+def test_refined_decaying_mode_sign_convention():
+    # theta = omega - i gamma: a decaying mode has Im(theta) < 0, and its
+    # lifetime is 1 / gamma = 1 / -Im(theta)
+    mode = refine_root(seed_mode(1, D200), D200)
+    assert mode.converged and mode.theta.imag < 0.0
+    assert lifetime(mode) == 1.0 / -mode.theta.imag
+
+
 def test_lifetime_rejects_unconverged_mode():
-    bad = QnmMode(j=1, theta=ComplexFrequency(complex(3.15, -1e-4)),
-                  residual=1.0, iterations=50, converged=False,
-                  lifetime=1e4)
+    bad = Modes(j=1, theta=complex(3.15, -1e-4), residual=1.0,
+                iterations=50, converged=False, note="")
     with pytest.raises(ValueError):
         lifetime(bad)
 
