@@ -37,10 +37,9 @@ from .dynamics import DdeConfig, FitWindowError, evolve_atom, pole_check
 from .model import DimensionlessParams
 from .platforms import (FLUX_QUANTUM, RamanSpec, SquidSpec, raman_coupling,
                         squid_coupling, squid_level_spacing)
-from .qnm import (ApproximationRangeError, ContourBox, ContourError,
-                  characteristic, count_roots_in_box, find_modes,
-                  lifetime_from_theta, refine_root, seed_mode, slowest_mode,
-                  sweep_decay)
+from .qnm import (ContourBox, ContourError, characteristic,
+                  count_roots_in_box, find_modes, lifetime_from_theta,
+                  refine_root, seed_mode, slowest_mode, sweep_decay)
 from .scattering import enhancement_scan, qnm_wavefunction
 
 EXIT_OK = 0
@@ -230,30 +229,25 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
                 f"fitted rates will be unreliable")
             run.warnings.append(coverage_note)
     try:
-        result = evolve_atom(cfg, fit_window=window)
+        traj = evolve_atom(cfg, fit_window=window)
     except FitWindowError as exc:
         traj = exc.trajectory
-        _write_evolve(run, traj.times, traj.w, exc.diagnostics)
         run.warnings.append(f"decay fit failed: {exc}")
         hint = f" ({coverage_note})" if coverage_note else ""
         print(f"decay fit failed: {exc}{hint}; increase --t-max or pass a "
               f"later --fit-start/--fit-end", file=sys.stderr)
-        return EXIT_USAGE
-    _write_evolve(run, result.times, result.w, result.diagnostics)
-    run.extras["fit"] = {"omega_fit": result.omega_fit,
-                         "gamma_fit": result.gamma_fit,
-                         "fit_residual": result.fit_residual,
-                         "dt_used": result.dt_used}
-    return EXIT_OK
-
-
-def _write_evolve(run: _Run, times: np.ndarray, w: np.ndarray,
-                  diagnostics: dict) -> None:
-    """evolve.csv from a trajectory, and the manifest's dde block."""
+    w = traj.w
     # hypot, as Python's complex abs: np.abs differs in the last digit.
-    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w", times, w.real, w.imag,
-                  np.hypot(w.real, w.imag))
-    run.extras["dde"] = diagnostics
+    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w", traj.times, w.real,
+                  w.imag, np.hypot(w.real, w.imag))
+    run.extras["dde"] = {
+        "n_per": traj.n_per, "n_intervals": traj.n_intervals,
+        "stride": traj.stride, "output_points": int(traj.times.size),
+        "peak_abs_w": traj.peak_abs_w, **traj.seconds}
+    if traj.fit is None:
+        return EXIT_USAGE
+    run.extras["fit"] = {**traj.fit._asdict(), "dt_used": traj.dt_used}
+    return EXIT_OK
 
 
 def _squid_from_args(args: argparse.Namespace, scale: float) -> SquidSpec:
@@ -349,10 +343,10 @@ def _check_dde_agreement(full: bool, tol: float) -> tuple[bool, str]:
         star = slowest_mode(d, tol=tol).theta
         gamma = abs(star.imag)
         t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
-        result = evolve_atom(DdeConfig(d=d, t_max=t_max),
-                             fit_window=(t_max / 2.0, t_max))
-        err_w = abs(result.omega_fit - star.real) / abs(star.real)
-        err_g = abs(result.gamma_fit - gamma) / gamma
+        fit = evolve_atom(DdeConfig(d=d, t_max=t_max),
+                          fit_window=(t_max / 2.0, t_max)).fit
+        err_w = abs(fit.omega_fit - star.real) / abs(star.real)
+        err_g = abs(fit.gamma_fit - gamma) / gamma
         details.append(f"({kappa:g},{w:g}): omega off {err_w:.2e}, "
                        f"gamma off {err_g:.2e}")
         ok = ok and err_w <= 0.01 and err_g <= 0.01
@@ -497,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (ApproximationRangeError, FitWindowError, ValueError) as exc:
+    except ValueError as exc:
         print(f"qnmlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ContourError, RuntimeError) as exc:

@@ -19,7 +19,9 @@ the interpolation, never via the stiff exponential.
 The long-time tail of |w| decays at the slowest quasi-normal mode rate, which
 is how the frequency-domain solver is cross-checked: fit_decay extracts
 (omega_fit, gamma_fit) from a tail window and pole_check verifies that a
-characteristic zero is a pole of the DDE's Laplace transform.
+characteristic zero is a pole of the DDE's Laplace transform. evolve_atom
+runs both steps and returns the one DdeTrajectory it integrated, with the
+fit and the wall seconds of each step filled in.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,12 @@ ROUND_TRIP = 2.0
 
 #: Minimum steps per delay interval (resolves the stiff exponential).
 MIN_STEPS_PER_DELAY = 200
+
+#: Earliest tail-fit start: ten delay periods skip the direct-decay transient.
+FIT_START = 10.0 * ROUND_TRIP
+
+#: Output samples kept by integrate_dde, roughly (thinned in whole steps).
+MAX_OUTPUT_POINTS = 400_000
 
 #: Largest |Re(lambda)*s| span handled in one vectorised block before the
 #: running rescale kicks in (exp(400) is still comfortably inside float64).
@@ -53,12 +62,10 @@ class FitWindowError(ValueError):
     """Raised when a decay-fit window is unusable.
 
     When raised by evolve_atom, `trajectory` holds the integrated
-    DdeTrajectory the fit was given and `diagnostics` the counts and wall
-    seconds a DdeResult would carry, so the run is not lost.
+    DdeTrajectory, with fit None and its seconds, so the run is not lost.
     """
 
     trajectory: DdeTrajectory | None = None
-    diagnostics: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -71,9 +78,9 @@ class DdeConfig:
     w0: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t_max) or self.t_max < 10.0 * ROUND_TRIP:
+        if not math.isfinite(self.t_max) or self.t_max < FIT_START:
             raise ValueError(
-                f"t_max must be >= {10.0 * ROUND_TRIP} (ten delay periods), "
+                f"t_max must be >= {FIT_START} (ten delay periods), "
                 f"got {self.t_max}")
         if not (0.0 < self.dt <= ROUND_TRIP / MIN_STEPS_PER_DELAY * (1 + 1e-12)):
             raise ValueError(
@@ -91,20 +98,12 @@ class DdeConfig:
             raise ValueError(f"w0 must be finite, got {self.w0!r}")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Decay parameters extracted from a tail window of |w| and arg(w)."""
 
     omega_fit: float
     gamma_fit: float
     fit_residual: float
-
-    def __post_init__(self) -> None:
-        if self.gamma_fit < 0:
-            raise ValueError(f"gamma_fit must be >= 0, got {self.gamma_fit}")
-        if self.fit_residual < 0 or math.isnan(self.fit_residual):
-            raise ValueError(
-                f"fit_residual must be >= 0, got {self.fit_residual}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,9 @@ class DdeTrajectory:
 
     n_per is the number of steps per delay interval, n_intervals the number
     of intervals integrated, stride the steps between kept samples and
-    peak_abs_w the largest |w| over every integration node.
+    peak_abs_w the largest |w| over every integration node. evolve_atom
+    alone fills fit (None when the fit failed) and seconds, the wall
+    seconds of its steps: {"integrate_s": ..., "fit_s": ...}.
     """
 
     times: np.ndarray
@@ -123,24 +124,8 @@ class DdeTrajectory:
     n_intervals: int
     stride: int
     peak_abs_w: float
-
-
-@dataclass(frozen=True)
-class DdeResult:
-    """Recorded trajectory plus the tail fit.
-
-    diagnostics holds the integration counts of the DdeTrajectory
-    (n_per, n_intervals, stride, output_points, peak_abs_w) and the wall
-    seconds of integration and fit (integrate_s, fit_s).
-    """
-
-    times: np.ndarray
-    w: np.ndarray
-    omega_fit: float
-    gamma_fit: float
-    fit_residual: float
-    dt_used: float
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    fit: FitResult | None = None
+    seconds: dict | None = None
 
 
 def _exp_integrals(z: complex) -> list[complex]:
@@ -186,12 +171,11 @@ def _hermite_forcing_weights(z: complex, dt: float) -> tuple[complex, complex,
     return c_wa, c_da, c_wb, c_db
 
 
-def integrate_dde(cfg: DdeConfig,
-                  max_output_points: int = 400_000) -> DdeTrajectory:
+def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
     """Integrate the DDE from w(0) = cfg.w0 to t_max by the method of steps.
 
     The trajectory is recorded on a thinned output grid (at most roughly
-    max_output_points samples, thinned only in whole integration steps and
+    MAX_OUTPUT_POINTS samples, thinned only in whole integration steps and
     never so far that the phase advances more than ~pi/2 between samples).
     Raises RuntimeError if |w| ever exceeds 1 by more than 1e-6 at any
     integration node: the exact dynamics conserve the single-excitation
@@ -213,10 +197,10 @@ def integrate_dde(cfg: DdeConfig,
     half_kappa = kappa / 2.0
     n_intervals = int(math.ceil(cfg.t_max / ROUND_TRIP - 1e-12))
 
-    # Output thinning: respect max_output_points but keep the sampled phase
+    # Output thinning: respect MAX_OUTPUT_POINTS but keep the sampled phase
     # step below ~pi/2 so the fit can unwrap reliably.
     total_steps = n_per * n_intervals
-    stride = max(1, int(total_steps / max_output_points))
+    stride = max(1, int(total_steps / MAX_OUTPUT_POINTS))
     max_phase_step = math.pi / 2.0
     phase_rate = w_level + math.pi  # generous bound on |Re theta| of the tail
     if phase_rate > 0:
@@ -297,33 +281,28 @@ def integrate_dde(cfg: DdeConfig,
                          peak_abs_w=float(peak))
 
 
-def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None,
-                max_output_points: int = 400_000) -> DdeResult:
+def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None
+                ) -> DdeTrajectory:
     """Integrate the DDE to t_max (integrate_dde) and fit the decaying tail.
 
-    fit_window defaults to [10 * ROUND_TRIP, last sample time]. A
-    FitWindowError from the fit carries the integrated trajectory and the
-    diagnostics in its `trajectory` and `diagnostics` attributes.
+    Returns the integrated DdeTrajectory with fit and seconds filled in.
+    fit_window defaults to [FIT_START, last sample time]. A FitWindowError
+    from the fit carries the trajectory, with fit None, in `trajectory`.
     """
     start = time.perf_counter()
-    traj = integrate_dde(cfg, max_output_points)
+    traj = integrate_dde(cfg)
     integrated = time.perf_counter()
-    diagnostics = {"n_per": traj.n_per, "n_intervals": traj.n_intervals,
-                   "stride": traj.stride, "output_points": int(traj.times.size),
-                   "peak_abs_w": traj.peak_abs_w,
-                   "integrate_s": integrated - start}
+    traj = replace(traj, seconds={"integrate_s": integrated - start})
     if fit_window is None:
-        fit_window = (10.0 * ROUND_TRIP, float(traj.times[-1]))
+        fit_window = (FIT_START, float(traj.times[-1]))
     try:
-        fit = fit_decay(traj.times, traj.w, fit_window)
+        return replace(traj, fit=fit_decay(traj.times, traj.w, fit_window))
     except FitWindowError as exc:
-        exc.trajectory, exc.diagnostics = traj, diagnostics
+        exc.trajectory = traj
         raise
     finally:
-        diagnostics["fit_s"] = time.perf_counter() - integrated
-    return DdeResult(times=traj.times, w=traj.w, omega_fit=fit.omega_fit,
-                     gamma_fit=fit.gamma_fit, fit_residual=fit.fit_residual,
-                     dt_used=traj.dt_used, diagnostics=diagnostics)
+        # the returned record shares this dict, so it gets fit_s too
+        traj.seconds["fit_s"] = time.perf_counter() - integrated
 
 
 def fit_decay(times: np.ndarray, w: np.ndarray,
@@ -333,22 +312,23 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
     gamma_fit is minus the ln|w| slope (clamped to 0 when within rounding
     noise of zero), omega_fit is the mean of -d(arg w)/ds on the unwrapped
     phase, fit_residual is the RMS deviation of ln|w| from the line. The
-    window must start at or after 10 * ROUND_TRIP (skipping the direct-decay
-    transient) and contain at least 100 samples.
+    window must start at or after FIT_START (skipping the direct-decay
+    transient) and contain at least 100 samples, all finite.
     """
     s0, s1 = float(window[0]), float(window[1])
-    if s0 < 10.0 * ROUND_TRIP * (1 - 1e-12):
+    if s0 < FIT_START * (1 - 1e-12):
         raise FitWindowError(
-            f"window start {s0} is inside the transient; need >= "
-            f"{10.0 * ROUND_TRIP}")
+            f"window start {s0} is inside the transient; need >= {FIT_START}")
     if not s0 < s1:
         raise FitWindowError(f"empty window [{s0}, {s1}]")
     mask = (times >= s0) & (times <= s1)
     n = int(np.count_nonzero(mask))
     if n < 100:
         raise FitWindowError(f"only {n} samples in [{s0}, {s1}]; need >= 100")
-    s = times[mask]
-    amp = np.abs(w[mask])
+    s, w = times[mask], w[mask]
+    if not np.isfinite(w).all():
+        raise FitWindowError(f"w is not finite inside [{s0}, {s1}]")
+    amp = np.abs(w)
     if np.min(amp) < 1e-300:
         raise FitWindowError(
             "|w| underflows inside the window; shorten t_max or the window")
@@ -363,9 +343,9 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
                 f"window shows amplitude growth (gamma = {gamma}); "
                 f"not a decay tail")
     residual = float(np.sqrt(np.mean((log_amp - (slope * s + intercept))**2)))
-    phase = np.unwrap(np.angle(w[mask]))
+    phase = np.unwrap(np.angle(w))
     omega = -float(np.mean(np.diff(phase) / np.diff(s)))
-    return FitResult(omega_fit=omega, gamma_fit=gamma, fit_residual=residual)
+    return FitResult(omega, gamma, residual)
 
 
 def pole_check(d: DimensionlessParams, theta: complex) -> float:

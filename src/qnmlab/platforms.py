@@ -19,7 +19,7 @@ but it is not hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import DimensionlessParams, PhysicalParams, to_dimensionless
 
@@ -49,23 +49,13 @@ class RangeFlag:
 
     name: str
     value: float
-    within_paper_range: bool
     range: tuple[float, float]
+    within_paper_range: bool = field(init=False)  # computed, never given
 
     def __post_init__(self) -> None:
         low, high = self.range
-        if self.within_paper_range != (low <= self.value <= high):
-            raise ValueError(
-                f"flag {self.name!r}: within_paper_range="
-                f"{self.within_paper_range} inconsistent with value "
-                f"{self.value} and range {self.range}")
-
-
-def _flag(name: str, value_hz: float,
-          rng: tuple[float, float]) -> RangeFlag:
-    low, high = rng
-    return RangeFlag(name=name, value=value_hz,
-                     within_paper_range=low <= value_hz <= high, range=rng)
+        object.__setattr__(self, "within_paper_range",
+                           low <= self.value <= high)
 
 
 def _cos_pi_ratio(ratio: float) -> float:
@@ -178,8 +168,8 @@ def squid_level_spacing(s: SquidSpec) -> SquidLevels:
     b_z = 4.0 * e_c * (2.0 * n_g - 1.0)
     b_x = 2.0 * s.E_J * _cos_pi_ratio(s.Phi_x / s.Phi_0)
     omega = math.hypot(b_z, b_x)
-    flag = _flag("level_spacing", omega / (2.0 * math.pi),
-                 LEVEL_SPACING_RANGE_HZ)
+    flag = RangeFlag("level_spacing", omega / (2.0 * math.pi),
+                     LEVEL_SPACING_RANGE_HZ)
     return SquidLevels(omega=omega, b_z=b_z, b_x=b_x, e_c=e_c, n_g=n_g,
                        flag=flag)
 
@@ -194,7 +184,7 @@ def squid_coupling(s: SquidSpec) -> CouplingReport:
     v = (E_CHARGE * math.sin(s.mixing_angle) * (s.C_g / s.C_Sigma)
          * math.sqrt(s.omega_mode / (s.L * s.c_line * HBAR)))
     value_hz = abs(v) / (2.0 * math.pi)
-    flag = _flag("coupling", value_hz, COUPLING_RANGE_HZ)
+    flag = RangeFlag("coupling", value_hz, COUPLING_RANGE_HZ)
     note = COUPLING_ADVISORY_NOTE if value_hz < COUPLING_ADVISORY_HZ else ""
     return CouplingReport(v=v, flag=flag, note=note)
 

@@ -172,8 +172,6 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
         raise ValueError(f"tol must be finite and positive, got {tol}")
     theta = np.array(seeds, dtype=complex, ndmin=1)
     w = np.broadcast_to(d.W, theta.shape)
-    f = characteristic(theta, CharacteristicParams(d.kappa, w))
-    resid = np.abs(f)
     iterations = np.zeros(theta.shape, dtype=int)
 
     def step(idx: np.ndarray, keep) -> np.ndarray:
@@ -189,8 +187,10 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
         iterations[idx] += 1
         return idx
 
-    live = np.flatnonzero(resid > tol)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # f overflows far below the real axis
+        f = characteristic(theta, CharacteristicParams(d.kappa, w))
+        resid = np.abs(f)
+        live = np.flatnonzero(resid > tol)
         for _ in range(max_iter):
             if live.size == 0:
                 break

@@ -52,6 +52,9 @@ MIRROR_LIMIT_NOTE = "theta = W: perfect-mirror limit"
 #: max / 4), so that results just below overflow stay finite.
 _LOG_LARGE = math.log(sys.float_info.max / 4.0)
 
+#: Largest x with exp(x) finite in float64.
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 def _libm(func, *arrays: np.ndarray) -> np.ndarray:
     """A math function mapped over arrays: numpy's atan2, exp, sinh and cosh
@@ -147,7 +150,8 @@ def qnm_wavefunction(mode: Modes, xs) -> np.ndarray:
     beyond the atom; with Im(theta) < 0 the outgoing tail grows like
     exp(|Im theta| (x - 1)), the expected quasi-normal-mode divergence.
     Returns one complex array, equal bit for bit to evaluating each x with
-    Python's complex arithmetic and cmath.
+    Python's complex arithmetic and cmath. Raises ValueError, naming the
+    largest usable x, if a sample would not be finite.
     """
     if not mode.converged:
         raise ValueError(f"mode j={mode.j} is not converged; refusing to "
@@ -169,12 +173,18 @@ def qnm_wavefunction(mode: Modes, xs) -> np.ndarray:
     phi.imag[inside] = np.cos(re) * _libm(math.sinh, im)
     z = 1j * theta
     xo = x[~inside] - 1.0
-    re, im = z.real * xo - z.imag * 0.0, z.real * 0.0 + z.imag * xo
-    big = re > _LOG_LARGE
-    scale = _libm(math.exp, re - big)
-    e = np.where(big, math.e, 1.0)
-    e_re, e_im = scale * np.cos(im) * e, scale * np.sin(im) * e
-    s = cmath.sin(theta)
-    phi.real[~inside] = s.real * e_re - s.imag * e_im
-    phi.imag[~inside] = s.real * e_im + s.imag * e_re
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        re, im = z.real * xo - z.imag * 0.0, z.real * 0.0 + z.imag * xo
+        big = re > _LOG_LARGE
+        scale = _libm(math.exp, np.minimum(re - big, _LOG_MAX))
+        e = np.where(big, math.e, 1.0)
+        e_re, e_im = scale * np.cos(im) * e, scale * np.sin(im) * e
+        s = cmath.sin(theta)
+        phi.real[~inside] = s.real * e_re - s.imag * e_im
+        phi.imag[~inside] = s.real * e_im + s.imag * e_re
+    if np.any(re > _LOG_MAX) or not np.isfinite(phi).all():
+        raise ValueError(
+            f"phi(x) of mode j={mode.j} overflows float64 past x = "
+            f"{1.0 + _LOG_MAX / -b:.6g}, as its tail grows like "
+            f"exp({-b:.6g} (x - 1)); got x = {x.max():.6g}")
     return phi

@@ -114,8 +114,8 @@ def test_06_time_frequency_agreement():
         result = evolve_atom(DdeConfig(d=d, t_max=t_max),
                              fit_window=(t_max / 2.0, t_max))
         elapsed = time.perf_counter() - start
-        assert abs(result.omega_fit - star.real) <= 0.01 * abs(star.real)
-        assert abs(result.gamma_fit - gamma) <= 0.01 * gamma
+        assert abs(result.fit.omega_fit - star.real) <= 0.01 * abs(star.real)
+        assert abs(result.fit.gamma_fit - gamma) <= 0.01 * gamma
         pre = [(s, amp) for s, amp in zip(result.times, np.abs(result.w))
                if s < 2.0]
         assert pre

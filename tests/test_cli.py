@@ -14,7 +14,8 @@ import pytest
 
 from qnmlab import __version__
 from qnmlab.cli import main
-from qnmlab.dynamics import DdeConfig, evolve_atom, integrate_dde
+from qnmlab.dynamics import (DdeConfig, evolve_atom, fit_decay,
+                             integrate_dde)
 from qnmlab.model import DimensionlessParams
 from oracle_helpers import scalar_wavefunction
 from qnmlab.qnm import (find_modes, lifetime_from_theta, refine_root,
@@ -138,6 +139,15 @@ def test_bad_tolerance_is_usage_error(tmp_path, capsys, argv, name, tol):
     assert not (tmp_path / name).exists()
 
 
+def test_spectrum_with_overflowing_seeds_is_silent(tmp_path, capsys):
+    # at kappa = 1.2 the seeds of j >= 4 lie far below the real axis, where
+    # f overflows; they stop unconverged without a numpy warning
+    code = main(["spectrum", "--kappa", "1.2", "--w", "5", "--j-min", "1",
+                 "--j-max", "12", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ""
+
+
 # --- sweep --------------------------------------------------------------
 
 def test_sweep_bound_state_row(tmp_path):
@@ -165,6 +175,24 @@ def test_wavefunction_starts_at_mirror_node(tmp_path):
     manifest = _manifest(tmp_path)
     root = ROOTS[(200.0, 5.0, 1)]
     assert manifest["mode"]["re_theta"] == pytest.approx(root.real, rel=1e-9)
+
+
+@pytest.mark.parametrize("growth", [
+    8500.0,     # x_max near 1e8: exp of the tail exponent overflows
+    710.3,      # exp(growth) overflows, exp(growth - 1) * e does not
+])
+def test_wavefunction_past_the_tail_overflow_is_usage_error(
+        tmp_path, capsys, growth):
+    d = DimensionlessParams(kappa=200.0, W=5.0)
+    gamma = abs(refine_root(seed_mode(1, d), d).theta.imag)
+    code = main(_WAVEFUNCTION + ["--x-max", repr(1.0 + growth / gamma),
+                                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+    # one line naming the largest usable x, nothing printed from numpy
+    limit = 1.0 + math.log(sys.float_info.max) / gamma
+    assert err.count("\n") == 1 and f"{limit:.6g}" in err
 
 
 # --- scatter ------------------------------------------------------------
@@ -270,6 +298,31 @@ def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
     assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s"))
     assert manifest["csv"]["evolve.csv"]["write_s"] >= 0.0
     assert any(w.startswith("decay fit failed") for w in manifest["warnings"])
+
+
+_DDE_KEYS = {"n_per", "n_intervals", "stride", "output_points", "peak_abs_w",
+             "integrate_s", "fit_s"}
+
+
+@pytest.mark.parametrize("kappa, t_max, code", [
+    (0.0, 40.0, 0),
+    (200.0, 100.0, 1),          # the tail fit fails: no fit block
+], ids=["fitted", "fit-failed"])
+def test_evolve_manifest_blocks(tmp_path, kappa, t_max, code):
+    assert main(["evolve", "--kappa", repr(kappa), "--w", "5", "--t-max",
+                 repr(t_max), "--out-dir", str(tmp_path)]) == code
+    manifest = _manifest(tmp_path)
+    assert set(manifest["dde"]) == _DDE_KEYS
+    if code:
+        assert "fit" not in manifest
+        return
+    traj = integrate_dde(DdeConfig(d=DimensionlessParams(kappa=kappa, W=5.0),
+                                   t_max=t_max))
+    fit = fit_decay(traj.times, traj.w, (20.0, float(traj.times[-1])))
+    assert manifest["fit"] == {"omega_fit": fit.omega_fit,
+                               "gamma_fit": fit.gamma_fit,
+                               "fit_residual": fit.fit_residual,
+                               "dt_used": traj.dt_used}
 
 
 # --- CSV writer -----------------------------------------------------------

@@ -49,7 +49,7 @@ def test_decoupled_atom_only_rotates():
     assert np.max(np.abs(np.abs(res.w) - 1.0)) <= 1e-12
     expected = np.exp(-5.0j * res.times)
     assert np.max(np.abs(res.w - expected)) <= 1e-9
-    assert res.gamma_fit == 0.0
+    assert res.fit.gamma_fit == 0.0
 
 
 def test_matches_interval_polynomial_solution():
@@ -87,7 +87,9 @@ def test_failed_fit_keeps_the_trajectory():
                     t_max=400.0)
     with pytest.raises(FitWindowError, match="underflows") as info:
         evolve_atom(cfg)
-    assert np.array_equal(info.value.trajectory.w, integrate_dde(cfg).w)
+    traj = info.value.trajectory
+    assert np.array_equal(traj.w, integrate_dde(cfg).w)
+    assert traj.fit is None and set(traj.seconds) == {"integrate_s", "fit_s"}
 
 
 # --- amplitude bound ------------------------------------------------------
@@ -148,6 +150,15 @@ def test_fit_window_validation():
         fit_decay(s, tiny, (20.0, 100.0))    # underflowed amplitudes
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_refuses_non_finite_samples(bad):
+    s = np.linspace(0.0, 100.0, 2001)
+    w = np.exp(-0.01 * s) * np.exp(-1j * s)
+    w[1000] = bad
+    with pytest.raises(FitWindowError, match=r"\[20.0, 100.0\]"):
+        fit_decay(s, w, (20.0, 100.0))
+
+
 def test_premature_window_on_slow_config_reports_growth():
     # at kappa=200, W=5 both slow modes have lifetimes > 1e4, so ln|w| on
     # [1000, 2000] is a beating two-tone signal, not a decay line; the
@@ -161,8 +172,8 @@ def test_default_window_matches_explicit_call():
     cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=5.0), t_max=50.0)
     res = evolve_atom(cfg)
     fit = fit_decay(res.times, res.w, (20.0, 50.0))
-    assert res.omega_fit == fit.omega_fit
-    assert res.gamma_fit == fit.gamma_fit
+    assert res.fit.omega_fit == fit.omega_fit
+    assert res.fit.gamma_fit == fit.gamma_fit
 
 
 def test_tail_fit_matches_slowest_reference_root():
@@ -170,8 +181,8 @@ def test_tail_fit_matches_slowest_reference_root():
     t_max = 2.0 * math.ceil(3.2 / abs(ref.imag) / 2.0)
     res = evolve_atom(DdeConfig(d=D50, t_max=t_max),
                       fit_window=(t_max / 2.0, t_max))
-    assert res.omega_fit == pytest.approx(ref.real, rel=1e-4)
-    assert res.gamma_fit == pytest.approx(abs(ref.imag), rel=1e-4)
+    assert res.fit.omega_fit == pytest.approx(ref.real, rel=1e-4)
+    assert res.fit.gamma_fit == pytest.approx(abs(ref.imag), rel=1e-4)
 
 
 def test_halving_the_step_leaves_the_rate_unchanged():
@@ -179,8 +190,8 @@ def test_halving_the_step_leaves_the_rate_unchanged():
     coarse = evolve_atom(DdeConfig(d=D50, t_max=2000.0), fit_window=win)
     fine = evolve_atom(DdeConfig(d=D50, t_max=2000.0, dt=5e-4),
                        fit_window=win)
-    change = abs(fine.gamma_fit - coarse.gamma_fit) / coarse.gamma_fit
-    assert change <= 1e-4
+    gamma = coarse.fit.gamma_fit
+    assert abs(fine.fit.gamma_fit - gamma) / gamma <= 1e-4
 
 
 def test_result_grid_is_increasing_and_step_snapped():

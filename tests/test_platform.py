@@ -2,6 +2,7 @@
 hopping, and the bridge into dimensionless model parameters."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 from scipy.constants import e as ECHARGE
@@ -157,13 +158,17 @@ def test_spec_rejects_nonpositive_inputs():
         _spec(Phi_0=0.0)
 
 
-def test_range_flag_must_be_consistent():
-    with pytest.raises(ValueError):
-        RangeFlag(name="x", value=1e9, within_paper_range=False,
-                  range=(5e8, 5e9))
-    flag = RangeFlag(name="x", value=1e10, within_paper_range=False,
-                     range=(5e8, 5e9))
-    assert not flag.within_paper_range
+def test_range_flag_is_computed_from_value_and_range():
+    # closed at both ends, open just outside them
+    for value, inside in ((5e8, True), (5e9, True),
+                          (math.nextafter(5e8, 0.0), False),
+                          (math.nextafter(5e9, math.inf), False)):
+        flag = RangeFlag(name="x", value=value, range=(5e8, 5e9))
+        assert flag.within_paper_range is inside
+        assert asdict(flag)["within_paper_range"] is inside
+    with pytest.raises(TypeError):
+        RangeFlag(name="x", value=1e9, range=(5e8, 5e9),
+                  within_paper_range=False)
 
 
 # --- bridge to the model ------------------------------------------------

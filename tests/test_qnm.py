@@ -151,6 +151,14 @@ def test_non_finite_step_stops_unconverged_at_last_iterate():
     assert converged[1] and abs(theta[1] - ROOTS[(200.0, 5.0, 1)]) < 1e-11
 
 
+def test_seeds_where_f_overflows_raise_no_warning():
+    # at kappa = 1.2 the seeds of j >= 4 lie so far below the real axis
+    # that f overflows there; the suite turns any RuntimeWarning into an
+    # error, so this fails if the first evaluation escapes np.errstate
+    modes = find_modes(DimensionlessParams(kappa=1.2, W=5.0), 1, 12)
+    assert modes.converged[:3].all() and not modes.converged[3:].any()
+
+
 def test_refined_modes_are_passive():
     for j in range(1, 5):
         mode = refine_root(seed_mode(j, D200), D200)

@@ -3,6 +3,8 @@ Wigner delay, cavity enhancement and the leaky-mode profile."""
 
 import cmath
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -347,6 +349,20 @@ def test_wavefunction_matches_scalar_oracle(kappa, w, j, x_max, samples,
     ref = scalar_wavefunction(mode.theta, xs)
     assert ([(v.real.hex(), v.imag.hex()) for v in phi.tolist()]
             == [(v.real.hex(), v.imag.hex()) for v in ref])
+
+
+@pytest.mark.parametrize("growth", [
+    8500.0,     # exp of the tail exponent overflows
+    710.3,      # exp(growth) overflows, exp(growth - 1) * e does not
+])
+def test_wavefunction_refuses_overflowing_tail(growth):
+    mode = _mode_j1()
+    gamma = abs(mode.theta.imag)
+    limit = 1.0 + math.log(sys.float_info.max) / gamma
+    # 8.35e6 at (200, 5), j = 1
+    assert limit == pytest.approx(8.35e6, rel=1e-3)
+    with pytest.raises(ValueError, match=re.escape(f"{limit:.6g}")):
+        qnm_wavefunction(mode, [0.5, 2.0, 1.0 + growth / gamma])
 
 
 def test_wavefunction_rejects_bad_input():
