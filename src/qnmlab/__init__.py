@@ -1,8 +1,7 @@
 """Quasi-normal modes of the emergent cavity in an atom-terminated waveguide."""
 
 from .dynamics import (DdeConfig, DdeTrajectory, FitResult, FitWindowError,
-                       dde_pole_identity_gap, evolve_atom, fit_decay,
-                       integrate_dde, pole_check)
+                       evolve_atom, fit_decay, integrate_dde, pole_check)
 from .emission import (EmissionReport, modified_emission_formula,
                        modified_emission_numeric)
 from .model import (DimensionlessParams, PhysicalParams, to_dimensionless,
@@ -43,7 +42,6 @@ __all__ = [
     "characteristic",
     "characteristic_derivative",
     "count_roots_in_box",
-    "dde_pole_identity_gap",
     "enhancement_scan",
     "evolve_atom",
     "find_modes",

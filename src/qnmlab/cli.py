@@ -37,7 +37,7 @@ from .dynamics import DdeConfig, FitWindowError, evolve_atom, pole_check
 from .model import DimensionlessParams
 from .platforms import (FLUX_QUANTUM, RamanSpec, SquidSpec, raman_coupling,
                         squid_coupling, squid_level_spacing)
-from .qnm import (ContourBox, ContourError, characteristic,
+from .qnm import (DEFAULT_TOL, ContourBox, ContourError, characteristic,
                   count_roots_in_box, find_modes, lifetime_from_theta,
                   refine_root, seed_mode, slowest_mode, sweep_decay)
 from .scattering import enhancement_scan, qnm_wavefunction
@@ -53,15 +53,12 @@ _VERIFY_SEED = 1302
 #: evolve warns when t_max * expected decay rate falls below this.
 _DECAY_COVERAGE = 3.0
 
-class _UsageError(Exception):
-    """Raised for bad flags/values; mapped to exit code 1."""
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems via _UsageError."""
+    """argparse parser that raises ValueError (exit code 1) on bad flags."""
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @dataclass
@@ -157,29 +154,28 @@ def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
         in zip(modes.j.tolist(), modes.iterations.tolist(), modes.note)]
     bad = ~modes.converged
     for j, note in zip(modes.j[bad].tolist(), modes.note[bad]):
-        run.warnings.append(f"mode j={j} not converged: {note or 'no note'}")
+        run.warnings.append(f"mode j={j} not converged: {note}")
     return EXIT_PARTIAL if bad.any() else EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
     if args.steps < 1:
-        raise _UsageError("--steps must be >= 1")
+        raise ValueError("--steps must be >= 1")
     d = DimensionlessParams(kappa=args.kappa, W=1.0)  # W comes per point
     ws = np.linspace(args.w_min, args.w_max, args.steps)
     sweep = sweep_decay(d, ws, tol=args.tol)
     run.write_csv("sweep.csv", "w,im_theta_min,j_used", *sweep[:3])
     gaps = ~sweep.converged
     for w, note in zip(sweep.w[gaps].tolist(), sweep.note[gaps]):
-        run.warnings.append(f"W={w:.17g}: no converged root "
-                            f"({note or 'no note'})")
+        run.warnings.append(f"W={w:.17g}: no converged root ({note})")
     return EXIT_PARTIAL if gaps.any() else EXIT_OK
 
 
 def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
     if args.samples < 2:
-        raise _UsageError("--samples must be >= 2")
+        raise ValueError("--samples must be >= 2")
     if args.x_max <= 0:
-        raise _UsageError("--x-max must be positive")
+        raise ValueError("--x-max must be positive")
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     mode = refine_root(seed_mode(args.j, d), d, tol=args.tol)
     if not mode.converged:
@@ -198,9 +194,9 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
 
 def _cmd_scatter(args: argparse.Namespace, run: _Run) -> int:
     if args.samples < 2:
-        raise _UsageError("--samples must be >= 2")
+        raise ValueError("--samples must be >= 2")
     if not 0 < args.theta_min < args.theta_max:
-        raise _UsageError("need 0 < --theta-min < --theta-max")
+        raise ValueError("need 0 < --theta-min < --theta-max")
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     thetas = np.linspace(args.theta_min, args.theta_max, args.samples)
     scan = enhancement_scan(d, thetas)
@@ -215,7 +211,7 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
     cfg = DdeConfig(d=d, t_max=args.t_max, dt=args.dt)
     window = None
     if (args.fit_start is None) != (args.fit_end is None):
-        raise _UsageError("give both --fit-start and --fit-end or neither")
+        raise ValueError("give both --fit-start and --fit-end or neither")
     if args.fit_start is not None:
         window = (args.fit_start, args.fit_end)
     coverage_note = ""
@@ -254,10 +250,10 @@ def _squid_from_args(args: argparse.Namespace, scale: float) -> SquidSpec:
     for name in ("e_j", "c_g", "c_j", "c_sigma", "phi_x", "l", "c_line",
                  "omega_mode", "mixing_angle"):
         if getattr(args, name) is None:
-            raise _UsageError(f"--{name.replace('_', '-')} is required "
-                              f"for --platform squid")
+            raise ValueError(f"--{name.replace('_', '-')} is required "
+                             f"for --platform squid")
     if (args.v_g_gate is None) == (args.n_g is None):
-        raise _UsageError("give exactly one of --v-g-gate or --n-g")
+        raise ValueError("give exactly one of --v-g-gate or --n-g")
     phi_0 = args.phi_0 if args.phi_0 is not None else FLUX_QUANTUM
     return SquidSpec(E_J=args.e_j * scale, C_g=args.c_g, C_J=args.c_j,
                      C_Sigma=args.c_sigma, Phi_x=args.phi_x,
@@ -294,8 +290,8 @@ def _cmd_map(args: argparse.Namespace, run: _Run) -> int:
     else:
         for name in ("g", "big_g", "delta"):
             if getattr(args, name) is None:
-                raise _UsageError(f"--{name.replace('_', '-')} is required "
-                                  f"for --platform raman")
+                raise ValueError(f"--{name.replace('_', '-')} is required "
+                                 f"for --platform raman")
         r = RamanSpec(g=args.g * scale, G=args.big_g * scale,
                       Delta=args.delta * scale)
         report = {
@@ -362,11 +358,10 @@ def _check_bound_state(tol: float) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace, run: _Run) -> int:
-    full = args.full
     checks = [
-        ("pole_identity", *_check_pole_identity(1000 if full else 200)),
+        ("pole_identity", *_check_pole_identity(1000 if args.full else 200)),
         ("root_count_certification", *_check_root_count(args.tol)),
-        ("dde_vs_root", *_check_dde_agreement(full, args.tol)),
+        ("dde_vs_root", *_check_dde_agreement(args.full, args.tol)),
         ("bound_state_in_continuum", *_check_bound_state(args.tol)),
     ]
     payload = [{"name": name, "passed": passed, "detail": detail}
@@ -402,14 +397,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--j-min", type=int, default=1)
     p.add_argument("--j-max", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("sweep", _cmd_sweep, "decay-rate minima vs W -> sweep.csv")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--w-min", type=_finite, required=True)
     p.add_argument("--w-max", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("wavefunction", _cmd_wavefunction,
             "mode profile -> wavefunction.csv")
@@ -418,7 +413,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--x-max", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("scatter", _cmd_scatter,
             "phase shift / delay / enhancement -> scatter.csv")
@@ -433,9 +428,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--fit-start", type=float, default=None)
-    p.add_argument("--fit-end", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--fit-start", type=_finite, default=None)
+    p.add_argument("--fit-end", type=_finite, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("map", _cmd_map, "laboratory parameters -> map_report.json")
     p.add_argument("--platform", choices=("squid", "raman"), required=True)
@@ -464,9 +459,11 @@ def _build_parser() -> _Parser:
     p = add("verify", _cmd_verify,
             "cross-module consistency suite -> verify_report.json")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--quick", action="store_true", default=True)
-    group.add_argument("--full", action="store_true", default=False)
-    p.add_argument("--tol", type=float, default=1e-12)
+    # store_false would default full to True: plain verify must be quick
+    group.add_argument("--quick", dest="full", action="store_false",
+                       default=False)
+    group.add_argument("--full", action="store_true")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     return parser
 
@@ -475,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help / --version
@@ -488,9 +485,6 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, run)
         run.write_manifest()
         return code
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"qnmlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import DimensionlessParams
-from .qnm import characteristic
 
 #: Round-trip delay in natural units (mirror at x=0, atom at x=1, v_g=1).
 ROUND_TRIP = 2.0
@@ -359,8 +358,3 @@ def pole_check(d: DimensionlessParams, theta: complex) -> float:
     """
     return abs(1j * (d.W - theta)
                + 0.5 * d.kappa * (1.0 - cmath.exp(2j * theta)))
-
-
-def dde_pole_identity_gap(d: DimensionlessParams, theta: complex) -> float:
-    """|pole_check(theta) - |f(theta)||, for the cross-route identity test."""
-    return abs(pole_check(d, theta) - abs(characteristic(theta, d)))

@@ -18,15 +18,14 @@ the atom's decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import DimensionlessParams
-from .qnm import (ApproximationRangeError, CharacteristicParams, newton_roots,
-                  seed_mode)
+from .qnm import (DEFAULT_TOL, ApproximationRangeError, CharacteristicParams,
+                  newton_roots, seed_mode)
 
 
-@dataclass(frozen=True)
-class EmissionReport:
+class EmissionReport(NamedTuple):
     """Closed-form and numeric total decay rates, with suppression ratio.
 
     suppression_ratio = gamma_t_numeric / gamma_ext; it is +inf when
@@ -37,17 +36,6 @@ class EmissionReport:
     gamma_t_formula: float
     gamma_t_numeric: float
     suppression_ratio: float
-
-    def __post_init__(self) -> None:
-        if self.j < 1:
-            raise ValueError(f"mode index must be >= 1, got {self.j}")
-        for name in ("gamma_t_formula", "gamma_t_numeric"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
-                                 f"got {getattr(self, name)}")
-        if not self.suppression_ratio >= 0:
-            raise ValueError(f"suppression_ratio must be >= 0, "
-                             f"got {self.suppression_ratio}")
 
 
 def modified_emission_formula(d: DimensionlessParams, j: int) -> float:
@@ -71,7 +59,7 @@ def modified_emission_formula(d: DimensionlessParams, j: int) -> float:
 
 
 def modified_emission_numeric(d: DimensionlessParams, j: int,
-                              tol: float = 1e-12) -> EmissionReport:
+                              tol: float = DEFAULT_TOL) -> EmissionReport:
     """Total decay rate from the root of f with W continued to W - i*gamma_ext.
 
     The seed is the bare-mode seed evaluated at the complex level spacing,
@@ -89,6 +77,4 @@ def modified_emission_numeric(d: DimensionlessParams, j: int,
             f"(residual {resid[0]:.3e})")
     gamma_numeric = float(abs(theta[0].imag))
     ratio = math.inf if d.gamma_ext == 0.0 else gamma_numeric / d.gamma_ext
-    return EmissionReport(j=j, gamma_t_formula=formula,
-                          gamma_t_numeric=gamma_numeric,
-                          suppression_ratio=ratio)
+    return EmissionReport(j, formula, gamma_numeric, ratio)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import DimensionlessParams, PhysicalParams, to_dimensionless
+from .model import (DimensionlessParams, PhysicalParams, _require_finite,
+                    to_dimensionless)
 
 #: Exact SI-2019 elementary charge (C) and Planck constant (J s), the
 #: reduced Planck constant h/(2 pi) and the flux quantum h/(2e) (Wb).
@@ -113,6 +114,8 @@ class SquidSpec:
             raise ValueError(f"Phi_0 must be positive, got {self.Phi_0}")
         if (self.V_g is None) == (self.n_g is None):
             raise ValueError("give exactly one of V_g or n_g")
+        _require_finite(**{name: value for name, value in vars(self).items()
+                           if value is not None})
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,7 @@ class RamanSpec:
     Delta: float
 
     def __post_init__(self) -> None:
+        _require_finite(g=self.g, G=self.G, Delta=self.Delta)
         if self.Delta == 0:
             raise ValueError("Delta must be nonzero: the effective coupling "
                              "comes from adiabatic elimination at large "

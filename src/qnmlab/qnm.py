@@ -51,6 +51,15 @@ BOUND_STATE_IM_CUTOFF = 1e-14
 #: Two refined roots closer than this are duplicates of the same mode.
 DEDUP_RADIUS = 1e-6
 
+#: Default Newton tolerance on |f| of every root search and --tol flag.
+DEFAULT_TOL = 1e-12
+
+#: Newton steps an element may take before it stops unconverged.
+MAX_NEWTON_STEPS = 50
+
+#: Boundary samples per edge of the first argument-principle pass.
+CONTOUR_SAMPLES_PER_EDGE = 2000
+
 LOW_ENERGY_NOTE = "low-energy regime (j <= 0), physical validity uncertain"
 
 
@@ -155,18 +164,19 @@ def seed_mode(j, d: DimensionlessParams | CharacteristicParams):
 
 
 def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
-                 tol: float = 1e-12, max_iter: int = 50
+                 tol: float = DEFAULT_TOL
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton iteration on f from every seed at once.
 
     seeds is a scalar or a 1-D array; d.W may be complex, or an array with
     one level spacing per seed. Returns 1-D arrays (theta, |f(theta)|,
     iterations, converged). Each element steps until |f| <= tol or until
-    max_iter steps. A converged element is then polished with up to three
-    further steps as long as each one strictly reduces |f|; this drives the
-    residual to its floating-point floor instead of stopping at the first
-    sub-tolerance value. An element whose next iterate is not finite (as
-    when f' vanishes) stops unconverged at its last finite iterate.
+    MAX_NEWTON_STEPS steps. A converged element is then polished with up to
+    three further steps as long as each one strictly reduces |f|; this
+    drives the residual to its floating-point floor instead of stopping at
+    the first sub-tolerance value. An element whose next iterate is not
+    finite (as when f' vanishes) stops unconverged at its last finite
+    iterate.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -191,7 +201,7 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
         f = characteristic(theta, CharacteristicParams(d.kappa, w))
         resid = np.abs(f)
         live = np.flatnonzero(resid > tol)
-        for _ in range(max_iter):
+        for _ in range(MAX_NEWTON_STEPS):
             if live.size == 0:
                 break
             live = step(live, lambda new, old: np.isfinite(new))
@@ -204,25 +214,30 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
     return theta, resid, iterations, resid <= tol
 
 
-def _classify(theta: np.ndarray, converged: np.ndarray, tol: float
+def _classify(roots: tuple, tol: float, seed_j=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mode index, converged flag and note of each root (see refine_root)."""
+    """Mode index, converged flag and note of each newton_roots result (see
+    refine_root); seed_j, if given, names the seed index of each root."""
+    theta, resid, iterations, converged = roots
     j = np.round(theta.real / math.pi).astype(int)
     growing = converged & (theta.imag > tol)
     notes = np.where(j <= 0, LOW_ENERGY_NOTE, "").astype(object)
-    notes[growing] = [(note + "; " if note else "") + "converged to a "
-                      "growing mode" for note in notes[growing]]
+    for i in np.flatnonzero(growing | ~converged).tolist():
+        seed = "" if seed_j is None else f" from the j={seed_j[i]} seed"
+        why = ("converged to a growing mode" if converged[i] else
+               f"Newton stopped at |f| = {resid[i]:.3g} after "
+               f"{iterations[i]} steps{seed}")
+        notes[i] = (notes[i] + "; " if notes[i] else "") + why
     return j, converged & ~growing, notes
 
 
-def _modes(seeds, d: DimensionlessParams, tol: float,
-           max_iter: int = 50) -> Modes:
+def _modes(seeds, d: DimensionlessParams, tol: float, seed_j=None) -> Modes:
     """Refine every seed in one newton_roots call, one row per seed."""
-    theta, resid, iterations, converged = newton_roots(seeds, d, tol, max_iter)
+    theta, resid, iterations, _ = roots = newton_roots(seeds, d, tol)
     bad = theta[~np.isfinite(theta)]
     if bad.size:
         raise ValueError(f"theta must be finite, got {bad.tolist()[0]!r}")
-    j, converged, notes = _classify(theta, converged, tol)
+    j, converged, notes = _classify(roots, tol, seed_j)
     return Modes(j, theta, resid, iterations, converged, notes)
 
 
@@ -231,8 +246,8 @@ def _row(modes: Modes, i: int) -> Modes:
     return Modes(*(column.tolist()[i] for column in modes))
 
 
-def refine_root(seed: complex, d: DimensionlessParams, tol: float = 1e-12,
-                max_iter: int = 50) -> Modes:
+def refine_root(seed: complex, d: DimensionlessParams,
+                tol: float = DEFAULT_TOL) -> Modes:
     """Refine a seed to a characteristic zero by Newton iteration.
 
     The mode index is assigned afterwards as j = round(Re(theta)/pi). A mode
@@ -240,7 +255,7 @@ def refine_root(seed: complex, d: DimensionlessParams, tol: float = 1e-12,
     for this system) is returned unconverged and flagged. The result is one
     row: mode.theta is a complex, mode.converged a bool.
     """
-    return _row(_modes(seed, d, tol, max_iter), 0)
+    return _row(_modes(seed, d, tol), 0)
 
 
 def lifetime_from_theta(theta):
@@ -260,23 +275,21 @@ def lifetime(mode: Modes) -> float:
     return lifetime_from_theta(mode.theta)
 
 
-def count_roots_in_box(d: DimensionlessParams, box: ContourBox,
-                       samples_per_edge: int = 2000) -> int:
+def count_roots_in_box(d: DimensionlessParams, box: ContourBox) -> int:
     """Count characteristic zeros inside a rectangle by the argument principle.
 
     The winding number of f around the rectangle equals the enclosed zero
     count (f is entire, so there are no poles). The accumulated argument uses
-    principal-value increments between consecutive samples; if the total is
-    not close to a multiple of 2*pi, or any single increment approaches pi
-    (aliasing risk from a zero close to the contour), the sampling is doubled.
+    principal-value increments between CONTOUR_SAMPLES_PER_EDGE samples per
+    edge; if the total is not close to a multiple of 2*pi, or any single
+    increment approaches pi (aliasing risk from a zero close to the
+    contour), the sampling is doubled, up to seven times.
     If |f| nearly vanishes on the contour the box is inflated by 1% and
     retried a few times before giving up.
     """
-    if samples_per_edge < 8:
-        raise ValueError(f"samples_per_edge too small: {samples_per_edge}")
     current = box
     for _ in range(6):
-        count = _winding_or_none(d, current, samples_per_edge)
+        count = _winding_or_none(d, current)
         if count is not None:
             return count
         current = current.inflated(1.01)
@@ -285,10 +298,9 @@ def count_roots_in_box(d: DimensionlessParams, box: ContourBox,
         f"inflated contour tried")
 
 
-def _winding_or_none(d: DimensionlessParams, box: ContourBox,
-                     samples_per_edge: int) -> int | None:
+def _winding_or_none(d: DimensionlessParams, box: ContourBox) -> int | None:
     """Winding number for one box, or None if a root sits on the contour."""
-    samples = samples_per_edge
+    samples = CONTOUR_SAMPLES_PER_EDGE
     for _ in range(8):
         pts = _box_boundary(box, samples)
         vals = characteristic(pts, d)
@@ -306,13 +318,10 @@ def _winding_or_none(d: DimensionlessParams, box: ContourBox,
                     f"this indicates undersampling")
             return rounded
         samples *= 2
-    raise ContourError(
-        f"winding did not settle on an integer for {box}; pass a larger "
-        f"samples_per_edge")
+    raise ContourError(f"winding did not settle on an integer for {box}")
 
 
-def _box_boundary(box: ContourBox, samples_per_edge: int) -> np.ndarray:
-    n = samples_per_edge
+def _box_boundary(box: ContourBox, n: int) -> np.ndarray:
     bottom = np.linspace(box.re_min, box.re_max, n, endpoint=False) \
         + 1j * box.im_min
     right = box.re_max + 1j * np.linspace(box.im_min, box.im_max, n,
@@ -337,7 +346,7 @@ def _certification_box(theta: complex) -> ContourBox:
 
 
 def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
-               tol: float = 1e-12) -> Modes:
+               tol: float = DEFAULT_TOL) -> Modes:
     """Seed, refine, deduplicate and certify modes for j in [j_min, j_max].
 
     All seeds are refined in one newton_roots call. Each converged root is
@@ -347,7 +356,8 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
     """
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
-    modes = _modes(seed_mode(np.arange(j_min, j_max + 1), d), d, tol)
+    js = np.arange(j_min, j_max + 1)
+    modes = _modes(seed_mode(js, d), d, tol, js)
 
     thetas, notes = modes.theta.tolist(), modes.note
     kept: list[int] = []
@@ -371,7 +381,7 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
 
 
 def sweep_decay(d: DimensionlessParams, w_values,
-                tol: float = 1e-12) -> Sweep:
+                tol: float = DEFAULT_TOL) -> Sweep:
     """Decay rate of the slowest mode as W is swept at fixed kappa.
 
     For each W the mode with j = round(W/pi) is refined (that index minimises
@@ -387,18 +397,18 @@ def sweep_decay(d: DimensionlessParams, w_values,
     bound = ~invalid & (j >= 1) & (np.abs(w - j * math.pi) < 1e-9)
     solve = np.flatnonzero(~invalid & ~bound)
     sub = CharacteristicParams(d.kappa, w[solve])
-    theta, _, _, converged = newton_roots(seed_mode(j[solve], sub), sub, tol)
+    roots = newton_roots(seed_mode(j[solve], sub), sub, tol)
 
     im = np.where(bound, 0.0, math.nan)
-    im[solve] = np.abs(theta.imag)
+    im[solve] = np.abs(roots[0].imag)
     ok = bound.copy()
     notes = np.where(invalid, "invalid W", np.where(
         bound, "exact bound state in the continuum", "")).astype(object)
-    j[solve], ok[solve], notes[solve] = _classify(theta, converged, tol)
+    j[solve], ok[solve], notes[solve] = _classify(roots, tol, j[solve])
     return Sweep(w, im, j, ok, notes)
 
 
-def slowest_mode(d: DimensionlessParams, tol: float = 1e-12) -> Modes:
+def slowest_mode(d: DimensionlessParams, tol: float = DEFAULT_TOL) -> Modes:
     """The mode with the smallest decay rate: floor(W/pi) vs ceil(W/pi).
 
     The lifetime maximum sits at the j minimising |W - j*pi|, which is one of

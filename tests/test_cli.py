@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qnmlab import __version__
-from qnmlab.cli import main
+from qnmlab.cli import _build_parser, main
 from qnmlab.dynamics import (DdeConfig, evolve_atom, fit_decay,
                              integrate_dde)
 from qnmlab.model import DimensionlessParams
@@ -148,6 +148,16 @@ def test_spectrum_with_overflowing_seeds_is_silent(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_unconverged_mode_warnings_are_distinct(tmp_path):
+    code = main(["spectrum", "--kappa", "1.2", "--w", "5", "--j-min", "1",
+                 "--j-max", "12", "--out-dir", str(tmp_path)])
+    assert code == 2
+    warnings = _manifest(tmp_path)["warnings"]
+    assert len(warnings) == 9
+    assert len(set(warnings)) == len(warnings)
+    assert not any("no note" in w for w in warnings)
+
+
 # --- sweep --------------------------------------------------------------
 
 def test_sweep_bound_state_row(tmp_path):
@@ -239,6 +249,18 @@ def test_non_finite_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert err.count("\n") == 1 and flag in err and "finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--kappa", "200", "--w-min", "1", "--w-max", "2", "--steps",
+      "0"], "qnmlab sweep: --steps must be >= 1\n"),
+    (_SCATTER + ["--theta-min", "3", "--theta-max", "1"],
+     "qnmlab scatter: need 0 < --theta-min < --theta-max\n"),
+], ids=["sweep-steps", "scatter-window"])
+def test_command_usage_errors_name_the_command(tmp_path, capsys, argv,
+                                               message):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == message
+
+
 # --- evolve -------------------------------------------------------------
 
 def test_evolve_decoupled_atom_keeps_norm(tmp_path):
@@ -255,6 +277,19 @@ def test_evolve_decoupled_atom_keeps_norm(tmp_path):
     assert abs(dde["peak_abs_w"] - 1.0) <= 1e-12
     assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s"))
     assert manifest["csv"]["evolve.csv"]["write_s"] >= 0.0
+
+
+@pytest.mark.parametrize("window", [["nan", "40"], ["20", "inf"]],
+                         ids=["fit-start-nan", "fit-end-inf"])
+def test_evolve_non_finite_fit_window_is_usage_error(tmp_path, capsys,
+                                                     window):
+    code = main(["evolve", "--kappa", "50", "--w", "2", "--t-max", "200",
+                 "--fit-start", window[0], "--fit-end", window[1],
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+    assert err.count("\n") == 1 and "--fit-" in err and "finite" in err
 
 
 def test_evolve_too_coarse_step_is_usage_error(tmp_path, capsys):
@@ -471,6 +506,37 @@ def test_map_missing_inputs_is_usage_error(tmp_path, capsys):
     assert "required" in capsys.readouterr().err
 
 
+_SQUID = ["map", "--platform", "squid", "--e-j", "5e9", "--c-g", "0.7e-15",
+          "--c-j", "0.3e-15", "--c-sigma", "1.3e-15", "--phi-x", "6.2e-16",
+          "--l", "0.01", "--c-line", "1.67e-10", "--omega-mode", "10e9",
+          "--mixing-angle", "0.7794"]
+_RAMAN = ["map", "--platform", "raman", "--big-g", "2e9", "--delta", "5e10"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SQUID, "give exactly one of --v-g-gate or --n-g"),
+    (_SQUID + ["--n-g", "0.45", "--v-g-gate", "1e-3"],
+     "give exactly one of --v-g-gate or --n-g"),
+    (_SQUID + ["--n-g", "0.45", "--e-j", "inf", "--mixing-angle", "nan"],
+     "E_J must be finite, got inf"),
+    (_SQUID + ["--n-g", "0.45", "--mixing-angle", "nan"],
+     "mixing_angle must be finite, got nan"),
+    (_SQUID + ["--v-g-gate", "inf"], "V_g must be finite, got inf"),
+    (_SQUID + ["--n-g", "0.45", "--c-g", "inf"], "C_g must be finite, got inf"),
+    (_RAMAN + ["--g", "nan"], "g must be finite, got nan"),
+    (["map", "--platform", "raman", "--g", "3e9", "--big-g", "inf",
+      "--delta", "5e10"], "G must be finite, got inf"),
+], ids=["squid-no-gate", "squid-both-gates", "squid-e-j-inf",
+        "squid-mixing-nan", "squid-v-g-inf", "squid-c-g-inf", "raman-g-nan",
+        "raman-g-big-inf"])
+def test_map_bad_inputs_are_usage_errors(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+    assert err == f"qnmlab map: {message}\n"
+
+
 # --- verify and global flags --------------------------------------------
 
 def test_verify_quick_passes(tmp_path):
@@ -481,6 +547,16 @@ def test_verify_quick_passes(tmp_path):
     assert names == ["pole_identity", "root_count_certification",
                      "dde_vs_root", "bound_state_in_continuum"]
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("flags, full", [
+    ([], False), (["--quick"], False), (["--full"], True),
+], ids=["default", "quick", "full"])
+def test_verify_records_full_only(flags, full):
+    # the manifest's parameters are the parsed flags
+    args = _build_parser().parse_args(["verify"] + flags)
+    assert args.full is full
+    assert not hasattr(args, "quick")
 
 
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):

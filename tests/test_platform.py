@@ -147,6 +147,29 @@ def test_spec_gate_must_be_given_once():
         _spec(n_g=None)
 
 
+_SIGNED = [(field, value) for field in ("E_J", "Phi_x", "mixing_angle",
+                                        "n_g", "V_g")
+           for value in (math.nan, math.inf, -math.inf)]
+# the positive fields' own check refuses nan and -inf already
+_POSITIVE = [(field, math.inf) for field in ("C_g", "C_J", "C_Sigma", "L",
+                                             "c_line", "omega_mode", "Phi_0")]
+
+
+@pytest.mark.parametrize("field, value", _SIGNED + _POSITIVE)
+def test_spec_rejects_non_finite_inputs(field, value):
+    gate = {"n_g": None} if field == "V_g" else {}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _spec(**gate, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["g", "G", "Delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_raman_rejects_non_finite_inputs(field, value):
+    spec = {"g": 1e8, "G": 1e8, "Delta": 1e10, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RamanSpec(**spec)
+
+
 def test_spec_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
         _spec(C_g=0.0)

@@ -213,9 +213,6 @@ def test_count_roots_inflates_past_root_on_corner():
 def test_count_roots_input_validation():
     with pytest.raises(ValueError):
         ContourBox(re_min=1.0, re_max=0.5, im_min=0.0, im_max=1.0)
-    box = ContourBox(re_min=0.0, re_max=1.0, im_min=-1.0, im_max=0.0)
-    with pytest.raises(ValueError):
-        count_roots_in_box(D200, box, samples_per_edge=4)
 
 
 # --- batch solve --------------------------------------------------------
@@ -267,8 +264,35 @@ def test_find_modes_drops_duplicate_roots():
         (1, complex(3.2439340804618246, -0.007952093547167045), 4, True, ""),
         (2, complex(5.761681368592322, -0.25297091641332387), 6, True, ""),
         (3, complex(8.72762215658331, -0.6144016484756893), 12, True, ""),
-        (5, complex(14.944189584094206, -1.0034838988085257), 50, False, ""),
+        (5, complex(14.944189584094206, -1.0034838988085257), 50, False,
+         "Newton stopped at |f| = 0.051 after 50 steps from the j=6 seed"),
     ]
+
+
+def test_unconverged_rows_say_where_newton_stopped():
+    # at kappa = 1.2 the seeds of j >= 4 lie far below the real axis and
+    # never converge; each row's j is where Newton stopped, so the note
+    # names the seed the row started from
+    modes = find_modes(DimensionlessParams(kappa=1.2, W=5.0), 1, 12)
+    notes = modes.note[~modes.converged].tolist()
+    assert len(notes) == 9
+    assert all(notes)
+    assert [note.rsplit(" from the ", 1)[1] for note in notes] == [
+        f"j={j} seed" for j in range(4, 13)]
+    for note, resid, steps in zip(notes, modes.residual[~modes.converged],
+                                  modes.iterations[~modes.converged]):
+        assert note.startswith(f"Newton stopped at |f| = {resid:.3g} after "
+                               f"{steps} steps")
+
+
+def test_newton_stops_after_max_steps():
+    # tol below double precision: every step stays finite, none converges
+    _, _, iterations, converged = newton_roots(seed_mode(1, D200), D200,
+                                               tol=1e-30)
+    assert not converged[0]
+    assert iterations[0] == qnm.MAX_NEWTON_STEPS
+    mode = refine_root(seed_mode(1, D200), D200, tol=1e-30)
+    assert f"after {qnm.MAX_NEWTON_STEPS} steps" in mode.note
 
 
 @pytest.mark.parametrize("count, detail", [
@@ -325,6 +349,14 @@ def test_sweep_row_at_level_five_uses_nearest_mode():
     assert rows.j_used[0] == 2
     assert rows.im_theta_min[0] == pytest.approx(4.0549524617653316e-5,
                                                  rel=1e-6)
+
+
+def test_sweep_gap_note_names_its_seed():
+    # tol below double precision: the point is a gap after the full budget
+    rows = sweep_decay(D200, [5.0], tol=1e-30)
+    assert not rows.converged[0]
+    assert rows.note[0].startswith("Newton stopped at |f| = ")
+    assert rows.note[0].endswith(" after 50 steps from the j=2 seed")
 
 
 def test_sweep_rejects_weak_coupling():
