@@ -230,8 +230,9 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
         traj = exc.trajectory
         run.warnings.append(f"decay fit failed: {exc}")
         hint = f" ({coverage_note})" if coverage_note else ""
-        print(f"decay fit failed: {exc}{hint}; increase --t-max or pass a "
-              f"later --fit-start/--fit-end", file=sys.stderr)
+        print(f"qnmlab evolve: decay fit failed: {exc}{hint}; increase "
+              f"--t-max or pass a later --fit-start/--fit-end",
+              file=sys.stderr)
     w = traj.w
     # hypot, as Python's complex abs: np.abs differs in the last digit.
     run.write_csv("evolve.csv", "s,re_w,im_w,abs_w", traj.times, w.real,

@@ -60,6 +60,10 @@ MAX_NEWTON_STEPS = 50
 #: Boundary samples per edge of the first argument-principle pass.
 CONTOUR_SAMPLES_PER_EDGE = 2000
 
+#: Largest level spacing W whose modes get an index: indices up to
+#: round(W/pi) = 2**62 leave room for j + 1 in int64.
+MAX_W = math.pi * 2.0 ** 62
+
 LOW_ENERGY_NOTE = "low-energy regime (j <= 0), physical validity uncertain"
 
 
@@ -214,6 +218,14 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
     return theta, resid, iterations, resid <= tol
 
 
+def _require_usable_w(d: DimensionlessParams) -> None:
+    """Refuse a W above MAX_W, where mode indices overflow int64."""
+    if not d.W <= MAX_W:
+        raise ApproximationRangeError(
+            f"W must be at most {MAX_W:.17g}, the largest usable W (its "
+            f"mode index round(W/pi) must fit int64), got {d.W:.17g}")
+
+
 def _classify(roots: tuple, tol: float, seed_j=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mode index, converged flag and note of each newton_roots result (see
@@ -221,12 +233,17 @@ def _classify(roots: tuple, tol: float, seed_j=None
     theta, resid, iterations, converged = roots
     j = np.round(theta.real / math.pi).astype(int)
     growing = converged & (theta.imag > tol)
-    notes = np.where(j <= 0, LOW_ENERGY_NOTE, "").astype(object)
-    for i in np.flatnonzero(growing | ~converged).tolist():
-        seed = "" if seed_j is None else f" from the j={seed_j[i]} seed"
-        why = ("converged to a growing mode" if converged[i] else
-               f"Newton stopped at |f| = {resid[i]:.3g} after "
-               f"{iterations[i]} steps{seed}")
+    notes = np.array(["", LOW_ENERGY_NOTE], dtype=object)[
+        (j <= 0).astype(int)]
+    flagged = np.flatnonzero(growing | ~converged)
+    seeds = ([""] * flagged.size if seed_j is None else
+             [f" from the j={k} seed" for k in seed_j[flagged].tolist()])
+    for i, ok, r, n, seed in zip(flagged.tolist(),
+                                 converged[flagged].tolist(),
+                                 resid[flagged].tolist(),
+                                 iterations[flagged].tolist(), seeds):
+        why = ("converged to a growing mode" if ok else
+               f"Newton stopped at |f| = {r:.3g} after {n} steps{seed}")
         notes[i] = (notes[i] + "; " if notes[i] else "") + why
     return j, converged & ~growing, notes
 
@@ -253,8 +270,10 @@ def refine_root(seed: complex, d: DimensionlessParams,
     The mode index is assigned afterwards as j = round(Re(theta)/pi). A mode
     that converged onto the upper half plane (growing solution, impossible
     for this system) is returned unconverged and flagged. The result is one
-    row: mode.theta is a complex, mode.converged a bool.
+    row: mode.theta is a complex, mode.converged a bool. Raises
+    ApproximationRangeError for W above MAX_W.
     """
+    _require_usable_w(d)
     return _row(_modes(seed, d, tol), 0)
 
 
@@ -353,7 +372,9 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
     certified by an argument-principle count of 1 in a tight box around it;
     a failed certification demotes the mode to unconverged rather than
     aborting the batch. Returns one Modes, its rows sorted by Re(theta).
+    Raises ApproximationRangeError for W above MAX_W.
     """
+    _require_usable_w(d)
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
     js = np.arange(j_min, j_max + 1)
@@ -389,10 +410,12 @@ def sweep_decay(d: DimensionlessParams, w_values,
     1e-9 of a positive multiple of pi is recorded as exactly 0 without
     solving: theta = j*pi is an exact zero there. Every other point is
     refined in one newton_roots call. Failed points come back flagged as
-    gaps instead of aborting the sweep. Requires kappa > 1, as seed_mode.
+    gaps instead of aborting the sweep, as do a negative or non-finite W
+    and a W above MAX_W. Requires kappa > 1, as seed_mode.
     """
     w = np.fromiter(map(float, w_values), dtype=float)
-    invalid = ~(np.isfinite(w) & (w >= 0))
+    huge = w > MAX_W
+    invalid = ~(np.isfinite(w) & (w >= 0)) | huge
     j = np.round(np.where(invalid, 0.0, w) / math.pi).astype(int)
     bound = ~invalid & (j >= 1) & (np.abs(w - j * math.pi) < 1e-9)
     solve = np.flatnonzero(~invalid & ~bound)
@@ -402,8 +425,10 @@ def sweep_decay(d: DimensionlessParams, w_values,
     im = np.where(bound, 0.0, math.nan)
     im[solve] = np.abs(roots[0].imag)
     ok = bound.copy()
-    notes = np.where(invalid, "invalid W", np.where(
-        bound, "exact bound state in the continuum", "")).astype(object)
+    kinds = np.array(["", "invalid W", f"invalid W: above the largest "
+                      f"usable W = {MAX_W:.17g}",
+                      "exact bound state in the continuum"], dtype=object)
+    notes = kinds[1 * invalid + huge + 3 * bound]
     j[solve], ok[solve], notes[solve] = _classify(roots, tol, j[solve])
     return Sweep(w, im, j, ok, notes)
 
@@ -414,8 +439,10 @@ def slowest_mode(d: DimensionlessParams, tol: float = DEFAULT_TOL) -> Modes:
     The lifetime maximum sits at the j minimising |W - j*pi|, which is one of
     the two neighbours; both are refined in one newton_roots call and
     compared on |Im theta|. Indices below 1 are included but carry the
-    low-energy validity note.
+    low-energy validity note. Raises ApproximationRangeError for W above
+    MAX_W.
     """
+    _require_usable_w(d)
     j_lo = int(math.floor(d.W / math.pi))
     modes = _modes(seed_mode(np.array([j_lo, j_lo + 1]), d), d, tol)
     if not modes.converged.any():

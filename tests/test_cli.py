@@ -171,6 +171,37 @@ def test_sweep_bound_state_row(tmp_path):
     assert int(rows[0][2]) == 1
 
 
+def test_sweep_above_the_largest_usable_w_writes_gaps(tmp_path, capsys):
+    code = main(["sweep", "--kappa", "200", "--w-min", "1", "--w-max",
+                 "1e200", "--steps", "3", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[1:] for row in rows[1:]] == [["nan", "0"], ["nan", "0"]]
+    warnings = _manifest(tmp_path)["warnings"]
+    assert len(warnings) == 2
+    assert all("largest usable W = 1.4488038916154245e+19" in w
+               for w in warnings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kappa", "200", "--w", "1e200"],
+    ["wavefunction", "--kappa", "200", "--w", "1e200", "--j", "1",
+     "--x-max", "2"],
+    ["evolve", "--kappa", "200", "--w", "1e200", "--t-max", "40"],
+], ids=["spectrum", "wavefunction", "evolve"])
+def test_w_above_the_largest_usable_w_is_usage_error(tmp_path, capsys,
+                                                       argv):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+    # one line naming the largest usable W, nothing printed from numpy
+    assert err.count("\n") == 1
+    assert err.startswith(f"qnmlab {argv[0]}: W must be at most "
+                          f"1.4488038916154245e+19, the largest usable W")
+
+
 # --- wavefunction -------------------------------------------------------
 
 def test_wavefunction_starts_at_mirror_node(tmp_path):
@@ -312,6 +343,9 @@ def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "barely decays" in err
     assert "--t-max" in err
+    # one line, with the command prefix of every other stderr line
+    assert err.count("\n") == 1
+    assert err.startswith("qnmlab evolve: decay fit failed: ")
 
 
 def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):

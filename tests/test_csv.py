@@ -32,6 +32,8 @@ def _ulps(value: float, n: int) -> list[float]:
     return out
 
 
+_QUARTETS = ("0000", "0001", "9998", "9999")
+
 _EDGES = [
     0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
     2.2250738585072014e-308, 1.7976931348623157e308,
@@ -47,6 +49,16 @@ _EDGES = [
     # the '%g' switch points between fixed and exponent notation
     *_ulps(1e-5, 3), *_ulps(1e-4, 3), *_ulps(1e16, 3), *_ulps(1e17, 3),
 ]
+# 17 digits whose 4-digit groups are 0000 or 9999 (or one off) at each
+# split of D = lead | q0 q1 | q2 q3, around the '%g' notation switches
+_GROUPS = [
+    1.0000000000000002, 9.9999999999999995e-5, 123456780000000000.0,
+    *_ulps(1e16, 3), *(v for lead in "19" for g0 in _QUARTETS
+                       for g1 in _QUARTETS for g2 in _QUARTETS
+                       for g3 in _QUARTETS for k in (-5, -4, 0, 16, 17, 100)
+                       for v in _ulps(float(f"{lead}.{g0}{g1}{g2}{g3}e{k}"),
+                                      1)),
+]
 _POWERS = [v * sign * scale
            for e in range(-198, 198, 7) for v in _ulps(float(f"1e{e}"), 3)
            for sign in (1.0, -1.0) for scale in (1.0, 0.5, 1.5, 2.5, 9.5)]
@@ -55,6 +67,13 @@ _POWERS = [v * sign * scale
 @pytest.mark.parametrize("values", [_EDGES, _POWERS], ids=["edges", "powers"])
 def test_formatter_matches_percent_g_on_edges(values):
     assert _cells(values)[0] == _expected(values)
+
+
+def test_formatter_splits_digit_groups_of_zeros_and_nines():
+    cells, fallback = _cells(_GROUPS)
+    assert cells == _expected(_GROUPS)
+    # the fast path, not Python's '%', wrote nearly all of them
+    assert fallback <= len(_GROUPS) // 100
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qnmlab.dynamics import (DdeConfig, FitWindowError, evolve_atom,
+from qnmlab.dynamics import (_RING, DdeConfig, FitWindowError, evolve_atom,
                              fit_decay, integrate_dde, pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
@@ -78,6 +78,30 @@ def test_integration_reproduces_interval_recurrence_bit_for_bit(
     assert traj.peak_abs_w == peak
     assert (traj.n_per, traj.n_intervals) == (2000, int(t_max / 2.0))
     assert traj.stride == 1 and traj.times.size == 1000 * int(t_max) + 1
+
+
+# whole ring blocks of intervals, with at least ten intervals in all
+_BLOCKS = _RING * max(2, -(-11 // _RING))
+
+
+@pytest.mark.parametrize("t_max, n_intervals, stride", [
+    # the output thinning keeps every 3rd or 7th node across ring blocks
+    (1202.0, 601, 3),
+    (2806.0, 1403, 7),
+    # the last block is one row short, full, or one row long
+    (2.0 * (_BLOCKS - 1), _BLOCKS - 1, 1),
+    (2.0 * _BLOCKS, _BLOCKS, 1),
+    (2.0 * (_BLOCKS + 1), _BLOCKS + 1, 1),
+], ids=["stride-3", "stride-7", "ring-minus-1", "ring", "ring-plus-1"])
+def test_ring_blocks_reproduce_interval_recurrence_bit_for_bit(
+        t_max, n_intervals, stride):
+    cfg = DdeConfig(d=D50, t_max=t_max)
+    traj = integrate_dde(cfg)
+    assert (traj.n_intervals, traj.stride) == (n_intervals, stride)
+    times, w_ref, peak = interval_recurrence_dde(cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.w, w_ref)
+    assert traj.peak_abs_w == peak
 
 
 def test_failed_fit_keeps_the_trajectory():

@@ -359,6 +359,38 @@ def test_sweep_gap_note_names_its_seed():
     assert rows.note[0].endswith(" after 50 steps from the j=2 seed")
 
 
+def test_sweep_gap_note_text_after_the_low_energy_note():
+    rows = sweep_decay(D200, [0.4], tol=1e-30)
+    assert rows.note.tolist() == [
+        LOW_ENERGY_NOTE + "; Newton stopped at |f| = 5.55e-17 after 50 "
+        "steps from the j=0 seed"]
+
+
+def test_sweep_above_the_largest_usable_w_is_an_invalid_gap():
+    # round(W/pi) of the last two points does not fit int64; they are gaps
+    # like a negative W, with no numpy warning (the suite makes those errors)
+    ws = [qnm.MAX_W, math.nextafter(qnm.MAX_W, math.inf), 1e200, -1.0]
+    rows = sweep_decay(D200, ws)
+    assert rows.j_used.tolist() == [2 ** 62, 0, 0, 0]
+    assert rows.converged.tolist() == [True, False, False, False]
+    assert np.isnan(rows.im_theta_min[1:]).all()
+    huge = f"invalid W: above the largest usable W = {qnm.MAX_W:.17g}"
+    assert rows.note.tolist()[1:] == [huge, huge, "invalid W"]
+
+
+@pytest.mark.parametrize("search", [
+    lambda d: refine_root(seed_mode(1, d), d),
+    lambda d: find_modes(d),
+    slowest_mode,
+], ids=["refine_root", "find_modes", "slowest_mode"])
+def test_w_above_the_largest_usable_w_is_refused(search):
+    d = DimensionlessParams(kappa=200.0, W=1e200)
+    with pytest.raises(ApproximationRangeError,
+                       match="the largest usable W") as info:
+        search(d)
+    assert f"at most {qnm.MAX_W:.17g}," in str(info.value)
+
+
 def test_sweep_rejects_weak_coupling():
     # no seed exists for kappa <= 1, as for find_modes
     with pytest.raises(ApproximationRangeError):
