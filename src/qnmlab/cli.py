@@ -37,9 +37,9 @@ from .dynamics import DdeConfig, FitWindowError, evolve_atom, pole_check
 from .model import DimensionlessParams
 from .platforms import (FLUX_QUANTUM, RamanSpec, SquidSpec, raman_coupling,
                         squid_coupling, squid_level_spacing)
-from .qnm import (DEFAULT_TOL, ContourBox, ContourError, characteristic,
-                  count_roots_in_box, find_modes, lifetime_from_theta,
-                  refine_root, seed_mode, slowest_mode, sweep_decay)
+from .qnm import (DEFAULT_TOL, ContourBox, characteristic, count_roots_in_box,
+                  find_modes, lifetime_from_theta, refine_root, seed_mode,
+                  slowest_mode, sweep_decay)
 from .scattering import enhancement_scan, qnm_wavefunction
 
 EXIT_OK = 0
@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"qnmlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ContourError, RuntimeError) as exc:
+    except RuntimeError as exc:  # ContourError among them
         print(f"qnmlab {args.command}: internal consistency failure: {exc}",
               file=sys.stderr)
         return EXIT_VERIFY

@@ -57,9 +57,6 @@ DEFAULT_TOL = 1e-12
 #: Newton steps an element may take before it stops unconverged.
 MAX_NEWTON_STEPS = 50
 
-#: Boundary samples per edge of the first argument-principle pass.
-CONTOUR_SAMPLES_PER_EDGE = 2000
-
 #: Largest level spacing W whose modes get an index: indices up to
 #: round(W/pi) = 2**62 leave room for j + 1 in int64.
 MAX_W = math.pi * 2.0 ** 62
@@ -297,19 +294,13 @@ def lifetime(mode: Modes) -> float:
 def count_roots_in_box(d: DimensionlessParams, box: ContourBox) -> int:
     """Count characteristic zeros inside a rectangle by the argument principle.
 
-    The winding number of f around the rectangle equals the enclosed zero
-    count (f is entire, so there are no poles). The accumulated argument uses
-    principal-value increments between CONTOUR_SAMPLES_PER_EDGE samples per
-    edge; if the total is not close to a multiple of 2*pi, or any single
-    increment approaches pi (aliasing risk from a zero close to the
-    contour), the sampling is doubled, up to seven times.
-    If |f| nearly vanishes on the contour the box is inflated by 1% and
-    retried a few times before giving up.
+    The count is f's winding number around the rectangle (f is entire), as
+    proved by _winding_or_none. A zero on the contour inflates the box by 1%
+    up to six times; ContourError: a zero on each, or f not finite on one.
     """
     current = box
     for _ in range(6):
-        count = _winding_or_none(d, current)
-        if count is not None:
+        if (count := _winding_or_none(d, current)) is not None:
             return count
         current = current.inflated(1.01)
     raise ContourError(
@@ -318,39 +309,45 @@ def count_roots_in_box(d: DimensionlessParams, box: ContourBox) -> int:
 
 
 def _winding_or_none(d: DimensionlessParams, box: ContourBox) -> int | None:
-    """Winding number for one box, or None if a root sits on the contour."""
-    samples = CONTOUR_SAMPLES_PER_EDGE
-    for _ in range(8):
-        pts = _box_boundary(box, samples)
-        vals = characteristic(pts, d)
-        if np.min(np.abs(vals)) <= 1e-9:
-            return None
-        increments = np.angle(vals[1:] / vals[:-1])
-        total = float(np.sum(increments))
-        winding = total / (2.0 * math.pi)
-        if abs(total - 2.0 * math.pi * round(winding)) <= 0.1 \
-                and float(np.max(np.abs(increments))) < 2.8:
-            rounded = int(round(winding))
-            if rounded < 0:
-                raise ContourError(
-                    f"negative winding {rounded} for {box}: f is entire, "
-                    f"this indicates undersampling")
-            return rounded
-        samples *= 2
-    raise ContourError(f"winding did not settle on an integer for {box}")
+    """Proved winding number of f around a box; None for a zero on it.
 
-
-def _box_boundary(box: ContourBox, n: int) -> np.ndarray:
-    bottom = np.linspace(box.re_min, box.re_max, n, endpoint=False) \
-        + 1j * box.im_min
-    right = box.re_max + 1j * np.linspace(box.im_min, box.im_max, n,
-                                          endpoint=False)
-    top = np.linspace(box.re_max, box.re_min, n, endpoint=False) \
-        + 1j * box.im_max
-    left = box.re_min + 1j * np.linspace(box.im_max, box.im_min, n,
-                                         endpoint=False)
-    loop = np.concatenate([bottom, right, top, left])
-    return np.append(loop, loop[0])
+    On a segment [a, b] of length h, f stays within r = |f'(a)| h + g h**2
+    of f(a) (Taylor; 2g = 2 kappa e^{-2 min Im} bounds |f''|). If r plus the
+    rounding error (2 + h) E of f(a), f(b), f'(a) is below |f(a)|, a disc
+    clear of 0 holds them, so arg f(b)/f(a) is the exact change of arg f;
+    b is tried as centre too. Segments failing both are halved, from the 4
+    corners on (Ying and Katz, Numer. Math. 53 (1988) 143). A zero on the
+    contour is an |f| within 2E of 0 or a failing segment too short to halve.
+    """
+    x0, x1, y0, y1 = box.re_min, box.re_max, box.im_min, box.im_max
+    z = np.array([x0, x1, x1, x0, x0]) + 1j * np.array([y0, y0, y1, y1, y0])
+    with np.errstate(all="ignore"):  # f overflows far below the real axis
+        f, df = characteristic(z, d), characteristic_derivative(z, d)
+        while True:
+            # E = 16 eps of the terms of |f|, |f'|: complex sin and exp are
+            # off by 2 ulp (2 eps) a part, so f, f' by < 5 eps, the test a few.
+            grow = d.kappa * np.exp(-2.0 * z.imag)
+            err = 2.0 ** -48 * (grow + d.kappa + abs(d.W) + np.abs(z) + 1.0)
+            absf, adf = np.abs(f), np.abs(df)
+            if not np.isfinite(absf).all():
+                raise ContourError(f"f is not finite on the contour of {box}")
+            h = np.abs(z[1:] - z[:-1])  # 0 once a halving rounds onto an end
+            if (absf <= 2.0 * err).any() or not h.all():
+                return None
+            slack = (np.maximum(grow[1:], grow[:-1]) * h * h
+                     + (2.0 + h) * np.maximum(err[1:], err[:-1]))
+            bad = np.flatnonzero((adf[:-1] * h + slack >= absf[:-1])
+                                 & (adf[1:] * h + slack >= absf[1:]))
+            if bad.size == 0:
+                break
+            mid = 0.5 * (z[bad] + z[bad + 1])
+            z, f, df = (np.insert(v, bad + 1, new) for v, new in (
+                (z, mid), (f, characteristic(mid, d)),
+                (df, characteristic_derivative(mid, d))))
+    n = round(float(np.sum(np.angle(f[1:] / f[:-1]))) / (2.0 * math.pi))
+    if n < 0:
+        raise ContourError(f"negative winding {n} for {box}: f is entire")
+    return n
 
 
 def _certification_box(theta: complex) -> ContourBox:
@@ -368,11 +365,12 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
                tol: float = DEFAULT_TOL) -> Modes:
     """Seed, refine, deduplicate and certify modes for j in [j_min, j_max].
 
-    All seeds are refined in one newton_roots call. Each converged root is
-    certified by an argument-principle count of 1 in a tight box around it;
-    a failed certification demotes the mode to unconverged rather than
-    aborting the batch. Returns one Modes, its rows sorted by Re(theta).
-    Raises ApproximationRangeError for W above MAX_W.
+    All seeds are refined in one newton_roots call. Each converged root
+    needs a proved count of 1 (count_roots_in_box: inflated past a zero on
+    its contour) in a tight box around it; another count or a ContourError
+    demotes it to unconverged with a note instead of aborting the batch.
+    Returns one Modes, rows sorted by Re(theta). Raises
+    ApproximationRangeError for W above MAX_W.
     """
     _require_usable_w(d)
     if j_max < j_min:
@@ -406,18 +404,20 @@ def sweep_decay(d: DimensionlessParams, w_values,
     """Decay rate of the slowest mode as W is swept at fixed kappa.
 
     For each W the mode with j = round(W/pi) is refined (that index minimises
-    |W - j*pi|, hence the decay rate); the Sweep records |Im theta|. W within
-    1e-9 of a positive multiple of pi is recorded as exactly 0 without
-    solving: theta = j*pi is an exact zero there. Every other point is
-    refined in one newton_roots call. Failed points come back flagged as
-    gaps instead of aborting the sweep, as do a negative or non-finite W
-    and a W above MAX_W. Requires kappa > 1, as seed_mode.
+    |W - j*pi|, hence the decay rate); the Sweep records |Im theta|. Below
+    W = 2**23, where float64 resolves 1e-9, a W within 1e-9 of a positive
+    multiple of pi is recorded as exactly 0 without solving: theta = j*pi is
+    an exact zero there. Every other point, larger W included (j*pi can
+    round onto it), is refined in one newton_roots call. Failed points come
+    back flagged as gaps instead of aborting the sweep, as do a negative or
+    non-finite W and a W above MAX_W. Requires kappa > 1, as seed_mode.
     """
     w = np.fromiter(map(float, w_values), dtype=float)
     huge = w > MAX_W
     invalid = ~(np.isfinite(w) & (w >= 0)) | huge
     j = np.round(np.where(invalid, 0.0, w) / math.pi).astype(int)
-    bound = ~invalid & (j >= 1) & (np.abs(w - j * math.pi) < 1e-9)
+    bound = (~invalid & (j >= 1) & (np.spacing(w) < 1e-9)
+             & (np.abs(w - j * math.pi) < 1e-9))
     solve = np.flatnonzero(~invalid & ~bound)
     sub = CharacteristicParams(d.kappa, w[solve])
     roots = newton_roots(seed_mode(j[solve], sub), sub, tol)

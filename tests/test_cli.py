@@ -18,8 +18,8 @@ from qnmlab.dynamics import (DdeConfig, evolve_atom, fit_decay,
                              integrate_dde)
 from qnmlab.model import DimensionlessParams
 from oracle_helpers import scalar_wavefunction
-from qnmlab.qnm import (find_modes, lifetime_from_theta, refine_root,
-                        seed_mode, sweep_decay)
+from qnmlab.qnm import (ContourError, find_modes, lifetime_from_theta,
+                        refine_root, seed_mode, sweep_decay)
 from qnmlab.scattering import enhancement_scan
 from refs import ROOTS
 
@@ -182,6 +182,17 @@ def test_sweep_above_the_largest_usable_w_writes_gaps(tmp_path, capsys):
     assert len(warnings) == 2
     assert all("largest usable W = 1.4488038916154245e+19" in w
                for w in warnings)
+
+
+def test_sweep_near_the_largest_usable_w_reads_no_bound_state(tmp_path):
+    # j*pi rounds onto these W; they are solved and do not converge
+    code = main(["sweep", "--kappa", "200", "--w-min", "1.4e19", "--w-max",
+                 "1.4488038916154245e+19", "--steps", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    warnings = _manifest(tmp_path)["warnings"]
+    assert len(warnings) == 3
+    assert not [w for w in warnings if "exact bound state" in w]
 
 
 @pytest.mark.parametrize("argv", [
@@ -581,6 +592,19 @@ def test_verify_quick_passes(tmp_path):
     assert names == ["pole_identity", "root_count_certification",
                      "dde_vs_root", "bound_state_in_continuum"]
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_verify_contour_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(d, box):
+        raise ContourError("no contour")
+
+    monkeypatch.setattr("qnmlab.cli.count_roots_in_box", fail)
+    code = main(["verify", "--quick", "--out-dir", str(tmp_path)])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "qnmlab verify: internal consistency failure:")
 
 
 @pytest.mark.parametrize("flags, full", [

@@ -4,6 +4,7 @@ contour certification and the decay-vs-level sweep."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +216,71 @@ def test_count_roots_input_validation():
         ContourBox(re_min=1.0, re_max=0.5, im_min=0.0, im_max=1.0)
 
 
+def _mp_root(d, seed):
+    with mpmath.workdps(40):
+        return complex(mpmath.findroot(
+            lambda t: d.kappa * mpmath.sin(t) * mpmath.exp(1j * t) - (d.W - t),
+            mpmath.mpc(seed)))
+
+
+def test_count_roots_separates_a_close_pair():
+    # near kappa = W0(1/e) two zeros sit 3e-4 apart, close to the double
+    # zero at pi/2 + i ln(kappa)/2 where f' vanishes; both lie in this box,
+    # and a fixed sampling of its edges can step over the pair
+    d = DimensionlessParams(kappa=0.2784645527610738, W=math.pi / 2)
+    box = ContourBox(re_min=math.pi / 2 - 0.49975,
+                     re_max=math.pi / 2 + 0.50025, im_min=-1.0,
+                     im_max=-0.63922)
+    centre = complex(math.pi / 2, math.log(d.kappa) / 2)
+    roots = {_mp_root(d, centre + s) for s in (-3e-4, 3e-4)}
+    assert len(roots) == 2
+    for theta in roots:
+        assert box.re_min < theta.real < box.re_max
+        assert box.im_min < theta.imag < box.im_max
+    assert count_roots_in_box(d, box) == 2
+
+
+def test_count_roots_double_zero_on_contour_is_inflated_past(monkeypatch):
+    # at kappa = W0(1/e) f and f' vanish together at pi/2 + i ln(kappa)/2,
+    # so |f| is at rounding level along a stretch of this contour: a zero on
+    # it, not segments to halve without end. The inflated box holds both
+    kappa = float(mpmath.lambertw(1 / mpmath.e))
+    d = DimensionlessParams(kappa=kappa, W=math.pi / 2)
+    theta = complex(math.pi / 2, math.log(kappa) / 2)
+    box = ContourBox(re_min=theta.real - 0.5, re_max=theta.real + 0.5,
+                     im_min=-1.0, im_max=theta.imag)
+    evaluated = []
+
+    def counted(z, d):
+        evaluated.append(np.size(z))
+        assert sum(evaluated) < 10_000, "runaway bisection"
+        return characteristic(z, d)
+
+    monkeypatch.setattr(qnm, "characteristic", counted)
+    assert count_roots_in_box(d, box) == 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(kappa=st.floats(1.0, 2000.0, exclude_min=True),
+       w=st.floats(0.0, 12.0),
+       re_min=st.floats(0.0, 60.0), width=st.floats(0.5, 10.0),
+       im_min=st.floats(-3.0, -1e-3), im_max=st.floats(1e-3, 1.0),
+       split=st.floats(0.05, 0.95))
+def test_counts_certify_modes_and_add_up(kappa, w, re_min, width, im_min,
+                                         im_max, split):
+    # every root Newton finds certifies, and counts are additive: a box
+    # split by a vertical line holds the zeros of its two halves
+    d = DimensionlessParams(kappa=kappa, W=w)
+    modes = find_modes(d, j_min=1, j_max=20)
+    assert not [note for note in modes.note if "certification" in note]
+    cut = re_min + split * width
+    whole, left, right = (
+        count_roots_in_box(d, ContourBox(lo, hi, im_min, im_max))
+        for lo, hi in ((re_min, re_min + width), (re_min, cut),
+                       (cut, re_min + width)))
+    assert left + right == whole
+
+
 # --- batch solve --------------------------------------------------------
 
 def test_find_modes_returns_four_distinct_certified_roots():
@@ -328,6 +394,17 @@ def test_sweep_records_exact_zero_at_pi():
     assert "bound state" in rows.note[0]
 
 
+def test_sweep_reads_no_bound_state_where_float64_cannot_resolve_it():
+    # above W = 2**23 a spacing of float64 exceeds 1e-9 and j*pi rounds onto
+    # W; such a W is solved like any other, not read as an exact zero
+    huge = sweep_decay(D200, [3e15, 1e16, 1e17, 1.4e19])
+    assert not huge.converged.any()
+    assert not [note for note in huge.note if "bound state" in note]
+    exact = sweep_decay(D200, [math.pi, math.pi * 2 ** 21])
+    assert exact.converged.all() and (exact.im_theta_min == 0).all()
+    assert all("bound state" in note for note in exact.note)
+
+
 def test_sweep_low_energy_points_are_flagged():
     rows = sweep_decay(D200, [0.4])
     assert rows.j_used[0] == 0
@@ -368,11 +445,13 @@ def test_sweep_gap_note_text_after_the_low_energy_note():
 
 def test_sweep_above_the_largest_usable_w_is_an_invalid_gap():
     # round(W/pi) of the last two points does not fit int64; they are gaps
-    # like a negative W, with no numpy warning (the suite makes those errors)
+    # like a negative W, with no numpy warning (the suite makes those errors).
+    # MAX_W itself is solved, and does not converge: j*pi rounds onto it, so
+    # it is no bound state
     ws = [qnm.MAX_W, math.nextafter(qnm.MAX_W, math.inf), 1e200, -1.0]
     rows = sweep_decay(D200, ws)
     assert rows.j_used.tolist() == [2 ** 62, 0, 0, 0]
-    assert rows.converged.tolist() == [True, False, False, False]
+    assert rows.converged.tolist() == [False, False, False, False]
     assert np.isnan(rows.im_theta_min[1:]).all()
     huge = f"invalid W: above the largest usable W = {qnm.MAX_W:.17g}"
     assert rows.note.tolist()[1:] == [huge, huge, "invalid W"]
