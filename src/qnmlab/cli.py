@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .dynamics import DdeConfig, FitWindowError, evolve_atom, pole_check
 from .model import DimensionlessParams
-from .platforms import (FLUX_QUANTUM, RamanSpec, SquidSpec, raman_coupling,
-                        squid_coupling, squid_level_spacing)
+from .platforms import (RamanSpec, SquidSpec, raman_coupling, squid_coupling,
+                        squid_level_spacing)
 from .qnm import (DEFAULT_TOL, ContourBox, characteristic, count_roots_in_box,
                   find_modes, lifetime_from_theta, refine_root, seed_mode,
                   slowest_mode, sweep_decay)
@@ -59,6 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise ValueError(f"{self.prog}: {message}")
+
+
+def _dump_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -100,11 +106,8 @@ class _Run:
             "write_s": time.perf_counter() - start}
 
     def write_json(self, name: str, payload: dict) -> None:
-        path = self.path(name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.outputs.append(path)
+        _dump_json(self.path(name), payload)
+        self.outputs.append(self.path(name))
 
     def write_manifest(self) -> None:
         manifest = {
@@ -116,10 +119,7 @@ class _Run:
             "warnings": self.warnings,
         }
         manifest.update(self.extras)
-        path = self.path("manifest.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(self.path("manifest.json"), manifest)
 
 
 def _finite(text: str) -> float:
@@ -127,11 +127,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
-
-
-def _ensure_out_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _params_of(args: argparse.Namespace) -> dict:
@@ -255,13 +250,12 @@ def _squid_from_args(args: argparse.Namespace, scale: float) -> SquidSpec:
                              f"for --platform squid")
     if (args.v_g_gate is None) == (args.n_g is None):
         raise ValueError("give exactly one of --v-g-gate or --n-g")
-    phi_0 = args.phi_0 if args.phi_0 is not None else FLUX_QUANTUM
     return SquidSpec(E_J=args.e_j * scale, C_g=args.c_g, C_J=args.c_j,
                      C_Sigma=args.c_sigma, Phi_x=args.phi_x,
                      L=args.l, c_line=args.c_line,
                      omega_mode=args.omega_mode * scale,
                      mixing_angle=args.mixing_angle,
-                     V_g=args.v_g_gate, n_g=args.n_g, Phi_0=phi_0)
+                     V_g=args.v_g_gate, n_g=args.n_g)
 
 
 def _cmd_map(args: argparse.Namespace, run: _Run) -> int:
@@ -444,7 +438,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--c-j", type=float, default=None)
     p.add_argument("--c-sigma", type=float, default=None)
     p.add_argument("--phi-x", type=float, default=None)
-    p.add_argument("--phi-0", type=float, default=None)
     p.add_argument("--l", type=float, default=None)
     p.add_argument("--c-line", type=float, default=None)
     p.add_argument("--omega-mode", type=float, default=None)
@@ -480,9 +473,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        out_dir = _ensure_out_dir(args.out_dir)
+        os.makedirs(args.out_dir, exist_ok=True)
         run = _Run(command=args.command, parameters=_params_of(args),
-                   out_dir=out_dir)
+                   out_dir=args.out_dir)
         code = args.func(args, run)
         run.write_manifest()
         return code

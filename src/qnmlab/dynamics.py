@@ -91,7 +91,7 @@ class DdeConfig:
                 f"dt must be in (0, {ROUND_TRIP / MIN_STEPS_PER_DELAY}] so the "
                 f"delay period is resolved by >= {MIN_STEPS_PER_DELAY} steps, "
                 f"got {self.dt}")
-        step = ROUND_TRIP / round(ROUND_TRIP / self.dt)  # as integrate_dde
+        step = ROUND_TRIP / self.n_per
         if self.d.kappa * step / 2.0 > _STEP_EXPONENT_MAX:
             raise ValueError(
                 f"dt = {self.dt} is too coarse for kappa = {self.d.kappa}: "
@@ -100,6 +100,11 @@ class DdeConfig:
                 f"need kappa*dt/2 <= {_STEP_EXPONENT_MAX:.6g}")
         if not cmath.isfinite(self.w0):
             raise ValueError(f"w0 must be finite, got {self.w0!r}")
+
+    @property
+    def n_per(self) -> int:
+        """Steps per delay interval: dt snapped onto the delay grid."""
+        return int(round(ROUND_TRIP / self.dt))
 
 
 class FitResult(NamedTuple):
@@ -205,7 +210,7 @@ def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
     """
     d = cfg.d
     kappa, w_level = d.kappa, d.W
-    n_per = int(round(ROUND_TRIP / cfg.dt))
+    n_per = cfg.n_per
     dt = ROUND_TRIP / n_per
     lam = 1j * w_level + kappa / 2.0
     half_kappa = kappa / 2.0
@@ -217,8 +222,7 @@ def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
     stride = max(1, int(total_steps / MAX_OUTPUT_POINTS))
     max_phase_step = math.pi / 2.0
     phase_rate = w_level + math.pi  # generous bound on |Re theta| of the tail
-    if phase_rate > 0:
-        stride = min(stride, max(1, int(max_phase_step / (phase_rate * dt))))
+    stride = min(stride, max(1, int(max_phase_step / (phase_rate * dt))))
 
     # Kept samples are the nodes whose global step index g is a multiple of
     # the stride; node g > 0 is node i = g - m n_per of interval m.

@@ -26,6 +26,18 @@ def _require_finite(**fields: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_positive(**fields: float) -> None:
+    for name, value in fields.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _require_non_negative(**fields: float) -> None:
+    for name, value in fields.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Lab-frame parameters.
@@ -47,17 +59,10 @@ class PhysicalParams:
     def __post_init__(self) -> None:
         _require_finite(v_g=self.v_g, a=self.a, J=self.J, Omega=self.Omega,
                         Gamma_ext=self.Gamma_ext)
-        if self.v_g <= 0:
-            raise ValueError(f"v_g must be positive, got {self.v_g}")
-        if self.a <= 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        _require_positive(v_g=self.v_g, a=self.a)
+        _require_non_negative(Omega=self.Omega, Gamma_ext=self.Gamma_ext)
         if self.J < 0:
             object.__setattr__(self, "J", -self.J)
-        if self.Omega < 0:
-            raise ValueError(f"Omega must be non-negative, got {self.Omega}")
-        if self.Gamma_ext < 0:
-            raise ValueError(
-                f"Gamma_ext must be non-negative, got {self.Gamma_ext}")
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,8 @@ class DimensionlessParams:
 
     def __post_init__(self) -> None:
         _require_finite(kappa=self.kappa, W=self.W, gamma_ext=self.gamma_ext)
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
-        if self.W < 0:
-            raise ValueError(f"W must be non-negative, got {self.W}")
-        if self.gamma_ext < 0:
-            raise ValueError(
-                f"gamma_ext must be non-negative, got {self.gamma_ext}")
+        _require_non_negative(kappa=self.kappa, W=self.W,
+                              gamma_ext=self.gamma_ext)
 
 
 def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .model import (DimensionlessParams, PhysicalParams, _require_finite,
-                    to_dimensionless)
+                    _require_positive, to_dimensionless)
 
 #: Exact SI-2019 elementary charge (C) and Planck constant (J s), the
 #: reduced Planck constant h/(2 pi) and the flux quantum h/(2e) (Wb).
@@ -99,19 +99,9 @@ class SquidSpec:
     Phi_0: float = FLUX_QUANTUM
 
     def __post_init__(self) -> None:
-        for name in ("C_g", "C_J", "C_Sigma"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, "
-                                 f"got {getattr(self, name)}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
-        if not self.c_line > 0:
-            raise ValueError(f"c_line must be positive, got {self.c_line}")
-        if not self.omega_mode > 0:
-            raise ValueError(f"omega_mode must be positive, "
-                             f"got {self.omega_mode}")
-        if not self.Phi_0 > 0:
-            raise ValueError(f"Phi_0 must be positive, got {self.Phi_0}")
+        _require_positive(C_g=self.C_g, C_J=self.C_J, C_Sigma=self.C_Sigma,
+                          L=self.L, c_line=self.c_line,
+                          omega_mode=self.omega_mode, Phi_0=self.Phi_0)
         if (self.V_g is None) == (self.n_g is None):
             raise ValueError("give exactly one of V_g or n_g")
         _require_finite(**{name: value for name, value in vars(self).items()

@@ -409,8 +409,9 @@ def sweep_decay(d: DimensionlessParams, w_values,
     multiple of pi is recorded as exactly 0 without solving: theta = j*pi is
     an exact zero there. Every other point, larger W included (j*pi can
     round onto it), is refined in one newton_roots call. Failed points come
-    back flagged as gaps instead of aborting the sweep, as do a negative or
-    non-finite W and a W above MAX_W. Requires kappa > 1, as seed_mode.
+    back as gaps, with a nan decay rate, instead of aborting the sweep, as
+    do a negative or non-finite W and a W above MAX_W. Requires kappa > 1,
+    as seed_mode.
     """
     w = np.fromiter(map(float, w_values), dtype=float)
     huge = w > MAX_W
@@ -422,15 +423,15 @@ def sweep_decay(d: DimensionlessParams, w_values,
     sub = CharacteristicParams(d.kappa, w[solve])
     roots = newton_roots(seed_mode(j[solve], sub), sub, tol)
 
-    im = np.where(bound, 0.0, math.nan)
-    im[solve] = np.abs(roots[0].imag)
     ok = bound.copy()
     kinds = np.array(["", "invalid W", f"invalid W: above the largest "
                       f"usable W = {MAX_W:.17g}",
                       "exact bound state in the continuum"], dtype=object)
     notes = kinds[1 * invalid + huge + 3 * bound]
     j[solve], ok[solve], notes[solve] = _classify(roots, tol, j[solve])
-    return Sweep(w, im, j, ok, notes)
+    im = np.zeros_like(w)
+    im[solve] = np.abs(roots[0].imag)
+    return Sweep(w, np.where(ok, im, math.nan), j, ok, notes)
 
 
 def slowest_mode(d: DimensionlessParams, tol: float = DEFAULT_TOL) -> Modes:

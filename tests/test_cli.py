@@ -195,6 +195,17 @@ def test_sweep_near_the_largest_usable_w_reads_no_bound_state(tmp_path):
     assert not [w for w in warnings if "exact bound state" in w]
 
 
+def test_sweep_gap_rows_write_nan(tmp_path):
+    # an unconverged row carries no decay rate, only its manifest warning
+    code = main(["sweep", "--kappa", "200", "--w-min", "1.4e19", "--w-max",
+                 "1.4488038916154245e+19", "--steps", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[1] for row in rows] == ["nan", "nan", "nan"]
+    assert len(_manifest(tmp_path)["warnings"]) == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--kappa", "200", "--w", "1e200"],
     ["wavefunction", "--kappa", "200", "--w", "1e200", "--j", "1",
@@ -296,11 +307,30 @@ def test_non_finite_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
       "0"], "qnmlab sweep: --steps must be >= 1\n"),
     (_SCATTER + ["--theta-min", "3", "--theta-max", "1"],
      "qnmlab scatter: need 0 < --theta-min < --theta-max\n"),
-], ids=["sweep-steps", "scatter-window"])
+    (_WAVEFUNCTION + ["--x-max", "40", "--samples", "1"],
+     "qnmlab wavefunction: --samples must be >= 2\n"),
+    (_WAVEFUNCTION + ["--x-max", "0"],
+     "qnmlab wavefunction: --x-max must be positive\n"),
+    (_SCATTER + ["--theta-min", "1", "--theta-max", "3", "--samples", "1"],
+     "qnmlab scatter: --samples must be >= 2\n"),
+    (["evolve", "--kappa", "50", "--w", "2", "--t-max", "40", "--fit-start",
+      "20"], "qnmlab evolve: give both --fit-start and --fit-end or neither\n"),
+], ids=["sweep-steps", "scatter-window", "wavefunction-samples",
+        "wavefunction-x-max", "scatter-samples", "evolve-fit-start-alone"])
 def test_command_usage_errors_name_the_command(tmp_path, capsys, argv,
                                                message):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == message
+
+
+def test_wavefunction_unconverged_mode_writes_no_samples(tmp_path):
+    code = main(_WAVEFUNCTION + ["--x-max", "40", "--tol", "1e-30",
+                                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    warnings = _manifest(tmp_path)["warnings"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("mode j=1 did not converge")
+    assert not (tmp_path / "wavefunction.csv").exists()
 
 
 # --- evolve -------------------------------------------------------------
@@ -571,15 +601,25 @@ _RAMAN = ["map", "--platform", "raman", "--big-g", "2e9", "--delta", "5e10"]
     (_RAMAN + ["--g", "nan"], "g must be finite, got nan"),
     (["map", "--platform", "raman", "--g", "3e9", "--big-g", "inf",
       "--delta", "5e10"], "G must be finite, got inf"),
+    (_RAMAN, "--g is required for --platform raman"),
 ], ids=["squid-no-gate", "squid-both-gates", "squid-e-j-inf",
         "squid-mixing-nan", "squid-v-g-inf", "squid-c-g-inf", "raman-g-nan",
-        "raman-g-big-inf"])
+        "raman-g-big-inf", "raman-no-g"])
 def test_map_bad_inputs_are_usage_errors(tmp_path, capsys, argv, message):
     code = main(argv + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert list(tmp_path.iterdir()) == []
     assert err == f"qnmlab map: {message}\n"
+
+
+def test_map_has_no_flux_quantum_override(tmp_path, capsys):
+    # the flux quantum is a constant of nature, not an input
+    code = main(_SQUID + ["--n-g", "0.45", "--phi-0", "1",
+                          "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "unrecognized arguments: --phi-0 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- verify and global flags --------------------------------------------
@@ -607,6 +647,18 @@ def test_verify_contour_failure_exits_3(tmp_path, monkeypatch, capsys):
         "qnmlab verify: internal consistency failure:")
 
 
+def test_verify_failed_check_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("qnmlab.cli.count_roots_in_box", lambda d, box: 0)
+    code = main(["verify", "--quick", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == ""
+    assert _manifest(tmp_path)["warnings"] == [
+        "check failed: root_count_certification"]
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "root_count_certification"]
+
+
 @pytest.mark.parametrize("flags, full", [
     ([], False), (["--quick"], False), (["--full"], True),
 ], ids=["default", "quick", "full"])
@@ -627,7 +679,8 @@ def test_import_does_not_load_scipy():
     # nor the exact-arithmetic modules: the CSV formatter's tables are built
     # from Python ints
     code = ("import sys, qnmlab.cli; "
-            "sys.exit(bool({'scipy', 'fractions', 'decimal'} & "
+            "sys.exit(bool({'scipy', 'fractions', 'decimal', "
+            "'qnmlab.emission'} & "
             "set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env,
@@ -637,6 +690,17 @@ def test_import_does_not_load_scipy():
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code = main(["spectrum", "--kappa", "200", "--w", "5",
+                 "--out-dir", str(target)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qnmlab spectrum: cannot write outputs: ")
+    assert err.count("\n") == 1
 
 
 def test_out_dir_is_created(tmp_path):

@@ -226,6 +226,13 @@ def test_result_grid_is_increasing_and_step_snapped():
     assert res.dt_used == 2.0 / round(2.0 / 9e-4)
 
 
+def test_config_and_integrator_share_the_step_grid():
+    cfg = DdeConfig(d=D50, t_max=40.0, dt=1.3e-3)
+    traj = integrate_dde(cfg)
+    assert cfg.n_per == traj.n_per == round(2.0 / 1.3e-3)
+    assert traj.dt_used == 2.0 / cfg.n_per
+
+
 # --- pole condition -------------------------------------------------------
 
 def test_pole_residual_trivial_points():

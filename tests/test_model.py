@@ -21,6 +21,37 @@ def test_physical_params_validation():
         PhysicalParams(v_g=math.inf, a=1.0, J=1.0, Omega=1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PhysicalParams(v_g=0.0, a=-1.0, J=1.0, Omega=-1.0),
+     "v_g must be positive, got 0.0"),
+    (lambda: PhysicalParams(v_g=1.0, a=-2.0, J=-1.0, Omega=-1.0),
+     "a must be positive, got -2.0"),
+    (lambda: PhysicalParams(v_g=1.0, a=1.0, J=-1.0, Omega=-0.5,
+                            Gamma_ext=-1.0),
+     "Omega must be non-negative, got -0.5"),
+    (lambda: PhysicalParams(v_g=1.0, a=1.0, J=1.0, Omega=1.0,
+                            Gamma_ext=-1e-3),
+     "Gamma_ext must be non-negative, got -0.001"),
+    (lambda: DimensionlessParams(kappa=-1.0, W=-5.0),
+     "kappa must be non-negative, got -1.0"),
+    (lambda: DimensionlessParams(kappa=1.0, W=-5.0, gamma_ext=-0.1),
+     "W must be non-negative, got -5.0"),
+    (lambda: DimensionlessParams(kappa=1.0, W=5.0, gamma_ext=-0.1),
+     "gamma_ext must be non-negative, got -0.1"),
+], ids=["v_g", "a", "Omega", "Gamma_ext", "kappa", "W", "gamma_ext"])
+def test_validation_messages_name_the_first_bad_field(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("v_g, a", [(0.0, 1.0), (1.0, -0.5)])
+def test_to_physical_rejects_nonpositive_scales(v_g, a):
+    d = DimensionlessParams(kappa=200.0, W=5.0)
+    with pytest.raises(ValueError, match="^v_g and a must be positive, got "):
+        to_physical(d, v_g=v_g, a=a)
+
+
 def test_negative_coupling_is_normalised():
     # only J**2 is observable, so the container stores |J|
     p = PhysicalParams(v_g=1.0, a=1.0, J=-10.0, Omega=5.0)

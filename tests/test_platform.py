@@ -48,6 +48,8 @@ def test_flux_sweet_spot_kills_transverse_field():
     levels = squid_level_spacing(_spec(Phi_x=0.5 * FLUX_QUANTUM))
     assert levels.b_x == 0.0
     assert levels.omega == abs(levels.b_z)
+    # Phi_x/Phi_0 in (1, 2) folds onto 2 - Phi_x/Phi_0 exactly
+    assert squid_level_spacing(_spec(Phi_x=1.5, Phi_0=1.0)).b_x == 0.0
 
 
 def test_flux_response_is_even_and_periodic():
@@ -57,6 +59,8 @@ def test_flux_response_is_even_and_periodic():
     quarter = squid_level_spacing(_spec(Phi_x=0.25, Phi_0=1.0))
     wrapped = squid_level_spacing(_spec(Phi_x=2.25, Phi_0=1.0))
     assert quarter.b_x == wrapped.b_x
+    folded = squid_level_spacing(_spec(Phi_x=1.75, Phi_0=1.0))
+    assert quarter.b_x == folded.b_x
 
 
 def test_gate_voltage_sets_reduced_charge():
@@ -179,6 +183,23 @@ def test_spec_rejects_nonpositive_inputs():
         _spec(omega_mode=0.0)
     with pytest.raises(ValueError):
         _spec(Phi_0=0.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"C_g": 0.0}, "C_g must be positive, got 0.0"),
+    ({"C_Sigma": math.nan}, "C_Sigma must be positive, got nan"),
+    ({"L": -0.01, "C_J": 0.0}, "C_J must be positive, got 0.0"),
+    ({"omega_mode": 0.0, "c_line": -1.0}, "c_line must be positive, got -1.0"),
+    ({"Phi_0": 0.0, "omega_mode": -1.0},
+     "omega_mode must be positive, got -1.0"),
+    ({"Phi_0": -0.0}, "Phi_0 must be positive, got -0.0"),
+], ids=["c-g", "c-sigma-nan", "c-j-before-l", "c-line-before-omega",
+        "omega-before-phi-0", "phi-0"])
+def test_spec_validation_messages(fields, message):
+    # the first failing field in declaration order is named
+    with pytest.raises(ValueError) as info:
+        _spec(**fields)
+    assert str(info.value) == message
 
 
 def test_range_flag_is_computed_from_value_and_range():

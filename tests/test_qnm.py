@@ -443,6 +443,13 @@ def test_sweep_gap_note_text_after_the_low_energy_note():
         "steps from the j=0 seed"]
 
 
+def test_sweep_gap_records_no_decay_rate():
+    # nan marks a gap: Newton's last iterate is not a decay rate
+    rows = sweep_decay(D200, [5.0], tol=1e-30)
+    assert not rows.converged[0]
+    assert np.isnan(rows.im_theta_min[0])
+
+
 def test_sweep_above_the_largest_usable_w_is_an_invalid_gap():
     # round(W/pi) of the last two points does not fit int64; they are gaps
     # like a negative W, with no numpy warning (the suite makes those errors).
