@@ -5,17 +5,26 @@ the mirror and the atom and C sin(theta x + delta) outside; the atom acts as
 a delta potential of weight g = kappa / (W - theta), giving the derivative
 jump phi'(1+) - phi'(1-) = -theta g phi(1) and the closed-form phase shift
 
-    cot(theta + delta) = cot(theta) - g
-    <=>  tan(delta) = g sin^2(theta) / (1 - g sin(theta) cos(theta)),
+    cot(theta + delta) = cot(theta) - g.
 
-evaluated as delta = atan2(g sin^2 theta, 1 - g sin theta cos theta) so that
-delta -> 0 continuously as the coupling is switched off. The intensity
-enhancement inside the emergent cavity is |A/C|^2 = sin^2(theta + delta) /
-sin^2(theta) and peaks at the quasi-normal-mode positions; the Wigner delay
-d(delta)/d(theta) peaks there too, with height 1/|Im theta*|.
+Multiplied through by W - theta, this makes delta the argument of
+
+    F(theta) = s [(W - theta - kappa sin(theta) cos(theta))
+                  + i kappa sin^2(theta)],
+
+with s = -1 for theta > W and +1 otherwise, so that delta -> 0 as the
+coupling is switched off. F is finite everywhere, and so are the
+observables it gives: the Wigner delay d(delta)/d(theta) = Im(F'/F), with
+F' = -s (1 + kappa e^(-2 i theta)), which peaks at the quasi-normal-mode
+positions with height 1/|Im theta*|; and the intensity enhancement inside
+the emergent cavity, |A/C|^2 = sin^2(theta + delta) / sin^2(theta) =
+(W - theta)^2 / |F|^2, which peaks there too. For real theta F is
+-s conj(f(theta)) with f the characteristic function of qnmlab.qnm, so the
+resonances sit where |f| is smallest; F is computed here from sin and cos,
+keeping this route independent of the root solver.
 enhancement_scan evaluates a theta grid in one array pass and returns a
 ScatterScan of columns; phase_shift, its one-point case, returns one row of
-Python scalars and costs about 0.15 ms.
+Python scalars and costs about 0.06 ms.
 
 qnm_wavefunction evaluates the leaky-mode profile itself at complex theta*:
 sin(theta* x) inside, sin(theta*) exp(i theta* (x-1)) outside, which grows
@@ -35,17 +44,9 @@ import numpy as np
 from .model import DimensionlessParams
 from .qnm import Modes
 
-#: theta this close to a positive multiple of pi is treated as degenerate
-#: (the enhancement becomes 0/0) and evaluated by a small offset instead.
+#: |W - theta| below this is the perfect-mirror limit, flagged in the note.
 DEGENERATE_TOL = 1e-12
 
-#: Offset used to evaluate degenerate points by their limit.
-DEGENERATE_OFFSET = 1e-9
-
-#: Step for the central-difference Wigner delay.
-DELAY_STEP = 1e-6
-
-NODE_DEGENERACY_NOTE = "degenerate theta = j*pi, evaluated by +/-1e-9 offset"
 MIRROR_LIMIT_NOTE = "theta = W: perfect-mirror limit"
 
 #: cmath.exp(z) takes e^Re(z) as e^(Re(z) - 1) * e above this, log(float
@@ -57,8 +58,8 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 def _libm(func, *arrays: np.ndarray) -> np.ndarray:
-    """A math function mapped over arrays: numpy's atan2, exp, sinh and cosh
-    differ in the last digit from the libm that math and cmath call."""
+    """A math function mapped over arrays: numpy's exp, sinh and cosh differ
+    in the last digit from the libm that math and cmath call."""
     return np.fromiter(map(func, *(a.tolist() for a in arrays)), dtype=float,
                        count=arrays[0].size)
 
@@ -73,66 +74,49 @@ class ScatterScan(NamedTuple):
     note: np.ndarray
 
 
-def _pointwise(theta: np.ndarray, d: DimensionlessParams
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(delta, delay, enhancement, mirror-limit mask) off the j*pi nodes.
-
-    At theta = W, where g diverges, the g -> +/-inf limit of the atan2 is
-    taken explicitly. The delay is a central difference reduced mod pi: the
-    branch can jump by pi across theta = W, while the true change over 2e-6
-    stays far below pi/2 even on resonance.
-    """
-    lo = np.maximum(theta - DELAY_STEP, DEGENERATE_TOL)
-    hi = theta + DELAY_STEP
-    at = np.concatenate([theta, lo, hi])
-    sin_t, cos_t = np.sin(at), np.cos(at)
-    on_level = np.abs(d.W - at) < DEGENERATE_TOL
-    g = d.kappa / np.where(on_level, 1.0, d.W - at)
-    y = np.where(on_level, sin_t * sin_t, g * sin_t * sin_t)
-    x = np.where(on_level, -sin_t * cos_t, 1.0 - g * sin_t * cos_t)
-    # With kappa = 0 the weight is identically zero and so is the phase.
-    phase = _libm(math.atan2, y, x) if d.kappa > 0.0 else np.zeros(at.size)
-    delta, at_lo, at_hi = np.split(phase, 3)
-    diff = at_hi - at_lo
-    # + 0.0 as Python's integer round has no -0.0: diff = -0.0 stays -0.0
-    diff -= math.pi * (np.round(diff / math.pi) + 0.0)
-    # sin(theta + delta) -> 0 exactly in this limit: field node at the atom
-    mirror = (d.kappa > 0.0) & on_level[:theta.size]
-    ratio = np.sin(theta + delta) / sin_t[:theta.size]
-    return (delta, diff / (hi - lo), np.where(mirror, 0.0, ratio * ratio),
-            mirror)
-
-
 def enhancement_scan(d: DimensionlessParams, thetas) -> ScatterScan:
     """Phase shift, Wigner delay and enhancement over a grid, in one pass.
 
-    theta within 1e-12 of a positive multiple of pi makes the enhancement
-    0/0; such points are evaluated as the average of the two +/-1e-9 offset
-    points and flagged. theta = W is the perfect-mirror limit: the outside
-    wave has a node at the atom and the enhancement vanishes.
+    Every column comes from F(theta) and its size |F|, scaled so that no
+    intermediate overflows for any finite kappa: the delay Im(F'/F) is
+    kappa sin(theta) [(1 - kappa) sin(theta) + 2 (W - theta) cos(theta)]
+    / |F|^2 and the enhancement ((W - theta) / |F|)^2. F vanishes only for
+    kappa = 0 at theta = W, where the photon does not couple: delay 0 and
+    enhancement 1, as everywhere else at kappa = 0. theta = W is the
+    perfect-mirror limit for kappa > 0: the outside wave has a node at the
+    atom, the enhancement vanishes, and the note says so.
 
-    The pointwise branch is continuous except for pi jumps where the atan2
-    output wraps (and across theta = W); unwrapping with period pi restores
-    one smooth branch. Enhancement and delay are invariant under shifts of
-    delta by multiples of pi, so only delta is rewritten.
+    arg F jumps by pi across theta = W and where the atan2 output wraps;
+    unwrapping with period pi restores one smooth branch. Enhancement and
+    delay are invariant under shifts of delta by multiples of pi, so only
+    delta is rewritten.
     """
     theta = np.fromiter(map(float, thetas), dtype=float)
     bad = theta[~((theta > 0) & np.isfinite(theta))]
     if bad.size:
         raise ValueError(f"theta must be positive and finite, got {bad[0]}")
-    j = np.round(theta / math.pi)
-    node = (j >= 1) & (np.abs(theta - j * math.pi) < DEGENERATE_TOL)
-    delta, delay, enhancement, mirror = _pointwise(theta, d)
-    if node.any():
-        lo = _pointwise(theta[node] - DEGENERATE_OFFSET, d)
-        hi = _pointwise(theta[node] + DEGENERATE_OFFSET, d)
-        for column, at_lo, at_hi in zip((delta, delay, enhancement), lo, hi):
-            column[node] = 0.5 * (at_lo + at_hi)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    level = d.W - theta
+    side = np.where(theta > d.W, -1.0, 1.0)
+    # + 0.0, here and in the delay, turns the -0.0s of kappa = 0 into 0.0
+    re = side * (level - d.kappa * sin_t * cos_t)
+    im = side * (d.kappa * sin_t * sin_t) + 0.0
+    size = np.hypot(re, im)
+    free = size == 0.0
+    size[free] = 1.0
+    ratio = level / size
+    ratio[free] = 1.0
+    # The last division overflows only where the delay itself passes float
+    # max: (1 - kappa) / kappa at theta = W for kappa below 1 / max.
+    with np.errstate(over="ignore"):
+        delay = (d.kappa * sin_t / size
+                 * ((1.0 - d.kappa) * sin_t + 2.0 * level * cos_t) / size
+                 + 0.0)
     note = np.full(theta.shape, "", dtype=object)
-    note[mirror] = MIRROR_LIMIT_NOTE
-    note[node] = NODE_DEGENERACY_NOTE
-    return ScatterScan(theta, np.unwrap(delta, period=math.pi), delay,
-                       enhancement, note)
+    note[(d.kappa > 0.0) & (np.abs(level) < DEGENERATE_TOL)] = \
+        MIRROR_LIMIT_NOTE
+    return ScatterScan(theta, np.unwrap(np.arctan2(im, re), period=math.pi),
+                       delay, ratio * ratio, note)
 
 
 def phase_shift(theta: float, d: DimensionlessParams) -> ScatterScan:

@@ -5,15 +5,15 @@ re-derived by integrating the wave equation with the atom's delta potential
 regularized as a narrow Lorentzian, the resonance width by a Breit-Wigner
 least-squares fit of the inverse enhancement, and the time-domain amplitude
 by the exact piecewise-analytic solution of the delay equation. Tests
-compare package outputs against these, never the other way round. Two
+compare package outputs against these, never the other way round. Three
 helpers are not independent on purpose: interval_recurrence_dde is the
 integrator's own method written the plain way, the bit-for-bit reference
 for its optimised loop, scalar_newton is the one-seed-at-a-time Newton
 iteration in complex scalars, the reference for the batched root kernel,
-scalar_phase_shift is the one-energy-at-a-time scattering formula in
-Python floats, the reference for the array scattering kernel, and
-scalar_wavefunction is the mode profile evaluated one x at a time with
-cmath, the reference for the array wavefunction. potential_weight, the
+and scalar_wavefunction is the mode profile evaluated one x at a time with
+cmath, the reference for the array wavefunction. mp_scattering evaluates
+the scattering closed form at 40 digits, the reference that bounds the
+rounding error of the array scattering kernel. potential_weight, the
 atom's effective delta-mirror weight, is checked by the tests alone.
 """
 
@@ -23,13 +23,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from qnmlab.model import DimensionlessParams
-from qnmlab.scattering import (DEGENERATE_OFFSET, DEGENERATE_TOL, DELAY_STEP,
-                               MIRROR_LIMIT_NOTE, NODE_DEGENERACY_NOTE,
-                               ScatterScan)
+from qnmlab.scattering import DEGENERATE_TOL
 
 #: Half width of the Lorentzian that stands in for the delta potential.
 LORENTZIAN_HWHM = 1e-4
@@ -266,72 +265,31 @@ def scalar_newton(seed: complex, kappa: float, w: complex, tol: float,
     return theta, resid, iterations, True
 
 
-def _scalar_delta_branch(theta: float, d) -> float:
-    """Phase shift on the branch that is continuous in theta with delta(g=0)=0.
+def mp_scattering(theta: float, kappa: float, w: float) -> tuple:
+    """(delta, delay, enhancement, |F|) at 40 digits, from the exact floats.
 
-    At theta = W the weight g diverges and the atom reflects perfectly; the
-    g -> +/-inf limit of the atan2 expression is taken explicitly there.
-    With kappa = 0 the weight is identically zero and so is the phase.
+    F = s [(W - theta - kappa sin cos) + i kappa sin^2] with s = -1 for
+    theta > W, else +1; delta = arg F, delay = Im(F'/F) with F' = -s (1 +
+    kappa e^(-2 i theta)), and enhancement (W - theta)^2 / |F|^2. F = 0
+    (kappa = 0 at theta = W) is the decoupled atom: (0, 0, 1, 0).
+    test_closed_forms_match_definitions checks these expressions against
+    atan2(g sin^2, 1 - g sin cos), its derivative and sin^2(theta + delta)
+    / sin^2(theta).
     """
-    if d.kappa == 0.0:
-        return 0.0
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    if abs(d.W - theta) < DEGENERATE_TOL:
-        return math.atan2(sin_t * sin_t, -sin_t * cos_t)
-    g = d.kappa / (d.W - theta)
-    return math.atan2(g * sin_t * sin_t, 1.0 - g * sin_t * cos_t)
-
-
-def _scalar_delay(theta: float, d) -> float:
-    """Wigner delay d(delta)/d(theta) by a central difference.
-
-    The raw difference is reduced mod pi: the physical phase is defined mod
-    pi and the atan2 branch can jump by pi across theta = W, while the true
-    local change over 2e-6 stays far below pi/2 even on resonance.
-    """
-    lo = max(theta - DELAY_STEP, DEGENERATE_TOL)
-    hi = theta + DELAY_STEP
-    diff = wrap_half_pi(_scalar_delta_branch(hi, d)
-                        - _scalar_delta_branch(lo, d))
-    return diff / (hi - lo)
-
-
-def _scalar_enhancement(theta: float, delta: float) -> float:
-    num = math.sin(theta + delta)
-    den = math.sin(theta)
-    return (num / den) ** 2
-
-
-def scalar_phase_shift(theta: float, d) -> ScatterScan:
-    """Scattering point (delta, delay, enhancement) at real energy theta.
-
-    theta within 1e-12 of a positive multiple of pi makes the enhancement
-    0/0; such points are evaluated as the average of the two +/-1e-9 offset
-    points and flagged. theta = W is the perfect-mirror limit: the outside
-    wave has a node at the atom and the enhancement vanishes.
-    """
-    if not (theta > 0 and math.isfinite(theta)):
-        raise ValueError(f"theta must be positive and finite, got {theta}")
-    j_near = round(theta / math.pi)
-    if j_near >= 1 and abs(theta - j_near * math.pi) < DEGENERATE_TOL:
-        lo = scalar_phase_shift(theta - DEGENERATE_OFFSET, d)
-        hi = scalar_phase_shift(theta + DEGENERATE_OFFSET, d)
-        return ScatterScan(
-            theta=theta,
-            delta=0.5 * (lo.delta + hi.delta),
-            delay=0.5 * (lo.delay + hi.delay),
-            enhancement=0.5 * (lo.enhancement + hi.enhancement),
-            note=NODE_DEGENERACY_NOTE,
-        )
-    delta = _scalar_delta_branch(theta, d)
-    delay = _scalar_delay(theta, d)
-    if d.kappa > 0.0 and abs(d.W - theta) < DEGENERATE_TOL:
-        # sin(theta + delta) -> 0 exactly in this limit: field node at the atom
-        return ScatterScan(theta=theta, delta=delta, delay=delay,
-                           enhancement=0.0, note=MIRROR_LIMIT_NOTE)
-    return ScatterScan(theta=theta, delta=delta, delay=delay,
-                       enhancement=_scalar_enhancement(theta, delta), note="")
+    with mpmath.workdps(40):
+        t, k, wl = mpmath.mpf(theta), mpmath.mpf(kappa), mpmath.mpf(w)
+        side = -1 if t > wl else 1
+        cos_t, sin_t = mpmath.cos_sin(t)
+        re, im = wl - t - k * sin_t * cos_t, k * sin_t * sin_t
+        size2 = re * re + im * im
+        if size2 == 0:
+            return 0.0, 0.0, 1.0, 0.0
+        # F' / s = -(1 + kappa cos 2 theta) + i kappa sin 2 theta
+        d_re = -(1 + k * (cos_t * cos_t - sin_t * sin_t))
+        d_im = 2 * k * sin_t * cos_t
+        return (float(mpmath.atan2(side * im, side * re)),
+                float((d_im * re - d_re * im) / size2),
+                float((wl - t) ** 2 / size2), float(mpmath.sqrt(size2)))
 
 
 def scalar_wavefunction(theta: complex, xs) -> list[complex]:

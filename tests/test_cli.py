@@ -270,6 +270,20 @@ def test_scatter_decoupled_atom(tmp_path):
     assert all(float(r[1]) == 0.0 and float(r[3]) == 1.0 for r in rows)
 
 
+def test_scatter_huge_coupling_is_finite_and_quiet(tmp_path):
+    # kappa = 1e308 through theta = W: no overflow warning on stderr
+    done = subprocess.run(
+        [sys.executable, "-m", "qnmlab.cli", "scatter", "--kappa", "1e308",
+         "--w", "5", "--theta-min", "4", "--theta-max", "6", "--samples",
+         "9", "--out-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    _, rows = _read_csv(tmp_path / "scatter.csv")
+    assert len(rows) == 9
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 def test_scatter_rejects_bad_window(tmp_path, capsys):
     code = main(["scatter", "--kappa", "200", "--w", "5",
                  "--theta-min", "3", "--theta-max", "1",

@@ -5,33 +5,68 @@ import cmath
 import math
 import re
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import (PotentialDescriptor, breit_wigner_fwhm,
-                            lorentzian_ode_phase, potential_weight,
-                            scalar_phase_shift, scalar_wavefunction,
+                            lorentzian_ode_phase, mp_scattering,
+                            potential_weight, scalar_wavefunction,
                             wrap_half_pi)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import Modes, refine_root, seed_mode
-from qnmlab.scattering import (MIRROR_LIMIT_NOTE, NODE_DEGENERACY_NOTE,
+from qnmlab.scattering import (DEGENERATE_TOL, MIRROR_LIMIT_NOTE,
                                enhancement_scan, phase_shift,
                                qnm_wavefunction)
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
 D0 = DimensionlessParams(kappa=0.0, W=5.0)
 
-#: The kernel squares the amplitude ratio as r * r; the scalar oracle's
-#: r ** 2 goes through libm pow, which differs from the product by one ulp
-#: on about 0.1% of points.
-ENHANCEMENT_ULPS = 1
+#: Rounding bound of the scattering kernel, in units of the error model
+#: below: each part of F, and the delay's bracket (1 - kappa) sin + 2 (W -
+#: theta) cos, is off by a few eps (|W - theta| + (1 + kappa) |sin theta|)
+#: plus a few subnormal steps, which dividing by |F| turns into the
+#: relative error of arg F, |F| and (W - theta) / |F|.
+SCATTER_ULPS = 8
 
 
 def _mode_j1():
     return refine_root(seed_mode(1, D200), D200)
+
+
+def _within(value, ref, rel, floor):
+    # value == ref first: rel may be inf where |F| is subnormal
+    return value == ref or abs(value - ref) <= rel * abs(ref) + floor
+
+
+def _assert_matches_mpmath(scan, d):
+    """Every row of scan within SCATTER_ULPS of the 40-digit closed form;
+    delta modulo pi, as the scan unwraps it."""
+    eps, step = sys.float_info.epsilon, math.ulp(0.0)
+    for t, delta, delay, enhancement in zip(*(c.tolist() for c in scan[:4])):
+        ref_delta, ref_delay, ref_enhancement, size = mp_scattering(
+            t, d.kappa, d.W)
+        if size == 0.0:  # the decoupled atom at theta = W is exact
+            assert (delta, delay, enhancement) == (0.0, 0.0, 1.0)
+            continue
+        level, sin_t = abs(d.W - t), abs(math.sin(t))
+        rel = SCATTER_ULPS * (
+            eps + (eps * (level + (1.0 + d.kappa) * sin_t) + step) / size)
+        assert _within(wrap_half_pi(delta - ref_delta), 0.0, 0.0, rel)
+        # + float min: below the normal range results round to subnormal
+        # steps, as an enhancement of 1e-600 does
+        assert _within(enhancement, ref_enhancement, rel, sys.float_info.min)
+        # delay = (kappa sin / |F|) (bracket / |F|): off by rel, and by the
+        # rounding of each factor
+        coupling = d.kappa * sin_t / size
+        bracket = ((1.0 + d.kappa) * sin_t + 2.0 * level) / size
+        assert _within(delay, ref_delay, rel, SCATTER_ULPS * (
+            (coupling * eps + step / size) * bracket + coupling * step / size)
+            + sys.float_info.min)
 
 
 # --- potential weight ---------------------------------------------------
@@ -132,14 +167,30 @@ def test_node_forms_continuously_toward_level():
     assert small == pytest.approx(1e-4 / 200.0, rel=1e-3)
 
 
-def test_degenerate_multiple_of_pi_averages_offsets():
-    p = phase_shift(math.pi, D200)
-    assert p.note == NODE_DEGENERACY_NOTE
-    assert math.isfinite(p.delta) and math.isfinite(p.enhancement)
-    lo = phase_shift(math.pi - 1e-9, D200)
-    hi = phase_shift(math.pi + 1e-9, D200)
-    assert p.delta == 0.5 * (lo.delta + hi.delta)
-    assert p.enhancement == 0.5 * (lo.enhancement + hi.enhancement)
+def test_multiple_of_pi_is_evaluated_directly():
+    # sin^2(theta + delta) / sin^2(theta) is 0/0 at theta = j*pi, but
+    # (W - theta)^2 / |F|^2 is not: F = W - theta there
+    scan = enhancement_scan(D200, [math.pi - 2e-12, math.pi, math.pi + 2e-12])
+    assert all(np.isfinite(column).all() for column in scan[:4])
+    assert scan.note.tolist() == ["", "", ""]
+    _assert_matches_mpmath(scan, D200)
+
+
+@pytest.mark.parametrize("kappa, w, thetas", [
+    (1e100, 5.0, [4.0, 4.75, 5.0 - 1e-12, 5.0, 5.0 + 1e-12, 5.5, 6.0]),
+    (1e300, 5.0, [4.0, 4.75, 5.0 - 1e-12, 5.0, 5.0 + 1e-12, 5.5, 6.0]),
+    (sys.float_info.max, 5.0, [4.0, 4.75, 5.0, 5.5, 6.0]),
+    (200.0, 0.0, [1e-300, 1e-10, 0.5, 1.0]),
+], ids=["kappa-1e100", "kappa-1e300", "kappa-max", "w-0-theta-1e-300"])
+def test_extreme_inputs_stay_finite_and_accurate(kappa, w, thetas):
+    # No intermediate overflows, and the enhancement has no rounding floor:
+    # at kappa = 1e100 it is ~1e-200, not sin^2 of a rounded node
+    d = DimensionlessParams(kappa=kappa, W=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = enhancement_scan(d, thetas)
+    assert all(np.isfinite(column).all() for column in scan[:4])
+    _assert_matches_mpmath(scan, d)
 
 
 def test_phase_rejects_bad_energy():
@@ -166,8 +217,8 @@ def test_scan_rejects_bad_energy_anywhere(bad, position):
        start=st.floats(0.01, 6.0), span=st.floats(1e-3, 8.0),
        samples=st.integers(2, 40), near_w=st.floats(-1e-9, 1e-9),
        near_node=st.floats(-2e-12, 2e-12))
-def test_scan_matches_scalar_oracle(kappa, w, start, span, samples, near_w,
-                                    near_node):
+def test_scan_matches_mpmath(kappa, w, start, span, samples, near_w,
+                             near_node):
     # The grid holds exact j*pi nodes, a point within 2e-12 of one, theta = W
     # and a point within 1e-9 of W, besides a plain linspace.
     d = DimensionlessParams(kappa=kappa, W=w)
@@ -176,14 +227,35 @@ def test_scan_matches_scalar_oracle(kappa, w, start, span, samples, near_w,
                             math.pi + near_node, w, w + near_w]])
     grid = np.sort(grid[grid > 0])
     scan = enhancement_scan(d, grid)
-    ref = [scalar_phase_shift(t, d) for t in grid.tolist()]
-    delta = np.unwrap([p.delta for p in ref], period=math.pi)
-    assert scan.delta.tobytes() == delta.tobytes()
-    assert scan.delay.tobytes() == np.array([p.delay for p in ref]).tobytes()
-    enhancement = np.array([p.enhancement for p in ref])
-    assert np.all(np.abs(scan.enhancement - enhancement)
-                  <= ENHANCEMENT_ULPS * np.spacing(enhancement))
-    assert scan.note.tolist() == [p.note for p in ref]
+    _assert_matches_mpmath(scan, d)
+    assert np.all(np.abs(np.diff(scan.delta)) <= math.pi / 2)
+    assert scan.note.tolist() == [
+        MIRROR_LIMIT_NOTE if kappa > 0 and abs(w - t) < DEGENERATE_TOL
+        else "" for t in grid.tolist()]
+
+
+@pytest.mark.parametrize("kappa, w, theta", [
+    (200.0, 5.0, 0.7), (200.0, 5.0, 3.1408), (200.0, 5.0, 4.4),
+    (200.0, 5.0, 5.3), (200.0, 5.0, 7.9), (50.0, 2.0, 2.6),
+    (1.2, 0.3, 0.2), (1.2, 0.3, 2.5),
+])
+def test_closed_forms_match_definitions(kappa, w, theta):
+    # The reference's F-based forms against the definitions they replace:
+    # delta = atan2(g sin^2, 1 - g sin cos), delay its derivative (taken
+    # numerically) and enhancement sin^2(theta + delta) / sin^2(theta)
+    delta, delay, enhancement, _ = mp_scattering(theta, kappa, w)
+    with mpmath.workdps(40):
+        def phase(x):
+            g = kappa / (w - x)
+            s, c = mpmath.sin(x), mpmath.cos(x)
+            return mpmath.atan2(g * s * s, 1 - g * s * c)
+        t = mpmath.mpf(theta)
+        ref_delta = phase(t)
+        ref_delay = mpmath.diff(phase, t)
+        ref_enhancement = (mpmath.sin(t + ref_delta) / mpmath.sin(t)) ** 2
+    assert abs(wrap_half_pi(delta - float(ref_delta))) <= 1e-15
+    assert delay == pytest.approx(float(ref_delay), rel=1e-14)
+    assert enhancement == pytest.approx(float(ref_enhancement), rel=1e-14)
 
 
 # --- resonance shape ----------------------------------------------------
@@ -248,14 +320,22 @@ def test_enhancement_width_matches_mode_decay():
     assert fwhm == pytest.approx(2.0 * width, rel=1e-3)
 
 
-def test_delay_peak_is_inverse_linewidth():
-    mode = _mode_j1()
+@pytest.mark.parametrize("kappa, w, j", [
+    (200.0, 5.0, 1),
+    # quasi-bound states: linewidths 2.5e-9 and 1.0e-10, far below the
+    # step a finite-difference delay would need
+    (2000.0, math.pi + 0.1, 1),
+    (1000.0, 2.0 * math.pi + 0.01, 2),
+])
+def test_delay_peak_is_inverse_linewidth(kappa, w, j):
+    d = DimensionlessParams(kappa=kappa, W=w)
+    mode = refine_root(seed_mode(j, d), d)
     t0 = mode.theta.real
     width = abs(mode.theta.imag)
-    grid = np.linspace(t0 - 2e-4, t0 + 2e-4, 2001)
-    delays = enhancement_scan(D200, grid).delay
+    grid = np.linspace(t0 - 5.0 * width, t0 + 5.0 * width, 2001)
+    delays = enhancement_scan(d, grid).delay
     peak = int(np.argmax(delays))
-    assert abs(grid[peak] - t0) <= 1e-5
+    assert abs(grid[peak] - t0) <= 1e-2 * width
     assert delays[peak] == pytest.approx(1.0 / width, rel=5e-3)
 
 
