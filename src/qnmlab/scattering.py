@@ -44,7 +44,8 @@ import numpy as np
 from .model import DimensionlessParams
 from .qnm import Modes
 
-#: |W - theta| below this is the perfect-mirror limit, flagged in the note.
+#: |W - theta| within this relative to W is the perfect-mirror limit,
+#: flagged in the note.
 DEGENERATE_TOL = 1e-12
 
 MIRROR_LIMIT_NOTE = "theta = W: perfect-mirror limit"
@@ -113,7 +114,7 @@ def enhancement_scan(d: DimensionlessParams, thetas) -> ScatterScan:
                  * ((1.0 - d.kappa) * sin_t + 2.0 * level * cos_t) / size
                  + 0.0)
     note = np.full(theta.shape, "", dtype=object)
-    note[(d.kappa > 0.0) & (np.abs(level) < DEGENERATE_TOL)] = \
+    note[(d.kappa > 0.0) & (np.abs(level) <= DEGENERATE_TOL * d.W)] = \
         MIRROR_LIMIT_NOTE
     return ScatterScan(theta, np.unwrap(np.arctan2(im, re), period=math.pi),
                        delay, ratio * ratio, note)

@@ -5,12 +5,14 @@ re-derived by integrating the wave equation with the atom's delta potential
 regularized as a narrow Lorentzian, the resonance width by a Breit-Wigner
 least-squares fit of the inverse enhancement, and the time-domain amplitude
 by the exact piecewise-analytic solution of the delay equation. Tests
-compare package outputs against these, never the other way round. Three
+compare package outputs against these, never the other way round. Four
 helpers are not independent on purpose: interval_recurrence_dde is the
 integrator's own method written the plain way, the bit-for-bit reference
-for its optimised loop, scalar_newton is the one-seed-at-a-time Newton
-iteration in complex scalars, the reference for the batched root kernel,
-and scalar_wavefunction is the mode profile evaluated one x at a time with
+for its optimised loop, derivative_recurrence_dde is the same method with
+derivative arrays and a division, which bounds that loop's rounding,
+scalar_newton is the one-seed-at-a-time Newton iteration in complex
+scalars, the reference for the batched root kernel, and
+scalar_wavefunction is the mode profile evaluated one x at a time with
 cmath, the reference for the array wavefunction. mp_scattering evaluates
 the scattering closed form at 40 digits, the reference that bounds the
 rounding error of the array scattering kernel. potential_weight, the
@@ -154,9 +156,90 @@ def interval_recurrence_dde(cfg, max_output_points: int = 400_000
     The reference for qnmlab.dynamics.integrate_dde, which must reproduce it
     bit for bit: the same method of steps and the same floating-point
     operations in the same order, written the direct way, with fresh arrays,
-    a recomputed growth factor and per-interval lists on every interval.
-    Raises RuntimeError above the single-excitation bound, as the package
-    does.
+    recomputed weights and growth and decay factors, and per-interval lists
+    on every interval. The forcing on interval m is alpha u_k + beta u_{k+1}
+    + gamma v_k + delta v_{k+1} over the nodes u of interval m - 1 and v of
+    interval m - 2 (zero for m = 1), and each chunk of the cumsum is
+    multiplied by exp(-lam dt k). Raises RuntimeError above the
+    single-excitation bound, as the package does.
+    """
+    from qnmlab.dynamics import _BLOCK_EXPONENT_CAP, _hermite_forcing_weights
+
+    d = cfg.d
+    kappa, w_level = d.kappa, d.W
+    n_per = int(round(2.0 / cfg.dt))
+    dt = 2.0 / n_per
+    lam = 1j * w_level + kappa / 2.0
+    half_kappa = kappa / 2.0
+    n_intervals = int(math.ceil(cfg.t_max / 2.0 - 1e-12))
+    total_steps = n_per * n_intervals
+    stride = max(1, int(total_steps / max_output_points))
+    phase_rate = w_level + math.pi
+    if phase_rate > 0:
+        stride = min(stride, max(1, int((math.pi / 2.0) / (phase_rate * dt))))
+
+    def advance(w_start, b):
+        n = b.size
+        out = np.empty(n + 1, dtype=complex)
+        out[0] = w_start
+        re_z = lam.real * dt
+        block = n if re_z * n <= _BLOCK_EXPONENT_CAP else max(
+            1, int(_BLOCK_EXPONENT_CAP / re_z))
+        k0 = 0
+        w_run = w_start
+        while k0 < n:
+            m = min(block, n - k0)
+            grow = np.exp(lam * dt * np.arange(1, m + 1))
+            decay = np.exp(-lam * dt * np.arange(1, m + 1))
+            partial = np.cumsum(b[k0:k0 + m] * grow)
+            out[k0 + 1:k0 + m + 1] = (w_run + partial) * decay
+            w_run = out[k0 + m]
+            k0 += m
+        return out
+
+    def kept(interval):
+        start = (-interval * n_per) % stride
+        return np.arange(start or stride, n_per + 1, stride)
+
+    node_times = dt * np.arange(n_per + 1)
+    w_prev = cfg.w0 * np.exp(-lam * node_times)
+    w_back = np.zeros(n_per + 1, dtype=complex)
+    out_times = [np.array([0.0]), node_times[kept(0)]]
+    out_w = [np.array([cfg.w0], dtype=complex), w_prev[kept(0)]]
+    max_abs = float(np.max(np.abs(w_prev)))
+    for m in range(1, n_intervals):
+        c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
+        alpha = half_kappa * (c_wa - lam * c_da)
+        beta = half_kappa * (c_wb - lam * c_db)
+        gamma = half_kappa * half_kappa * c_da
+        delta = half_kappa * half_kappa * c_db
+        b = (alpha * w_prev[:-1] + beta * w_prev[1:] + gamma * w_back[:-1]
+             + delta * w_back[1:])
+        w_cur = advance(w_prev[-1], b)
+        keep = kept(m)
+        out_times.append(2.0 * m + node_times[keep])
+        out_w.append(w_cur[keep])
+        max_abs = max(max_abs, float(np.max(np.abs(w_cur))))
+        w_prev, w_back = w_cur, w_prev
+    if max_abs > 1.0 + 1e-6:
+        raise RuntimeError(f"|w| reached {max_abs}")
+    times = np.concatenate(out_times)
+    w = np.concatenate(out_w)
+    inside = times <= cfg.t_max + 0.5 * dt
+    return times[inside], w[inside], max_abs
+
+
+def derivative_recurrence_dde(cfg, max_output_points: int = 400_000
+                              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(times, w, peak |w|) of the DDE by the earlier interval recurrence.
+
+    The same method of steps as interval_recurrence_dde, with the Hermite
+    forcing (kappa/2)(c_wa w_k + c_da d_k + c_wb w_{k+1} + c_db d_{k+1})
+    read from a derivative array d = -lam w_{m-1} + (kappa/2) w_{m-2} kept
+    per interval, and each chunk of the cumsum divided by its growth
+    factor. Algebraically the same as integrate_dde, it bounds the rounding
+    that the derivative-free form changed. Raises RuntimeError above the
+    single-excitation bound.
     """
     from qnmlab.dynamics import _BLOCK_EXPONENT_CAP, _hermite_forcing_weights
 
@@ -335,7 +418,7 @@ def potential_weight(theta: float, d: DimensionlessParams) -> PotentialDescripto
         raise ValueError(f"theta must be positive, got {theta}")
     if d.kappa == 0.0:
         return PotentialDescriptor(position=1.0, strength=0.0, singular=False)
-    if abs(d.W - theta) < DEGENERATE_TOL:
+    if abs(d.W - theta) <= DEGENERATE_TOL * d.W:
         return PotentialDescriptor(position=1.0, strength=math.inf,
                                    singular=True)
     return PotentialDescriptor(position=1.0,

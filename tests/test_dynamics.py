@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from qnmlab.dynamics import (_RING, DdeConfig, FitWindowError, evolve_atom,
                              fit_decay, integrate_dde, pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
-from oracle_helpers import interval_recurrence_dde, piecewise_delay_solution
+from oracle_helpers import (derivative_recurrence_dde, interval_recurrence_dde,
+                            piecewise_delay_solution)
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -42,13 +44,25 @@ def test_before_first_round_trip_decay_is_free_space():
     assert err.max() <= 1e-8
 
 
-def test_decoupled_atom_only_rotates():
-    cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=5.0), t_max=50.0)
+@pytest.mark.parametrize("w_level", [2.0, 5.0, 7.3])
+def test_decoupled_atom_only_rotates(w_level):
+    # |w| drifts by rounding up or down depending on W; the fit reads
+    # either as no decay
+    cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=w_level), t_max=50.0)
     res = evolve_atom(cfg)
     assert np.max(np.abs(np.abs(res.w) - 1.0)) <= 1e-12
-    expected = np.exp(-5.0j * res.times)
+    expected = np.exp(-1j * w_level * res.times)
     assert np.max(np.abs(res.w - expected)) <= 1e-9
     assert res.fit.gamma_fit == 0.0
+
+
+def test_decoupled_atom_rotates_accurately_for_long():
+    # 10^4 intervals, each one exact rotation factor per node: the phase
+    # error stays below 1e-12 and |w| at 1 to a few roundings
+    cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=5.0), t_max=20000.0)
+    traj = integrate_dde(cfg)
+    assert np.max(np.abs(traj.w - np.exp(-5.0j * traj.times))) <= 1e-12
+    assert traj.peak_abs_w <= 1.0 + 1e-13
 
 
 def test_matches_interval_polynomial_solution():
@@ -104,6 +118,27 @@ def test_ring_blocks_reproduce_interval_recurrence_bit_for_bit(
     assert traj.peak_abs_w == peak
 
 
+# (kappa, W, t_max) of the nine bit-for-bit tests, then the README example
+_RECURRENCE_CONFIGS = [
+    (50.0, 2.0, 400.0), (0.0, 5.0, 50.0), (1000.0, 3.1516, 400.0),
+    (50.0, 2.0, 1202.0), (50.0, 2.0, 2806.0), (50.0, 2.0, 2.0 * (_BLOCKS - 1)),
+    (50.0, 2.0, 2.0 * _BLOCKS), (50.0, 2.0, 2.0 * (_BLOCKS + 1)),
+    (1.4e6, 2.0, 20.0), (50.0, 2.0, 6522.0),
+]
+
+
+@pytest.mark.parametrize("kappa, w_level, t_max", _RECURRENCE_CONFIGS)
+def test_integration_matches_derivative_recurrence(kappa, w_level, t_max):
+    # the DDE-substituted forcing and the multiply by exp(-lam dt k) only
+    # round differently from derivative arrays and a division
+    cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
+                    t_max=t_max)
+    traj = integrate_dde(cfg)
+    times, w_ref, _ = derivative_recurrence_dde(cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.w - w_ref)) <= 1e-13
+
+
 def test_failed_fit_keeps_the_trajectory():
     # |w| underflows inside the default window, so the fit must refuse
     cfg = DdeConfig(d=DimensionlessParams(kappa=1000.0, W=3.1516),
@@ -139,6 +174,17 @@ def test_stiffest_accepted_step_reproduces_interval_recurrence():
     assert traj.peak_abs_w == peak <= 1.0
 
 
+def test_stiffest_accepted_config_integrates_without_overflow():
+    # kappa * dt / 2 = 709.75: exp(709.75) is within 2% of float max, and
+    # its inverse is subnormal
+    cfg = DdeConfig(d=DimensionlessParams(kappa=1.4195e6, W=2.0), t_max=40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_dde(cfg)
+    assert np.isfinite(traj.w).all()
+    assert traj.peak_abs_w <= 1.0
+
+
 def test_single_excitation_norm_never_exceeds_one():
     res = evolve_atom(DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0),
                                 t_max=334.0), fit_window=(167.0, 334.0))
@@ -154,6 +200,14 @@ def test_fit_recovers_synthetic_decay_exactly():
     assert fit.omega_fit == pytest.approx(2.5, abs=1e-12)
     assert fit.gamma_fit == pytest.approx(3e-4, abs=1e-12)
     assert fit.fit_residual <= 1e-12
+
+
+def test_fit_keeps_a_slow_real_decay():
+    # ln|w| falls by 1e-9 over the window: far above rounding drift
+    s = np.linspace(0.0, 100.0, 5001)
+    gamma = 1e-9 / 80.0
+    fit = fit_decay(s, np.exp((-2.5j - gamma) * s), (20.0, 100.0))
+    assert fit.gamma_fit == pytest.approx(gamma, rel=1e-3)
 
 
 def test_fit_window_validation():

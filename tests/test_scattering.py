@@ -191,6 +191,9 @@ def test_extreme_inputs_stay_finite_and_accurate(kappa, w, thetas):
         scan = enhancement_scan(d, thetas)
     assert all(np.isfinite(column).all() for column in scan[:4])
     _assert_matches_mpmath(scan, d)
+    if w == 0.0:
+        # theta = 1e-300 is not W = 0: its enhancement is 2.48e-5, not 0
+        assert scan.note.tolist() == ["", "", "", ""]
 
 
 def test_phase_rejects_bad_energy():
@@ -230,7 +233,7 @@ def test_scan_matches_mpmath(kappa, w, start, span, samples, near_w,
     _assert_matches_mpmath(scan, d)
     assert np.all(np.abs(np.diff(scan.delta)) <= math.pi / 2)
     assert scan.note.tolist() == [
-        MIRROR_LIMIT_NOTE if kappa > 0 and abs(w - t) < DEGENERATE_TOL
+        MIRROR_LIMIT_NOTE if kappa > 0 and abs(w - t) <= DEGENERATE_TOL * w
         else "" for t in grid.tolist()]
 
 
