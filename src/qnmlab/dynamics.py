@@ -118,6 +118,7 @@ class FitResult(NamedTuple):
     omega_fit: float
     gamma_fit: float
     fit_residual: float
+    samples: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,8 @@ def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
     one array, neighbouring rows sharing the node that ends one interval
     and starts the next. Once per ring (and after the last interval) |w|,
     the peak and the thinned output are taken over every node of the
-    filled rows in one pass each, so the guard sees every node.
+    filled rows in one pass each, so the guard sees every node. The output
+    grid is built in place, so the peak memory is about the output arrays.
     """
     kappa, w_level = cfg.d.kappa, cfg.d.W
     n_per = cfg.n_per
@@ -230,11 +232,16 @@ def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
     stride = min(stride, max(1, int(math.pi / 2.0 / (phase_rate * dt))))
 
     # Kept samples are the nodes whose global step index g is a multiple of
-    # the stride; node g > 0 is node i = g - m n_per of interval m.
-    g = np.arange(0, total_steps + 1, stride)
-    interval = np.maximum(g - 1, 0) // n_per
-    times = ROUND_TRIP * interval + dt * (g - n_per * interval)
-    w_out = np.empty(g.size, dtype=complex)
+    # the stride; node g > 0 is node i = g - m n_per of interval m, at time
+    # ROUND_TRIP m + dt i: of these integer-valued floats only dt i rounds.
+    times = np.arange(0, total_steps + 1, stride, dtype=float)  # g
+    start = np.maximum(times - 1.0, 0.0)
+    start -= np.fmod(start, n_per)  # m n_per
+    times -= start  # i
+    times *= dt
+    times += start / (n_per / ROUND_TRIP)  # ROUND_TRIP m
+    del start
+    w_out = np.empty(times.size, dtype=complex)
     w_out[0] = cfg.w0
 
     c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
@@ -300,7 +307,7 @@ def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
             f"|w| reached {peak}, above the single-excitation bound; "
             f"integration convention bug")
 
-    inside = int(np.count_nonzero(times <= cfg.t_max + 0.5 * dt))
+    inside = int(np.searchsorted(times, cfg.t_max + 0.5 * dt, side="right"))
     return DdeTrajectory(times=times[:inside], w=w_out[:inside], dt_used=dt,
                          n_per=n_per, n_intervals=n_intervals, stride=stride,
                          peak_abs_w=float(peak))
@@ -332,45 +339,63 @@ def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None
 
 def fit_decay(times: np.ndarray, w: np.ndarray,
               window: tuple[float, float]) -> FitResult:
-    """Fit ln|w| to a line and the unwrapped phase slope over a window.
+    """Fit ln|w| to a line and the phase slope over a window, in closed form.
 
-    gamma_fit is minus the ln|w| slope, 0 for rounding drift (a fall by at
-    most _FLAT_LOG_DRIFT across the samples or a rise slower than 1e-10),
-    omega_fit is the mean of -d(arg w)/ds on the unwrapped phase,
-    fit_residual is the RMS deviation of ln|w| from the line. The window
-    must start at or after FIT_START (skipping the direct-decay transient)
-    and contain at least 100 samples, all finite.
+    The window is the slice of times (strictly increasing) between two binary
+    searches. gamma_fit is minus the least-squares slope of ln|w|, the sum of
+    centred s times centred ln|w| over the sum of centred s squared (no
+    LAPACK), 0 for rounding drift (a fall by at most _FLAT_LOG_DRIFT across
+    the samples or a rise slower than 1e-10); fit_residual is the RMS
+    deviation from that line; omega_fit is the mean of -d(arg w)/ds, each
+    step of arg w less its nearest multiple of 2 pi (integrate_dde keeps the
+    steps below ~pi/2); samples counts the window. Beyond its inputs the fit
+    allocates two window-length float arrays. The window must start at or
+    after FIT_START (skipping the direct-decay transient) and hold at least
+    100 finite samples with |w| >= 1e-300; each refusal names its remedy.
     """
     s0, s1 = float(window[0]), float(window[1])
     if s0 < FIT_START * (1 - 1e-12):
         raise FitWindowError(
             f"window start {s0} is inside the transient; need >= {FIT_START}")
     if not s0 < s1:
-        raise FitWindowError(f"empty window [{s0}, {s1}]")
-    mask = (times >= s0) & (times <= s1)
-    n = int(np.count_nonzero(mask))
+        raise FitWindowError(f"empty window [{s0}, {s1}]; end the window "
+                             f"after its start")
+    if not np.greater(times[1:], times[:-1]).all():
+        raise FitWindowError("times are not strictly increasing; sort them")
+    lo, hi = np.searchsorted(times, s0), np.searchsorted(times, s1, "right")
+    s, w, n = times[lo:hi], w[lo:hi], int(hi - lo)
     if n < 100:
-        raise FitWindowError(f"only {n} samples in [{s0}, {s1}]; need >= 100")
-    s, w = times[mask], w[mask]
+        raise FitWindowError(f"only {n} samples in [{s0}, {s1}]; need >= 100: "
+                             f"widen the window or increase --t-max")
     if not np.isfinite(w).all():
-        raise FitWindowError(f"w is not finite inside [{s0}, {s1}]")
-    amp = np.abs(w)
-    if np.min(amp) < 1e-300:
-        raise FitWindowError(
-            "|w| underflows inside the window; shorten t_max or the window")
-    log_amp = np.log(amp)
-    slope, intercept = np.polyfit(s, log_amp, 1)
-    gamma = -float(slope)
+        raise FitWindowError(f"w is not finite inside [{s0}, {s1}]; pass "
+                             f"finite samples")
+    log_amp = np.abs(w)
+    if np.min(log_amp) < 1e-300:
+        raise FitWindowError("|w| underflows inside the window; shorten "
+                             "--t-max or the window")
+    np.log(log_amp, out=log_amp)
+    log_amp -= np.mean(log_amp)
+    centred = s - np.mean(s)
+    slope = float(np.dot(centred, log_amp) / np.dot(centred, centred))
+    gamma = -slope
     if gamma <= -1e-10:
         raise FitWindowError(
-            f"window shows amplitude growth (gamma = {gamma}); "
-            f"not a decay tail")
+            f"window shows amplitude growth (gamma = {gamma}); not a decay "
+            f"tail: increase --t-max or pass a later --fit-start/--fit-end")
     if gamma * (s[-1] - s[0]) <= _FLAT_LOG_DRIFT:
         gamma = 0.0
-    residual = float(np.sqrt(np.mean((log_amp - (slope * s + intercept))**2)))
-    phase = np.unwrap(np.angle(w))
-    omega = -float(np.mean(np.diff(phase) / np.diff(s)))
-    return FitResult(omega, gamma, residual)
+    centred *= slope
+    log_amp -= centred
+    residual = math.sqrt(np.dot(log_amp, log_amp) / n)
+    # minus each step of arg w, less its nearest multiple of 2 pi, per unit s
+    phase = np.arctan2(w.imag, w.real, out=log_amp)
+    step = np.subtract(phase[:-1], phase[1:], out=centred[1:])
+    turns = np.divide(step, 2.0 * math.pi, out=log_amp[1:])
+    np.rint(turns, out=turns)
+    step -= np.multiply(turns, 2.0 * math.pi, out=turns)
+    step /= np.subtract(s[1:], s[:-1], out=log_amp[1:])
+    return FitResult(float(np.mean(step)), gamma, residual, n)
 
 
 def pole_check(d: DimensionlessParams, theta: complex) -> float:

@@ -17,6 +17,8 @@ cmath, the reference for the array wavefunction. mp_scattering evaluates
 the scattering closed form at 40 digits, the reference that bounds the
 rounding error of the array scattering kernel. potential_weight, the
 atom's effective delta-mirror weight, is checked by the tests alone.
+polyfit_decay is the earlier tail fit by np.polyfit and np.unwrap, the
+reference that bounds the rounding of the closed-form fit.
 """
 
 from __future__ import annotations
@@ -301,6 +303,50 @@ def derivative_recurrence_dde(cfg, max_output_points: int = 400_000
     w = np.concatenate(out_w)
     inside = times <= cfg.t_max + 0.5 * dt
     return times[inside], w[inside], max_abs
+
+
+def polyfit_decay(times: np.ndarray, w: np.ndarray,
+                  window: tuple[float, float]) -> tuple[float, float, float]:
+    """(omega_fit, gamma_fit, fit_residual) by the earlier tail fit.
+
+    The reference for qnmlab.dynamics.fit_decay, kept as it was: a boolean
+    mask selects the window, np.polyfit (a LAPACK least squares on the
+    Vandermonde matrix) fits ln|w| to a line and np.unwrap unwraps the
+    phase. gamma_fit is minus the slope, 0 for rounding drift; the window
+    checks raise ValueError.
+    """
+    from qnmlab.dynamics import _FLAT_LOG_DRIFT, FIT_START
+
+    s0, s1 = float(window[0]), float(window[1])
+    if s0 < FIT_START * (1 - 1e-12):
+        raise ValueError(
+            f"window start {s0} is inside the transient; need >= {FIT_START}")
+    if not s0 < s1:
+        raise ValueError(f"empty window [{s0}, {s1}]")
+    mask = (times >= s0) & (times <= s1)
+    n = int(np.count_nonzero(mask))
+    if n < 100:
+        raise ValueError(f"only {n} samples in [{s0}, {s1}]; need >= 100")
+    s, w = times[mask], w[mask]
+    if not np.isfinite(w).all():
+        raise ValueError(f"w is not finite inside [{s0}, {s1}]")
+    amp = np.abs(w)
+    if np.min(amp) < 1e-300:
+        raise ValueError(
+            "|w| underflows inside the window; shorten t_max or the window")
+    log_amp = np.log(amp)
+    slope, intercept = np.polyfit(s, log_amp, 1)
+    gamma = -float(slope)
+    if gamma <= -1e-10:
+        raise ValueError(
+            f"window shows amplitude growth (gamma = {gamma}); "
+            f"not a decay tail")
+    if gamma * (s[-1] - s[0]) <= _FLAT_LOG_DRIFT:
+        gamma = 0.0
+    residual = float(np.sqrt(np.mean((log_amp - (slope * s + intercept))**2)))
+    phase = np.unwrap(np.angle(w))
+    omega = -float(np.mean(np.diff(phase) / np.diff(s)))
+    return omega, gamma, residual
 
 
 def _char(theta: complex, kappa: float, w: complex) -> complex:

@@ -403,6 +403,24 @@ def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
     assert err.startswith("qnmlab evolve: decay fit failed: ")
 
 
+@pytest.mark.parametrize("argv, remedy, wrong", [
+    # |w| underflows before the earliest window: a longer run cannot help
+    (["--kappa", "1419500", "--w", "2", "--t-max", "40"], "shorten",
+     "increase --t-max"),
+    # the beating tail of a short run: a longer run or a later window can
+    (["--kappa", "200", "--w", "5", "--t-max", "100"],
+     "increase --t-max or pass a later --fit-start/--fit-end", "shorten"),
+], ids=["stiff", "short"])
+def test_failed_fit_names_its_own_remedy_once(tmp_path, capsys, argv,
+                                              remedy, wrong):
+    code = main(["evolve", *argv, "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("qnmlab evolve: decay fit failed: ")
+    assert err.count(remedy) == 1 and wrong not in err
+
+
 def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
     # the fit fails (exit 1), but the integrated run is written out
     code = main(["evolve", "--kappa", "200", "--w", "5", "--t-max", "100",
@@ -446,7 +464,9 @@ def test_evolve_manifest_blocks(tmp_path, kappa, t_max, code):
     assert manifest["fit"] == {"omega_fit": fit.omega_fit,
                                "gamma_fit": fit.gamma_fit,
                                "fit_residual": fit.fit_residual,
+                               "samples": fit.samples,
                                "dt_used": traj.dt_used}
+    assert fit.samples == 20001     # s = 20, 20.001, ..., 40
 
 
 # --- CSV writer -----------------------------------------------------------
@@ -699,6 +719,27 @@ def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=60).returncode == 0
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("verify must not need a LAPACK least squares")
+
+
+def test_verify_quick_needs_no_least_squares_solver(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "polyfit", _raise)
+    monkeypatch.setattr(np.linalg, "lstsq", _raise)
+    assert main(["verify", "--quick", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_verify_quick_does_not_load_numpy_random(tmp_path):
+    # the pole-identity points come from the standard library's generator
+    code = ("import sys, qnmlab.cli; "
+            "code = qnmlab.cli.main(['verify', '--quick', '--out-dir', "
+            "sys.argv[1]]); "
+            "sys.exit(code or 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, timeout=120).returncode == 0
 
 
 def test_version_flag(capsys):

@@ -1,18 +1,21 @@
 """Delay-differential evolution of the atomic amplitude and decay fitting."""
 
 import cmath
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from qnmlab.dynamics import (_RING, DdeConfig, FitWindowError, evolve_atom,
-                             fit_decay, integrate_dde, pole_check)
+from qnmlab.dynamics import (_RING, FIT_START, ROUND_TRIP, DdeConfig,
+                             FitWindowError, evolve_atom, fit_decay,
+                             integrate_dde, pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
 from oracle_helpers import (derivative_recurrence_dde, interval_recurrence_dde,
-                            piecewise_delay_solution)
+                            piecewise_delay_solution, polyfit_decay)
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -285,6 +288,123 @@ def test_config_and_integrator_share_the_step_grid():
     traj = integrate_dde(cfg)
     assert cfg.n_per == traj.n_per == round(2.0 / 1.3e-3)
     assert traj.dt_used == 2.0 / cfg.n_per
+
+
+# --- closed-form fit and output grid -------------------------------------
+
+# (kappa, W, t_max): the README example, then the three seeded evolve runs
+# of the time-domain benchmark (seed 1), each fitted over [t_max/2, t_max]
+README_RUN = (50.0, 2.0, 6522.0)
+SEEDED_RUNS = [(42.77082964881827, 4.1293426540381475, 6438.0),
+               (45.39267478251692, 7.0244445823613715, 12818.0),
+               (111.67522699950392, 2.1030341380000053, 38010.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _trajectory(kappa, w_level, t_max):
+    return integrate_dde(DdeConfig(d=DimensionlessParams(kappa=kappa,
+                                                         W=w_level),
+                                   t_max=t_max))
+
+
+def _synthetic(rate):
+    s = np.linspace(0.0, 100.0, 5001)
+    return s, np.exp(rate * s)
+
+
+def _fit_case(case):
+    if case == "readme":
+        traj = _trajectory(*README_RUN)
+        return traj.times, traj.w, (FIT_START, float(traj.times[-1]))
+    if case == "decoupled":
+        traj = _trajectory(0.0, 5.0, 50.0)
+        return traj.times, traj.w, (FIT_START, 50.0)
+    if case.startswith("seeded"):
+        run = SEEDED_RUNS[int(case[-1])]
+        traj = _trajectory(*run)
+        return traj.times, traj.w, (run[2] / 2.0, run[2])
+    rate = {"synthetic": -2.5j - 3e-4, "synthetic-slow": -2.5j - 1e-9 / 80.0}
+    return (*_synthetic(rate[case]), (20.0, 100.0))
+
+
+@pytest.mark.parametrize("case", [
+    "readme", "seeded-0", "seeded-1", "seeded-2", "decoupled", "synthetic",
+    "synthetic-slow"])
+def test_fit_matches_polyfit_oracle(case):
+    times, w, window = _fit_case(case)
+    fit = fit_decay(times, w, window)
+    omega, gamma, residual = polyfit_decay(times, w, window)
+    assert fit.omega_fit == pytest.approx(omega, rel=1e-12)
+    assert fit.gamma_fit == pytest.approx(gamma, rel=1e-12)
+    # a residual at the rounding of ln|w| has no relative digits
+    assert fit.fit_residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
+    assert fit.samples == np.count_nonzero(
+        (times >= window[0]) & (times <= window[1]))
+    if case == "decoupled":
+        assert fit.gamma_fit == gamma == 0.0
+
+
+def test_fit_reads_the_phase_of_a_tiny_tail():
+    # |w| ~ 1e-200: a product w[k+1] conj(w[k]) would underflow to 0
+    s, w = _synthetic(-2.5j - 3e-4)
+    fit = fit_decay(s, 1e-200 * w, (20.0, 100.0))
+    assert fit.omega_fit == pytest.approx(2.5, abs=1e-12)
+    assert fit.gamma_fit == pytest.approx(3e-4, rel=1e-9)
+
+
+@pytest.mark.parametrize("run, stride", [
+    ((0.0, 5.0, 50.0), 1), (README_RUN, 16), (SEEDED_RUNS[2], 95),
+    ((50.0, 2.0, 6523.0), 16),      # odd t_max: the last interval is cut
+], ids=["stride-1", "stride-16", "stride-95", "odd-t-max"])
+def test_output_grid_matches_its_integer_expression(run, stride):
+    traj = _trajectory(*run)
+    assert traj.stride == stride
+    g = np.arange(0, traj.n_per * traj.n_intervals + 1, stride)
+    interval = np.maximum(g - 1, 0) // traj.n_per
+    times = ROUND_TRIP * interval + traj.dt_used * (g - traj.n_per * interval)
+    inside = times <= run[2] + 0.5 * traj.dt_used
+    assert np.array_equal(traj.times, times[inside])
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_integration_and_fit_allocate_little_beyond_their_results():
+    cfg = DdeConfig(d=DimensionlessParams(kappa=50.0, W=2.0), t_max=6522.0)
+    traj, peak = _traced_peak(integrate_dde, cfg)
+    assert peak <= 1.1 * (traj.times.nbytes + traj.w.nbytes)
+    window = (FIT_START, float(traj.times[-1]))
+    fit, peak = _traced_peak(fit_decay, traj.times, traj.w, window)
+    assert peak <= 3 * 8 * fit.samples
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the tail fit must not need a LAPACK least squares")
+
+
+def test_fit_needs_no_least_squares_solver(monkeypatch):
+    monkeypatch.setattr(np, "polyfit", _raise)
+    monkeypatch.setattr(np.linalg, "lstsq", _raise)
+    res = evolve_atom(DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0),
+                                t_max=334.0), fit_window=(167.0, 334.0))
+    assert res.fit.gamma_fit > 0.0
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["repeated", "swapped"])
+def test_fit_refuses_unsorted_times(swap):
+    s, w = _synthetic(-2.5j - 3e-4)
+    if swap:
+        s[3000], s[3001] = s[3001], s[3000]
+    else:
+        s[3001] = s[3000]
+    with pytest.raises(FitWindowError, match="strictly increasing"):
+        fit_decay(s, w, (20.0, 100.0))
 
 
 # --- pole condition -------------------------------------------------------
