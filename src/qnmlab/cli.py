@@ -34,7 +34,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .dynamics import DdeConfig, FitWindowError, evolve_atom, pole_check
+from .dynamics import (DdeConfig, FitWindowError, evolve_atom, fit_tail,
+                       pole_check)
 from .model import DimensionlessParams
 from .platforms import (RamanSpec, SquidSpec, raman_coupling, squid_coupling,
                         squid_level_spacing)
@@ -324,7 +325,9 @@ def _check_root_count(tol: float) -> tuple[bool, str]:
                               f"refinement found {found} distinct roots")
 
 
-def _check_dde_agreement(full: bool, tol: float) -> tuple[bool, str]:
+def _check_dde_agreement(full: bool, tol: float,
+                         records: list) -> tuple[bool, str]:
+    """Check the DDE tail fit against the slowest mode; record each run."""
     configs = [(50.0, 2.0)] + ([(200.0, 5.0)] if full else [])
     details = []
     ok = True
@@ -333,8 +336,10 @@ def _check_dde_agreement(full: bool, tol: float) -> tuple[bool, str]:
         star = slowest_mode(d, tol=tol).theta
         gamma = abs(star.imag)
         t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
-        fit = evolve_atom(DdeConfig(d=d, t_max=t_max),
-                          fit_window=(t_max / 2.0, t_max)).fit
+        fit, record = fit_tail(DdeConfig(d=d, t_max=t_max),
+                               (t_max / 2.0, t_max))
+        records.append({"kappa": kappa, "w": w, "t_max": t_max, **record,
+                        "samples": fit.samples})
         err_w = abs(fit.omega_fit - star.real) / abs(star.real)
         err_g = abs(fit.gamma_fit - gamma) / gamma
         details.append(f"({kappa:g},{w:g}): omega off {err_w:.2e}, "
@@ -352,10 +357,11 @@ def _check_bound_state(tol: float) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace, run: _Run) -> int:
+    dde = run.extras["dde"] = []
     checks = [
         ("pole_identity", *_check_pole_identity(1000 if args.full else 200)),
         ("root_count_certification", *_check_root_count(args.tol)),
-        ("dde_vs_root", *_check_dde_agreement(args.full, args.tol)),
+        ("dde_vs_root", *_check_dde_agreement(args.full, args.tol, dde)),
         ("bound_state_in_continuum", *_check_bound_state(args.tol)),
     ]
     payload = [{"name": name, "passed": passed, "detail": detail}

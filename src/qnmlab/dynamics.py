@@ -22,7 +22,9 @@ is how the frequency-domain solver is cross-checked: fit_decay extracts
 (omega_fit, gamma_fit) from a tail window and pole_check verifies that a
 characteristic zero is a pole of the DDE's Laplace transform. evolve_atom
 runs both steps and returns the one DdeTrajectory it integrated, with the
-fit and the wall seconds of each step filled in.
+fit and the wall seconds of each step filled in. DdeStream and TailFit run
+the same steps chunk by chunk, and fit_tail joins them for a caller that
+needs only the fit.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ FIT_START = 10.0 * ROUND_TRIP
 
 #: Output samples kept by integrate_dde, roughly (thinned in whole steps).
 MAX_OUTPUT_POINTS = 400_000
+
+#: Output rows per DdeStream chunk, and per slice fit_decay feeds TailFit.
+CHUNK_ROWS = 8192
 
 #: Largest |Re(lambda)*s| span handled in one vectorised block before the
 #: running rescale kicks in (exp(400) is still comfortably inside float64).
@@ -186,131 +191,172 @@ def _hermite_forcing_weights(z: complex, dt: float) -> tuple[complex, complex,
     return c_wa, c_da, c_wb, c_db
 
 
+class DdeStream:
+    """The integration of one DdeConfig, run as a stream of output chunks.
+
+    Fixed on construction: n_per steps per delay interval of dt,
+    n_intervals intervals, every stride-th step kept (thinned only in whole
+    steps, to about MAX_OUTPUT_POINTS and a phase advance of at most ~pi/2)
+    and rows samples up to t_max. peak_abs_w, the largest |w| over every
+    node, is set once chunks() is exhausted.
+    """
+
+    def __init__(self, cfg: DdeConfig) -> None:
+        self.cfg, self.n_per = cfg, cfg.n_per
+        self.dt = ROUND_TRIP / self.n_per
+        self.n_intervals = int(math.ceil(cfg.t_max / ROUND_TRIP - 1e-12))
+        total_steps = self.n_per * self.n_intervals
+        stride = max(1, int(total_steps / MAX_OUTPUT_POINTS))
+        phase_rate = cfg.d.W + math.pi  # generous bound on |Re theta| of the tail
+        self.stride = min(stride, max(1, int(math.pi / 2.0
+                                             / (phase_rate * self.dt))))
+        # only the last interval can reach past t_max
+        first = (total_steps - self.n_per) // self.stride
+        tail = self._times(first, total_steps // self.stride + 1)
+        self.rows = first + int(tail.searchsorted(cfg.t_max + 0.5 * self.dt,
+                                                  side="right"))
+        self.peak_abs_w = math.nan
+
+    def _times(self, row: int, stop: int) -> np.ndarray:
+        """Times of output rows row..stop - 1, kept at every stride-th node.
+
+        Node g > 0 is node i = g - m n_per of interval m, at time ROUND_TRIP
+        m + dt i: of these integer-valued floats only dt i rounds.
+        """
+        g = np.arange(row * self.stride, stop * self.stride, self.stride,
+                      dtype=float)
+        start = np.maximum(g - 1.0, 0.0)
+        start -= np.fmod(start, self.n_per)  # m n_per
+        g -= start  # i
+        g *= self.dt
+        g += start / (self.n_per / ROUND_TRIP)  # ROUND_TRIP m
+        return g
+
+    def chunks(self, out: tuple[np.ndarray, np.ndarray] | None = None):
+        """Integrate the DDE, yielding (times, w) of at most CHUNK_ROWS rows.
+
+        The chunks are views of one reused buffer, or successive views of
+        out = (times, w) of self.rows rows. Raises RuntimeError after the
+        last interval if |w| ever exceeded 1 by more than 1e-6 at a node:
+        the dynamics conserve the single-excitation norm.
+
+        Within delay interval m the step recurrence w_{k+1} = exp(-lam dt)
+        w_k + b_k is solved as a cumsum: w_k = exp(-lam k dt) (w_0 +
+        S_{k-1}) with S_k = sum_{j<=k} exp(lam (j+1) dt) b_j. b_k, the
+        exact step integral of the cubic-Hermite history, takes its
+        derivatives from the DDE, so it is alpha u_k + beta u_{k+1} +
+        gamma v_k + delta v_{k+1} over the nodes u of interval m - 1 and v
+        of m - 2 (v = 0 for m = 1), with alpha = (kappa/2)(c_wa - lam
+        c_da), beta = (kappa/2)(c_wb - lam c_db), gamma = (kappa/2)^2 c_da
+        and delta = (kappa/2)^2 c_db. The growing factor spans exp(kappa)
+        over an interval, so the work is split into blocks that keep every
+        intermediate below exp(400). The weights, the factor, its inverse
+        (an exp, not a division) and the block spans are computed once per
+        run: 7 array passes per interval and 4 per block, within 1e-13
+        absolute of the same method with derivative arrays and a division.
+
+        Each interval is written into a ring of _RING rows laid end to end
+        in one array, neighbouring rows sharing the node that ends one
+        interval and starts the next. Once per ring (and after the last
+        interval) |w|, the peak and the kept nodes are taken over every
+        node of the filled rows, so the guard sees every node.
+        """
+        cfg, n_per, dt, stride = self.cfg, self.n_per, self.dt, self.stride
+        kappa, n_intervals = cfg.d.kappa, self.n_intervals
+        lam = 1j * cfg.d.W + kappa / 2.0
+        half_kappa = kappa / 2.0
+        times, w_out = out if out is not None else (
+            np.empty(CHUNK_ROWS), np.empty(CHUNK_ROWS, dtype=complex))
+
+        c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
+        alpha = half_kappa * (c_wa - lam * c_da)
+        beta = half_kappa * (c_wb - lam * c_db)
+        gamma = half_kappa * half_kappa * c_da
+        delta = half_kappa * half_kappa * c_db
+        re_z = lam.real * dt
+        block = n_per if re_z * n_per <= _BLOCK_EXPONENT_CAP else max(
+            1, int(_BLOCK_EXPONENT_CAP / re_z))
+        grow = np.exp(lam * dt * np.arange(1, block + 1))
+        decay = np.exp(-lam * dt * np.arange(1, block + 1))
+
+        # Row m % _RING holds interval m; the last row's zeros are interval -1.
+        ring = np.zeros(_RING * n_per + 1, dtype=complex)
+        abs_ring = np.empty(ring.size)
+        rows = [ring[r * n_per:(r + 1) * n_per + 1] for r in range(_RING)]
+        node_times = dt * np.arange(n_per + 1)
+        rows[0][:] = cfg.w0 * np.exp(-lam * node_times)  # interval 0: closed form
+        # Products never overwrite an operand: numpy's in-place multiply of a
+        # one-element array can round differently from the out-of-place one.
+        acc = np.empty(n_per, dtype=complex)
+        b = np.empty(n_per, dtype=complex)
+        edges = [*range(0, n_per, block), n_per]
+        spans = [(acc[k0:k1], b[k0:k1], grow[:k1 - k0], decay[:k1 - k0],
+                  k0 + 1, k1 + 1) for k0, k1 in zip(edges, edges[1:])]
+        # rows done are yielded; the open chunk holds fill rows from base
+        w_out[0] = cfg.w0
+        done, base, fill, peak = 0, 0, 1, 0.0
+
+        for m in range(1, n_intervals):
+            r = m % _RING
+            w_prev, w_back, w_cur = rows[r - 1], rows[r - 2], rows[r]
+            # b_k first: row r ends on w_back's node 0 unless r is the last row
+            np.multiply(alpha, w_prev[:-1], out=acc)
+            np.multiply(beta, w_prev[1:], out=b)
+            np.add(acc, b, out=acc)
+            np.multiply(gamma, w_back[:-1], out=b)
+            np.add(acc, b, out=acc)
+            np.multiply(delta, w_back[1:], out=b)
+            np.add(acc, b, out=b)
+
+            w_cur[0] = w_run = w_prev[-1]  # a copy only where row 0 wraps
+            for part, forcing, up, down, lo, hi in spans:
+                np.multiply(forcing, up, out=part)
+                np.add.accumulate(part, out=part)
+                np.add(w_run, part, out=part)
+                np.multiply(part, down, out=w_cur[lo:hi])
+                w_run = w_cur[hi - 1]
+
+            if r == _RING - 1 or m == n_intervals - 1:
+                # rows 0..r hold intervals m - r..m; node 0 of row 0 was kept
+                # (or is w0) with the previous block
+                nodes = ring[:(r + 1) * n_per + 1]
+                # np.maximum, unlike max(), keeps a NaN peak, which fails the
+                # guard.
+                peak = np.maximum(peak, np.maximum.reduce(
+                    np.abs(nodes, out=abs_ring[:nodes.size])))
+                kept = nodes[-(m - r) * n_per % stride or stride::stride]
+                kept = kept[:self.rows - done - fill]
+                while kept.size:
+                    take = min(kept.size, CHUNK_ROWS - fill)
+                    w_out[base + fill:base + fill + take] = kept[:take]
+                    kept, fill = kept[take:], fill + take
+                    if fill == CHUNK_ROWS or done + fill == self.rows:
+                        times[base:base + fill] = self._times(done,
+                                                              done + fill)
+                        yield times[base:base + fill], w_out[base:base + fill]
+                        done, fill = done + fill, 0
+                        base = done if out is not None else 0
+
+        if not peak <= 1.0 + 1e-6:
+            raise RuntimeError(
+                f"|w| reached {peak}, above the single-excitation bound; "
+                f"integration convention bug")
+        self.peak_abs_w = float(peak)
+
+
 def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
     """Integrate the DDE from w(0) = cfg.w0 to t_max by the method of steps.
 
-    The trajectory is recorded on a thinned output grid (at most roughly
-    MAX_OUTPUT_POINTS samples, thinned only in whole integration steps and
-    never so far that the phase advances more than ~pi/2 between samples).
-    Raises RuntimeError if |w| ever exceeds 1 by more than 1e-6 at any
-    integration node: the exact dynamics conserve the single-excitation
-    norm, so growth means an integration bug.
-
-    Within delay interval m the step recurrence w_{k+1} = exp(-lam dt) w_k
-    + b_k is solved as a cumsum: w_k = exp(-lam k dt) (w_0 + S_{k-1}) with
-    S_k = sum_{j<=k} exp(lam (j+1) dt) b_j. b_k, the exact step integral of
-    the cubic-Hermite history, takes its derivatives from the DDE, so it is
-    alpha u_k + beta u_{k+1} + gamma v_k + delta v_{k+1} over the nodes u
-    of interval m - 1 and v of m - 2 (v = 0 for m = 1), with
-    alpha = (kappa/2)(c_wa - lam c_da), beta = (kappa/2)(c_wb - lam c_db),
-    gamma = (kappa/2)^2 c_da and delta = (kappa/2)^2 c_db. The growing
-    factor spans exp(kappa) over an interval, so the work is chunked to
-    keep every intermediate below exp(400). The weights, the factor, its
-    inverse (an exp, not a division) and the chunk spans are computed once
-    per run: 7 array passes per interval and 4 per chunk, within 1e-13
-    absolute of the same method with derivative arrays and a division.
-
-    Each interval is written into a ring of _RING rows laid end to end in
-    one array, neighbouring rows sharing the node that ends one interval
-    and starts the next. Once per ring (and after the last interval) |w|,
-    the peak and the thinned output are taken over every node of the
-    filled rows in one pass each, so the guard sees every node. The output
-    grid is built in place, so the peak memory is about the output arrays.
+    DdeStream(cfg).chunks writes straight into the returned arrays.
     """
-    kappa, w_level = cfg.d.kappa, cfg.d.W
-    n_per = cfg.n_per
-    dt = ROUND_TRIP / n_per
-    lam = 1j * w_level + kappa / 2.0
-    half_kappa = kappa / 2.0
-    n_intervals = int(math.ceil(cfg.t_max / ROUND_TRIP - 1e-12))
-
-    # Output thinning: respect MAX_OUTPUT_POINTS but keep the sampled phase
-    # step below ~pi/2 so the fit can unwrap reliably.
-    total_steps = n_per * n_intervals
-    stride = max(1, int(total_steps / MAX_OUTPUT_POINTS))
-    phase_rate = w_level + math.pi  # generous bound on |Re theta| of the tail
-    stride = min(stride, max(1, int(math.pi / 2.0 / (phase_rate * dt))))
-
-    # Kept samples are the nodes whose global step index g is a multiple of
-    # the stride; node g > 0 is node i = g - m n_per of interval m, at time
-    # ROUND_TRIP m + dt i: of these integer-valued floats only dt i rounds.
-    times = np.arange(0, total_steps + 1, stride, dtype=float)  # g
-    start = np.maximum(times - 1.0, 0.0)
-    start -= np.fmod(start, n_per)  # m n_per
-    times -= start  # i
-    times *= dt
-    times += start / (n_per / ROUND_TRIP)  # ROUND_TRIP m
-    del start
-    w_out = np.empty(times.size, dtype=complex)
-    w_out[0] = cfg.w0
-
-    c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
-    alpha = half_kappa * (c_wa - lam * c_da)
-    beta = half_kappa * (c_wb - lam * c_db)
-    gamma = half_kappa * half_kappa * c_da
-    delta = half_kappa * half_kappa * c_db
-    re_z = lam.real * dt
-    block = n_per if re_z * n_per <= _BLOCK_EXPONENT_CAP else max(
-        1, int(_BLOCK_EXPONENT_CAP / re_z))
-    grow = np.exp(lam * dt * np.arange(1, block + 1))
-    decay = np.exp(-lam * dt * np.arange(1, block + 1))
-
-    # Row m % _RING holds interval m; the last row's zeros are interval -1.
-    ring = np.zeros(_RING * n_per + 1, dtype=complex)
-    abs_ring = np.empty(ring.size)
-    rows = [ring[r * n_per:(r + 1) * n_per + 1] for r in range(_RING)]
-    node_times = dt * np.arange(n_per + 1)
-    rows[0][:] = cfg.w0 * np.exp(-lam * node_times)  # interval 0: closed form
-    # Products never overwrite an operand: numpy's in-place multiply of a
-    # one-element array can round differently from the out-of-place one.
-    acc = np.empty(n_per, dtype=complex)
-    b = np.empty(n_per, dtype=complex)
-    edges = [*range(0, n_per, block), n_per]
-    spans = [(acc[k0:k1], b[k0:k1], grow[:k1 - k0], decay[:k1 - k0], k0 + 1,
-              k1 + 1) for k0, k1 in zip(edges, edges[1:])]
-    pos, peak = 1, 0.0
-
-    for m in range(1, n_intervals):
-        r = m % _RING
-        w_prev, w_back, w_cur = rows[r - 1], rows[r - 2], rows[r]
-        # b_k first: row r ends on w_back's node 0 unless r is the last row
-        np.multiply(alpha, w_prev[:-1], out=acc)
-        np.multiply(beta, w_prev[1:], out=b)
-        np.add(acc, b, out=acc)
-        np.multiply(gamma, w_back[:-1], out=b)
-        np.add(acc, b, out=acc)
-        np.multiply(delta, w_back[1:], out=b)
-        np.add(acc, b, out=b)
-
-        w_cur[0] = w_run = w_prev[-1]  # a copy only where row 0 wraps
-        for chunk, forcing, up, down, lo, hi in spans:
-            np.multiply(forcing, up, out=chunk)
-            np.add.accumulate(chunk, out=chunk)
-            np.add(w_run, chunk, out=chunk)
-            np.multiply(chunk, down, out=w_cur[lo:hi])
-            w_run = w_cur[hi - 1]
-
-        if r == _RING - 1 or m == n_intervals - 1:
-            # rows 0..r hold intervals m - r..m; node 0 of row 0 was kept
-            # (or is w0) with the previous block
-            nodes = ring[:(r + 1) * n_per + 1]
-            kept = nodes[-(m - r) * n_per % stride or stride::stride]
-            w_out[pos:pos + kept.size] = kept
-            pos += kept.size
-            # np.maximum, unlike max(), keeps a NaN peak, which fails the
-            # guard.
-            peak = np.maximum(peak, np.maximum.reduce(
-                np.abs(nodes, out=abs_ring[:nodes.size])))
-
-    if not peak <= 1.0 + 1e-6:
-        raise RuntimeError(
-            f"|w| reached {peak}, above the single-excitation bound; "
-            f"integration convention bug")
-
-    inside = int(np.searchsorted(times, cfg.t_max + 0.5 * dt, side="right"))
-    return DdeTrajectory(times=times[:inside], w=w_out[:inside], dt_used=dt,
-                         n_per=n_per, n_intervals=n_intervals, stride=stride,
-                         peak_abs_w=float(peak))
+    stream = DdeStream(cfg)
+    times = np.empty(stream.rows)
+    w = np.empty(stream.rows, dtype=complex)
+    for _ in stream.chunks(out=(times, w)):
+        pass
+    return DdeTrajectory(times=times, w=w, dt_used=stream.dt,
+                         n_per=stream.n_per, n_intervals=stream.n_intervals,
+                         stride=stream.stride, peak_abs_w=stream.peak_abs_w)
 
 
 def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None
@@ -337,6 +383,119 @@ def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None
         traj.seconds["fit_s"] = time.perf_counter() - integrated
 
 
+def _pool(a: tuple, b: tuple) -> tuple:
+    """Pool the line fits (n, mean s, mean ln|w|, centred sum of s^2, slope,
+    residual sum of squares, sum of phase rates) of samples a before b.
+
+    The centred sums merge as Chan, Golub and LeVeque's pairwise update
+    (Am. Stat. 37 (1983) 242); the residual sum grows by the weighted
+    spread of the slopes about the pooled one, which cannot cancel.
+    """
+    na, sa, ea, ca, ba, ra, pa = a
+    nb, sb, eb, cb, bb, rb, pb = b
+    n = na + nb
+    h, ds, de = na * nb / n, sb - sa, eb - ea
+    css = ca + cb + h * ds * ds
+    slope = (ca * ba + cb * bb + h * ds * de) / css
+    rss = (ra + rb + ca * (ba - slope) ** 2 + cb * (bb - slope) ** 2
+           + h * (de - slope * ds) ** 2)
+    return n, sa + ds * nb / n, ea + de * nb / n, css, slope, rss, pa + pb
+
+
+class TailFit:
+    """fit_decay's tail fit, fed chunk by chunk in time order.
+
+    result() returns the FitResult of every sample fed, or raises the
+    FitWindowError of the first refusal in fit_decay's order. Each window
+    slice gets its own centred line fit; the fits pool in pairs like a
+    binary counter, so rounding grows with the log of the chunk count.
+    """
+
+    def __init__(self, window: tuple[float, float]) -> None:
+        s0, s1 = float(window[0]), float(window[1])
+        if s0 < FIT_START * (1 - 1e-12):
+            raise FitWindowError(f"window start {s0} is inside the "
+                                 f"transient; need >= {FIT_START}")
+        if not s0 < s1:
+            raise FitWindowError(f"empty window [{s0}, {s1}]; end the window "
+                                 f"after its start")
+        self.window, self.samples, self._last = (s0, s1), 0, -math.inf
+        self._carry: tuple | None = None  # (phase, s) of the last sample fitted
+        self._unsorted = self._non_finite = self._underflow = False
+        self._fits: list[tuple[int, tuple]] = []  # (level, pooled fit)
+
+    def feed(self, times: np.ndarray, w: np.ndarray) -> None:
+        if self._unsorted or not len(times):
+            return
+        if not times[0] > self._last or not (times[1:] > times[:-1]).all():
+            self._unsorted = True
+            return
+        self._last = times[-1]
+        lo, hi = times.searchsorted(self.window[0]), times.searchsorted(
+            self.window[1], "right")
+        if lo == hi:
+            return
+        s, w, n = times[lo:hi], w[lo:hi], int(hi - lo)
+        if not self.samples:
+            self._first = s[0]
+        self.samples += n
+        if self._non_finite or not np.isfinite(w).all():
+            self._non_finite = True
+            return
+        log_amp = np.abs(w)
+        if self._underflow or log_amp.min() < 1e-300:
+            self._underflow = True
+            return
+        np.log(log_amp, out=log_amp)
+        s_mean, e_mean = float(s.sum()) / n, float(log_amp.sum()) / n
+        log_amp -= e_mean
+        centred = s - s_mean
+        css = float(np.dot(centred, centred))
+        slope = float(np.dot(centred, log_amp)) / css if n > 1 else 0.0
+        log_amp -= np.multiply(centred, slope, out=centred)
+        rss = float(np.dot(log_amp, log_amp))
+        # minus each step of arg w, less its nearest multiple of 2 pi, per
+        # unit s; a later slice's first step starts from the last sample of
+        # the slice before it
+        phase = np.arctan2(w.imag, w.real)
+        k = 0 if self._carry else 1
+        prev_phase, prev_s = self._carry or (0.0, 0.0)
+        self._carry = phase[-1], s[-1]
+        step = -np.diff(phase, prepend=prev_phase)[k:]
+        step -= np.rint(step / (2.0 * math.pi)) * (2.0 * math.pi)
+        step /= np.diff(s, prepend=prev_s)[k:]
+        fit = n, s_mean, e_mean, css, slope, rss, float(step.sum())
+        level = 0
+        while self._fits and self._fits[-1][0] == level:
+            fit, level = _pool(self._fits.pop()[1], fit), level + 1
+        self._fits.append((level, fit))
+
+    def result(self) -> FitResult:
+        (s0, s1), n = self.window, self.samples
+        for refused, message in (
+                (self._unsorted, "times are not strictly increasing; sort them"),
+                (n < 100, f"only {n} samples in [{s0}, {s1}]; need >= 100: "
+                          f"widen the window or increase --t-max"),
+                (self._non_finite, f"w is not finite inside [{s0}, {s1}]; "
+                                   f"pass finite samples"),
+                (self._underflow, "|w| underflows inside the window; shorten "
+                                  "--t-max or the window")):
+            if refused:
+                raise FitWindowError(message)
+        fit = self._fits[-1][1]
+        for _, earlier in reversed(self._fits[:-1]):
+            fit = _pool(earlier, fit)
+        gamma, rss, rates = -fit[4], fit[5], fit[6]
+        if gamma <= -1e-10:
+            raise FitWindowError(
+                f"window shows amplitude growth (gamma = {gamma}); not a "
+                f"decay tail: increase --t-max or pass a later "
+                f"--fit-start/--fit-end")
+        if gamma * (self._carry[1] - self._first) <= _FLAT_LOG_DRIFT:
+            gamma = 0.0
+        return FitResult(rates / (n - 1), gamma, math.sqrt(rss / n), n)
+
+
 def fit_decay(times: np.ndarray, w: np.ndarray,
               window: tuple[float, float]) -> FitResult:
     """Fit ln|w| to a line and the phase slope over a window, in closed form.
@@ -348,54 +507,38 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
     the samples or a rise slower than 1e-10); fit_residual is the RMS
     deviation from that line; omega_fit is the mean of -d(arg w)/ds, each
     step of arg w less its nearest multiple of 2 pi (integrate_dde keeps the
-    steps below ~pi/2); samples counts the window. Beyond its inputs the fit
-    allocates two window-length float arrays. The window must start at or
-    after FIT_START (skipping the direct-decay transient) and hold at least
-    100 finite samples with |w| >= 1e-300; each refusal names its remedy.
+    steps below ~pi/2); samples counts the window. The window must start at
+    or after FIT_START (skipping the direct-decay transient) and hold at
+    least 100 finite samples with |w| >= 1e-300; each refusal names its
+    remedy. The arrays are fed to a TailFit in CHUNK_ROWS-row slices.
     """
-    s0, s1 = float(window[0]), float(window[1])
-    if s0 < FIT_START * (1 - 1e-12):
-        raise FitWindowError(
-            f"window start {s0} is inside the transient; need >= {FIT_START}")
-    if not s0 < s1:
-        raise FitWindowError(f"empty window [{s0}, {s1}]; end the window "
-                             f"after its start")
-    if not np.greater(times[1:], times[:-1]).all():
-        raise FitWindowError("times are not strictly increasing; sort them")
-    lo, hi = np.searchsorted(times, s0), np.searchsorted(times, s1, "right")
-    s, w, n = times[lo:hi], w[lo:hi], int(hi - lo)
-    if n < 100:
-        raise FitWindowError(f"only {n} samples in [{s0}, {s1}]; need >= 100: "
-                             f"widen the window or increase --t-max")
-    if not np.isfinite(w).all():
-        raise FitWindowError(f"w is not finite inside [{s0}, {s1}]; pass "
-                             f"finite samples")
-    log_amp = np.abs(w)
-    if np.min(log_amp) < 1e-300:
-        raise FitWindowError("|w| underflows inside the window; shorten "
-                             "--t-max or the window")
-    np.log(log_amp, out=log_amp)
-    log_amp -= np.mean(log_amp)
-    centred = s - np.mean(s)
-    slope = float(np.dot(centred, log_amp) / np.dot(centred, centred))
-    gamma = -slope
-    if gamma <= -1e-10:
-        raise FitWindowError(
-            f"window shows amplitude growth (gamma = {gamma}); not a decay "
-            f"tail: increase --t-max or pass a later --fit-start/--fit-end")
-    if gamma * (s[-1] - s[0]) <= _FLAT_LOG_DRIFT:
-        gamma = 0.0
-    centred *= slope
-    log_amp -= centred
-    residual = math.sqrt(np.dot(log_amp, log_amp) / n)
-    # minus each step of arg w, less its nearest multiple of 2 pi, per unit s
-    phase = np.arctan2(w.imag, w.real, out=log_amp)
-    step = np.subtract(phase[:-1], phase[1:], out=centred[1:])
-    turns = np.divide(step, 2.0 * math.pi, out=log_amp[1:])
-    np.rint(turns, out=turns)
-    step -= np.multiply(turns, 2.0 * math.pi, out=turns)
-    step /= np.subtract(s[1:], s[:-1], out=log_amp[1:])
-    return FitResult(float(np.mean(step)), gamma, residual, n)
+    fit = TailFit(window)
+    for k in range(0, len(times), CHUNK_ROWS):
+        fit.feed(times[k:k + CHUNK_ROWS], w[k:k + CHUNK_ROWS])
+    return fit.result()
+
+
+def fit_tail(cfg: DdeConfig, window: tuple[float, float]
+             ) -> tuple[FitResult, dict]:
+    """fit_decay of integrate_dde's arrays, without ever holding them.
+
+    Returns the FitResult and the run's record, as evolve's manifest `dde`
+    block: n_per, n_intervals, stride, output_points, peak_abs_w, and the
+    wall seconds integrate_s and fit_s.
+    """
+    fit, stream = TailFit(window), DdeStream(cfg)
+    fit_s, start = 0.0, time.perf_counter()
+    for chunk in stream.chunks():
+        mark = time.perf_counter()
+        fit.feed(*chunk)
+        fit_s += time.perf_counter() - mark
+    mark = time.perf_counter()
+    integrate_s = mark - start - fit_s
+    result = fit.result()
+    return result, {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
+                    "stride": stream.stride, "output_points": stream.rows,
+                    "peak_abs_w": stream.peak_abs_w, "integrate_s": integrate_s,
+                    "fit_s": fit_s + time.perf_counter() - mark}
 
 
 def pole_check(d: DimensionlessParams, theta: complex) -> float:

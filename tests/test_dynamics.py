@@ -9,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qnmlab.dynamics import (_RING, FIT_START, ROUND_TRIP, DdeConfig,
-                             FitWindowError, evolve_atom, fit_decay,
-                             integrate_dde, pole_check)
+from qnmlab.dynamics import (_RING, CHUNK_ROWS, FIT_START, ROUND_TRIP,
+                             DdeConfig, DdeStream, FitWindowError, TailFit,
+                             evolve_atom, fit_decay, fit_tail, integrate_dde,
+                             pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
 from oracle_helpers import (derivative_recurrence_dde, interval_recurrence_dde,
@@ -405,6 +406,144 @@ def test_fit_refuses_unsorted_times(swap):
         s[3001] = s[3000]
     with pytest.raises(FitWindowError, match="strictly increasing"):
         fit_decay(s, w, (20.0, 100.0))
+
+
+# --- streamed integration and chunked fit --------------------------------
+
+def _fed(times, w, window, size):
+    fit = TailFit(window)
+    for k in range(0, len(times), size):
+        fit.feed(times[k:k + size], w[k:k + size])
+    return fit.result()
+
+
+def _assert_same_fit(fit, whole):
+    assert fit.samples == whole.samples
+    assert fit.omega_fit == pytest.approx(whole.omega_fit, rel=1e-13)
+    assert fit.gamma_fit == pytest.approx(whole.gamma_fit, rel=1e-13)
+    assert fit.fit_residual == pytest.approx(whole.fit_residual, rel=1e-9,
+                                             abs=1e-15)
+
+
+_TAIL_CASES = ["readme", "seeded-0", "seeded-1", "seeded-2"]
+
+
+@pytest.mark.parametrize("size", [100, CHUNK_ROWS])
+@pytest.mark.parametrize("case", _TAIL_CASES)
+def test_fit_is_chunk_invariant(case, size):
+    times, w, window = _fit_case(case)
+    _assert_same_fit(_fed(times, w, window, size),
+                     _fed(times, w, window, len(times)))
+
+
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("case", _TAIL_CASES)
+def test_fit_is_chunk_invariant_down_to_single_rows(case, size):
+    # the last 20000 window samples: fed one row at a time, the whole
+    # arrays would take over a minute; 20000 single rows still pool 15
+    # levels deep
+    times, w, window = _fit_case(case)
+    hi = int(np.searchsorted(times, window[1], "right"))
+    window = (float(times[hi - 20_000]), window[1])
+    times, w = times[hi - 20_005:hi + 5], w[hi - 20_005:hi + 5]
+    _assert_same_fit(_fed(times, w, window, size),
+                     _fed(times, w, window, len(times)))
+
+
+@pytest.mark.parametrize("run", [
+    (0.0, 5.0, 50.0), README_RUN, SEEDED_RUNS[2], (50.0, 2.0, 6523.0),
+    # kappa * dt * n_per / 2 = 1000 > 400: each interval runs in blocks
+    (1000.0, 3.1516, 400.0),
+], ids=["stride-1", "stride-16", "stride-95", "odd-t-max", "blocks"])
+def test_stream_chunks_are_integrate_dde_bit_for_bit(run):
+    traj = _trajectory(*run)
+    stream = DdeStream(DdeConfig(d=DimensionlessParams(kappa=run[0],
+                                                       W=run[1]),
+                                 t_max=run[2]))
+    chunks = [(t.copy(), w.copy()) for t, w in stream.chunks()]
+    assert {len(t) for t, _ in chunks[:-1]} <= {CHUNK_ROWS}
+    assert 0 < len(chunks[-1][0]) <= CHUNK_ROWS
+    assert np.array_equal(np.concatenate([t for t, _ in chunks]), traj.times)
+    assert np.array_equal(np.concatenate([w for _, w in chunks]), traj.w)
+    assert (stream.n_per, stream.n_intervals, stream.stride, stream.rows,
+            stream.peak_abs_w) == (traj.n_per, traj.n_intervals, traj.stride,
+                                   traj.times.size, traj.peak_abs_w)
+
+
+def test_streamed_fit_is_the_array_fit():
+    # the stream's chunks are fit_decay's slices, so the fits are equal
+    run = README_RUN
+    traj = _trajectory(*run)
+    window = (run[2] / 2.0, run[2])
+    fit, record = fit_tail(DdeConfig(d=D50, t_max=run[2]), window)
+    assert fit == fit_decay(traj.times, traj.w, window)
+    assert record.pop("integrate_s") >= 0.0 and record.pop("fit_s") >= 0.0
+    assert record == {"n_per": traj.n_per, "n_intervals": traj.n_intervals,
+                      "stride": traj.stride, "output_points": traj.times.size,
+                      "peak_abs_w": traj.peak_abs_w}
+
+
+def _long_tail():
+    # 30001 samples, so fit_decay feeds them in four slices
+    s = np.linspace(0.0, 100.0, 30_001)
+    return s, np.exp((-2.5j - 3e-4) * s)
+
+
+_WINDOW_MESSAGES = {
+    "non-finite": "w is not finite inside [20.0, 100.0]; pass finite samples",
+    "underflow": "|w| underflows inside the window; shorten --t-max or the "
+                 "window",
+    "unsorted": "times are not strictly increasing; sort them",
+}
+
+
+def _spoil(s, w, fault, at):
+    if fault == "non-finite":
+        w[at] = math.nan
+    elif fault == "underflow":
+        w[at] = 1e-310
+    else:
+        s[at], s[at + 1] = s[at + 1], s[at]
+
+
+@pytest.mark.parametrize("fault", list(_WINDOW_MESSAGES))
+@pytest.mark.parametrize("at", [7000, CHUNK_ROWS - 1, 25_000],
+                         ids=["first-slice", "slice-boundary", "last-slice"])
+def test_fit_refusal_is_the_same_in_any_slice(fault, at):
+    s, w = _long_tail()
+    _spoil(s, w, fault, at)
+    with pytest.raises(FitWindowError) as info:
+        fit_decay(s, w, (20.0, 100.0))
+    assert str(info.value) == _WINDOW_MESSAGES[fault]
+
+
+@pytest.mark.parametrize("faults, message", [
+    # a later non-finite sample outranks an earlier underflow, an unsorted
+    # pair outranks both, and too few samples outrank a bad one
+    ((("underflow", 7000), ("non-finite", 25_000)), "non-finite"),
+    ((("non-finite", 7000), ("unsorted", 25_000)), "unsorted"),
+    ((("non-finite", 6000),), "too few"),
+])
+def test_fit_refusals_keep_their_precedence_across_slices(faults, message):
+    s, w = _long_tail()
+    for fault, at in faults:
+        _spoil(s, w, fault, at)
+    window = (20.0, 20.01) if message == "too few" else (20.0, 100.0)
+    with pytest.raises(FitWindowError) as info:
+        fit_decay(s, w, window)
+    n = np.count_nonzero((s >= window[0]) & (s <= window[1]))
+    assert str(info.value) == _WINDOW_MESSAGES.get(message, (
+        f"only {n} samples in [20.0, 20.01]; need >= 100: widen the window "
+        f"or increase --t-max"))
+
+
+def test_streamed_fit_memory_does_not_grow_with_the_run():
+    window = (FIT_START, 6522.0)
+    _, peak = _traced_peak(fit_tail, DdeConfig(d=D50, t_max=6522.0), window)
+    assert peak <= 1.5e6
+    _, longer = _traced_peak(fit_tail, DdeConfig(d=D50, t_max=13044.0),
+                             window)
+    assert longer <= 1.1 * peak
 
 
 # --- pole condition -------------------------------------------------------
