@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import DimensionlessParams
+from .model import LOG_FLOAT_MAX, DimensionlessParams
 
 #: Round-trip delay in natural units (mirror at x=0, atom at x=1, v_g=1).
 ROUND_TRIP = 2.0
@@ -64,9 +63,6 @@ _BLOCK_EXPONENT_CAP = 400.0
 #: in row r reads rows r - 1 and r - 2, and row 0, which wraps round to
 #: follow the last row, shares no node with it.
 _RING = 3
-
-#: Largest kappa*dt/2 of one step: exp of more overflows float64.
-_STEP_EXPONENT_MAX = math.log(sys.float_info.max)
 
 #: Fall of the fitted ln|w| across a fit window read as rounding drift.
 _FLAT_LOG_DRIFT = 1e-12
@@ -102,12 +98,12 @@ class DdeConfig:
                 f"delay period is resolved by >= {MIN_STEPS_PER_DELAY} steps, "
                 f"got {self.dt}")
         step = ROUND_TRIP / self.n_per
-        if self.d.kappa * step / 2.0 > _STEP_EXPONENT_MAX:
+        if self.d.kappa * step / 2.0 > LOG_FLOAT_MAX:
             raise ValueError(
                 f"dt = {self.dt} is too coarse for kappa = {self.d.kappa}: "
                 f"one step grows by exp(kappa*dt/2) = exp("
                 f"{self.d.kappa * step / 2.0:.6g}), above the float64 range; "
-                f"need kappa*dt/2 <= {_STEP_EXPONENT_MAX:.6g}")
+                f"need kappa*dt/2 <= {LOG_FLOAT_MAX:.6g}")
         if not cmath.isfinite(self.w0):
             raise ValueError(f"w0 must be finite, got {self.w0!r}")
 

@@ -17,7 +17,11 @@ conversion functions in this module only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+#: Largest exponent whose exp is finite in float64.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _require_finite(**fields: float) -> None:

@@ -5,15 +5,13 @@ re-derived by integrating the wave equation with the atom's delta potential
 regularized as a narrow Lorentzian, the resonance width by a Breit-Wigner
 least-squares fit of the inverse enhancement, and the time-domain amplitude
 by the exact piecewise-analytic solution of the delay equation. Tests
-compare package outputs against these, never the other way round. Four
+compare package outputs against these, never the other way round. Three
 helpers are not independent on purpose: interval_recurrence_dde is the
 integrator's own method written the plain way, the bit-for-bit reference
 for its optimised loop, derivative_recurrence_dde is the same method with
 derivative arrays and a division, which bounds that loop's rounding,
-scalar_newton is the one-seed-at-a-time Newton iteration in complex
-scalars, the reference for the batched root kernel, and
-scalar_wavefunction is the mode profile evaluated one x at a time with
-cmath, the reference for the array wavefunction. mp_scattering evaluates
+and scalar_newton is the one-seed-at-a-time Newton iteration in complex
+scalars, the reference for the batched root kernel. mp_scattering evaluates
 the scattering closed form at 40 digits, the reference that bounds the
 rounding error of the array scattering kernel. potential_weight, the
 atom's effective delta-mirror weight, is checked by the tests alone.
@@ -419,22 +417,6 @@ def mp_scattering(theta: float, kappa: float, w: float) -> tuple:
         return (float(mpmath.atan2(side * im, side * re)),
                 float((d_im * re - d_re * im) / size2),
                 float((wl - t) ** 2 / size2), float(mpmath.sqrt(size2)))
-
-
-def scalar_wavefunction(theta: complex, xs) -> list[complex]:
-    """Mode profile phi(x) one x at a time: sin(theta x) on 0 <= x <= 1,
-    sin(theta) exp(i theta (x - 1)) beyond the atom."""
-    values = []
-    for x in xs:
-        x = float(x)
-        if not 0.0 <= x < math.inf:
-            raise ValueError(f"x must be finite and >= 0, got {x}")
-        if x <= 1.0:
-            value = cmath.sin(theta * x)
-        else:
-            value = cmath.sin(theta) * cmath.exp(1j * theta * (x - 1.0))
-        values.append(value)
-    return values
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ from qnmlab.cli import _build_parser, main
 from qnmlab.dynamics import (DdeConfig, evolve_atom, fit_decay,
                              integrate_dde)
 from qnmlab.model import DimensionlessParams
-from oracle_helpers import scalar_wavefunction
 from qnmlab.qnm import (ContourError, find_modes, lifetime_from_theta,
                         refine_root, seed_mode, sweep_decay)
-from qnmlab.scattering import enhancement_scan
+from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from refs import ROOTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -504,9 +503,9 @@ def _scatter_rows():
 def _wavefunction_rows():
     d = DimensionlessParams(kappa=200.0, W=5.0)
     mode = refine_root(seed_mode(1, d), d)
-    xs = np.linspace(0.0, 3.0, 31).tolist()
-    return [(x, phi.real, phi.imag, abs(phi))
-            for x, phi in zip(xs, scalar_wavefunction(mode.theta, xs))]
+    xs = np.linspace(0.0, 3.0, 31)
+    return [(x, phi.real, phi.imag, abs(phi)) for x, phi in zip(
+        xs.tolist(), qnm_wavefunction(mode, xs).tolist())]
 
 
 def _evolve_rows():

@@ -1,7 +1,6 @@
 """Real-energy scattering: effective potential weight, phase shift,
 Wigner delay, cavity enhancement and the leaky-mode profile."""
 
-import cmath
 import math
 import re
 import sys
@@ -10,13 +9,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import (PotentialDescriptor, breit_wigner_fwhm,
                             lorentzian_ode_phase, mp_scattering,
-                            potential_weight, scalar_wavefunction,
-                            wrap_half_pi)
+                            potential_weight, wrap_half_pi)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import Modes, refine_root, seed_mode
 from qnmlab.scattering import (DEGENERATE_TOL, MIRROR_LIMIT_NOTE,
@@ -410,17 +408,30 @@ def test_wavefunction_grows_at_mode_rate():
     assert ratio == pytest.approx(math.exp(0.86), rel=0.02)
 
 
+def _mp_wavefunction(theta, x):
+    """phi(x) at 40 digits and the size its rounding error scales with:
+    cosh(Im(theta) x) inside, which bounds |sin| and |cos| of theta x,
+    and |phi(x)| outside."""
+    t, xm = mpmath.mpc(theta), mpmath.mpf(x)
+    if x <= 1.0:
+        return mpmath.sin(t * xm), mpmath.cosh(t.imag * xm)
+    value = mpmath.sin(t) * mpmath.exp(1j * t * (xm - 1))
+    return value, abs(value)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(kappa=st.floats(1.0, 2000.0, exclude_min=True), w=st.floats(0.0, 12.0),
        j=st.integers(-1, 5), x_max=st.floats(1.0, 50.0),
        samples=st.integers(2, 60), growth=st.floats(0.0, 708.0))
-def test_wavefunction_matches_scalar_oracle(kappa, w, j, x_max, samples,
-                                            growth):
-    # Bit for bit, signed zeros included, against the cmath loop. Besides a
-    # linspace the grid holds the mirror, the atom and its float neighbours,
-    # a far point where the tail has grown by e^growth, and one grown by
-    # e^708.6, past log(float max / 4) where cmath.exp changes formula but
-    # below overflow for every |sin(theta)| a converged mode here reaches.
+# the exact bound state: Im(theta) = 0, a tail that neither grows nor decays
+@example(kappa=200.0, w=math.pi, j=1, x_max=50.0, samples=60, growth=708.0)
+def test_wavefunction_matches_mpmath(kappa, w, j, x_max, samples, growth):
+    # Within 4 eps (1 + |theta| x) of the 40-digit profile: rounding theta x
+    # costs eps |theta| x, and the libm adds a few eps. Measured worst 1.92
+    # in these units. Besides a linspace the grid holds the mirror, the
+    # atom and its float neighbours, a far point where the tail has grown
+    # by e^growth, and one grown by e^708.6, close to overflow but below it
+    # for every |sin(theta)| a converged mode here reaches.
     d = DimensionlessParams(kappa=kappa, W=w)
     mode = refine_root(seed_mode(j, d), d)
     assume(mode.converged)
@@ -429,14 +440,32 @@ def test_wavefunction_matches_scalar_oracle(kappa, w, j, x_max, samples,
                          [0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12,
                           1.0 + growth / gamma, 1.0 + 708.6 / gamma]])
     phi = qnm_wavefunction(mode, xs)
-    ref = scalar_wavefunction(mode.theta, xs)
-    assert ([(v.real.hex(), v.imag.hex()) for v in phi.tolist()]
-            == [(v.real.hex(), v.imag.hex()) for v in ref])
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(40):
+        for x, value in zip(xs.tolist(), phi.tolist()):
+            ref, size = _mp_wavefunction(mode.theta, x)
+            bound = 4 * eps * (1 + abs(mode.theta) * x) * size
+            assert abs(mpmath.mpc(value) - ref) <= bound, (x, value, ref)
+
+
+@pytest.mark.parametrize("kappa, w, j", [
+    (50.0, 2.0, 1), (200.0, 5.0, 1), (200.0, 5.0, 3), (3.0, 7.0, 2)])
+def test_wavefunction_sample_does_not_depend_on_grid(kappa, w, j):
+    # each sample alone equals the same sample inside a grid, signed zeros
+    # included; 571 samples leave a remainder for any vector width
+    d = DimensionlessParams(kappa=kappa, W=w)
+    mode = refine_root(seed_mode(j, d), d)
+    xs = np.concatenate([np.linspace(0.0, 30.0, 571), [1.0 - 1e-12, 1.0]])
+    phi = qnm_wavefunction(mode, xs).tolist()
+    alone = [qnm_wavefunction(mode, [x])[0].item() for x in xs.tolist()]
+    assert ([(v.real.hex(), v.imag.hex()) for v in phi]
+            == [(v.real.hex(), v.imag.hex()) for v in alone])
 
 
 @pytest.mark.parametrize("growth", [
     8500.0,     # exp of the tail exponent overflows
     710.3,      # exp(growth) overflows, exp(growth - 1) * e does not
+    709.95,     # past the limit, yet numpy's exp times sin(theta) is finite
 ])
 def test_wavefunction_refuses_overflowing_tail(growth):
     mode = _mode_j1()
