@@ -178,14 +178,6 @@ def format_floats(x: np.ndarray, cells: np.ndarray) -> int:
     return int(slow.size)
 
 
-def _text_cells(column: np.ndarray) -> np.ndarray:
-    """Integer cells as '%d', anything else as '%s', as zero-padded bytes."""
-    if column.dtype.kind in "iu":
-        return column.astype(np.bytes_)
-    return np.array([str(v).encode() for v in column.tolist()],
-                    dtype=np.bytes_)
-
-
 def csv_chunks(columns):
     """Yield (bytes, fallback cells) for the CSV lines of the columns.
 
@@ -198,7 +190,7 @@ def csv_chunks(columns):
                for c in columns]
     for start in range(0, len(columns[0]), CHUNK_ROWS):
         parts = [c[start:start + CHUNK_ROWS] for c in columns]
-        texts = [None if p.dtype.kind == "f" else _text_cells(p)
+        texts = [None if p.dtype.kind == "f" else p.astype(np.bytes_)
                  for p in parts]
         # each cell ends in its separator byte, at the end of its words
         widths = [_CELL_WORDS if t is None else t.itemsize // 8 + 1

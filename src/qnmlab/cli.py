@@ -39,9 +39,10 @@ from .dynamics import (DdeConfig, FitWindowError, evolve_atom, fit_tail,
 from .model import DimensionlessParams
 from .platforms import (RamanSpec, SquidSpec, raman_coupling, squid_coupling,
                         squid_level_spacing)
-from .qnm import (DEFAULT_TOL, ContourBox, characteristic, count_roots_in_box,
-                  find_modes, lifetime_from_theta, refine_root, seed_mode,
-                  slowest_mode, sweep_decay)
+from .qnm import (DEFAULT_TOL, MAX_W, ApproximationRangeError, ContourBox,
+                  characteristic, count_roots_in_box, find_modes,
+                  lifetime_from_theta, refine_root, seed_mode, slowest_mode,
+                  sweep_decay)
 from .scattering import enhancement_scan, qnm_wavefunction
 
 EXIT_OK = 0
@@ -213,7 +214,14 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
         window = (args.fit_start, args.fit_end)
     coverage_note = ""
     if d.kappa > 1.0:
-        gamma_expected = abs(slowest_mode(d, tol=args.tol).theta.imag)
+        try:
+            gamma_expected = abs(slowest_mode(d).theta.imag)
+        except ApproximationRangeError as exc:
+            if d.W > MAX_W:  # no mode index: the run is refused
+                raise
+            gamma_expected = math.nan  # fails the coverage test below
+            coverage_note = f"expected decay rate unavailable: {exc}"
+            run.warnings.append(coverage_note)
         if args.t_max * gamma_expected < _DECAY_COVERAGE:
             coverage_note = (
                 f"t_max*gamma_expected = {args.t_max * gamma_expected:.3g} "
@@ -311,12 +319,12 @@ def _check_pole_identity(n_points: int) -> tuple[bool, str]:
     return worst <= 1e-12, f"max normalized gap {worst:.3e} over {n_points} points"
 
 
-def _check_root_count(tol: float) -> tuple[bool, str]:
+def _check_root_count() -> tuple[bool, str]:
     d = DimensionlessParams(kappa=200.0, W=5.0)
     box = ContourBox(re_min=0.5, re_max=4.5 * math.pi,
                      im_min=-0.05, im_max=0.001)
     counted = count_roots_in_box(d, box)
-    modes = find_modes(d, j_min=1, j_max=6, tol=tol)
+    modes = find_modes(d, j_min=1, j_max=6)
     re, im = modes.theta.real, modes.theta.imag
     found = int(np.count_nonzero(
         modes.converged & (box.re_min <= re) & (re <= box.re_max)
@@ -325,15 +333,14 @@ def _check_root_count(tol: float) -> tuple[bool, str]:
                               f"refinement found {found} distinct roots")
 
 
-def _check_dde_agreement(full: bool, tol: float,
-                         records: list) -> tuple[bool, str]:
+def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
     """Check the DDE tail fit against the slowest mode; record each run."""
     configs = [(50.0, 2.0)] + ([(200.0, 5.0)] if full else [])
     details = []
     ok = True
     for kappa, w in configs:
         d = DimensionlessParams(kappa=kappa, W=w)
-        star = slowest_mode(d, tol=tol).theta
+        star = slowest_mode(d).theta
         gamma = abs(star.imag)
         t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
         fit, record = fit_tail(DdeConfig(d=d, t_max=t_max),
@@ -348,9 +355,9 @@ def _check_dde_agreement(full: bool, tol: float,
     return ok, "; ".join(details)
 
 
-def _check_bound_state(tol: float) -> tuple[bool, str]:
+def _check_bound_state() -> tuple[bool, str]:
     d = DimensionlessParams(kappa=200.0, W=math.pi)
-    mode = refine_root(seed_mode(1, d), d, tol=tol)
+    mode = refine_root(seed_mode(1, d), d)
     im = abs(mode.theta.imag)
     return (mode.converged and im <= 1e-12,
             f"W=pi root Im magnitude {im:.3e}")
@@ -360,9 +367,9 @@ def _cmd_verify(args: argparse.Namespace, run: _Run) -> int:
     dde = run.extras["dde"] = []
     checks = [
         ("pole_identity", *_check_pole_identity(1000 if args.full else 200)),
-        ("root_count_certification", *_check_root_count(args.tol)),
-        ("dde_vs_root", *_check_dde_agreement(args.full, args.tol, dde)),
-        ("bound_state_in_continuum", *_check_bound_state(args.tol)),
+        ("root_count_certification", *_check_root_count()),
+        ("dde_vs_root", *_check_dde_agreement(args.full, dde)),
+        ("bound_state_in_continuum", *_check_bound_state()),
     ]
     payload = [{"name": name, "passed": passed, "detail": detail}
                for name, passed, detail in checks]
@@ -430,7 +437,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--fit-start", type=_finite, default=None)
     p.add_argument("--fit-end", type=_finite, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("map", _cmd_map, "laboratory parameters -> map_report.json")
     p.add_argument("--platform", choices=("squid", "raman"), required=True)
@@ -462,7 +468,6 @@ def _build_parser() -> _Parser:
     group.add_argument("--quick", dest="full", action="store_false",
                        default=False)
     group.add_argument("--full", action="store_true")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     return parser
 

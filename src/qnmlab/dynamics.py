@@ -12,10 +12,10 @@ delay interval the equation is linear with a known forcing (the previous
 interval's solution), so each step multiplies by the exact exponential of the
 local part and adds the exact integral of the forcing represented by a cubic
 Hermite interpolant of the history, its derivatives read off the DDE. The
-scheme is therefore exact on the pre-delay segment (where w = w0 *
-exp(-(iW + kappa/2) s) to rounding) and 4th-order overall through the cubic
-history; error per step only enters via the interpolation, never via the
-stiff exponential.
+scheme is therefore exact on the pre-delay segment (where w = exp(-(iW +
+kappa/2) s) to rounding, from w(0) = 1) and 4th-order overall through the
+cubic history; error per step only enters via the interpolation, never via
+the stiff exponential.
 
 The long-time tail of |w| decays at the slowest quasi-normal mode rate, which
 is how the frequency-domain solver is cross-checked: fit_decay extracts
@@ -80,12 +80,11 @@ class FitWindowError(ValueError):
 
 @dataclass(frozen=True)
 class DdeConfig:
-    """Integration request for the atomic-amplitude DDE."""
+    """Integration request for the atomic-amplitude DDE, from w(0) = 1."""
 
     d: DimensionlessParams
     t_max: float
     dt: float = 1e-3
-    w0: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.t_max) or self.t_max < FIT_START:
@@ -104,8 +103,6 @@ class DdeConfig:
                 f"one step grows by exp(kappa*dt/2) = exp("
                 f"{self.d.kappa * step / 2.0:.6g}), above the float64 range; "
                 f"need kappa*dt/2 <= {LOG_FLOAT_MAX:.6g}")
-        if not cmath.isfinite(self.w0):
-            raise ValueError(f"w0 must be finite, got {self.w0!r}")
 
     @property
     def n_per(self) -> int:
@@ -280,7 +277,7 @@ class DdeStream:
         abs_ring = np.empty(ring.size)
         rows = [ring[r * n_per:(r + 1) * n_per + 1] for r in range(_RING)]
         node_times = dt * np.arange(n_per + 1)
-        rows[0][:] = cfg.w0 * np.exp(-lam * node_times)  # interval 0: closed form
+        rows[0][:] = np.exp(-lam * node_times)  # interval 0: closed form
         # Products never overwrite an operand: numpy's in-place multiply of a
         # one-element array can round differently from the out-of-place one.
         acc = np.empty(n_per, dtype=complex)
@@ -289,7 +286,7 @@ class DdeStream:
         spans = [(acc[k0:k1], b[k0:k1], grow[:k1 - k0], decay[:k1 - k0],
                   k0 + 1, k1 + 1) for k0, k1 in zip(edges, edges[1:])]
         # rows done are yielded; the open chunk holds fill rows from base
-        w_out[0] = cfg.w0
+        w_out[0] = 1.0
         done, base, fill, peak = 0, 0, 1, 0.0
 
         for m in range(1, n_intervals):
@@ -314,7 +311,7 @@ class DdeStream:
 
             if r == _RING - 1 or m == n_intervals - 1:
                 # rows 0..r hold intervals m - r..m; node 0 of row 0 was kept
-                # (or is w0) with the previous block
+                # (or is w(0)) with the previous block
                 nodes = ring[:(r + 1) * n_per + 1]
                 # np.maximum, unlike max(), keeps a NaN peak, which fails the
                 # guard.
@@ -341,7 +338,7 @@ class DdeStream:
 
 
 def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
-    """Integrate the DDE from w(0) = cfg.w0 to t_max by the method of steps.
+    """Integrate the DDE from w(0) = 1 to t_max by the method of steps.
 
     DdeStream(cfg).chunks writes straight into the returned arrays.
     """
@@ -417,7 +414,8 @@ class TailFit:
                                  f"after its start")
         self.window, self.samples, self._last = (s0, s1), 0, -math.inf
         self._carry: tuple | None = None  # (phase, s) of the last sample fitted
-        self._unsorted = self._non_finite = self._underflow = False
+        self._unsorted = self._non_finite = False
+        self._underflow = ""  # where |w| first underflows, and the remedy
         self._fits: list[tuple[int, tuple]] = []  # (level, pooled fit)
 
     def feed(self, times: np.ndarray, w: np.ndarray) -> None:
@@ -440,7 +438,10 @@ class TailFit:
             return
         log_amp = np.abs(w)
         if self._underflow or log_amp.min() < 1e-300:
-            self._underflow = True
+            self._underflow = self._underflow or (
+                f"already at the window's first sample, s = {s[0]}; try a "
+                f"smaller --kappa" if self.samples == n and log_amp[0] < 1e-300
+                else "inside the window; shorten --t-max or the window")
             return
         np.log(log_amp, out=log_amp)
         s_mean, e_mean = float(s.sum()) / n, float(log_amp.sum()) / n
@@ -474,8 +475,7 @@ class TailFit:
                           f"widen the window or increase --t-max"),
                 (self._non_finite, f"w is not finite inside [{s0}, {s1}]; "
                                    f"pass finite samples"),
-                (self._underflow, "|w| underflows inside the window; shorten "
-                                  "--t-max or the window")):
+                (self._underflow, f"|w| underflows {self._underflow}")):
             if refused:
                 raise FitWindowError(message)
         fit = self._fits[-1][1]

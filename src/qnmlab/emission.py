@@ -21,8 +21,7 @@ import math
 from typing import NamedTuple
 
 from .model import DimensionlessParams
-from .qnm import (DEFAULT_TOL, ApproximationRangeError, CharacteristicParams,
-                  newton_roots, seed_mode)
+from .qnm import DEFAULT_TOL, CharacteristicParams, newton_roots, seed_mode
 
 
 class EmissionReport(NamedTuple):
@@ -42,24 +41,17 @@ def modified_emission_formula(d: DimensionlessParams, j: int) -> float:
     """Closed-form total decay rate near the j-th mode. Requires kappa > 1.
 
     Returns (W - j*pi)^2/kappa^2 + gamma_ext/kappa - gamma_ext/kappa^2,
-    with the first term evaluated in the same operation order as the seed
-    formula so that the gamma_ext = 0 reduction to the bare seed linewidth
-    is exact, not merely close.
+    the first term being the bare seed linewidth -Im seed_mode(j, d), so
+    the gamma_ext = 0 reduction to it is exact, not merely close.
     """
     if j < 1:
         raise ValueError(f"mode index must be >= 1, got {j}")
-    if d.kappa <= 1.0:
-        raise ApproximationRangeError(
-            f"closed form is a strong-coupling expansion and needs "
-            f"kappa > 1, got kappa = {d.kappa}")
-    detuning = d.W - j * math.pi
-    return (detuning * detuning / d.kappa**2
-            + d.gamma_ext / d.kappa
+    return (-seed_mode(j, d).imag + d.gamma_ext / d.kappa
             - d.gamma_ext / d.kappa**2)
 
 
-def modified_emission_numeric(d: DimensionlessParams, j: int,
-                              tol: float = DEFAULT_TOL) -> EmissionReport:
+def modified_emission_numeric(d: DimensionlessParams, j: int
+                              ) -> EmissionReport:
     """Total decay rate from the root of f with W continued to W - i*gamma_ext.
 
     The seed is the bare-mode seed evaluated at the complex level spacing,
@@ -69,7 +61,7 @@ def modified_emission_numeric(d: DimensionlessParams, j: int,
     formula = modified_emission_formula(d, j)  # also validates j, kappa
     continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
     theta, resid, _iters, ok = newton_roots(seed_mode(j, continued), continued,
-                                            tol)
+                                            DEFAULT_TOL)
     if not ok[0]:
         raise RuntimeError(
             f"complex-W root search did not converge for j={j}, "

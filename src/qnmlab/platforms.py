@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import (DimensionlessParams, PhysicalParams, _require_finite,
-                    _require_positive, to_dimensionless)
+from .model import _require_finite, _require_positive
 
 #: Exact SI-2019 elementary charge (C) and Planck constant (J s), the
 #: reduced Planck constant h/(2 pi) and the flux quantum h/(2e) (Wb).
@@ -190,15 +189,3 @@ def raman_coupling(r: RamanSpec) -> float:
     """
     return -r.g * r.G / (2.0 * r.Delta)
 
-
-def to_model(omega: float, j_like: float, v_g: float, a: float,
-             gamma_ext_rate: float = 0.0) -> DimensionlessParams:
-    """Bridge platform outputs (angular frequencies) to model parameters.
-
-    omega is the qubit/atom level spacing, j_like the (possibly signed)
-    coupling; both in rad/s. v_g and a are the line's group velocity and
-    the mirror-atom distance in SI units.
-    """
-    p = PhysicalParams(v_g=v_g, a=a, J=j_like, Omega=omega,
-                       Gamma_ext=gamma_ext_rate)
-    return to_dimensionless(p)

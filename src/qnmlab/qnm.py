@@ -51,7 +51,8 @@ BOUND_STATE_IM_CUTOFF = 1e-14
 #: Two refined roots closer than this are duplicates of the same mode.
 DEDUP_RADIUS = 1e-6
 
-#: Default Newton tolerance on |f| of every root search and --tol flag.
+#: Newton tolerance on |f|: the default of the root searches and of the
+#: --tol flag of the commands whose output is the roots.
 DEFAULT_TOL = 1e-12
 
 #: Newton steps an element may take before it stops unconverged.
@@ -85,11 +86,11 @@ class ContourBox:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError(f"degenerate contour box {self}")
 
-    def inflated(self, factor: float) -> "ContourBox":
+    def inflated(self) -> "ContourBox":
         cre = 0.5 * (self.re_min + self.re_max)
         cim = 0.5 * (self.im_min + self.im_max)
-        hre = 0.5 * (self.re_max - self.re_min) * factor
-        him = 0.5 * (self.im_max - self.im_min) * factor
+        hre = 0.5 * (self.re_max - self.re_min) * 1.01
+        him = 0.5 * (self.im_max - self.im_min) * 1.01
         return ContourBox(cre - hre, cre + hre, cim - him, cim + him)
 
 
@@ -302,7 +303,7 @@ def count_roots_in_box(d: DimensionlessParams, box: ContourBox) -> int:
     for _ in range(6):
         if (count := _winding_or_none(d, current)) is not None:
             return count
-        current = current.inflated(1.01)
+        current = current.inflated()
     raise ContourError(
         f"could not certify contour for {box}: |f| vanishes near every "
         f"inflated contour tried")
@@ -434,7 +435,7 @@ def sweep_decay(d: DimensionlessParams, w_values,
     return Sweep(w, np.where(ok, im, math.nan), j, ok, notes)
 
 
-def slowest_mode(d: DimensionlessParams, tol: float = DEFAULT_TOL) -> Modes:
+def slowest_mode(d: DimensionlessParams) -> Modes:
     """The mode with the smallest decay rate: floor(W/pi) vs ceil(W/pi).
 
     The lifetime maximum sits at the j minimising |W - j*pi|, which is one of
@@ -445,7 +446,7 @@ def slowest_mode(d: DimensionlessParams, tol: float = DEFAULT_TOL) -> Modes:
     """
     _require_usable_w(d)
     j_lo = int(math.floor(d.W / math.pi))
-    modes = _modes(seed_mode(np.array([j_lo, j_lo + 1]), d), d, tol)
+    modes = _modes(seed_mode(np.array([j_lo, j_lo + 1]), d), d, DEFAULT_TOL)
     if not modes.converged.any():
         raise ApproximationRangeError(
             f"no converged mode near W = {d.W} for kappa = {d.kappa}")

@@ -202,10 +202,10 @@ def interval_recurrence_dde(cfg, max_output_points: int = 400_000
         return np.arange(start or stride, n_per + 1, stride)
 
     node_times = dt * np.arange(n_per + 1)
-    w_prev = cfg.w0 * np.exp(-lam * node_times)
+    w_prev = np.exp(-lam * node_times)
     w_back = np.zeros(n_per + 1, dtype=complex)
     out_times = [np.array([0.0]), node_times[kept(0)]]
-    out_w = [np.array([cfg.w0], dtype=complex), w_prev[kept(0)]]
+    out_w = [np.array([1.0], dtype=complex), w_prev[kept(0)]]
     max_abs = float(np.max(np.abs(w_prev)))
     for m in range(1, n_intervals):
         c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
@@ -280,10 +280,10 @@ def derivative_recurrence_dde(cfg, max_output_points: int = 400_000
         return np.arange(start or stride, n_per + 1, stride)
 
     node_times = dt * np.arange(n_per + 1)
-    w_prev = cfg.w0 * np.exp(-lam * node_times)
+    w_prev = np.exp(-lam * node_times)
     d_prev = -lam * w_prev
     out_times = [np.array([0.0]), node_times[kept(0)]]
-    out_w = [np.array([cfg.w0], dtype=complex), w_prev[kept(0)]]
+    out_w = [np.array([1.0], dtype=complex), w_prev[kept(0)]]
     max_abs = float(np.max(np.abs(w_prev)))
     for m in range(1, n_intervals):
         b = half_kappa * (c_wa * w_prev[:-1] + c_da * d_prev[:-1]

@@ -403,9 +403,10 @@ def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, remedy, wrong", [
-    # |w| underflows before the earliest window: a longer run cannot help
-    (["--kappa", "1419500", "--w", "2", "--t-max", "40"], "shorten",
-     "increase --t-max"),
+    # |w| underflows before the earliest window: neither a longer nor a
+    # shorter run can help
+    (["--kappa", "1419500", "--w", "2", "--t-max", "40"],
+     "try a smaller --kappa", "increase --t-max"),
     # the beating tail of a short run: a longer run or a later window can
     (["--kappa", "200", "--w", "5", "--t-max", "100"],
      "increase --t-max or pass a later --fit-start/--fit-end", "shorten"),
@@ -418,6 +419,21 @@ def test_failed_fit_names_its_own_remedy_once(tmp_path, capsys, argv,
     assert err.count("\n") == 1
     assert err.startswith("qnmlab evolve: decay fit failed: ")
     assert err.count(remedy) == 1 and wrong not in err
+
+
+def test_evolve_runs_on_without_the_expected_rate(tmp_path, monkeypatch):
+    # the coverage warning's reference root does not converge: the warning
+    # says so and the run is integrated, fitted and written as usual
+    monkeypatch.setattr("qnmlab.qnm.MAX_NEWTON_STEPS", 0)
+    code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "40",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    manifest = _manifest(tmp_path)
+    assert manifest["warnings"] == [
+        "expected decay rate unavailable: no converged mode near W = 2.0 "
+        "for kappa = 10.0"]
+    assert {"dde", "fit"} <= set(manifest)
+    assert (tmp_path / "evolve.csv").exists()
 
 
 def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
@@ -717,6 +733,19 @@ def test_verify_records_full_only(flags, full):
     args = _build_parser().parse_args(["verify"] + flags)
     assert args.full is full
     assert not hasattr(args, "quick")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--kappa", "50", "--w", "2", "--t-max", "40"],
+    ["verify"],
+], ids=["evolve", "verify"])
+def test_tol_is_not_an_option_where_the_roots_are_not_the_output(
+        tmp_path, capsys, argv):
+    code = main(argv + ["--tol", "1e-12", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "qnmlab: unrecognized arguments: --tol 1e-12\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):

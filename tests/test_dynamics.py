@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qnmlab import dynamics
 from qnmlab.dynamics import (_RING, CHUNK_ROWS, FIT_START, ROUND_TRIP,
                              DdeConfig, DdeStream, FitWindowError, TailFit,
                              evolve_atom, fit_decay, fit_tail, integrate_dde,
@@ -32,8 +33,6 @@ def test_config_rejects_short_horizon_and_coarse_step():
         DdeConfig(d=D50, t_max=100.0, dt=0.02)
     with pytest.raises(ValueError):
         DdeConfig(d=D50, t_max=100.0, dt=0.0)
-    with pytest.raises(ValueError):
-        DdeConfig(d=D50, t_max=100.0, w0=complex(math.nan, 0.0))
 
 
 # --- closed-form segments -------------------------------------------------
@@ -156,9 +155,13 @@ def test_failed_fit_keeps_the_trajectory():
 
 # --- amplitude bound ------------------------------------------------------
 
-def test_amplitude_above_the_norm_bound_is_an_integration_error():
+def test_amplitude_above_the_norm_bound_is_an_integration_error(monkeypatch):
+    # a faulty kernel: forcing weights scaled by 1.5 push |w| past 1
+    weights = dynamics._hermite_forcing_weights
+    monkeypatch.setattr(dynamics, "_hermite_forcing_weights", lambda z, dt: [
+        1.5 * c for c in weights(z, dt)])
     with pytest.raises(RuntimeError, match="single-excitation bound"):
-        integrate_dde(DdeConfig(d=D50, t_max=40.0, w0=1.5))
+        integrate_dde(DdeConfig(d=D50, t_max=40.0))
     # kappa * dt / 2 = 5000: exp of one step overflows, so the config
     # itself is refused before any integration
     with pytest.raises(ValueError, match="dt = 0.01"):

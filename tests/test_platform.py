@@ -10,10 +10,11 @@ from scipy.constants import hbar as HBAR
 from scipy.constants import physical_constants
 
 from qnmlab import platforms
+from qnmlab.model import PhysicalParams, to_dimensionless
 from qnmlab.platforms import (COUPLING_ADVISORY_NOTE, FLUX_QUANTUM,
                               CouplingReport, RamanSpec, RangeFlag, SquidSpec,
                               raman_coupling, squid_coupling,
-                              squid_level_spacing, to_model)
+                              squid_level_spacing)
 from refs import SQUID_SCENARIO
 
 
@@ -217,15 +218,15 @@ def test_range_flag_is_computed_from_value_and_range():
 
 # --- bridge to the model ------------------------------------------------
 
-def test_to_model_bridge():
-    d = to_model(omega=5e10, j_like=1e10, v_g=1e8, a=0.01)
+def test_platform_outputs_map_to_model_parameters():
+    d = to_dimensionless(PhysicalParams(v_g=1e8, a=0.01, J=1e10, Omega=5e10))
     assert d.kappa == 200.0
     assert d.W == 5.0
     assert d.gamma_ext == 0.0
 
 
-def test_to_model_takes_signed_coupling_and_loss():
-    d = to_model(omega=5e10, j_like=-1e10, v_g=1e8, a=0.01,
-                 gamma_ext_rate=2e10)
+def test_platform_map_takes_signed_coupling_and_loss():
+    d = to_dimensionless(PhysicalParams(v_g=1e8, a=0.01, J=-1e10,
+                                        Omega=5e10, Gamma_ext=2e10))
     assert d.kappa == 200.0
     assert d.gamma_ext == 2.0

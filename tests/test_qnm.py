@@ -3,6 +3,7 @@ contour certification and the decay-vs-level sweep."""
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -107,6 +108,11 @@ def test_bound_state_root_is_exact():
     assert mode.theta == complex(2 * math.pi, 0.0)
     assert mode.theta.imag == 0.0
     assert lifetime(mode) == math.inf
+
+
+def test_non_finite_seed_is_refused():
+    with pytest.raises(ValueError, match="theta must be finite"):
+        refine_root(complex(math.nan, 0.0), D200)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -214,6 +220,34 @@ def test_count_roots_inflates_past_root_on_corner():
 def test_count_roots_input_validation():
     with pytest.raises(ValueError):
         ContourBox(re_min=1.0, re_max=0.5, im_min=0.0, im_max=1.0)
+
+
+def test_count_roots_refuses_a_contour_where_f_overflows():
+    # kappa e^{-2 Im theta} overflows at Im theta = -400: no count, and no
+    # numpy warning on the way
+    box = ContourBox(re_min=0.5, re_max=4.0, im_min=-400.0, im_max=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContourError,
+                           match="f is not finite on the contour"):
+            count_roots_in_box(D200, box)
+
+
+def test_count_roots_gives_up_after_six_inflated_contours(monkeypatch):
+    boxes = []
+
+    def zero_on_contour(d, box):
+        boxes.append(box)
+        return None
+
+    monkeypatch.setattr(qnm, "_winding_or_none", zero_on_contour)
+    box = ContourBox(re_min=3.0, re_max=3.3, im_min=-0.05, im_max=0.001)
+    with pytest.raises(ContourError, match="could not certify"):
+        count_roots_in_box(D200, box)
+    expected = [box]
+    while len(expected) < 6:
+        expected.append(expected[-1].inflated())
+    assert boxes == expected
 
 
 def _mp_root(d, seed):
@@ -481,6 +515,12 @@ def test_sweep_rejects_weak_coupling():
     # no seed exists for kappa <= 1, as for find_modes
     with pytest.raises(ApproximationRangeError):
         sweep_decay(DimensionlessParams(kappa=0.5, W=1.0), [1.0, math.pi])
+
+
+def test_slowest_mode_without_a_converged_neighbour_is_refused(monkeypatch):
+    monkeypatch.setattr(qnm, "MAX_NEWTON_STEPS", 0)
+    with pytest.raises(ApproximationRangeError, match="no converged mode"):
+        slowest_mode(D200)
 
 
 def test_slowest_mode_picks_the_smaller_linewidth_neighbour():
