@@ -147,9 +147,11 @@ def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
                   modes.j, modes.theta.real, modes.theta.imag, modes.residual,
                   lifetime_from_theta(modes.theta),
                   np.where(modes.converged, "true", "false"))
-    run.extras["modes"] = [
-        {"j": j, "iterations": n, "note": note} for j, n, note
-        in zip(modes.j.tolist(), modes.iterations.tolist(), modes.note)]
+    run.extras["modes"] = [  # radius null for no disc: NaN is not JSON
+        {"j": j, "iterations": n, "note": note,
+         "radius": None if math.isnan(r) else r} for j, n, note, r
+        in zip(modes.j.tolist(), modes.iterations.tolist(), modes.note,
+               modes.radius.tolist())]
     bad = ~modes.converged
     for j, note in zip(modes.j[bad].tolist(), modes.note[bad]):
         run.warnings.append(f"mode j={j} not converged: {note}")

@@ -60,8 +60,8 @@ def modified_emission_numeric(d: DimensionlessParams, j: int
     """
     formula = modified_emission_formula(d, j)  # also validates j, kappa
     continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
-    theta, resid, _iters, ok = newton_roots(seed_mode(j, continued), continued,
-                                            DEFAULT_TOL)
+    theta, resid, _iters, ok, _radius = newton_roots(
+        seed_mode(j, continued), continued, DEFAULT_TOL)
     if not ok[0]:
         raise RuntimeError(
             f"complex-W root search did not converge for j={j}, "

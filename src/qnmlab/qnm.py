@@ -48,9 +48,6 @@ from .model import DimensionlessParams
 #: lifetime): the bound-state-in-continuum marker.
 BOUND_STATE_IM_CUTOFF = 1e-14
 
-#: Two refined roots closer than this are duplicates of the same mode.
-DEDUP_RADIUS = 1e-6
-
 #: Newton tolerance on |f|: the default of the root searches and of the
 #: --tol flag of the commands whose output is the roots.
 DEFAULT_TOL = 1e-12
@@ -101,8 +98,10 @@ class Modes(NamedTuple):
     theta       complex mode energy
     residual    |f(theta)| at the returned point
     iterations  Newton iterations consumed
-    converged   True when residual met the requested tolerance
+    converged   True when residual met the tolerance and radius is proved
     note        metadata flag, e.g. for the uncertain j <= 0 branch
+    radius      of a disc about theta holding exactly one zero of f (see
+                newton_roots); nan (the default) where none was proved
     """
 
     j: np.ndarray
@@ -111,6 +110,7 @@ class Modes(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     note: np.ndarray
+    radius: np.ndarray = math.nan
 
 
 class Sweep(NamedTuple):
@@ -165,20 +165,32 @@ def seed_mode(j, d: DimensionlessParams | CharacteristicParams):
             - 1j * (delta * delta / kappa**2))
 
 
+def _rounding_error(d: DimensionlessParams | CharacteristicParams, grow, z):
+    """E = 16 eps of the terms of |f(z)|, |f'(z)| (grow = |kappa e^{2iz}|):
+    complex sin and exp are off by 2 ulp a part, so f, f' by < 5 eps."""
+    return 2.0 ** -48 * (grow + d.kappa + np.abs(d.W) + np.abs(z) + 1.0)
+
+
 def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
-                 tol: float = DEFAULT_TOL
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Newton iteration on f from every seed at once.
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Newton iteration on f from every seed at once, and a proof per root.
 
     seeds is a scalar or a 1-D array; d.W may be complex, or an array with
     one level spacing per seed. Returns 1-D arrays (theta, |f(theta)|,
-    iterations, converged). Each element steps until |f| <= tol or until
-    MAX_NEWTON_STEPS steps. A converged element is then polished with up to
-    three further steps as long as each one strictly reduces |f|; this
-    drives the residual to its floating-point floor instead of stopping at
-    the first sub-tolerance value. An element whose next iterate is not
-    finite (as when f' vanishes) stops unconverged at its last finite
-    iterate.
+    iterations, converged, radius). Each element steps until |f| <= tol or
+    until MAX_NEWTON_STEPS steps. A converged element is then polished with
+    up to three further steps as long as each one strictly reduces |f|;
+    this drives the residual to its floating-point floor instead of
+    stopping at the first sub-tolerance value. An element whose next
+    iterate is not finite (as when f' vanishes) stops unconverged at its
+    last finite iterate.
+
+    radius r = 2 (|f| + E)/|f'| proves each root (Rouche; Rump, Acta Numer.
+    19 (2010) 287): with e = kappa e^{2 i theta}, f' = e + 1 and 2|e|e^{2r}
+    bounds |f''| on |z - theta| <= r. If |e|e^{2r} r**2 + |f| + E (1 + r)
+    < |f'| r, f is closer to its tangent line on that circle than the line
+    to 0, so f has exactly one zero in the disc; else r is nan. converged
+    means |f| <= tol and a proved disc.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -213,7 +225,14 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
             if polish.size == 0:
                 break
             polish = step(polish, np.less)
-    return theta, resid, iterations, resid <= tol
+        e = d.kappa * np.exp(2j * theta)
+        grow, slope = np.abs(e), np.abs(e + 1.0)
+        err = _rounding_error(d, grow, theta)
+        r = 2.0 * (resid + err) / slope
+        proved = (grow * np.exp(2.0 * r) * r * r + resid + err * (1.0 + r)
+                  < slope * r)
+    radius = np.where(proved, r, math.nan)
+    return theta, resid, iterations, (resid <= tol) & proved, radius
 
 
 def _require_usable_w(d: DimensionlessParams) -> None:
@@ -228,7 +247,7 @@ def _classify(roots: tuple, tol: float, seed_j=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mode index, converged flag and note of each newton_roots result (see
     refine_root); seed_j, if given, names the seed index of each root."""
-    theta, resid, iterations, converged = roots
+    theta, resid, iterations, converged, _ = roots
     j = np.round(theta.real / math.pi).astype(int)
     growing = converged & (theta.imag > tol)
     notes = np.array(["", LOW_ENERGY_NOTE], dtype=object)[
@@ -240,20 +259,22 @@ def _classify(roots: tuple, tol: float, seed_j=None
                                  converged[flagged].tolist(),
                                  resid[flagged].tolist(),
                                  iterations[flagged].tolist(), seeds):
+        where = f"|f| = {r:.3g} after {n} steps{seed}"
         why = ("converged to a growing mode" if ok else
-               f"Newton stopped at |f| = {r:.3g} after {n} steps{seed}")
+               f"no root disc was proved at {where}" if r <= tol else
+               f"Newton stopped at {where}")
         notes[i] = (notes[i] + "; " if notes[i] else "") + why
     return j, converged & ~growing, notes
 
 
 def _modes(seeds, d: DimensionlessParams, tol: float, seed_j=None) -> Modes:
     """Refine every seed in one newton_roots call, one row per seed."""
-    theta, resid, iterations, _ = roots = newton_roots(seeds, d, tol)
+    theta, resid, iterations, _, radius = roots = newton_roots(seeds, d, tol)
     bad = theta[~np.isfinite(theta)]
     if bad.size:
         raise ValueError(f"theta must be finite, got {bad.tolist()[0]!r}")
     j, converged, notes = _classify(roots, tol, seed_j)
-    return Modes(j, theta, resid, iterations, converged, notes)
+    return Modes(j, theta, resid, iterations, converged, notes, radius)
 
 
 def _row(modes: Modes, i: int) -> Modes:
@@ -325,10 +346,8 @@ def _winding_or_none(d: DimensionlessParams, box: ContourBox) -> int | None:
     with np.errstate(all="ignore"):  # f overflows far below the real axis
         f, df = characteristic(z, d), characteristic_derivative(z, d)
         while True:
-            # E = 16 eps of the terms of |f|, |f'|: complex sin and exp are
-            # off by 2 ulp (2 eps) a part, so f, f' by < 5 eps, the test a few.
             grow = d.kappa * np.exp(-2.0 * z.imag)
-            err = 2.0 ** -48 * (grow + d.kappa + abs(d.W) + np.abs(z) + 1.0)
+            err = _rounding_error(d, grow, z)
             absf, adf = np.abs(f), np.abs(df)
             if not np.isfinite(absf).all():
                 raise ContourError(f"f is not finite on the contour of {box}")
@@ -351,25 +370,13 @@ def _winding_or_none(d: DimensionlessParams, box: ContourBox) -> int | None:
     return n
 
 
-def _certification_box(theta: complex) -> ContourBox:
-    """A tight rectangle around one root, clear of its neighbours (~pi away)."""
-    margin_im = max(0.05, 2.0 * abs(theta.imag))
-    return ContourBox(
-        re_min=theta.real - 0.05,
-        re_max=theta.real + 0.05,
-        im_min=theta.imag - margin_im,
-        im_max=max(1e-3, theta.imag + margin_im),
-    )
-
-
 def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
                tol: float = DEFAULT_TOL) -> Modes:
-    """Seed, refine, deduplicate and certify modes for j in [j_min, j_max].
+    """Seed, refine and deduplicate modes for j in [j_min, j_max].
 
-    All seeds are refined in one newton_roots call. Each converged root
-    needs a proved count of 1 (count_roots_in_box: inflated past a zero on
-    its contour) in a tight box around it; another count or a ContourError
-    demotes it to unconverged with a note instead of aborting the batch.
+    All seeds are refined in one newton_roots call, whose disc proves each
+    row. Two rows are one root when their proved discs overlap; the
+    converged row is kept, then the one of lower Re(theta).
     Returns one Modes, rows sorted by Re(theta). Raises
     ApproximationRangeError for W above MAX_W.
     """
@@ -379,24 +386,13 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
     js = np.arange(j_min, j_max + 1)
     modes = _modes(seed_mode(js, d), d, tol, js)
 
-    thetas, notes = modes.theta.tolist(), modes.note
+    thetas, radii = modes.theta.tolist(), modes.radius.tolist()
     kept: list[int] = []
-    for i in np.argsort(modes.theta.real, kind="stable").tolist():
-        if any(abs(thetas[i] - thetas[k]) < DEDUP_RADIUS for k in kept):
-            continue
-        kept.append(i)
-        if not modes.converged[i]:
-            continue
-        try:
-            count = count_roots_in_box(d, _certification_box(thetas[i]))
-        except ContourError as exc:
-            count = -1
-            detail = f"certification failed: {exc}"
-        if count != 1:
-            if count >= 0:
-                detail = f"certification counted {count} roots, expected 1"
-            modes.converged[i] = False
-            notes[i] = (notes[i] + "; " if notes[i] else "") + detail
+    for i in np.lexsort((modes.theta.real, ~modes.converged)).tolist():
+        if not any(abs(thetas[i] - thetas[k]) <= radii[i] + radii[k]
+                   for k in kept):
+            kept.append(i)
+    kept.sort(key=lambda i: (thetas[i].real, i))
     return Modes(*(column[kept] for column in modes))
 
 

@@ -157,6 +157,49 @@ def test_unconverged_mode_warnings_are_distinct(tmp_path):
     assert not any("no note" in w for w in warnings)
 
 
+DUPLICATE_ARGV = ["spectrum", "--kappa", "1.8618254128079412",
+                  "--w", "7.041582857257689"]
+
+
+def test_spectrum_keeps_the_converged_copy_of_a_root(tmp_path):
+    # the j = 5 seed stops at |f| = 1.4e-11 on the j = 2 root, which the
+    # j = 2 seed reaches at the rounding floor: one row, converged; only
+    # the j = 6 seed's row is flagged
+    assert main(DUPLICATE_ARGV + ["--out-dir", str(tmp_path)]) == 2
+    _, rows = _read_csv(tmp_path / "modes.csv")
+    assert [(row[0], row[5]) for row in rows] == [
+        ("1", "true"), ("2", "true"), ("3", "true"), ("4", "true"),
+        ("5", "false")]
+    warnings = _manifest(tmp_path)["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith("mode j=5 ")
+
+
+def test_spectrum_manifest_records_each_disc(tmp_path):
+    # radius is null where no disc was proved: NaN is not JSON
+    assert main(DUPLICATE_ARGV + ["--out-dir", str(tmp_path)]) == 2
+    text = (tmp_path / "manifest.json").read_text()
+    records = json.loads(text, parse_constant=pytest.fail)["modes"]
+    assert all(set(m) == {"j", "iterations", "note", "radius"}
+               for m in records)
+    radii = [m["radius"] for m in records]
+    assert radii[-1] is None
+    assert all(0 < r < 1e-13 for r in radii[:-1])
+
+
+def test_spectrum_without_a_proved_disc_is_partial(tmp_path, monkeypatch):
+    # fault injection: no disc is proved, so no row converges however small
+    # its |f|
+    monkeypatch.setattr("qnmlab.qnm._rounding_error",
+                        lambda d, grow, z: grow * math.inf)
+    assert main(["spectrum", "--kappa", "200", "--w", "5",
+                 "--out-dir", str(tmp_path)]) == 2
+    _, rows = _read_csv(tmp_path / "modes.csv")
+    assert all(float(row[3]) <= 1e-12 and row[5] == "false" for row in rows)
+    warnings = _manifest(tmp_path)["warnings"]
+    assert len(warnings) == 6
+    assert all("no root disc was proved" in w for w in warnings)
+
+
 # --- sweep --------------------------------------------------------------
 
 def test_sweep_bound_state_row(tmp_path):

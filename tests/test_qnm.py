@@ -25,10 +25,6 @@ from refs import ROOTS
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
 
 
-def _raise_contour_error(d, box):
-    raise ContourError("no contour")
-
-
 # --- characteristic function -------------------------------------------
 
 def test_characteristic_vanishes_at_pi_when_level_is_pi():
@@ -126,7 +122,7 @@ def test_batched_kernel_matches_scalar_reference(kappa, ws):
     w = np.array(ws)
     d = CharacteristicParams(kappa, w)
     seeds = seed_mode(np.round(w / math.pi).astype(int), d)
-    theta, resid, _, converged = newton_roots(seeds, d, tol)
+    theta, resid, _, converged, _ = newton_roots(seeds, d, tol)
     for i, seed in enumerate(seeds.tolist()):
         ref, _, _, ref_ok = scalar_newton(seed, kappa, ws[i], tol, 50)
         assert converged[i] == ref_ok
@@ -153,7 +149,8 @@ def test_non_finite_step_stops_unconverged_at_last_iterate():
     flat = complex(math.pi / 2, math.log(kappa) / 2)
     assert abs(characteristic_derivative(flat, D200)) < 1e-12
     d = CharacteristicParams(kappa, 5.0)
-    theta, _, iterations, converged = newton_roots([flat, seed_mode(1, d)], d)
+    theta, _, iterations, converged, _ = newton_roots(
+        [flat, seed_mode(1, d)], d)
     assert theta[0] == flat and iterations[0] == 0 and not converged[0]
     assert converged[1] and abs(theta[1] - ROOTS[(200.0, 5.0, 1)]) < 1e-11
 
@@ -315,6 +312,41 @@ def test_counts_certify_modes_and_add_up(kappa, w, re_min, width, im_min,
     assert left + right == whole
 
 
+def _assert_disc_holds_root(kappa, w, theta, radius):
+    # the 40-digit root of f that findroot reaches from theta lies within
+    # the proved radius of it
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda t: kappa * mpmath.sin(t) * mpmath.exp(1j * t) - (w - t),
+            mpmath.mpc(theta))
+        assert abs(root - mpmath.mpc(theta)) <= radius, (kappa, w, theta)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(kappa=st.floats(1.0, 1e5, exclude_min=True), w=st.floats(0.0, 12.0),
+       ws=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=8))
+def test_every_proved_disc_holds_its_root(kappa, w, ws):
+    # find_modes rows and sweep points alike: a converged row always has a
+    # disc, and every disc, converged row or not, holds a root of f
+    d = DimensionlessParams(kappa=kappa, W=w)
+    modes = find_modes(d, j_min=1, j_max=20)
+    assert np.isfinite(modes.radius[modes.converged]).all()
+    for theta, radius in zip(modes.theta.tolist(), modes.radius.tolist()):
+        if math.isfinite(radius):
+            _assert_disc_holds_root(kappa, w, theta, radius)
+    # the sweep's own seeds, through the kernel it calls
+    sweep = sweep_decay(d, ws)
+    sub = CharacteristicParams(kappa, np.array(ws))
+    theta, _, _, _, radius = newton_roots(
+        seed_mode(np.round(sub.W / math.pi).astype(int), sub), sub)
+    for i, (wi, t, r) in enumerate(zip(ws, theta.tolist(), radius.tolist())):
+        if sweep.converged[i] and "bound state" not in sweep.note[i]:
+            assert math.isfinite(r)
+            assert sweep.im_theta_min[i] == abs(t.imag)
+        if math.isfinite(r):
+            _assert_disc_holds_root(kappa, wi, t, r)
+
+
 # --- batch solve --------------------------------------------------------
 
 def test_find_modes_returns_four_distinct_certified_roots():
@@ -369,6 +401,17 @@ def test_find_modes_drops_duplicate_roots():
     ]
 
 
+def test_find_modes_keeps_the_converged_copy_of_a_root():
+    # the j = 5 seed stops at |f| = 1.4e-11 on the j = 2 root, 4e-12 from
+    # the j = 2 seed's converged copy: their discs overlap, and the converged
+    # copy is the row kept, though the other has the lower Re theta
+    d = DimensionlessParams(kappa=1.8618254128079412, W=7.041582857257689)
+    modes = find_modes(d)
+    assert modes.j.tolist() == [1, 2, 3, 4, 5]
+    assert modes.converged.tolist() == [True, True, True, True, False]
+    assert modes.residual[1] <= 1e-12
+
+
 def test_unconverged_rows_say_where_newton_stopped():
     # at kappa = 1.2 the seeds of j >= 4 lie far below the real axis and
     # never converge; each row's j is where Newton stopped, so the note
@@ -387,27 +430,35 @@ def test_unconverged_rows_say_where_newton_stopped():
 
 def test_newton_stops_after_max_steps():
     # tol below double precision: every step stays finite, none converges
-    _, _, iterations, converged = newton_roots(seed_mode(1, D200), D200,
-                                               tol=1e-30)
+    _, _, iterations, converged, _ = newton_roots(seed_mode(1, D200), D200,
+                                                  tol=1e-30)
     assert not converged[0]
     assert iterations[0] == qnm.MAX_NEWTON_STEPS
     mode = refine_root(seed_mode(1, D200), D200, tol=1e-30)
     assert f"after {qnm.MAX_NEWTON_STEPS} steps" in mode.note
 
 
-@pytest.mark.parametrize("count, detail", [
-    (lambda d, box: 2, "certification counted 2 roots, expected 1"),
-    (_raise_contour_error, "certification failed: no contour"),
+@pytest.mark.parametrize("error", [
+    # a rounding bound E >= |f'| gives r >= 2 and E r > |f| + E: the disc's
+    # circle never proves a count of exactly one zero
+    lambda d, grow, z: grow + 1.0,
+    # a bound that is not finite on the circle, as where f overflows
+    lambda d, grow, z: grow * math.nan,
 ], ids=["wrong-count", "contour-error"])
-def test_failed_certification_demotes_mode(monkeypatch, count, detail):
-    monkeypatch.setattr(qnm, "count_roots_in_box", count)
+def test_failed_certification_demotes_mode(monkeypatch, error):
+    # fault injection into the disc proof: no row is proved, so rows whose
+    # |f| meets tol come back unconverged, and say why
+    monkeypatch.setattr(qnm, "_rounding_error", error)
     modes = find_modes(D200, j_min=0, j_max=2)
+    assert (modes.residual <= 1e-12).all()
+    assert np.isnan(modes.radius).all()
     assert list(zip(modes.j.tolist(), modes.converged.tolist(),
                     modes.note)) == [
-        (0, False, LOW_ENERGY_NOTE + "; " + detail),
-        (1, False, detail),
-        (2, False, detail),
-    ]
+        (j, False, prefix + f"no root disc was proved at |f| = {r:.3g} after "
+         f"{n} steps from the j={j} seed")
+        for j, prefix, r, n in zip([0, 1, 2], [LOW_ENERGY_NOTE + "; ", "", ""],
+                                   modes.residual.tolist(),
+                                   modes.iterations.tolist())]
 
 
 def test_find_modes_contains_exact_real_root_at_level_pi():
