@@ -3,7 +3,9 @@
 Subcommands: spectrum (mode table), sweep (decay-rate minima vs W),
 wavefunction (mode profile), scatter (phase shift / delay / enhancement),
 evolve (time-domain amplitude), map (laboratory-parameter report) and
-verify (cross-module consistency suite).
+verify (cross-module consistency suite). Each subcommand imports numpy and
+the library modules it uses when it runs, so --version, --help, usage
+errors and map start without numpy.
 
 Every run writes its data files into --out-dir plus a manifest.json
 recording the command, the exact parameters used, tool version, ISO-8601
@@ -25,25 +27,11 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__
-from .dynamics import (DdeConfig, FitWindowError, evolve_atom, fit_tail,
-                       pole_check)
-from .model import DimensionlessParams
-from .platforms import (RamanSpec, SquidSpec, raman_coupling, squid_coupling,
-                        squid_level_spacing)
-from .qnm import (DEFAULT_TOL, MAX_W, ApproximationRangeError, ContourBox,
-                  characteristic, count_roots_in_box, find_modes,
-                  lifetime_from_theta, refine_root, seed_mode, slowest_mode,
-                  sweep_decay)
-from .scattering import enhancement_scan, qnm_wavefunction
+from . import DEFAULT_TOL, __version__
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,16 +58,16 @@ def _dump_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-@dataclass
 class _Run:
     """Collects outputs and warnings while a command executes."""
 
-    command: str
-    parameters: dict
-    out_dir: str
-    outputs: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    def __init__(self, command: str, parameters: dict, out_dir: str):
+        self.command = command
+        self.parameters = parameters
+        self.out_dir = out_dir
+        self.outputs: list[str] = []
+        self.warnings: list[str] = []
+        self.extras: dict = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -91,8 +79,6 @@ class _Run:
         value, integer cells '%d' and any other '%s'. Records the file in
         the manifest's csv block.
         """
-        # imported here: building its tables takes a few ms that --version,
-        # map and verify need not pay
         from ._csv import csv_chunks
 
         start = time.perf_counter()
@@ -141,6 +127,10 @@ def _params_of(args: argparse.Namespace) -> dict:
 
 
 def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
+    import numpy as np
+    from .model import DimensionlessParams
+    from .qnm import find_modes, lifetime_from_theta
+
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     modes = find_modes(d, j_min=args.j_min, j_max=args.j_max, tol=args.tol)
     run.write_csv("modes.csv", "j,re_theta,im_theta,residual,lifetime,converged",
@@ -159,6 +149,10 @@ def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
+    import numpy as np
+    from .model import DimensionlessParams
+    from .qnm import sweep_decay
+
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     d = DimensionlessParams(kappa=args.kappa, W=1.0)  # W comes per point
@@ -172,6 +166,11 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
+    import numpy as np
+    from .model import DimensionlessParams
+    from .qnm import refine_root, seed_mode
+    from .scattering import qnm_wavefunction
+
     if args.samples < 2:
         raise ValueError("--samples must be >= 2")
     if args.x_max <= 0:
@@ -193,6 +192,10 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_scatter(args: argparse.Namespace, run: _Run) -> int:
+    import numpy as np
+    from .model import DimensionlessParams
+    from .scattering import enhancement_scan
+
     if args.samples < 2:
         raise ValueError("--samples must be >= 2")
     if not 0 < args.theta_min < args.theta_max:
@@ -207,6 +210,11 @@ def _cmd_scatter(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
+    import numpy as np
+    from .dynamics import DdeConfig, FitWindowError, evolve_atom
+    from .model import DimensionlessParams
+    from .qnm import MAX_W, ApproximationRangeError, slowest_mode
+
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     cfg = DdeConfig(d=d, t_max=args.t_max, dt=args.dt)
     window = None
@@ -253,6 +261,8 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _squid_from_args(args: argparse.Namespace, scale: float) -> SquidSpec:
+    from .platforms import SquidSpec
+
     for name in ("e_j", "c_g", "c_j", "c_sigma", "phi_x", "l", "c_line",
                  "omega_mode", "mixing_angle"):
         if getattr(args, name) is None:
@@ -269,6 +279,10 @@ def _squid_from_args(args: argparse.Namespace, scale: float) -> SquidSpec:
 
 
 def _cmd_map(args: argparse.Namespace, run: _Run) -> int:
+    from dataclasses import asdict
+    from .platforms import (RamanSpec, raman_coupling, squid_coupling,
+                            squid_level_spacing)
+
     scale = 2.0 * math.pi if args.frequency_unit == "ordinary" else 1.0
     if args.platform == "squid":
         s = _squid_from_args(args, scale)
@@ -311,6 +325,12 @@ def _cmd_map(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _check_pole_identity(n_points: int) -> tuple[bool, str]:
+    import random
+    import numpy as np
+    from .dynamics import pole_check
+    from .model import DimensionlessParams
+    from .qnm import characteristic
+
     rng = random.Random(_VERIFY_SEED)
     d = DimensionlessParams(kappa=200.0, W=5.0)
     thetas = [complex(rng.uniform(-5.0, 20.0), rng.uniform(-1.0, 0.5))
@@ -322,6 +342,10 @@ def _check_pole_identity(n_points: int) -> tuple[bool, str]:
 
 
 def _check_root_count() -> tuple[bool, str]:
+    import numpy as np
+    from .model import DimensionlessParams
+    from .qnm import ContourBox, count_roots_in_box, find_modes
+
     d = DimensionlessParams(kappa=200.0, W=5.0)
     box = ContourBox(re_min=0.5, re_max=4.5 * math.pi,
                      im_min=-0.05, im_max=0.001)
@@ -337,6 +361,10 @@ def _check_root_count() -> tuple[bool, str]:
 
 def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
     """Check the DDE tail fit against the slowest mode; record each run."""
+    from .dynamics import DdeConfig, fit_tail
+    from .model import DimensionlessParams
+    from .qnm import slowest_mode
+
     configs = [(50.0, 2.0)] + ([(200.0, 5.0)] if full else [])
     details = []
     ok = True
@@ -358,6 +386,9 @@ def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
 
 
 def _check_bound_state() -> tuple[bool, str]:
+    from .model import DimensionlessParams
+    from .qnm import refine_root, seed_mode
+
     d = DimensionlessParams(kappa=200.0, W=math.pi)
     mode = refine_root(seed_mode(1, d), d)
     im = abs(mode.theta.imag)

@@ -42,15 +42,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .model import DimensionlessParams
 
 #: Modes with |Im theta| below this are reported as non-decaying (infinite
 #: lifetime): the bound-state-in-continuum marker.
 BOUND_STATE_IM_CUTOFF = 1e-14
-
-#: Newton tolerance on |f|: the default of the root searches and of the
-#: --tol flag of the commands whose output is the roots.
-DEFAULT_TOL = 1e-12
 
 #: Newton steps an element may take before it stops unconverged.
 MAX_NEWTON_STEPS = 50

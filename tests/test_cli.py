@@ -747,7 +747,7 @@ def test_verify_contour_failure_exits_3(tmp_path, monkeypatch, capsys):
     def fail(d, box):
         raise ContourError("no contour")
 
-    monkeypatch.setattr("qnmlab.cli.count_roots_in_box", fail)
+    monkeypatch.setattr("qnmlab.qnm.count_roots_in_box", fail)
     code = main(["verify", "--quick", "--out-dir", str(tmp_path)])
     assert code == 3
     lines = capsys.readouterr().err.splitlines()
@@ -757,7 +757,7 @@ def test_verify_contour_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_failed_check_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("qnmlab.cli.count_roots_in_box", lambda d, box: 0)
+    monkeypatch.setattr("qnmlab.qnm.count_roots_in_box", lambda d, box: 0)
     code = main(["verify", "--quick", "--out-dir", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err == ""
@@ -797,10 +797,68 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     assert "--kappa" in capsys.readouterr().err
 
 
+#: Prints the exit code, the qnmlab modules loaded, whether numpy loaded
+#: and which of scipy and the exact-arithmetic modules did (none may: the
+#: CSV formatter's tables are built from Python ints)
+_LOADS_SCRIPT = (
+    "import json, sys, qnmlab.cli; "
+    "code = qnmlab.cli.main(sys.argv[1:]); "
+    "print(json.dumps([code, sorted(m for m in sys.modules "
+    "if m.startswith('qnmlab')), 'numpy' in sys.modules, "
+    "sorted({'scipy', 'fractions', 'decimal'} & set(sys.modules))]))")
+
+
+@pytest.mark.parametrize("argv, code, modules, numpy", [
+    (["--version"], 0, [], False),
+    (["--help"], 0, [], False),
+    (["spectrum", "--kappa", "x"], 1, [], False),
+    (_RAMAN + ["--g", "3e9"], 0, ["model", "platforms"], False),
+    (_SQUID + ["--n-g", "0.45"], 0, ["model", "platforms"], False),
+    (["spectrum", "--kappa", "200", "--w", "5", "--j-max", "2"], 0,
+     ["_csv", "model", "qnm"], True),
+    (["sweep", "--kappa", "200", "--w-min", "1", "--w-max", "5",
+      "--steps", "3"], 0, ["_csv", "model", "qnm"], True),
+    (["wavefunction", "--kappa", "200", "--w", "5", "--j", "1",
+      "--x-max", "10", "--samples", "3"], 0,
+     ["_csv", "model", "qnm", "scattering"], True),
+    (["scatter", "--kappa", "200", "--w", "5", "--theta-min", "1",
+      "--theta-max", "5", "--samples", "3"], 0,
+     ["_csv", "model", "qnm", "scattering"], True),
+    (["evolve", "--kappa", "10", "--w", "2", "--t-max", "40", "--dt",
+      "0.01"], 0, ["_csv", "dynamics", "model", "qnm"], True),
+    (["verify", "--quick"], 0, ["dynamics", "model", "qnm"], True),
+], ids=["version", "help", "usage-error", "map-raman", "map-squid",
+        "spectrum", "sweep", "wavefunction", "scatter", "evolve", "verify"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, modules,
+                                              numpy):
+    # a fresh interpreter per command: start-up pays for exactly these
+    if not argv[0].startswith("--"):
+        argv = argv + ["--out-dir", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _LOADS_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = ["qnmlab", "qnmlab.cli"] + [f"qnmlab.{m}" for m in modules]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        code, sorted(loaded), numpy, []]
+
+
+def test_package_imports_a_library_module_on_first_access():
+    code = ("import qnmlab; "
+            "assert callable(qnmlab.qnm.find_modes); "
+            "assert not hasattr(qnmlab, 'nope')")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
+
+
 def test_import_does_not_load_scipy():
     # nor the exact-arithmetic modules: the CSV formatter's tables are built
-    # from Python ints
-    code = ("import sys, qnmlab.cli; "
+    # from Python ints. The commands import the library when they run, so
+    # every module they can reach is imported here
+    code = ("import sys, qnmlab.cli, qnmlab.model, qnmlab.qnm, "
+            "qnmlab.dynamics, qnmlab.scattering, qnmlab.platforms, "
+            "qnmlab._csv; "
             "sys.exit(bool({'scipy', 'fractions', 'decimal', "
             "'qnmlab.emission'} & "
             "set(sys.modules)))")

@@ -299,16 +299,21 @@ def test_count_roots_double_zero_on_contour_is_inflated_past(monkeypatch):
        split=st.floats(0.05, 0.95))
 def test_counts_certify_modes_and_add_up(kappa, w, re_min, width, im_min,
                                          im_max, split):
-    # every root Newton finds certifies, and counts are additive: a box
-    # split by a vertical line holds the zeros of its two halves
+    # the proved discs agree with the count: each converged row's disc holds
+    # exactly one zero and kept discs are disjoint, so at most `whole` of
+    # them lie inside the box. Counts are additive: a box split by a
+    # vertical line holds the zeros of its two halves
     d = DimensionlessParams(kappa=kappa, W=w)
     modes = find_modes(d, j_min=1, j_max=20)
-    assert not [note for note in modes.note if "certification" in note]
     cut = re_min + split * width
     whole, left, right = (
         count_roots_in_box(d, ContourBox(lo, hi, im_min, im_max))
         for lo, hi in ((re_min, re_min + width), (re_min, cut),
                        (cut, re_min + width)))
+    re, im, r = modes.theta.real, modes.theta.imag, modes.radius
+    inside = (modes.converged & (re - r >= re_min) & (re + r <= re_min + width)
+              & (im - r >= im_min) & (im + r <= im_max))
+    assert np.count_nonzero(inside) <= whole
     assert left + right == whole
 
 
