@@ -24,12 +24,11 @@ internal-consistency failure.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import os
 import sys
 import time
-from datetime import datetime, timezone
 
 from . import DEFAULT_TOL, __version__
 
@@ -53,6 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(path: str, payload: dict) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -99,6 +100,8 @@ class _Run:
         self.outputs.append(self.path(name))
 
     def write_manifest(self) -> None:
+        from datetime import datetime, timezone
+
         manifest = {
             "command": self.command,
             "parameters": self.parameters,
@@ -536,7 +539,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main() as the whole process: the console script and -m.
+
+    A run is one command in a process about to end, so the cycle collector
+    only costs time. It is off from before numpy's import, during which it
+    would run some thirty times, and the heap is frozen before exit, so
+    that the interpreter's last collection neither walks nor frees the
+    tens of thousands of objects of numpy, the standard library and
+    qnmlab: the OS reclaims their memory. numpy arrays are not tracked by
+    the collector and reference counting frees them; files close in their
+    with blocks, and exit still runs the atexit handlers and flushes
+    stdio. main() itself, as library callers and the tests use it, leaves
+    the collector alone.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ and slowest_mode return a one-row Modes whose fields are Python scalars.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,9 +53,14 @@ BOUND_STATE_IM_CUTOFF = 1e-14
 #: Newton steps an element may take before it stops unconverged.
 MAX_NEWTON_STEPS = 50
 
-#: Largest level spacing W whose modes get an index: indices up to
-#: round(W/pi) = 2**62 leave room for j + 1 in int64.
-MAX_W = math.pi * 2.0 ** 62
+#: Largest mode index magnitude |j|: it leaves room for j + 1 in int64.
+MAX_J = 2 ** 62
+
+#: Largest level spacing W whose modes get an index: round(W/pi) <= MAX_J.
+MAX_W = math.pi * MAX_J
+
+#: Largest kappa whose square, in the seed formula, is a finite float.
+MAX_KAPPA = math.sqrt(sys.float_info.max)
 
 LOW_ENERGY_NOTE = "low-energy regime (j <= 0), physical validity uncertain"
 
@@ -144,15 +150,25 @@ def characteristic_derivative(theta,
 
 
 def seed_mode(j, d: DimensionlessParams | CharacteristicParams):
-    """Analytic seed for the mode near theta = j*pi. Requires kappa > 1.
+    """Analytic seed for the mode near theta = j*pi.
 
-    j may be an integer array, and d.W complex or an array broadcasting
-    against it.
+    Requires 1 < kappa <= MAX_KAPPA and |j| <= MAX_J, else raises
+    ApproximationRangeError. j may be an integer array, and d.W complex or
+    an array broadcasting against it.
     """
     if d.kappa <= 1.0:
         raise ApproximationRangeError(
             f"seed formula needs kappa > 1 (atom more reflective than "
             f"transparent), got kappa = {d.kappa}")
+    if not d.kappa <= MAX_KAPPA:
+        raise ApproximationRangeError(
+            f"kappa must be at most {MAX_KAPPA:.17g}, the largest usable "
+            f"kappa (kappa**2 must be a finite float), got {d.kappa}")
+    # compared, not abs(): abs of int64's minimum is itself
+    if (outside := np.extract((j < -MAX_J) | (j > MAX_J), j)).size:
+        raise ApproximationRangeError(
+            f"mode indices must lie within +/-{MAX_J} (j + 1 must fit "
+            f"int64), got j = {outside[0]}")
     kappa = d.kappa
     delta = d.W - j * math.pi
     # Real divisions only for real W: numpy's complex division rounds
@@ -404,8 +420,8 @@ def sweep_decay(d: DimensionlessParams, w_values,
     an exact zero there. Every other point, larger W included (j*pi can
     round onto it), is refined in one newton_roots call. Failed points come
     back as gaps, with a nan decay rate, instead of aborting the sweep, as
-    do a negative or non-finite W and a W above MAX_W. Requires kappa > 1,
-    as seed_mode.
+    do a negative or non-finite W and a W above MAX_W. Requires
+    1 < kappa <= MAX_KAPPA, as seed_mode.
     """
     w = np.fromiter(map(float, w_values), dtype=float)
     huge = w > MAX_W

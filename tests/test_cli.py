@@ -1,6 +1,7 @@
 """Command-line front end: CSV/JSON outputs, manifest contract, exit
 codes and rerun determinism (all driven in-process through main())."""
 
+import gc
 import json
 import math
 import os
@@ -264,6 +265,53 @@ def test_w_above_the_largest_usable_w_is_usage_error(tmp_path, capsys,
     assert err.count("\n") == 1
     assert err.startswith(f"qnmlab {argv[0]}: W must be at most "
                           f"1.4488038916154245e+19, the largest usable W")
+
+
+_HUGE_KAPPA = ("kappa must be at most 1.3407807929942596e+154, the largest "
+               "usable kappa")
+_HUGE_J = "mode indices must lie within +/-4611686018427387904"
+_HUGE_J_RANGE = ["--j-min", "99999999999999999999",
+                 "--j-max", "100000000000000000000"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--kappa", "1e200", "--w", "5"], _HUGE_KAPPA),
+    (["spectrum", "--kappa", "1.4e154", "--w", "5"], _HUGE_KAPPA),
+    (["sweep", "--kappa", "1e200", "--w-min", "1", "--w-max", "5",
+      "--steps", "3"], _HUGE_KAPPA),
+    (["wavefunction", "--kappa", "1e200", "--w", "5", "--j", "1",
+      "--x-max", "2"], _HUGE_KAPPA),
+    (["spectrum", "--kappa", "200", "--w", "5", *_HUGE_J_RANGE], _HUGE_J),
+    (["wavefunction", "--kappa", "200", "--w", "5",
+      "--j", "100000000000000000000", "--x-max", "2"], _HUGE_J),
+], ids=["spectrum-kappa", "spectrum-kappa-edge", "sweep-kappa",
+        "wavefunction-kappa", "spectrum-j", "wavefunction-j"])
+def test_inputs_past_the_seed_formula_range_are_usage_errors(
+        tmp_path, capsys, argv, message):
+    # kappa**2 overflows a float, or j + 1 does not fit int64
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+    assert err.count("\n") == 1
+    assert err.startswith(f"qnmlab {argv[0]}: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kappa", "1e200", "--w", "5"],
+    ["--kappa", "200", "--w", "5", *_HUGE_J_RANGE],
+], ids=["kappa", "j"])
+def test_refused_spectrum_prints_one_line_from_the_console_entry(tmp_path,
+                                                                argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "qnmlab.cli", "spectrum",
+                           *argv, "--out-dir", str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("qnmlab spectrum: ")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- wavefunction -------------------------------------------------------
@@ -841,6 +889,70 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, modules,
     loaded = ["qnmlab", "qnmlab.cli"] + [f"qnmlab.{m}" for m in modules]
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         code, sorted(loaded), numpy, []]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["spectrum", "--kappa", "x"], 1),
+], ids=["version", "help", "usage-error"])
+def test_commands_without_outputs_load_no_json_or_datetime(argv, code):
+    # the manifest writer imports them; this script reports without json
+    script = ("import sys, qnmlab.cli; "
+              "code = qnmlab.cli.main(sys.argv[1:]); "
+              "print(code, 'json' in sys.modules, 'datetime' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == f"{code} False False"
+
+
+_ENTRY_SCRIPT = """\
+import gc, json, sys, qnmlab.cli
+collections = []
+gc.callbacks.append(lambda phase, info: collections.append(phase))
+try:
+    qnmlab.cli.entry()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0,
+                  len(collections)]))
+"""
+
+
+def test_console_entry_runs_without_the_cycle_collector(tmp_path):
+    # off before numpy's import, which spectrum runs, and frozen before exit
+    argv = ["spectrum", "--kappa", "200", "--w", "5", "--j-max", "2",
+            "--out-dir", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True, 0]
+    assert (tmp_path / "modes.csv").exists()
+
+
+def test_main_leaves_the_cycle_collector_as_it_found_it(tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["spectrum", "--kappa", "200", "--w", "5", "--j-max", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--kappa", "200", "--w", "5"], "modes.csv"),
+    (["sweep", "--kappa", "200", "--w-min", "0.5", "--w-max", "12",
+      "--steps", "400"], "sweep.csv"),
+], ids=["spectrum", "sweep"])
+def test_console_entry_writes_the_bytes_of_main(tmp_path, argv, name):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-m", "qnmlab.cli", *argv, "--out-dir",
+                    str(tmp_path / "entry")], env=env, timeout=120,
+                   check=True)
+    assert main(argv + ["--out-dir", str(tmp_path / "main")]) == 0
+    assert ((tmp_path / "entry" / name).read_bytes()
+            == (tmp_path / "main" / name).read_bytes())
 
 
 def test_package_imports_a_library_module_on_first_access():

@@ -567,6 +567,46 @@ def test_w_above_the_largest_usable_w_is_refused(search):
     assert f"at most {qnm.MAX_W:.17g}," in str(info.value)
 
 
+def test_largest_usable_w_is_pi_times_the_largest_usable_index():
+    assert qnm.MAX_W == math.pi * 2.0 ** 62
+    assert round(qnm.MAX_W / math.pi) == qnm.MAX_J == 2 ** 62
+
+
+@pytest.mark.parametrize("search", [
+    lambda d: seed_mode(1, d),
+    find_modes,
+    lambda d: sweep_decay(d, [5.0]),
+], ids=["seed_mode", "find_modes", "sweep_decay"])
+def test_kappa_whose_square_overflows_is_refused(search):
+    d = DimensionlessParams(kappa=1e200, W=5.0)
+    with pytest.raises(ApproximationRangeError,
+                       match="the largest usable kappa") as info:
+        search(d)
+    assert f"at most {qnm.MAX_KAPPA:.17g}," in str(info.value)
+
+
+def test_largest_usable_kappa_is_the_last_with_a_finite_square():
+    assert math.isfinite(qnm.MAX_KAPPA ** 2)
+    with pytest.raises(OverflowError):
+        math.nextafter(qnm.MAX_KAPPA, math.inf) ** 2
+    seed = seed_mode(1, DimensionlessParams(kappa=qnm.MAX_KAPPA, W=5.0))
+    assert cmath.isfinite(seed)
+
+
+def test_mode_index_beyond_the_largest_usable_index_is_refused():
+    assert cmath.isfinite(seed_mode(2 ** 62, D200))
+    assert cmath.isfinite(seed_mode(-2 ** 62, D200))
+    for j in (2 ** 62 + 1, -2 ** 62 - 1, 10 ** 20,
+              np.array([1, 2 ** 62 + 1]), np.array([-2 ** 63])):
+        with pytest.raises(ApproximationRangeError,
+                           match=r"mode indices must lie within \+/-"
+                                 r"4611686018427387904"):
+            seed_mode(j, D200)
+    # an index range past int64 is refused before any cast to int64
+    with pytest.raises(ApproximationRangeError):
+        find_modes(D200, j_min=10 ** 20 - 1, j_max=10 ** 20)
+
+
 def test_sweep_rejects_weak_coupling():
     # no seed exists for kappa <= 1, as for find_modes
     with pytest.raises(ApproximationRangeError):
