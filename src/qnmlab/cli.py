@@ -24,9 +24,11 @@ internal-consistency failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import os
+import struct
 import sys
 import time
 
@@ -43,6 +45,13 @@ _VERIFY_SEED = 1302
 #: evolve warns when t_max * expected decay rate falls below this.
 _DECAY_COVERAGE = 3.0
 
+#: evolve.csv's header line.
+_EVOLVE_HEADER = "s,re_w,im_w,abs_w"
+
+#: Capacity asked for the pipe to evolve's writer child: about five chunks,
+#: and Linux's default limit for an unprivileged process.
+_PIPE_BYTES = 1 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that raises ValueError (exit code 1) on bad flags."""
@@ -57,6 +66,35 @@ def _dump_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+class _CsvFile:
+    """A CSV file written in blocks: the header line on opening, then the
+    lines of each block of equal-length columns given to add()."""
+
+    def __init__(self, path: str, header: str) -> None:
+        self.start = time.perf_counter()
+        self.fh = open(path, "wb")
+        self.size, self.fallback = self.fh.write(header.encode() + b"\n"), 0
+
+    def __enter__(self) -> _CsvFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def add(self, *columns) -> None:
+        from ._csv import csv_chunks
+
+        for data, slow in csv_chunks(columns):
+            self.size += self.fh.write(data)
+            self.fallback += slow
+
+    def record(self, rows: int) -> dict:
+        """The file's entry in the manifest's csv block."""
+        return {"rows": rows, "bytes": self.size,
+                "fallback_cells": self.fallback,
+                "write_s": time.perf_counter() - self.start}
 
 
 class _Run:
@@ -80,20 +118,13 @@ class _Run:
         value, integer cells '%d' and any other '%s'. Records the file in
         the manifest's csv block.
         """
-        from ._csv import csv_chunks
+        with _CsvFile(self.path(name), header) as out:
+            out.add(*columns)
+        self.add_csv(name, out.record(len(columns[0])))
 
-        start = time.perf_counter()
-        path = self.path(name)
-        fallback = 0
-        with open(path, "wb") as fh:
-            size = fh.write(header.encode() + b"\n")
-            for data, slow in csv_chunks(columns):
-                size += fh.write(data)
-                fallback += slow
-        self.outputs.append(path)
-        self.extras.setdefault("csv", {})[name] = {
-            "rows": len(columns[0]), "bytes": size, "fallback_cells": fallback,
-            "write_s": time.perf_counter() - start}
+    def add_csv(self, name: str, record: dict) -> None:
+        self.outputs.append(self.path(name))
+        self.extras.setdefault("csv", {})[name] = record
 
     def write_json(self, name: str, payload: dict) -> None:
         _dump_json(self.path(name), payload)
@@ -212,9 +243,170 @@ def _cmd_scatter(args: argparse.Namespace, run: _Run) -> int:
     return EXIT_OK
 
 
-def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
+def _add_evolve_rows(out: _CsvFile, times, w) -> None:
     import numpy as np
-    from .dynamics import DdeConfig, FitWindowError, evolve_atom
+
+    # hypot, as Python's complex abs: np.abs differs in the last digit.
+    out.add(times, w.real, w.imag, np.hypot(w.real, w.imag))
+
+
+def _received(pipe, rows: int):
+    """Yield the (times, w) chunks of a run of rows rows read from pipe.
+
+    Each chunk comes as its row count (8 bytes, little-endian) and then
+    the bytes of times and of w. Raises EOFError if the pipe ends first:
+    the sender has died.
+    """
+    import numpy as np
+
+    done = 0
+    while done < rows:
+        n = min(int.from_bytes(pipe.read(8), "little"), rows - done)
+        times, w = np.empty(n), np.empty(n, dtype=complex)
+        if not n or pipe.readinto(times) + pipe.readinto(w) < 24 * n:
+            raise EOFError(f"the run ended after {done} of {rows} rows")
+        yield times, w
+        done += n
+
+
+def _writer_child(path: str, rows: int, data_fd: int, report_fd: int,
+                  parent_fds: tuple[int, int]):
+    """The whole life of evolve's writer child: write the chunks read from
+    data_fd to path, then report its bytes, fallback cells and write_s on
+    report_fd, or its error there after removing the partial file.
+
+    It first closes its copies of the parent's pipe ends, so that the data
+    pipe ends when the parent closes it or dies. It ends only through
+    os._exit, so it never runs the parent's atexit handlers or teardown and
+    never flushes stdio buffers copied from it.
+    """
+    import numpy as np
+
+    code = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        # glibc gives the top of its heap back to the OS whenever more than
+        # its trim threshold is free there: 128 KiB, or twice the largest
+        # mmap()ed block freed so far. One chunk's formatting temporaries
+        # pass that, so each chunk would fault its pages in again (some
+        # 140k faults for the README run, nearly doubling the writer's
+        # CPU time). Freeing one 4 MiB block first lifts the threshold
+        # above them.
+        np.empty(1 << 19)
+        with open(data_fd, "rb") as pipe, open(report_fd, "wb") as report:
+            try:
+                with _CsvFile(path, _EVOLVE_HEADER) as out:
+                    for times, w in _received(pipe, rows):
+                        _add_evolve_rows(out, times, w)
+                record = out.record(rows)
+            except BaseException as exc:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+                report.write(str(exc).encode())
+            else:
+                report.write(struct.pack("<qqd", record["bytes"],
+                                         record["fallback_cells"],
+                                         record["write_s"]))
+                code = 0
+    finally:
+        os._exit(code)
+
+
+class _EvolveCsv:
+    """evolve.csv, written while the run that fills it goes on.
+
+    Entering forks a writer child, which formats and writes the chunks
+    that send(times, w) hands it through a pipe, so the formatting runs on
+    a second core beside the integration. Where os.fork is missing
+    (Windows) send runs the same writer inline. Leaving reaps the child on
+    every path and records the file in the manifest, with writer_cpu_s,
+    the child's user plus system seconds from os.wait4 (inline, the
+    process CPU seconds spent in send). Leaving by an exception removes
+    evolve.csv, which holds a failed run; a failed writer, or a pipe the
+    child has closed, raises OSError. The child touches only numpy, its
+    pipes and the file, so no lock held by a thread that fork does not
+    copy can stop it.
+    """
+
+    def __init__(self, run: _Run, rows: int) -> None:
+        self.run, self.rows = run, rows
+        self.path = run.path("evolve.csv")
+        self.pid, self.cpu_s = None, 0.0
+
+    def __enter__(self):
+        from . import _csv  # noqa: F401 - built once, before the fork
+
+        if not hasattr(os, "fork"):
+            self.out = _CsvFile(self.path, _EVOLVE_HEADER)
+            return self._add
+        import fcntl
+
+        sys.stdout.flush()
+        sys.stderr.flush()
+        data_r, data_w = os.pipe()
+        report_r, report_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (data_r, data_w, report_r, report_w):
+                os.close(fd)
+            raise
+        if not self.pid:
+            _writer_child(self.path, self.rows, data_r, report_w,
+                          (data_w, report_r))
+        os.close(data_r)
+        os.close(report_w)
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+            # A pipe holds 64 KiB by default, a third of a chunk, so each
+            # side would wait on the other at every chunk.
+            with contextlib.suppress(OSError):  # over the host's maximum
+                fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        self.pipe, self.report = open(data_w, "wb"), open(report_r, "rb")
+        return self._send
+
+    def _send(self, times, w) -> None:
+        self.pipe.write(len(times).to_bytes(8, "little"))
+        self.pipe.write(times)
+        self.pipe.write(w)
+
+    def _add(self, times, w) -> None:
+        mark = time.process_time()
+        _add_evolve_rows(self.out, times, w)
+        self.cpu_s += time.process_time() - mark
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        failure = ""
+        if self.pid is None:
+            self.out.fh.close()
+            record = self.out.record(self.rows)
+        else:
+            with contextlib.suppress(BrokenPipeError):
+                self.pipe.close()  # the child sees the end of the run
+            with self.report:
+                report = self.report.read()
+            _, status, usage = os.wait4(self.pid, 0)
+            self.cpu_s = usage.ru_utime + usage.ru_stime
+            if code := os.waitstatus_to_exitcode(status):
+                failure = report.decode() or (f"the evolve.csv writer ended "
+                                              f"with status {code}")
+            else:
+                size, fallback, write_s = struct.unpack("<qqd", report)
+                record = {"rows": self.rows, "bytes": size,
+                          "fallback_cells": fallback, "write_s": write_s}
+        if kind is not None or failure:
+            with contextlib.suppress(OSError):
+                os.remove(self.path)
+        if failure and (kind is None or issubclass(kind, BrokenPipeError)):
+            raise OSError(failure) from exc
+        if kind is None:
+            self.run.add_csv("evolve.csv",
+                             {**record, "writer_cpu_s": self.cpu_s})
+        return False
+
+
+def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
+    from .dynamics import DdeConfig, DdeStream, FitWindowError, fit_tail
     from .model import DimensionlessParams
     from .qnm import MAX_W, ApproximationRangeError, slowest_mode
 
@@ -242,24 +434,19 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
                 f"rate {gamma_expected:.3g}) barely decays over this run; "
                 f"fitted rates will be unreliable")
             run.warnings.append(coverage_note)
-    try:
-        traj = evolve_atom(cfg, fit_window=window)
-    except FitWindowError as exc:
-        traj = exc.trajectory
-        run.warnings.append(f"decay fit failed: {exc}")
-        hint = f" ({coverage_note})" if coverage_note else ""
-        print(f"qnmlab evolve: decay fit failed: {exc}{hint}", file=sys.stderr)
-    w = traj.w
-    # hypot, as Python's complex abs: np.abs differs in the last digit.
-    run.write_csv("evolve.csv", "s,re_w,im_w,abs_w", traj.times, w.real,
-                  w.imag, np.hypot(w.real, w.imag))
-    run.extras["dde"] = {
-        "n_per": traj.n_per, "n_intervals": traj.n_intervals,
-        "stride": traj.stride, "output_points": int(traj.times.size),
-        "peak_abs_w": traj.peak_abs_w, **traj.seconds}
-    if traj.fit is None:
+    stream = DdeStream(cfg)
+    with _EvolveCsv(run, stream.rows) as send:
+        try:
+            fit, run.extras["dde"] = fit_tail(cfg, window, send)
+        except FitWindowError as exc:
+            fit, run.extras["dde"] = None, exc.record
+            run.warnings.append(f"decay fit failed: {exc}")
+            hint = f" ({coverage_note})" if coverage_note else ""
+            print(f"qnmlab evolve: decay fit failed: {exc}{hint}",
+                  file=sys.stderr)
+    if fit is None:
         return EXIT_USAGE
-    run.extras["fit"] = {**traj.fit._asdict(), "dt_used": traj.dt_used}
+    run.extras["fit"] = {**fit._asdict(), "dt_used": stream.dt}
     return EXIT_OK
 
 

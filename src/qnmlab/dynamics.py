@@ -20,11 +20,13 @@ the stiff exponential.
 The long-time tail of |w| decays at the slowest quasi-normal mode rate, which
 is how the frequency-domain solver is cross-checked: fit_decay extracts
 (omega_fit, gamma_fit) from a tail window and pole_check verifies that a
-characteristic zero is a pole of the DDE's Laplace transform. evolve_atom
-runs both steps and returns the one DdeTrajectory it integrated, with the
-fit and the wall seconds of each step filled in. DdeStream and TailFit run
-the same steps chunk by chunk, and fit_tail joins them for a caller that
-needs only the fit.
+characteristic zero is a pole of the DDE's Laplace transform. DdeStream
+integrates chunk by chunk and TailFit fits chunk by chunk; fit_tail runs
+the two as one loop, hands each chunk to an optional consumer, and returns
+the fit with a record of the run. The CLI's evolve and verify both run
+through fit_tail, so neither holds the trajectory. integrate_dde and
+evolve_atom give the same run and fit as whole arrays (a DdeTrajectory),
+for library callers and as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -72,10 +74,12 @@ class FitWindowError(ValueError):
     """Raised when a decay-fit window is unusable.
 
     When raised by evolve_atom, `trajectory` holds the integrated
-    DdeTrajectory, with fit None and its seconds, so the run is not lost.
+    DdeTrajectory, with fit None and its seconds, so the run is not lost;
+    when raised by fit_tail, `record` holds the run's record.
     """
 
     trajectory: DdeTrajectory | None = None
+    record: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -399,19 +403,20 @@ class TailFit:
     """fit_decay's tail fit, fed chunk by chunk in time order.
 
     result() returns the FitResult of every sample fed, or raises the
-    FitWindowError of the first refusal in fit_decay's order. Each window
-    slice gets its own centred line fit; the fits pool in pairs like a
-    binary counter, so rounding grows with the log of the chunk count.
+    FitWindowError of the first refusal in fit_decay's order, an unusable
+    window first: it is refused there, not on construction, so a run fed
+    to a refused window still runs to its end. Each window slice gets its
+    own centred line fit; the fits pool in pairs like a binary counter, so
+    rounding grows with the log of the chunk count.
     """
 
     def __init__(self, window: tuple[float, float]) -> None:
         s0, s1 = float(window[0]), float(window[1])
-        if s0 < FIT_START * (1 - 1e-12):
-            raise FitWindowError(f"window start {s0} is inside the "
-                                 f"transient; need >= {FIT_START}")
-        if not s0 < s1:
-            raise FitWindowError(f"empty window [{s0}, {s1}]; end the window "
-                                 f"after its start")
+        self._refused = (
+            f"window start {s0} is inside the transient; need >= {FIT_START}"
+            if s0 < FIT_START * (1 - 1e-12) else
+            f"empty window [{s0}, {s1}]; end the window after its start"
+            if not s0 < s1 else "")
         self.window, self.samples, self._last = (s0, s1), 0, -math.inf
         self._carry: tuple | None = None  # (phase, s) of the last sample fitted
         self._unsorted = self._non_finite = False
@@ -419,7 +424,7 @@ class TailFit:
         self._fits: list[tuple[int, tuple]] = []  # (level, pooled fit)
 
     def feed(self, times: np.ndarray, w: np.ndarray) -> None:
-        if self._unsorted or not len(times):
+        if self._refused or self._unsorted or not len(times):
             return
         if not times[0] > self._last or not (times[1:] > times[:-1]).all():
             self._unsorted = True
@@ -470,6 +475,7 @@ class TailFit:
     def result(self) -> FitResult:
         (s0, s1), n = self.window, self.samples
         for refused, message in (
+                (self._refused, self._refused),
                 (self._unsorted, "times are not strictly increasing; sort them"),
                 (n < 100, f"only {n} samples in [{s0}, {s1}]; need >= 100: "
                           f"widen the window or increase --t-max"),
@@ -514,27 +520,49 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
     return fit.result()
 
 
-def fit_tail(cfg: DdeConfig, window: tuple[float, float]
-             ) -> tuple[FitResult, dict]:
+def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
+             consume=None) -> tuple[FitResult, dict]:
     """fit_decay of integrate_dde's arrays, without ever holding them.
 
-    Returns the FitResult and the run's record, as evolve's manifest `dde`
-    block: n_per, n_intervals, stride, output_points, peak_abs_w, and the
-    wall seconds integrate_s and fit_s.
+    window defaults to [FIT_START, last sample time], as in evolve_atom.
+    consume(times, w), if given, gets each chunk after the fit has read it,
+    as views of buffers the next chunk reuses. Returns the FitResult and
+    the run's record, evolve's manifest `dde` block: n_per, n_intervals,
+    stride, output_points, peak_abs_w and the wall seconds fit_s and
+    integrate_s, plus, with consume, handoff_s, the seconds spent in it;
+    integrate_s is the loop's time less fit_s and handoff_s. A refused fit
+    raises its FitWindowError after the run, with the record in `record`.
     """
-    fit, stream = TailFit(window), DdeStream(cfg)
-    fit_s, start = 0.0, time.perf_counter()
+    stream = DdeStream(cfg)
+    if window is None:
+        window = (FIT_START, float(stream._times(stream.rows - 1,
+                                                  stream.rows)[0]))
+    fit, fit_s, handoff_s = TailFit(window), 0.0, 0.0
+    start = time.perf_counter()
     for chunk in stream.chunks():
         mark = time.perf_counter()
         fit.feed(*chunk)
-        fit_s += time.perf_counter() - mark
+        fed = time.perf_counter()
+        fit_s += fed - mark
+        if consume is not None:
+            consume(*chunk)
+            handoff_s += time.perf_counter() - fed
     mark = time.perf_counter()
-    integrate_s = mark - start - fit_s
-    result = fit.result()
-    return result, {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
-                    "stride": stream.stride, "output_points": stream.rows,
-                    "peak_abs_w": stream.peak_abs_w, "integrate_s": integrate_s,
-                    "fit_s": fit_s + time.perf_counter() - mark}
+    record = {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
+              "stride": stream.stride, "output_points": stream.rows,
+              "peak_abs_w": stream.peak_abs_w,
+              "integrate_s": mark - start - fit_s - handoff_s, "fit_s": fit_s}
+    if consume is not None:
+        record["handoff_s"] = handoff_s
+    try:
+        return fit.result(), record
+    except FitWindowError as exc:
+        exc.record = record
+        raise
+    finally:
+        # the returned or raised record is this dict, so it gets the result
+        # step too
+        record["fit_s"] += time.perf_counter() - mark
 
 
 def pole_check(d: DimensionlessParams, theta: complex) -> float:

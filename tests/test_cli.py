@@ -1,12 +1,15 @@
 """Command-line front end: CSV/JSON outputs, manifest contract, exit
 codes and rerun determinism (all driven in-process through main())."""
 
+import functools
 import gc
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from datetime import datetime
 from pathlib import Path
 
@@ -15,8 +18,8 @@ import pytest
 
 from qnmlab import __version__
 from qnmlab.cli import _build_parser, main
-from qnmlab.dynamics import (DdeConfig, evolve_atom, fit_decay,
-                             integrate_dde)
+from qnmlab.dynamics import (DdeConfig, DdeStream, FitWindowError,
+                             evolve_atom, fit_decay, integrate_dde)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import (ContourError, find_modes, lifetime_from_theta,
                         refine_root, seed_mode, sweep_decay)
@@ -24,6 +27,9 @@ from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from refs import ROOTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Seconds an orphaned writer may take to exit and be reaped by init.
+_ORPHAN_REAP_S = 10.0
 
 MANIFEST_KEYS = {"command", "parameters", "tool_version", "timestamp",
                  "outputs", "warnings"}
@@ -560,7 +566,13 @@ def test_evolve_manifest_blocks(tmp_path, kappa, t_max, code):
     assert main(["evolve", "--kappa", repr(kappa), "--w", "5", "--t-max",
                  repr(t_max), "--out-dir", str(tmp_path)]) == code
     manifest = _manifest(tmp_path)
-    assert set(manifest["dde"]) == _DDE_KEYS
+    # the seconds the run spent handing chunks to the writer, and the
+    # writer's own CPU seconds
+    assert set(manifest["dde"]) == _DDE_KEYS | {"handoff_s"}
+    assert set(manifest["csv"]["evolve.csv"]) == {
+        "rows", "bytes", "fallback_cells", "write_s", "writer_cpu_s"}
+    assert manifest["dde"]["handoff_s"] >= 0.0
+    assert manifest["csv"]["evolve.csv"]["writer_cpu_s"] > 0.0
     if code:
         assert "fit" not in manifest
         return
@@ -573,6 +585,80 @@ def test_evolve_manifest_blocks(tmp_path, kappa, t_max, code):
                                "samples": fit.samples,
                                "dt_used": traj.dt_used}
     assert fit.samples == 20001     # s = 20, 20.001, ..., 40
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("chunks", [3, None], ids=["midway", "after-last"])
+def test_evolve_amplitude_guard_leaves_no_csv(tmp_path, monkeypatch, capsys,
+                                              chunks):
+    # the |w| guard fires once the stream ends, after the writer has had
+    # every row (after-last), or earlier, as any error in the run would
+    original = DdeStream.chunks
+
+    def guarded(self, out=None):
+        for k, chunk in enumerate(original(self, out)):
+            if k == chunks:
+                break
+            yield chunk
+        raise RuntimeError("|w| reached 1.5, above the single-excitation "
+                           "bound; integration convention bug")
+
+    monkeypatch.setattr(DdeStream, "chunks", guarded)
+    code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "334",
+                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("qnmlab evolve: internal consistency failure: |w|")
+    _assert_no_child_left()
+
+
+def test_evolve_writer_failure_is_one_line(tmp_path, capsys):
+    (tmp_path / "evolve.csv").mkdir()
+    code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "334",
+                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qnmlab evolve: cannot write outputs: ")
+    assert err.count("\n") == 1 and "evolve.csv" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["evolve.csv"]
+    _assert_no_child_left()
+
+
+def test_killed_evolve_leaves_no_process_or_partial_csv(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    csv = tmp_path / "evolve.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qnmlab.cli", "evolve", "--kappa", "50",
+         "--w", "2", "--t-max", "13044", "--out-dir", str(tmp_path)],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (csv.exists() and csv.stat().st_size):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    # the writer sees its pipe end, removes the partial file and exits;
+    # its exit is seen once the orphan is reaped, which some container
+    # init processes do only every second or two
+    deadline = time.monotonic() + _ORPHAN_REAP_S
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process outlived the run"
+        time.sleep(0.01)
+    assert not csv.exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # --- CSV writer -----------------------------------------------------------
@@ -615,43 +701,86 @@ def _wavefunction_rows():
         xs.tolist(), qnm_wavefunction(mode, xs).tolist())]
 
 
-def _evolve_rows():
-    cfg = DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0), t_max=334.0,
-                    dt=0.01)
-    res = evolve_atom(cfg, fit_window=(167.0, 334.0))
+@functools.lru_cache(maxsize=None)
+def _evolved(kappa, w, t_max, dt, window=None):
+    cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w), t_max=t_max,
+                    dt=dt)
+    try:
+        return evolve_atom(cfg, fit_window=window)
+    except FitWindowError as exc:
+        return exc.trajectory
+
+
+def _evolve_rows(*run):
+    res = _evolved(*run)
     return [(s, wv.real, wv.imag, abs(wv))
             for s, wv in zip(res.times.tolist(), res.w.tolist())]
 
 
-@pytest.mark.parametrize("argv, name, header, reference, markers", [
+def _evolve_fit(*run):
+    """The manifest's fit block of the run, None where the fit fails."""
+    res = _evolved(*run)
+    return res.fit and {**res.fit._asdict(), "dt_used": res.dt_used}
+
+
+def _evolve_case(*run, markers=(), fork=True):
+    kappa, w, t_max, dt, window = (*run, None)[:5]
+    argv = ["evolve", "--kappa", repr(kappa), "--w", repr(w), "--t-max",
+            repr(t_max), "--dt", repr(dt)]
+    if window:
+        argv += ["--fit-start", repr(window[0]), "--fit-end", repr(window[1])]
+    return pytest.param(argv, "evolve.csv", "s,re_w,im_w,abs_w",
+                        functools.partial(_evolve_rows, *run), list(markers),
+                        functools.partial(_evolve_fit, *run), fork)
+
+
+_MULTI_CHUNK_RUN = (10.0, 2.0, 334.0, 0.01, (167.0, 334.0))
+
+
+@pytest.mark.parametrize("argv, name, header, reference, markers, fit, fork", [
     # W = pi: the j=1 row is an exact bound state with infinite lifetime
     (["spectrum", "--kappa", "200", "--w", repr(math.pi)], "modes.csv",
      "j,re_theta,im_theta,residual,lifetime,converged", _spectrum_rows,
-     [",inf,true\n"]),
+     [",inf,true\n"], None, True),
     # W = -1 is a gap row (nan, exit 2); the last row is the W = pi bound state
     (["sweep", "--kappa", "200", "--w-min", "-1", "--w-max", repr(math.pi),
       "--steps", "5"], "sweep.csv", "w,im_theta_min,j_used", _sweep_rows,
-     ["\n-1,nan,0\n", "\n3.1415926535897931,0,1\n"]),
+     ["\n-1,nan,0\n", "\n3.1415926535897931,0,1\n"], None, True),
     (["scatter", "--kappa", "200", "--w", "5", "--theta-min", "3.13",
       "--theta-max", "3.17", "--samples", "101"], "scatter.csv",
-     "theta,delta,delay,enhancement", _scatter_rows, []),
+     "theta,delta,delay,enhancement", _scatter_rows, [], None, True),
     (["wavefunction", "--kappa", "200", "--w", "5", "--j", "1", "--x-max",
       "3", "--samples", "31"], "wavefunction.csv", "x,re_phi,im_phi,abs_phi",
-     _wavefunction_rows, []),
+     _wavefunction_rows, [], None, True),
     # |w| as Python's complex abs: np.abs differs in the last digit on about
-    # a third of these rows
-    (["evolve", "--kappa", "10", "--w", "2", "--t-max", "334", "--dt",
-      "0.01", "--fit-start", "167", "--fit-end", "334"], "evolve.csv",
-     "s,re_w,im_w,abs_w", _evolve_rows, []),
-], ids=["spectrum", "sweep", "scatter", "wavefunction", "evolve"])
-def test_csv_bytes_match_per_cell_reference(tmp_path, argv, name, header,
-                                            reference, markers):
-    assert main(argv + ["--out-dir", str(tmp_path)]) in (0, 2)
+    # a third of these rows; 33401 rows are five chunks of the stream
+    _evolve_case(*_MULTI_CHUNK_RUN),
+    # the tail fit fails (exit 1): the run is written all the same
+    _evolve_case(200.0, 5.0, 100.0, 0.01),
+    # |w| underflows between the return pulses: signed zeros, a failed fit
+    _evolve_case(1000.0, 15.708963267948966, 40.0, 0.002,
+                 markers=[",-0,"]),
+    # no os.fork (Windows): the writer runs inline
+    _evolve_case(*_MULTI_CHUNK_RUN, fork=False),
+], ids=["spectrum", "sweep", "scatter", "wavefunction", "evolve",
+        "evolve-fit-failed", "evolve-kappa-1000", "evolve-no-fork"])
+def test_csv_bytes_match_per_cell_reference(tmp_path, monkeypatch, argv, name,
+                                            header, reference, markers, fit,
+                                            fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    code = main(argv + ["--out-dir", str(tmp_path)])
     expected = header + "\n" + "".join(
         ",".join(map(_reference_cell, row)) + "\n" for row in reference())
     text = (tmp_path / name).read_bytes().decode()
     assert text == expected
     assert all(marker in text for marker in markers)
+    if fit is None:
+        assert code in (0, 2)
+        return
+    # the manifest's fit block is the array route's, or absent with exit 1
+    assert code == (0 if fit() else 1)
+    assert _manifest(tmp_path).get("fit") == fit()
 
 
 @pytest.mark.parametrize("argv, name, specials", [

@@ -305,10 +305,10 @@ SEEDED_RUNS = [(42.77082964881827, 4.1293426540381475, 6438.0),
 
 
 @functools.lru_cache(maxsize=None)
-def _trajectory(kappa, w_level, t_max):
+def _trajectory(kappa, w_level, t_max, dt=1e-3):
     return integrate_dde(DdeConfig(d=DimensionlessParams(kappa=kappa,
                                                          W=w_level),
-                                   t_max=t_max))
+                                   t_max=t_max, dt=dt))
 
 
 def _synthetic(rate):
@@ -484,6 +484,34 @@ def test_streamed_fit_is_the_array_fit():
     assert record == {"n_per": traj.n_per, "n_intervals": traj.n_intervals,
                       "stride": traj.stride, "output_points": traj.times.size,
                       "peak_abs_w": traj.peak_abs_w}
+
+
+@pytest.mark.parametrize("window, refusal", [
+    (None, None),
+    # refused on construction of the fit, yet the run still goes to its end
+    ((5.0, 40.0), "window start 5.0 is inside the transient"),
+], ids=["default-window", "refused-window"])
+def test_fit_tail_hands_on_each_chunk_and_keeps_its_record(window, refusal):
+    cfg = DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0), t_max=334.0,
+                    dt=0.01)
+    traj = _trajectory(10.0, 2.0, 334.0, 0.01)
+    seen = []
+    try:
+        fit, record = fit_tail(cfg, window, lambda t, w: seen.append(
+            (t.copy(), w.copy())))
+    except FitWindowError as exc:
+        assert str(exc).startswith(refusal)
+        record = exc.record
+    else:
+        assert refusal is None
+        assert fit == evolve_atom(cfg).fit
+    assert len(seen) == 5
+    assert np.array_equal(np.concatenate([t for t, _ in seen]), traj.times)
+    assert np.array_equal(np.concatenate([w for _, w in seen]), traj.w)
+    assert set(record) == {"n_per", "n_intervals", "stride", "output_points",
+                           "peak_abs_w", "integrate_s", "fit_s", "handoff_s"}
+    assert record["output_points"] == traj.times.size
+    assert min(record[k] for k in ("integrate_s", "fit_s", "handoff_s")) >= 0
 
 
 def _long_tail():
