@@ -21,12 +21,9 @@ The long-time tail of |w| decays at the slowest quasi-normal mode rate, which
 is how the frequency-domain solver is cross-checked: fit_decay extracts
 (omega_fit, gamma_fit) from a tail window and pole_check verifies that a
 characteristic zero is a pole of the DDE's Laplace transform. DdeStream
-integrates chunk by chunk and TailFit fits chunk by chunk; fit_tail runs
-the two as one loop, hands each chunk to an optional consumer, and returns
-the fit with a record of the run. The CLI's evolve and verify both run
-through fit_tail, so neither holds the trajectory. integrate_dde and
-evolve_atom give the same run and fit as whole arrays (a DdeTrajectory),
-for library callers and as the reference the tests compare against.
+integrates chunk by chunk and TailFit fits chunk by chunk. fit_tail runs
+the two as one loop, the one time-domain run: the CLI's evolve and verify
+stream through it, and evolve_atom keeps its chunks as whole arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +47,7 @@ MIN_STEPS_PER_DELAY = 200
 #: Earliest tail-fit start: ten delay periods skip the direct-decay transient.
 FIT_START = 10.0 * ROUND_TRIP
 
-#: Output samples kept by integrate_dde, roughly (thinned in whole steps).
+#: Output rows of one run, roughly (DdeStream thins in whole steps).
 MAX_OUTPUT_POINTS = 400_000
 
 #: Output rows per DdeStream chunk, and per slice fit_decay feeds TailFit.
@@ -73,12 +70,10 @@ _FLAT_LOG_DRIFT = 1e-12
 class FitWindowError(ValueError):
     """Raised when a decay-fit window is unusable.
 
-    When raised by evolve_atom, `trajectory` holds the integrated
-    DdeTrajectory, with fit None and its seconds, so the run is not lost;
-    when raised by fit_tail, `record` holds the run's record.
+    When raised by fit_tail (and so by evolve_atom), `record` holds the
+    run's record, so its counts and seconds are not lost.
     """
 
-    trajectory: DdeTrajectory | None = None
     record: dict | None = None
 
 
@@ -121,28 +116,6 @@ class FitResult(NamedTuple):
     gamma_fit: float
     fit_residual: float
     samples: int
-
-
-@dataclass(frozen=True)
-class DdeTrajectory:
-    """Integrated amplitude on the thinned output grid, with step counts.
-
-    n_per is the number of steps per delay interval, n_intervals the number
-    of intervals integrated, stride the steps between kept samples and
-    peak_abs_w the largest |w| over every integration node. evolve_atom
-    alone fills fit (None when the fit failed) and seconds, the wall
-    seconds of its steps: {"integrate_s": ..., "fit_s": ...}.
-    """
-
-    times: np.ndarray
-    w: np.ndarray
-    dt_used: float
-    n_per: int
-    n_intervals: int
-    stride: int
-    peak_abs_w: float
-    fit: FitResult | None = None
-    seconds: dict | None = None
 
 
 def _exp_integrals(z: complex) -> list[complex]:
@@ -229,13 +202,12 @@ class DdeStream:
         g += start / (self.n_per / ROUND_TRIP)  # ROUND_TRIP m
         return g
 
-    def chunks(self, out: tuple[np.ndarray, np.ndarray] | None = None):
+    def chunks(self):
         """Integrate the DDE, yielding (times, w) of at most CHUNK_ROWS rows.
 
-        The chunks are views of one reused buffer, or successive views of
-        out = (times, w) of self.rows rows. Raises RuntimeError after the
-        last interval if |w| ever exceeded 1 by more than 1e-6 at a node:
-        the dynamics conserve the single-excitation norm.
+        The chunks are views of one reused buffer. Raises RuntimeError
+        after the last interval if |w| ever exceeded 1 by more than 1e-6 at
+        a node: the dynamics conserve the single-excitation norm.
 
         Within delay interval m the step recurrence w_{k+1} = exp(-lam dt)
         w_k + b_k is solved as a cumsum: w_k = exp(-lam k dt) (w_0 +
@@ -262,8 +234,8 @@ class DdeStream:
         kappa, n_intervals = cfg.d.kappa, self.n_intervals
         lam = 1j * cfg.d.W + kappa / 2.0
         half_kappa = kappa / 2.0
-        times, w_out = out if out is not None else (
-            np.empty(CHUNK_ROWS), np.empty(CHUNK_ROWS, dtype=complex))
+        times = np.empty(CHUNK_ROWS)
+        w_out = np.empty(CHUNK_ROWS, dtype=complex)
 
         c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
         alpha = half_kappa * (c_wa - lam * c_da)
@@ -289,9 +261,9 @@ class DdeStream:
         edges = [*range(0, n_per, block), n_per]
         spans = [(acc[k0:k1], b[k0:k1], grow[:k1 - k0], decay[:k1 - k0],
                   k0 + 1, k1 + 1) for k0, k1 in zip(edges, edges[1:])]
-        # rows done are yielded; the open chunk holds fill rows from base
+        # rows done are yielded; the open chunk holds fill rows
         w_out[0] = 1.0
-        done, base, fill, peak = 0, 0, 1, 0.0
+        done, fill, peak = 0, 1, 0.0
 
         for m in range(1, n_intervals):
             r = m % _RING
@@ -325,59 +297,18 @@ class DdeStream:
                 kept = kept[:self.rows - done - fill]
                 while kept.size:
                     take = min(kept.size, CHUNK_ROWS - fill)
-                    w_out[base + fill:base + fill + take] = kept[:take]
+                    w_out[fill:fill + take] = kept[:take]
                     kept, fill = kept[take:], fill + take
                     if fill == CHUNK_ROWS or done + fill == self.rows:
-                        times[base:base + fill] = self._times(done,
-                                                              done + fill)
-                        yield times[base:base + fill], w_out[base:base + fill]
+                        times[:fill] = self._times(done, done + fill)
+                        yield times[:fill], w_out[:fill]
                         done, fill = done + fill, 0
-                        base = done if out is not None else 0
 
         if not peak <= 1.0 + 1e-6:
             raise RuntimeError(
                 f"|w| reached {peak}, above the single-excitation bound; "
                 f"integration convention bug")
         self.peak_abs_w = float(peak)
-
-
-def integrate_dde(cfg: DdeConfig) -> DdeTrajectory:
-    """Integrate the DDE from w(0) = 1 to t_max by the method of steps.
-
-    DdeStream(cfg).chunks writes straight into the returned arrays.
-    """
-    stream = DdeStream(cfg)
-    times = np.empty(stream.rows)
-    w = np.empty(stream.rows, dtype=complex)
-    for _ in stream.chunks(out=(times, w)):
-        pass
-    return DdeTrajectory(times=times, w=w, dt_used=stream.dt,
-                         n_per=stream.n_per, n_intervals=stream.n_intervals,
-                         stride=stream.stride, peak_abs_w=stream.peak_abs_w)
-
-
-def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None
-                ) -> DdeTrajectory:
-    """Integrate the DDE to t_max (integrate_dde) and fit the decaying tail.
-
-    Returns the integrated DdeTrajectory with fit and seconds filled in.
-    fit_window defaults to [FIT_START, last sample time]. A FitWindowError
-    from the fit carries the trajectory, with fit None, in `trajectory`.
-    """
-    start = time.perf_counter()
-    traj = integrate_dde(cfg)
-    integrated = time.perf_counter()
-    traj = replace(traj, seconds={"integrate_s": integrated - start})
-    if fit_window is None:
-        fit_window = (FIT_START, float(traj.times[-1]))
-    try:
-        return replace(traj, fit=fit_decay(traj.times, traj.w, fit_window))
-    except FitWindowError as exc:
-        exc.trajectory = traj
-        raise
-    finally:
-        # the returned record shares this dict, so it gets fit_s too
-        traj.seconds["fit_s"] = time.perf_counter() - integrated
 
 
 def _pool(a: tuple, b: tuple) -> tuple:
@@ -508,7 +439,7 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
     LAPACK), 0 for rounding drift (a fall by at most _FLAT_LOG_DRIFT across
     the samples or a rise slower than 1e-10); fit_residual is the RMS
     deviation from that line; omega_fit is the mean of -d(arg w)/ds, each
-    step of arg w less its nearest multiple of 2 pi (integrate_dde keeps the
+    step of arg w less its nearest multiple of 2 pi (DdeStream keeps the
     steps below ~pi/2); samples counts the window. The window must start at
     or after FIT_START (skipping the direct-decay transient) and hold at
     least 100 finite samples with |w| >= 1e-300; each refusal names its
@@ -522,9 +453,9 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
 
 def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
              consume=None) -> tuple[FitResult, dict]:
-    """fit_decay of integrate_dde's arrays, without ever holding them.
+    """fit_decay of one DDE run, fed chunk by chunk, never holding the run.
 
-    window defaults to [FIT_START, last sample time], as in evolve_atom.
+    window defaults to [FIT_START, last sample time].
     consume(times, w), if given, gets each chunk after the fit has read it,
     as views of buffers the next chunk reuses. Returns the FitResult and
     the run's record, evolve's manifest `dde` block: n_per, n_intervals,
@@ -563,6 +494,33 @@ def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
         # the returned or raised record is this dict, so it gets the result
         # step too
         record["fit_s"] += time.perf_counter() - mark
+
+
+class Evolution(NamedTuple):
+    """An evolve_atom run: w on the output grid, its fit and its record."""
+
+    times: np.ndarray
+    w: np.ndarray
+    fit: FitResult
+    record: dict
+
+
+def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None
+                ) -> Evolution:
+    """fit_tail of cfg, keeping each chunk in arrays of the run's rows.
+
+    The record's handoff_s is the seconds spent copying the chunks. A
+    refused fit raises fit_tail's FitWindowError, which carries the record.
+    """
+    rows = DdeStream(cfg).rows
+    times, w, done = np.empty(rows), np.empty(rows, dtype=complex), 0
+
+    def keep(t: np.ndarray, chunk: np.ndarray) -> None:
+        nonlocal done
+        times[done:done + len(t)], w[done:done + len(t)] = t, chunk
+        done += len(t)
+
+    return Evolution(times, w, *fit_tail(cfg, fit_window, keep))
 
 
 def pole_check(d: DimensionlessParams, theta: complex) -> float:

@@ -164,11 +164,7 @@ def seed_mode(j, d: DimensionlessParams | CharacteristicParams):
         raise ApproximationRangeError(
             f"kappa must be at most {MAX_KAPPA:.17g}, the largest usable "
             f"kappa (kappa**2 must be a finite float), got {d.kappa}")
-    # compared, not abs(): abs of int64's minimum is itself
-    if (outside := np.extract((j < -MAX_J) | (j > MAX_J), j)).size:
-        raise ApproximationRangeError(
-            f"mode indices must lie within +/-{MAX_J} (j + 1 must fit "
-            f"int64), got j = {outside[0]}")
+    _require_usable_j(j)
     kappa = d.kappa
     delta = d.W - j * math.pi
     # Real divisions only for real W: numpy's complex division rounds
@@ -254,6 +250,15 @@ def _require_usable_w(d: DimensionlessParams) -> None:
         raise ApproximationRangeError(
             f"W must be at most {MAX_W:.17g}, the largest usable W (its "
             f"mode index round(W/pi) must fit int64), got {d.W:.17g}")
+
+
+def _require_usable_j(j) -> None:
+    """Refuse a mode index (or array of them) outside +/-MAX_J."""
+    # compared, not abs(): abs of int64's minimum is itself
+    if (outside := np.extract((j < -MAX_J) | (j > MAX_J), j)).size:
+        raise ApproximationRangeError(
+            f"mode indices must lie within +/-{MAX_J} (j + 1 must fit "
+            f"int64), got j = {outside[0]}")
 
 
 def _classify(roots: tuple, tol: float, seed_j=None
@@ -391,11 +396,12 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
     row. Two rows are one root when their proved discs overlap; the
     converged row is kept, then the one of lower Re(theta).
     Returns one Modes, rows sorted by Re(theta). Raises
-    ApproximationRangeError for W above MAX_W.
+    ApproximationRangeError for W above MAX_W or an index beyond +/-MAX_J.
     """
     _require_usable_w(d)
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
+    _require_usable_j(np.array([j_min, j_max], dtype=object))
     js = np.arange(j_min, j_max + 1)
     modes = _modes(seed_mode(js, d), d, tol, js)
 

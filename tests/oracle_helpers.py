@@ -16,7 +16,9 @@ the scattering closed form at 40 digits, the reference that bounds the
 rounding error of the array scattering kernel. potential_weight, the
 atom's effective delta-mirror weight, is checked by the tests alone.
 polyfit_decay is the earlier tail fit by np.polyfit and np.unwrap, the
-reference that bounds the rounding of the closed-form fit.
+reference that bounds the rounding of the closed-form fit. drained_dde is
+no oracle: it keeps the package's own streamed run as whole arrays, for
+the tests that compare that run with one.
 """
 
 from __future__ import annotations
@@ -149,12 +151,28 @@ def _polyval(coeffs: list[complex], u: float) -> complex:
     return acc
 
 
+def drained_dde(cfg):
+    """(stream, times, w): DdeStream(cfg).chunks() copied into whole arrays.
+
+    The stream, drained, holds the run's step counts and peak |w|.
+    """
+    from qnmlab.dynamics import DdeStream
+
+    stream = DdeStream(cfg)
+    times, w = np.empty(stream.rows), np.empty(stream.rows, dtype=complex)
+    done = 0
+    for t, chunk in stream.chunks():
+        times[done:done + len(t)], w[done:done + len(t)] = t, chunk
+        done += len(t)
+    return stream, times, w
+
+
 def interval_recurrence_dde(cfg, max_output_points: int = 400_000
                             ) -> tuple[np.ndarray, np.ndarray, float]:
     """(times, w, peak |w|) of the DDE by the plain per-interval recurrence.
 
-    The reference for qnmlab.dynamics.integrate_dde, which must reproduce it
-    bit for bit: the same method of steps and the same floating-point
+    The reference for qnmlab.dynamics.DdeStream, whose chunks must reproduce
+    it bit for bit: the same method of steps and the same floating-point
     operations in the same order, written the direct way, with fresh arrays,
     recomputed weights and growth and decay factors, and per-interval lists
     on every interval. The forcing on interval m is alpha u_k + beta u_{k+1}
@@ -237,7 +255,7 @@ def derivative_recurrence_dde(cfg, max_output_points: int = 400_000
     forcing (kappa/2)(c_wa w_k + c_da d_k + c_wb w_{k+1} + c_db d_{k+1})
     read from a derivative array d = -lam w_{m-1} + (kappa/2) w_{m-2} kept
     per interval, and each chunk of the cumsum divided by its growth
-    factor. Algebraically the same as integrate_dde, it bounds the rounding
+    factor. Algebraically the same as DdeStream, it bounds the rounding
     that the derivative-free form changed. Raises RuntimeError above the
     single-excitation bound.
     """

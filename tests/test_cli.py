@@ -18,12 +18,13 @@ import pytest
 
 from qnmlab import __version__
 from qnmlab.cli import _build_parser, main
-from qnmlab.dynamics import (DdeConfig, DdeStream, FitWindowError,
-                             evolve_atom, fit_decay, integrate_dde)
+from qnmlab.dynamics import (FIT_START, DdeConfig, DdeStream,
+                             FitWindowError, fit_decay)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import (ContourError, find_modes, lifetime_from_theta,
                         refine_root, seed_mode, sweep_decay)
 from qnmlab.scattering import enhancement_scan, qnm_wavefunction
+from oracle_helpers import drained_dde
 from refs import ROOTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -288,10 +289,16 @@ _HUGE_J_RANGE = ["--j-min", "99999999999999999999",
     (["wavefunction", "--kappa", "1e200", "--w", "5", "--j", "1",
       "--x-max", "2"], _HUGE_KAPPA),
     (["spectrum", "--kappa", "200", "--w", "5", *_HUGE_J_RANGE], _HUGE_J),
+    # past int64 (np.arange would give no rows) and just past MAX_J
+    (["spectrum", "--kappa", "200", "--w", "5", "--j-min", "1",
+      "--j-max", "9223372036854775813"], _HUGE_J),
+    (["spectrum", "--kappa", "200", "--w", "5", "--j-min", "1",
+      "--j-max", "4611686018427387905"], _HUGE_J),
     (["wavefunction", "--kappa", "200", "--w", "5",
       "--j", "100000000000000000000", "--x-max", "2"], _HUGE_J),
 ], ids=["spectrum-kappa", "spectrum-kappa-edge", "sweep-kappa",
-        "wavefunction-kappa", "spectrum-j", "wavefunction-j"])
+        "wavefunction-kappa", "spectrum-j", "spectrum-j-max-past-int64",
+        "spectrum-j-max-past-max-j", "wavefunction-j"])
 def test_inputs_past_the_seed_formula_range_are_usage_errors(
         tmp_path, capsys, argv, message):
     # kappa**2 overflows a float, or j + 1 does not fit int64
@@ -539,16 +546,17 @@ def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
                  "--out-dir", str(tmp_path)])
     assert code == 1
     cfg = DdeConfig(d=DimensionlessParams(kappa=200.0, W=5.0), t_max=100.0)
-    traj = integrate_dde(cfg)
+    stream, times, w = drained_dde(cfg)
     _, rows = _read_csv(tmp_path / "evolve.csv")
-    assert len(rows) == traj.times.size
+    assert len(rows) == times.size
     assert [float(c) for c in rows[-1][:3]] == [
-        traj.times[-1], traj.w[-1].real, traj.w[-1].imag]
+        times[-1], w[-1].real, w[-1].imag]
     manifest = _manifest(tmp_path)
     assert "fit" not in manifest
     dde = manifest["dde"]
     assert dde["output_points"] == len(rows)
-    assert (dde["n_per"], dde["n_intervals"]) == (traj.n_per, traj.n_intervals)
+    assert (dde["n_per"], dde["n_intervals"]) == (stream.n_per,
+                                                  stream.n_intervals)
     assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s"))
     assert manifest["csv"]["evolve.csv"]["write_s"] >= 0.0
     assert any(w.startswith("decay fit failed") for w in manifest["warnings"])
@@ -576,14 +584,14 @@ def test_evolve_manifest_blocks(tmp_path, kappa, t_max, code):
     if code:
         assert "fit" not in manifest
         return
-    traj = integrate_dde(DdeConfig(d=DimensionlessParams(kappa=kappa, W=5.0),
-                                   t_max=t_max))
-    fit = fit_decay(traj.times, traj.w, (20.0, float(traj.times[-1])))
+    stream, times, w = drained_dde(DdeConfig(
+        d=DimensionlessParams(kappa=kappa, W=5.0), t_max=t_max))
+    fit = fit_decay(times, w, (20.0, float(times[-1])))
     assert manifest["fit"] == {"omega_fit": fit.omega_fit,
                                "gamma_fit": fit.gamma_fit,
                                "fit_residual": fit.fit_residual,
                                "samples": fit.samples,
-                               "dt_used": traj.dt_used}
+                               "dt_used": stream.dt}
     assert fit.samples == 20001     # s = 20, 20.001, ..., 40
 
 
@@ -599,8 +607,8 @@ def test_evolve_amplitude_guard_leaves_no_csv(tmp_path, monkeypatch, capsys,
     # every row (after-last), or earlier, as any error in the run would
     original = DdeStream.chunks
 
-    def guarded(self, out=None):
-        for k, chunk in enumerate(original(self, out)):
+    def guarded(self):
+        for k, chunk in enumerate(original(self)):
             if k == chunks:
                 break
             yield chunk
@@ -702,25 +710,26 @@ def _wavefunction_rows():
 
 
 @functools.lru_cache(maxsize=None)
-def _evolved(kappa, w, t_max, dt, window=None):
-    cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w), t_max=t_max,
-                    dt=dt)
+def _evolved(kappa, w_level, t_max, dt, window=None):
+    """(times, w, the manifest's fit block or None where the fit fails)."""
+    stream, times, w = drained_dde(DdeConfig(
+        d=DimensionlessParams(kappa=kappa, W=w_level), t_max=t_max, dt=dt))
     try:
-        return evolve_atom(cfg, fit_window=window)
-    except FitWindowError as exc:
-        return exc.trajectory
+        fit = fit_decay(times, w, window or (FIT_START, float(times[-1])))
+    except FitWindowError:
+        return times, w, None
+    return times, w, {**fit._asdict(), "dt_used": stream.dt}
 
 
 def _evolve_rows(*run):
-    res = _evolved(*run)
+    times, w, _ = _evolved(*run)
     return [(s, wv.real, wv.imag, abs(wv))
-            for s, wv in zip(res.times.tolist(), res.w.tolist())]
+            for s, wv in zip(times.tolist(), w.tolist())]
 
 
 def _evolve_fit(*run):
     """The manifest's fit block of the run, None where the fit fails."""
-    res = _evolved(*run)
-    return res.fit and {**res.fit._asdict(), "dt_used": res.dt_used}
+    return _evolved(*run)[2]
 
 
 def _evolve_case(*run, markers=(), fork=True):

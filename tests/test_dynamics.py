@@ -12,12 +12,12 @@ import pytest
 from qnmlab import dynamics
 from qnmlab.dynamics import (_RING, CHUNK_ROWS, FIT_START, ROUND_TRIP,
                              DdeConfig, DdeStream, FitWindowError, TailFit,
-                             evolve_atom, fit_decay, fit_tail, integrate_dde,
-                             pole_check)
+                             evolve_atom, fit_decay, fit_tail, pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
-from oracle_helpers import (derivative_recurrence_dde, interval_recurrence_dde,
-                            piecewise_delay_solution, polyfit_decay)
+from oracle_helpers import (derivative_recurrence_dde, drained_dde,
+                            interval_recurrence_dde, piecewise_delay_solution,
+                            polyfit_decay)
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -63,9 +63,9 @@ def test_decoupled_atom_rotates_accurately_for_long():
     # 10^4 intervals, each one exact rotation factor per node: the phase
     # error stays below 1e-12 and |w| at 1 to a few roundings
     cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=5.0), t_max=20000.0)
-    traj = integrate_dde(cfg)
-    assert np.max(np.abs(traj.w - np.exp(-5.0j * traj.times))) <= 1e-12
-    assert traj.peak_abs_w <= 1.0 + 1e-13
+    stream, times, w = drained_dde(cfg)
+    assert np.max(np.abs(w - np.exp(-5.0j * times))) <= 1e-12
+    assert stream.peak_abs_w <= 1.0 + 1e-13
 
 
 def test_matches_interval_polynomial_solution():
@@ -88,13 +88,13 @@ def test_integration_reproduces_interval_recurrence_bit_for_bit(
         kappa, w_level, t_max):
     cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
                     t_max=t_max)
-    traj = integrate_dde(cfg)
-    times, w_ref, peak = interval_recurrence_dde(cfg)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.w, w_ref)
-    assert traj.peak_abs_w == peak
-    assert (traj.n_per, traj.n_intervals) == (2000, int(t_max / 2.0))
-    assert traj.stride == 1 and traj.times.size == 1000 * int(t_max) + 1
+    stream, times, w = drained_dde(cfg)
+    times_ref, w_ref, peak = interval_recurrence_dde(cfg)
+    assert np.array_equal(times, times_ref)
+    assert np.array_equal(w, w_ref)
+    assert stream.peak_abs_w == peak
+    assert (stream.n_per, stream.n_intervals) == (2000, int(t_max / 2.0))
+    assert stream.stride == 1 and times.size == 1000 * int(t_max) + 1
 
 
 # whole ring blocks of intervals, with at least ten intervals in all
@@ -113,12 +113,12 @@ _BLOCKS = _RING * max(2, -(-11 // _RING))
 def test_ring_blocks_reproduce_interval_recurrence_bit_for_bit(
         t_max, n_intervals, stride):
     cfg = DdeConfig(d=D50, t_max=t_max)
-    traj = integrate_dde(cfg)
-    assert (traj.n_intervals, traj.stride) == (n_intervals, stride)
-    times, w_ref, peak = interval_recurrence_dde(cfg)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.w, w_ref)
-    assert traj.peak_abs_w == peak
+    stream, times, w = drained_dde(cfg)
+    assert (stream.n_intervals, stream.stride) == (n_intervals, stride)
+    times_ref, w_ref, peak = interval_recurrence_dde(cfg)
+    assert np.array_equal(times, times_ref)
+    assert np.array_equal(w, w_ref)
+    assert stream.peak_abs_w == peak
 
 
 # (kappa, W, t_max) of the nine bit-for-bit tests, then the README example
@@ -136,21 +136,26 @@ def test_integration_matches_derivative_recurrence(kappa, w_level, t_max):
     # round differently from derivative arrays and a division
     cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
                     t_max=t_max)
-    traj = integrate_dde(cfg)
-    times, w_ref, _ = derivative_recurrence_dde(cfg)
-    assert np.array_equal(traj.times, times)
-    assert np.max(np.abs(traj.w - w_ref)) <= 1e-13
+    _, times, w = drained_dde(cfg)
+    times_ref, w_ref, _ = derivative_recurrence_dde(cfg)
+    assert np.array_equal(times, times_ref)
+    assert np.max(np.abs(w - w_ref)) <= 1e-13
 
 
 def test_failed_fit_keeps_the_trajectory():
-    # |w| underflows inside the default window, so the fit must refuse
+    # |w| underflows inside the default window, so the fit must refuse; the
+    # error carries the run's record, as evolve's manifest `dde` block
     cfg = DdeConfig(d=DimensionlessParams(kappa=1000.0, W=3.1516),
                     t_max=400.0)
     with pytest.raises(FitWindowError, match="underflows") as info:
         evolve_atom(cfg)
-    traj = info.value.trajectory
-    assert np.array_equal(traj.w, integrate_dde(cfg).w)
-    assert traj.fit is None and set(traj.seconds) == {"integrate_s", "fit_s"}
+    record = dict(info.value.record)
+    seconds = [record.pop(k) for k in ("integrate_s", "fit_s", "handoff_s")]
+    assert min(seconds) >= 0.0
+    stream, times, _ = drained_dde(cfg)
+    assert record == {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
+                      "stride": stream.stride, "output_points": times.size,
+                      "peak_abs_w": stream.peak_abs_w}
 
 
 # --- amplitude bound ------------------------------------------------------
@@ -161,7 +166,7 @@ def test_amplitude_above_the_norm_bound_is_an_integration_error(monkeypatch):
     monkeypatch.setattr(dynamics, "_hermite_forcing_weights", lambda z, dt: [
         1.5 * c for c in weights(z, dt)])
     with pytest.raises(RuntimeError, match="single-excitation bound"):
-        integrate_dde(DdeConfig(d=D50, t_max=40.0))
+        drained_dde(DdeConfig(d=D50, t_max=40.0))
     # kappa * dt / 2 = 5000: exp of one step overflows, so the config
     # itself is refused before any integration
     with pytest.raises(ValueError, match="dt = 0.01"):
@@ -174,11 +179,11 @@ def test_stiffest_accepted_step_reproduces_interval_recurrence():
     # step is its own block and exp(700) stays finite
     cfg = DdeConfig(d=DimensionlessParams(kappa=1.4e6, W=2.0), t_max=20.0,
                     dt=1e-3)
-    traj = integrate_dde(cfg)
-    times, w_ref, peak = interval_recurrence_dde(cfg)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.w, w_ref)
-    assert traj.peak_abs_w == peak <= 1.0
+    stream, times, w = drained_dde(cfg)
+    times_ref, w_ref, peak = interval_recurrence_dde(cfg)
+    assert np.array_equal(times, times_ref)
+    assert np.array_equal(w, w_ref)
+    assert stream.peak_abs_w == peak <= 1.0
 
 
 def test_stiffest_accepted_config_integrates_without_overflow():
@@ -187,9 +192,9 @@ def test_stiffest_accepted_config_integrates_without_overflow():
     cfg = DdeConfig(d=DimensionlessParams(kappa=1.4195e6, W=2.0), t_max=40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = integrate_dde(cfg)
-    assert np.isfinite(traj.w).all()
-    assert traj.peak_abs_w <= 1.0
+        stream, _, w = drained_dde(cfg)
+    assert np.isfinite(w).all()
+    assert stream.peak_abs_w <= 1.0
 
 
 def test_single_excitation_norm_never_exceeds_one():
@@ -284,14 +289,15 @@ def test_result_grid_is_increasing_and_step_snapped():
     res = evolve_atom(cfg)
     assert np.all(np.diff(res.times) > 0)
     # dt snaps to 2/N so interval ends land exactly on the delay grid
-    assert res.dt_used == 2.0 / round(2.0 / 9e-4)
+    assert res.record["n_per"] == round(2.0 / 9e-4)
+    assert DdeStream(cfg).dt == 2.0 / round(2.0 / 9e-4)
 
 
 def test_config_and_integrator_share_the_step_grid():
     cfg = DdeConfig(d=D50, t_max=40.0, dt=1.3e-3)
-    traj = integrate_dde(cfg)
-    assert cfg.n_per == traj.n_per == round(2.0 / 1.3e-3)
-    assert traj.dt_used == 2.0 / cfg.n_per
+    stream = DdeStream(cfg)
+    assert cfg.n_per == stream.n_per == round(2.0 / 1.3e-3)
+    assert stream.dt == 2.0 / cfg.n_per
 
 
 # --- closed-form fit and output grid -------------------------------------
@@ -306,9 +312,10 @@ SEEDED_RUNS = [(42.77082964881827, 4.1293426540381475, 6438.0),
 
 @functools.lru_cache(maxsize=None)
 def _trajectory(kappa, w_level, t_max, dt=1e-3):
-    return integrate_dde(DdeConfig(d=DimensionlessParams(kappa=kappa,
-                                                         W=w_level),
-                                   t_max=t_max, dt=dt))
+    """(stream, times, w) of the run, drained once and shared."""
+    return drained_dde(DdeConfig(d=DimensionlessParams(kappa=kappa,
+                                                       W=w_level),
+                                 t_max=t_max, dt=dt))
 
 
 def _synthetic(rate):
@@ -318,15 +325,15 @@ def _synthetic(rate):
 
 def _fit_case(case):
     if case == "readme":
-        traj = _trajectory(*README_RUN)
-        return traj.times, traj.w, (FIT_START, float(traj.times[-1]))
+        _, times, w = _trajectory(*README_RUN)
+        return times, w, (FIT_START, float(times[-1]))
     if case == "decoupled":
-        traj = _trajectory(0.0, 5.0, 50.0)
-        return traj.times, traj.w, (FIT_START, 50.0)
+        _, times, w = _trajectory(0.0, 5.0, 50.0)
+        return times, w, (FIT_START, 50.0)
     if case.startswith("seeded"):
         run = SEEDED_RUNS[int(case[-1])]
-        traj = _trajectory(*run)
-        return traj.times, traj.w, (run[2] / 2.0, run[2])
+        _, times, w = _trajectory(*run)
+        return times, w, (run[2] / 2.0, run[2])
     rate = {"synthetic": -2.5j - 3e-4, "synthetic-slow": -2.5j - 1e-9 / 80.0}
     return (*_synthetic(rate[case]), (20.0, 100.0))
 
@@ -361,13 +368,13 @@ def test_fit_reads_the_phase_of_a_tiny_tail():
     ((50.0, 2.0, 6523.0), 16),      # odd t_max: the last interval is cut
 ], ids=["stride-1", "stride-16", "stride-95", "odd-t-max"])
 def test_output_grid_matches_its_integer_expression(run, stride):
-    traj = _trajectory(*run)
-    assert traj.stride == stride
-    g = np.arange(0, traj.n_per * traj.n_intervals + 1, stride)
-    interval = np.maximum(g - 1, 0) // traj.n_per
-    times = ROUND_TRIP * interval + traj.dt_used * (g - traj.n_per * interval)
-    inside = times <= run[2] + 0.5 * traj.dt_used
-    assert np.array_equal(traj.times, times[inside])
+    stream, times, _ = _trajectory(*run)
+    assert stream.stride == stride
+    g = np.arange(0, stream.n_per * stream.n_intervals + 1, stride)
+    interval = np.maximum(g - 1, 0) // stream.n_per
+    expected = ROUND_TRIP * interval + stream.dt * (g - stream.n_per * interval)
+    inside = expected <= run[2] + 0.5 * stream.dt
+    assert np.array_equal(times, expected[inside])
 
 
 def _traced_peak(fn, *args):
@@ -381,10 +388,10 @@ def _traced_peak(fn, *args):
 
 def test_integration_and_fit_allocate_little_beyond_their_results():
     cfg = DdeConfig(d=DimensionlessParams(kappa=50.0, W=2.0), t_max=6522.0)
-    traj, peak = _traced_peak(integrate_dde, cfg)
-    assert peak <= 1.1 * (traj.times.nbytes + traj.w.nbytes)
-    window = (FIT_START, float(traj.times[-1]))
-    fit, peak = _traced_peak(fit_decay, traj.times, traj.w, window)
+    res, peak = _traced_peak(evolve_atom, cfg)
+    assert peak <= 1.1 * (res.times.nbytes + res.w.nbytes)
+    window = (FIT_START, float(res.times[-1]))
+    fit, peak = _traced_peak(fit_decay, res.times, res.w, window)
     assert peak <= 3 * 8 * fit.samples
 
 
@@ -453,37 +460,38 @@ def test_fit_is_chunk_invariant_down_to_single_rows(case, size):
                      _fed(times, w, window, len(times)))
 
 
-@pytest.mark.parametrize("run", [
-    (0.0, 5.0, 50.0), README_RUN, SEEDED_RUNS[2], (50.0, 2.0, 6523.0),
+@pytest.mark.parametrize("run, stride", [
+    ((0.0, 5.0, 50.0), 1), (README_RUN, 16), (SEEDED_RUNS[2], 95),
+    ((50.0, 2.0, 6523.0), 16),
     # kappa * dt * n_per / 2 = 1000 > 400: each interval runs in blocks
-    (1000.0, 3.1516, 400.0),
+    ((1000.0, 3.1516, 400.0), 1),
 ], ids=["stride-1", "stride-16", "stride-95", "odd-t-max", "blocks"])
-def test_stream_chunks_are_integrate_dde_bit_for_bit(run):
-    traj = _trajectory(*run)
-    stream = DdeStream(DdeConfig(d=DimensionlessParams(kappa=run[0],
-                                                       W=run[1]),
-                                 t_max=run[2]))
+def test_stream_chunks_are_the_interval_recurrence_bit_for_bit(run, stride):
+    cfg = DdeConfig(d=DimensionlessParams(kappa=run[0], W=run[1]),
+                    t_max=run[2])
+    times, w_ref, peak = interval_recurrence_dde(cfg)
+    stream = DdeStream(cfg)
     chunks = [(t.copy(), w.copy()) for t, w in stream.chunks()]
     assert {len(t) for t, _ in chunks[:-1]} <= {CHUNK_ROWS}
     assert 0 < len(chunks[-1][0]) <= CHUNK_ROWS
-    assert np.array_equal(np.concatenate([t for t, _ in chunks]), traj.times)
-    assert np.array_equal(np.concatenate([w for _, w in chunks]), traj.w)
+    assert np.array_equal(np.concatenate([t for t, _ in chunks]), times)
+    assert np.array_equal(np.concatenate([w for _, w in chunks]), w_ref)
     assert (stream.n_per, stream.n_intervals, stream.stride, stream.rows,
-            stream.peak_abs_w) == (traj.n_per, traj.n_intervals, traj.stride,
-                                   traj.times.size, traj.peak_abs_w)
+            stream.peak_abs_w) == (cfg.n_per, math.ceil(run[2] / ROUND_TRIP),
+                                   stride, times.size, peak)
 
 
 def test_streamed_fit_is_the_array_fit():
     # the stream's chunks are fit_decay's slices, so the fits are equal
     run = README_RUN
-    traj = _trajectory(*run)
+    stream, times, w = _trajectory(*run)
     window = (run[2] / 2.0, run[2])
     fit, record = fit_tail(DdeConfig(d=D50, t_max=run[2]), window)
-    assert fit == fit_decay(traj.times, traj.w, window)
+    assert fit == fit_decay(times, w, window)
     assert record.pop("integrate_s") >= 0.0 and record.pop("fit_s") >= 0.0
-    assert record == {"n_per": traj.n_per, "n_intervals": traj.n_intervals,
-                      "stride": traj.stride, "output_points": traj.times.size,
-                      "peak_abs_w": traj.peak_abs_w}
+    assert record == {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
+                      "stride": stream.stride, "output_points": times.size,
+                      "peak_abs_w": stream.peak_abs_w}
 
 
 @pytest.mark.parametrize("window, refusal", [
@@ -494,7 +502,7 @@ def test_streamed_fit_is_the_array_fit():
 def test_fit_tail_hands_on_each_chunk_and_keeps_its_record(window, refusal):
     cfg = DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0), t_max=334.0,
                     dt=0.01)
-    traj = _trajectory(10.0, 2.0, 334.0, 0.01)
+    _, times, w = _trajectory(10.0, 2.0, 334.0, 0.01)
     seen = []
     try:
         fit, record = fit_tail(cfg, window, lambda t, w: seen.append(
@@ -504,13 +512,13 @@ def test_fit_tail_hands_on_each_chunk_and_keeps_its_record(window, refusal):
         record = exc.record
     else:
         assert refusal is None
-        assert fit == evolve_atom(cfg).fit
+        assert fit == fit_decay(times, w, (FIT_START, float(times[-1])))
     assert len(seen) == 5
-    assert np.array_equal(np.concatenate([t for t, _ in seen]), traj.times)
-    assert np.array_equal(np.concatenate([w for _, w in seen]), traj.w)
+    assert np.array_equal(np.concatenate([t for t, _ in seen]), times)
+    assert np.array_equal(np.concatenate([c for _, c in seen]), w)
     assert set(record) == {"n_per", "n_intervals", "stride", "output_points",
                            "peak_abs_w", "integrate_s", "fit_s", "handoff_s"}
-    assert record["output_points"] == traj.times.size
+    assert record["output_points"] == times.size
     assert min(record[k] for k in ("integrate_s", "fit_s", "handoff_s")) >= 0
 
 

@@ -602,9 +602,15 @@ def test_mode_index_beyond_the_largest_usable_index_is_refused():
                            match=r"mode indices must lie within \+/-"
                                  r"4611686018427387904"):
             seed_mode(j, D200)
-    # an index range past int64 is refused before any cast to int64
-    with pytest.raises(ApproximationRangeError):
-        find_modes(D200, j_min=10 ** 20 - 1, j_max=10 ** 20)
+    # an index range past the largest usable index is refused before
+    # np.arange: past int64, it would cast the range to float; just past
+    # MAX_J, it would ask for 2**62 rows; the message names the index exactly
+    for j_min, j_max in ((10 ** 20 - 1, 10 ** 20), (1, 2 ** 63 + 5),
+                         (1, 2 ** 62 + 1)):
+        outside = j_min if j_min > 2 ** 62 else j_max
+        with pytest.raises(ApproximationRangeError,
+                           match=f"4611686018427387904 .*got j = {outside}$"):
+            find_modes(D200, j_min=j_min, j_max=j_max)
 
 
 def test_sweep_rejects_weak_coupling():
