@@ -657,7 +657,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=1e-3,
+                   help="spacing of the output grid before thinning")
     p.add_argument("--fit-start", type=_finite, default=None)
     p.add_argument("--fit-end", type=_finite, default=None)
 

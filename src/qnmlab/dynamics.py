@@ -6,24 +6,29 @@ the delay-differential equation
 
     dw/ds = -(i W + kappa/2) w(s) + (kappa/2) w(s - 2),    w(s - 2) = 0 for s < 2,
 
-with the round trip to the mirror and back giving the delay 2. This module
-integrates that DDE by the method of steps with a fixed step: within one
-delay interval the equation is linear with a known forcing (the previous
-interval's solution), so each step multiplies by the exact exponential of the
-local part and adds the exact integral of the forcing represented by a cubic
-Hermite interpolant of the history, its derivatives read off the DDE. The
-scheme is therefore exact on the pre-delay segment (where w = exp(-(iW +
-kappa/2) s) to rounding, from w(0) = 1) and 4th-order overall through the
-cubic history; error per step only enters via the interpolation, never via
-the stiff exponential.
+with the round trip to the mirror and back giving the delay 2. Expanding
+its Laplace transform in powers of the delay factor exp(-2p) solves it
+exactly from w(0) = 1:
+
+    w(s) = sum_{n=0}^{floor(s/2)} P(n; kappa (s - 2n)/2) exp(-i W (s - 2n)),
+
+where P(n; lam) = lam^n exp(-lam)/n! is a Poisson weight and term n is the
+photon's n-th return from the mirror (P. W. Milonni and P. L. Knight, PRA
+10 (1974) 1096; T. Tufarelli, F. Ciccarello and M. S. Kim, PRA 87 (2013)
+013820). DdeStream sums the series on the output rows only, with no step
+between them: each row needs just the band of terms within e^-40 of its
+largest, about 20 of them on the README run (more at weak coupling,
+fewer at strong, growing like the root of s). No term exceeds 1 in
+modulus, so nothing overflows, and eps * sum|terms| / |w| bounds the
+rounding of every row. That bound grows like exp(gamma s) once |w| decays.
 
 The long-time tail of |w| decays at the slowest quasi-normal mode rate, which
 is how the frequency-domain solver is cross-checked: fit_decay extracts
 (omega_fit, gamma_fit) from a tail window and pole_check verifies that a
 characteristic zero is a pole of the DDE's Laplace transform. DdeStream
-integrates chunk by chunk and TailFit fits chunk by chunk. fit_tail runs
-the two as one loop, the one time-domain run: the CLI's evolve and verify
-stream through it, and evolve_atom keeps its chunks as whole arrays.
+sums the series chunk by chunk and TailFit fits chunk by chunk. fit_tail
+runs the two as one loop, the one time-domain run: the CLI's evolve and
+verify stream through it, and evolve_atom keeps its chunks as whole arrays.
 """
 
 from __future__ import annotations
@@ -36,35 +41,43 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LOG_FLOAT_MAX, DimensionlessParams
+from .model import DimensionlessParams
 
 #: Round-trip delay in natural units (mirror at x=0, atom at x=1, v_g=1).
 ROUND_TRIP = 2.0
 
-#: Minimum steps per delay interval (resolves the stiff exponential).
+#: Minimum output grid nodes per delay interval, the grid evolve.csv thins.
 MIN_STEPS_PER_DELAY = 200
 
 #: Earliest tail-fit start: ten delay periods skip the direct-decay transient.
 FIT_START = 10.0 * ROUND_TRIP
 
-#: Output rows of one run, roughly (DdeStream thins in whole steps).
+#: Output rows of one run, roughly (DdeStream thins in whole grid nodes).
 MAX_OUTPUT_POINTS = 400_000
 
 #: Output rows per DdeStream chunk, and per slice fit_decay feeds TailFit.
 CHUNK_ROWS = 8192
 
-#: Largest |Re(lambda)*s| span handled in one vectorised block before the
-#: running rescale kicks in (exp(400) is still comfortably inside float64).
-_BLOCK_EXPONENT_CAP = 400.0
+#: Largest rounding bound eps * sum|terms| / |w| a tail fit accepts: past
+#: it w keeps its absolute accuracy but not the relative one ln|w| needs.
+MAX_ROUNDING_BOUND = 1e-8
 
-#: Delay intervals integrated between two passes of |w|, the peak guard
-#: and the output thinning over all their nodes. At least 3: the interval
-#: in row r reads rows r - 1 and r - 2, and row 0, which wraps round to
-#: follow the last row, shares no node with it.
-_RING = 3
+#: A row sums the terms within e^-_BAND_LOG of its largest.
+_BAND_LOG = 40.0
+
+#: Band terms and rows summed per block of rows: the terms size its three
+#: scratch arrays, the rows its per-row ones.
+_BLOCK_TERMS = 12288
+_BLOCK_ROWS = 1024
+
+#: n ln n - n - ln n! for n < 16, where the Stirling series is not yet exact.
+_LOW_LOG_SCALE = np.array([0.0] + [n * math.log(n) - n - math.lgamma(n + 1)
+                                   for n in range(1, 16)])
 
 #: Fall of the fitted ln|w| across a fit window read as rounding drift.
 _FLAT_LOG_DRIFT = 1e-12
+
+_EPS = float(np.finfo(float).eps)
 
 
 class FitWindowError(ValueError):
@@ -79,7 +92,8 @@ class FitWindowError(ValueError):
 
 @dataclass(frozen=True)
 class DdeConfig:
-    """Integration request for the atomic-amplitude DDE, from w(0) = 1."""
+    """A run of the atomic-amplitude DDE from w(0) = 1, up to t_max, on an
+    output grid of spacing dt."""
 
     d: DimensionlessParams
     t_max: float
@@ -93,19 +107,12 @@ class DdeConfig:
         if not (0.0 < self.dt <= ROUND_TRIP / MIN_STEPS_PER_DELAY * (1 + 1e-12)):
             raise ValueError(
                 f"dt must be in (0, {ROUND_TRIP / MIN_STEPS_PER_DELAY}] so the "
-                f"delay period is resolved by >= {MIN_STEPS_PER_DELAY} steps, "
+                f"delay period holds >= {MIN_STEPS_PER_DELAY} grid nodes, "
                 f"got {self.dt}")
-        step = ROUND_TRIP / self.n_per
-        if self.d.kappa * step / 2.0 > LOG_FLOAT_MAX:
-            raise ValueError(
-                f"dt = {self.dt} is too coarse for kappa = {self.d.kappa}: "
-                f"one step grows by exp(kappa*dt/2) = exp("
-                f"{self.d.kappa * step / 2.0:.6g}), above the float64 range; "
-                f"need kappa*dt/2 <= {LOG_FLOAT_MAX:.6g}")
 
     @property
     def n_per(self) -> int:
-        """Steps per delay interval: dt snapped onto the delay grid."""
+        """Grid nodes per delay interval: dt snapped onto the delay grid."""
         return int(round(ROUND_TRIP / self.dt))
 
 
@@ -118,57 +125,31 @@ class FitResult(NamedTuple):
     samples: int
 
 
-def _exp_integrals(z: complex) -> list[complex]:
-    """I_p(z) = integral_0^1 exp(-z (1 - u)) u^p du for p = 0..3.
+def _log_scale(lo: int, hi: int) -> np.ndarray:
+    """c(n) = n ln n - n - ln n! for n = lo..hi - 1, with c(0) = 0.
 
-    Small |z| uses the series I_p = sum_n (-z)^n p! / (p + n + 1)! (the direct
-    recurrence cancels catastrophically there); larger |z| uses the stable
-    upward recurrence I_p = (1 - p I_{p-1}) / z.
+    It is -ln(2 pi n)/2 less the Stirling error ln n! - (n + 1/2) ln n + n
+    - ln(2 pi)/2, whose series 1/12n - 1/360n^3 + 1/1260n^5 - 1/1680n^7 +
+    1/1188n^9 is exact to rounding from n = 16 on (C. Loader, "Fast and
+    accurate computation of binomial probabilities", 2000).
     """
-    if abs(z) < 1.0:
-        out = []
-        for p in range(4):
-            term = 1.0 / (p + 1)
-            total = term
-            n = 0
-            while abs(term) > 1e-20 and n < 60:
-                n += 1
-                term *= -z / (p + n + 1)
-                total += term
-            out.append(total)
-        return out
-    i0 = (1.0 - cmath.exp(-z)) / z
-    i1 = (1.0 - i0) / z
-    i2 = (1.0 - 2.0 * i1) / z
-    i3 = (1.0 - 3.0 * i2) / z
-    return [i0, i1, i2, i3]
-
-
-def _hermite_forcing_weights(z: complex, dt: float) -> tuple[complex, complex,
-                                                             complex, complex]:
-    """Exact step integrals of the four cubic-Hermite basis functions.
-
-    For a step [0, dt] with the delayed history represented as the Hermite
-    cubic through (w_a, d_a) and (w_b, d_b), the forcing integral
-    integral_0^dt exp(-z (dt - v)/dt * ... ) H(v) dv equals
-    c_wa*w_a + c_da*d_a + c_wb*w_b + c_db*d_b with the weights below.
-    """
-    i0, i1, i2, i3 = _exp_integrals(z)
-    c_wa = dt * (2.0 * i3 - 3.0 * i2 + i0)
-    c_da = dt * dt * (i3 - 2.0 * i2 + i1)
-    c_wb = dt * (-2.0 * i3 + 3.0 * i2)
-    c_db = dt * dt * (i3 - i2)
-    return c_wa, c_da, c_wb, c_db
+    n = np.arange(max(lo, 16), max(hi, 16), dtype=float)
+    inv2 = 1.0 / (n * n)
+    series = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (
+        1 / 1680 - inv2 / 1188)))) / n
+    return np.concatenate((_LOW_LOG_SCALE[lo:hi],
+                           -0.5 * np.log(2.0 * math.pi * n) - series))
 
 
 class DdeStream:
-    """The integration of one DdeConfig, run as a stream of output chunks.
+    """The exact series of one DdeConfig, summed as a stream of output chunks.
 
-    Fixed on construction: n_per steps per delay interval of dt,
-    n_intervals intervals, every stride-th step kept (thinned only in whole
-    steps, to about MAX_OUTPUT_POINTS and a phase advance of at most ~pi/2)
-    and rows samples up to t_max. peak_abs_w, the largest |w| over every
-    node, is set once chunks() is exhausted.
+    Fixed on construction: the output grid, n_per nodes of dt per delay
+    interval over n_intervals intervals, every stride-th node kept
+    (thinned only in whole nodes, to about MAX_OUTPUT_POINTS and a phase
+    advance of at most ~pi/2) and rows of them up to t_max. Set once
+    chunks() is exhausted: peak_abs_w, the largest |w| over the rows, and
+    terms, the number of band terms summed.
     """
 
     def __init__(self, cfg: DdeConfig) -> None:
@@ -185,7 +166,8 @@ class DdeStream:
         tail = self._times(first, total_steps // self.stride + 1)
         self.rows = first + int(tail.searchsorted(cfg.t_max + 0.5 * self.dt,
                                                   side="right"))
-        self.peak_abs_w = math.nan
+        self.peak_abs_w, self.terms = math.nan, 0
+        self.abs_sum: np.ndarray | None = None
 
     def _times(self, row: int, stop: int) -> np.ndarray:
         """Times of output rows row..stop - 1, kept at every stride-th node.
@@ -203,112 +185,106 @@ class DdeStream:
         return g
 
     def chunks(self):
-        """Integrate the DDE, yielding (times, w) of at most CHUNK_ROWS rows.
+        """Sum the series on the rows, yielding (times, w) of at most
+        CHUNK_ROWS rows.
 
-        The chunks are views of one reused buffer. Raises RuntimeError
-        after the last interval if |w| ever exceeded 1 by more than 1e-6 at
-        a node: the dynamics conserve the single-excitation norm.
-
-        Within delay interval m the step recurrence w_{k+1} = exp(-lam dt)
-        w_k + b_k is solved as a cumsum: w_k = exp(-lam k dt) (w_0 +
-        S_{k-1}) with S_k = sum_{j<=k} exp(lam (j+1) dt) b_j. b_k, the
-        exact step integral of the cubic-Hermite history, takes its
-        derivatives from the DDE, so it is alpha u_k + beta u_{k+1} +
-        gamma v_k + delta v_{k+1} over the nodes u of interval m - 1 and v
-        of m - 2 (v = 0 for m = 1), with alpha = (kappa/2)(c_wa - lam
-        c_da), beta = (kappa/2)(c_wb - lam c_db), gamma = (kappa/2)^2 c_da
-        and delta = (kappa/2)^2 c_db. The growing factor spans exp(kappa)
-        over an interval, so the work is split into blocks that keep every
-        intermediate below exp(400). The weights, the factor, its inverse
-        (an exp, not a division) and the block spans are computed once per
-        run: 7 array passes per interval and 4 per block, within 1e-13
-        absolute of the same method with derivative arrays and a division.
-
-        Each interval is written into a ring of _RING rows laid end to end
-        in one array, neighbouring rows sharing the node that ends one
-        interval and starts the next. Once per ring (and after the last
-        interval) |w|, the peak and the kept nodes are taken over every
-        node of the filled rows, so the guard sees every node.
+        w is a view of a reused buffer, and so is abs_sum, set to the same
+        rows' sum|terms| before each yield. Raises RuntimeError after the
+        last chunk if |w| exceeded 1 by more than 1e-6 on a row: the
+        dynamics conserve the single-excitation norm.
         """
-        cfg, n_per, dt, stride = self.cfg, self.n_per, self.dt, self.stride
-        kappa, n_intervals = cfg.d.kappa, self.n_intervals
-        lam = 1j * cfg.d.W + kappa / 2.0
-        half_kappa = kappa / 2.0
-        times = np.empty(CHUNK_ROWS)
         w_out = np.empty(CHUNK_ROWS, dtype=complex)
-
-        c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
-        alpha = half_kappa * (c_wa - lam * c_da)
-        beta = half_kappa * (c_wb - lam * c_db)
-        gamma = half_kappa * half_kappa * c_da
-        delta = half_kappa * half_kappa * c_db
-        re_z = lam.real * dt
-        block = n_per if re_z * n_per <= _BLOCK_EXPONENT_CAP else max(
-            1, int(_BLOCK_EXPONENT_CAP / re_z))
-        grow = np.exp(lam * dt * np.arange(1, block + 1))
-        decay = np.exp(-lam * dt * np.arange(1, block + 1))
-
-        # Row m % _RING holds interval m; the last row's zeros are interval -1.
-        ring = np.zeros(_RING * n_per + 1, dtype=complex)
-        abs_ring = np.empty(ring.size)
-        rows = [ring[r * n_per:(r + 1) * n_per + 1] for r in range(_RING)]
-        node_times = dt * np.arange(n_per + 1)
-        rows[0][:] = np.exp(-lam * node_times)  # interval 0: closed form
-        # Products never overwrite an operand: numpy's in-place multiply of a
-        # one-element array can round differently from the out-of-place one.
-        acc = np.empty(n_per, dtype=complex)
-        b = np.empty(n_per, dtype=complex)
-        edges = [*range(0, n_per, block), n_per]
-        spans = [(acc[k0:k1], b[k0:k1], grow[:k1 - k0], decay[:k1 - k0],
-                  k0 + 1, k1 + 1) for k0, k1 in zip(edges, edges[1:])]
-        # rows done are yielded; the open chunk holds fill rows
-        w_out[0] = 1.0
-        done, fill, peak = 0, 1, 0.0
-
-        for m in range(1, n_intervals):
-            r = m % _RING
-            w_prev, w_back, w_cur = rows[r - 1], rows[r - 2], rows[r]
-            # b_k first: row r ends on w_back's node 0 unless r is the last row
-            np.multiply(alpha, w_prev[:-1], out=acc)
-            np.multiply(beta, w_prev[1:], out=b)
-            np.add(acc, b, out=acc)
-            np.multiply(gamma, w_back[:-1], out=b)
-            np.add(acc, b, out=acc)
-            np.multiply(delta, w_back[1:], out=b)
-            np.add(acc, b, out=b)
-
-            w_cur[0] = w_run = w_prev[-1]  # a copy only where row 0 wraps
-            for part, forcing, up, down, lo, hi in spans:
-                np.multiply(forcing, up, out=part)
-                np.add.accumulate(part, out=part)
-                np.add(w_run, part, out=part)
-                np.multiply(part, down, out=w_cur[lo:hi])
-                w_run = w_cur[hi - 1]
-
-            if r == _RING - 1 or m == n_intervals - 1:
-                # rows 0..r hold intervals m - r..m; node 0 of row 0 was kept
-                # (or is w(0)) with the previous block
-                nodes = ring[:(r + 1) * n_per + 1]
-                # np.maximum, unlike max(), keeps a NaN peak, which fails the
-                # guard.
-                peak = np.maximum(peak, np.maximum.reduce(
-                    np.abs(nodes, out=abs_ring[:nodes.size])))
-                kept = nodes[-(m - r) * n_per % stride or stride::stride]
-                kept = kept[:self.rows - done - fill]
-                while kept.size:
-                    take = min(kept.size, CHUNK_ROWS - fill)
-                    w_out[fill:fill + take] = kept[:take]
-                    kept, fill = kept[take:], fill + take
-                    if fill == CHUNK_ROWS or done + fill == self.rows:
-                        times[:fill] = self._times(done, done + fill)
-                        yield times[:fill], w_out[:fill]
-                        done, fill = done + fill, 0
-
+        abs_sum = np.empty(CHUNK_ROWS)
+        peak = 0.0
+        self.terms = 0
+        for done in range(0, self.rows, CHUNK_ROWS):
+            times = self._times(done, min(done + CHUNK_ROWS, self.rows))
+            n = times.size
+            self._sum(times, w_out[:n], abs_sum[:n])
+            # np.maximum, unlike max(), keeps a NaN peak, which fails the
+            # guard.
+            peak = np.maximum(peak, np.maximum.reduce(np.abs(w_out[:n])))
+            self.abs_sum = abs_sum[:n]
+            yield times, w_out[:n]
         if not peak <= 1.0 + 1e-6:
             raise RuntimeError(
                 f"|w| reached {peak}, above the single-excitation bound; "
-                f"integration convention bug")
+                f"series convention bug")
         self.peak_abs_w = float(peak)
+
+    def _sum(self, s: np.ndarray, w: np.ndarray, abs_sum: np.ndarray) -> None:
+        """w and sum|terms| of the rows at times s.
+
+        Each row sums the terms n = n0 + k, k < size, of a band about the
+        largest term n* = kappa s / (2 (1 + kappa)). ln P falls like -(1 +
+        kappa)^2 (n - n*)^2 / (2 n*) about it, so the band reaches
+        sqrt(2 _BAND_LOG n*) / (1 + kappa) to either side, plus 2 for the
+        skew at small n*, at the last row's n*. Term n has tau = s - 2n
+        (exact in floats), lam = kappa tau / 2 and ln P(n; lam) = c(n) -
+        bd0 with bd0 = n log1p(d / lam) - d and d = n - lam, Loader's
+        saddle-point form, in which no large logarithms cancel. Its phase
+        is exp(-i W tau0) exp(2 i W k) with tau0 = s - 2 n0, so one product
+        of the moduli with [cos 2Wk, sin 2Wk, 1] sums the terms and their
+        moduli. A band that reaches n = 0, tau <= 0 or an infinite lam (at
+        a huge kappa) is masked: term 0 is exp(-lam), and any other term
+        with lam <= 0 or lam = inf is 0.
+        """
+        kappa, W = self.cfg.d.kappa, self.cfg.d.W
+        half, centre = kappa / 2.0, kappa / (2.0 * (1.0 + kappa))
+        reach = math.sqrt(2.0 * _BAND_LOG * centre * float(s[-1])) / (
+            1.0 + kappa) + 2.0
+        size = math.ceil(2.0 * reach) + 2
+        k = np.arange(size, dtype=float)
+        table = np.ones((size, 3))
+        table[:, 0], table[:, 1] = np.cos(2.0 * W * k), np.sin(2.0 * W * k)
+        # row j of bands is c(first + j), ..., c(first + j + size - 1)
+        first = max(0, math.floor(centre * float(s[0]) - reach))
+        c = _log_scale(first, max(first, math.floor(
+            centre * float(s[-1]) - reach)) + size)
+        bands = np.lib.stride_tricks.as_strided(
+            c, (c.size - size + 1, size), 2 * c.strides, writeable=False)
+        per = max(1, min(_BLOCK_ROWS, _BLOCK_TERMS // size))
+        # freed on return, so that the consumer's scratch and this never
+        # add up
+        scratch = np.empty(3 * per * size)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for lo in range(0, s.size, per):
+                rows = min(per, s.size - lo)
+                lam, log_p, n = (
+                    scratch[j * per * size:(j * per + rows) * size].reshape(
+                        rows, size) for j in range(3))
+                t = s[lo:lo + rows]
+                n0 = np.floor(t * centre - reach)
+                np.maximum(n0, 0.0, out=n0)
+                tau0 = t - 2.0 * n0
+                masked = not (n0[0] > 0.0 and tau0.min() > 2.0 * (size - 1)
+                              and math.isfinite(half * tau0.max()))
+                np.subtract(tau0[:, None], 2.0 * k, out=lam)
+                lam *= half
+                if masked:
+                    dropped = ~((lam > 0.0) & (lam < math.inf))
+                np.add(n0[:, None], k, out=n)
+                np.subtract(n, lam, out=log_p)  # d
+                np.divide(log_p, lam, out=lam)
+                np.log1p(lam, out=lam)
+                lam *= n
+                log_p -= lam
+                # mode "clip" writes straight into n, where "raise" would
+                # buffer
+                np.take(bands, (n0 - first).astype(np.intp), axis=0, out=n,
+                        mode="clip")
+                log_p += n
+                if masked:
+                    np.copyto(log_p, -math.inf, where=dropped)
+                    zero = int(np.count_nonzero(n0 == 0.0))
+                    log_p[:zero, 0] = n[:zero, 0] - half * t[:zero]
+                np.exp(log_p, out=log_p)
+                sums = log_p @ table
+                part = w[lo:lo + rows]
+                part.real, part.imag = sums[:, 0], sums[:, 1]
+                part *= np.exp(tau0 * (-1j * W))
+                abs_sum[lo:lo + rows] = sums[:, 2]
+        self.terms += s.size * size
 
 
 def _pool(a: tuple, b: tuple) -> tuple:
@@ -338,7 +314,10 @@ class TailFit:
     window first: it is refused there, not on construction, so a run fed
     to a refused window still runs to its end. Each window slice gets its
     own centred line fit; the fits pool in pairs like a binary counter, so
-    rounding grows with the log of the chunk count.
+    rounding grows with the log of the chunk count. Fed each row's
+    sum|terms| as abs_sum, it keeps rounding_bound, the largest eps *
+    abs_sum / |w| over the window rows it fits, and refuses a window where
+    that passes MAX_ROUNDING_BOUND.
     """
 
     def __init__(self, window: tuple[float, float]) -> None:
@@ -352,9 +331,11 @@ class TailFit:
         self._carry: tuple | None = None  # (phase, s) of the last sample fitted
         self._unsorted = self._non_finite = False
         self._underflow = ""  # where |w| first underflows, and the remedy
+        self.rounding_bound = 0.0
         self._fits: list[tuple[int, tuple]] = []  # (level, pooled fit)
 
-    def feed(self, times: np.ndarray, w: np.ndarray) -> None:
+    def feed(self, times: np.ndarray, w: np.ndarray,
+             abs_sum: np.ndarray | None = None) -> None:
         if self._refused or self._unsorted or not len(times):
             return
         if not times[0] > self._last or not (times[1:] > times[:-1]).all():
@@ -379,6 +360,9 @@ class TailFit:
                 f"smaller --kappa" if self.samples == n and log_amp[0] < 1e-300
                 else "inside the window; shorten --t-max or the window")
             return
+        if abs_sum is not None:
+            self.rounding_bound = max(self.rounding_bound, _EPS * float(
+                np.maximum.reduce(abs_sum[lo:hi] / log_amp)))
         np.log(log_amp, out=log_amp)
         s_mean, e_mean = float(s.sum()) / n, float(log_amp.sum()) / n
         log_amp -= e_mean
@@ -412,7 +396,13 @@ class TailFit:
                           f"widen the window or increase --t-max"),
                 (self._non_finite, f"w is not finite inside [{s0}, {s1}]; "
                                    f"pass finite samples"),
-                (self._underflow, f"|w| underflows {self._underflow}")):
+                (self._underflow, f"|w| underflows {self._underflow}"),
+                (self.rounding_bound > MAX_ROUNDING_BOUND,
+                 f"the series' rounding bound eps*sum|terms|/|w| reaches "
+                 f"{self.rounding_bound:.3g} in [{s0}, {s1}], above "
+                 f"{MAX_ROUNDING_BOUND:g}: |w| has decayed too far to keep "
+                 f"the relative accuracy ln|w| needs; end the window "
+                 f"earlier or shorten --t-max")):
             if refused:
                 raise FitWindowError(message)
         fit = self._fits[-1][1]
@@ -459,9 +449,10 @@ def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
     consume(times, w), if given, gets each chunk after the fit has read it,
     as views of buffers the next chunk reuses. Returns the FitResult and
     the run's record, evolve's manifest `dde` block: n_per, n_intervals,
-    stride, output_points, peak_abs_w and the wall seconds fit_s and
-    integrate_s, plus, with consume, handoff_s, the seconds spent in it;
-    integrate_s is the loop's time less fit_s and handoff_s. A refused fit
+    stride, output_points, peak_abs_w, terms, the fit's rounding_bound and
+    the wall seconds fit_s and integrate_s, plus, with consume, handoff_s,
+    the seconds spent in it; integrate_s is the loop's time less fit_s and
+    handoff_s. A refused fit
     raises its FitWindowError after the run, with the record in `record`.
     """
     stream = DdeStream(cfg)
@@ -472,7 +463,7 @@ def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
     start = time.perf_counter()
     for chunk in stream.chunks():
         mark = time.perf_counter()
-        fit.feed(*chunk)
+        fit.feed(*chunk, stream.abs_sum)
         fed = time.perf_counter()
         fit_s += fed - mark
         if consume is not None:
@@ -481,7 +472,8 @@ def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
     mark = time.perf_counter()
     record = {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
               "stride": stream.stride, "output_points": stream.rows,
-              "peak_abs_w": stream.peak_abs_w,
+              "peak_abs_w": stream.peak_abs_w, "terms": stream.terms,
+              "rounding_bound": fit.rounding_bound,
               "integrate_s": mark - start - fit_s - handoff_s, "fit_s": fit_s}
     if consume is not None:
         record["handoff_s"] = handoff_s

@@ -4,10 +4,12 @@ These deliberately avoid the package's closed forms: the phase shift is
 re-derived by integrating the wave equation with the atom's delta potential
 regularized as a narrow Lorentzian, the resonance width by a Breit-Wigner
 least-squares fit of the inverse enhancement, and the time-domain amplitude
-by the exact piecewise-analytic solution of the delay equation. Tests
+by the exact piecewise-analytic solution of the delay equation, by its
+exact series at 40 digits (mp_delay_series) and by the method-of-steps
+integrator HermiteStream, the package's engine before the series. Tests
 compare package outputs against these, never the other way round. Three
-helpers are not independent on purpose: interval_recurrence_dde is the
-integrator's own method written the plain way, the bit-for-bit reference
+helpers are not independent on purpose: interval_recurrence_dde is
+HermiteStream's method written the plain way, the bit-for-bit reference
 for its optimised loop, derivative_recurrence_dde is the same method with
 derivative arrays and a division, which bounds that loop's rounding,
 and scalar_newton is the one-seed-at-a-time Newton iteration in complex
@@ -31,6 +33,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from qnmlab.dynamics import CHUNK_ROWS, DdeStream
 from qnmlab.model import DimensionlessParams
 from qnmlab.scattering import DEGENERATE_TOL
 
@@ -151,14 +154,13 @@ def _polyval(coeffs: list[complex], u: float) -> complex:
     return acc
 
 
-def drained_dde(cfg):
-    """(stream, times, w): DdeStream(cfg).chunks() copied into whole arrays.
+def drained_dde(cfg, engine=DdeStream):
+    """(stream, times, w): engine(cfg).chunks() copied into whole arrays.
 
-    The stream, drained, holds the run's step counts and peak |w|.
+    The stream, drained, holds the run's counts and peak |w|. engine is
+    DdeStream, the package's series, or HermiteStream, the integrator.
     """
-    from qnmlab.dynamics import DdeStream
-
-    stream = DdeStream(cfg)
+    stream = engine(cfg)
     times, w = np.empty(stream.rows), np.empty(stream.rows, dtype=complex)
     done = 0
     for t, chunk in stream.chunks():
@@ -167,12 +169,191 @@ def drained_dde(cfg):
     return stream, times, w
 
 
+# --- the method-of-steps integrator --------------------------------------
+
+#: Largest |Re(lambda)*s| span handled in one vectorised block before the
+#: running rescale kicks in (exp(400) is still comfortably inside float64).
+_BLOCK_EXPONENT_CAP = 400.0
+
+#: Delay intervals integrated between two passes of |w|, the peak guard
+#: and the output thinning over all their nodes. At least 3: the interval
+#: in row r reads rows r - 1 and r - 2, and row 0, which wraps round to
+#: follow the last row, shares no node with it.
+_RING = 3
+
+
+def _exp_integrals(z: complex) -> list[complex]:
+    """I_p(z) = integral_0^1 exp(-z (1 - u)) u^p du for p = 0..3.
+
+    Small |z| uses the series I_p = sum_n (-z)^n p! / (p + n + 1)! (the direct
+    recurrence cancels catastrophically there); larger |z| uses the stable
+    upward recurrence I_p = (1 - p I_{p-1}) / z.
+    """
+    if abs(z) < 1.0:
+        out = []
+        for p in range(4):
+            term = 1.0 / (p + 1)
+            total = term
+            n = 0
+            while abs(term) > 1e-20 and n < 60:
+                n += 1
+                term *= -z / (p + n + 1)
+                total += term
+            out.append(total)
+        return out
+    i0 = (1.0 - cmath.exp(-z)) / z
+    i1 = (1.0 - i0) / z
+    i2 = (1.0 - 2.0 * i1) / z
+    i3 = (1.0 - 3.0 * i2) / z
+    return [i0, i1, i2, i3]
+
+
+def _hermite_forcing_weights(z: complex, dt: float) -> tuple[complex, complex,
+                                                             complex, complex]:
+    """Exact step integrals of the four cubic-Hermite basis functions.
+
+    For a step [0, dt] with the delayed history represented as the Hermite
+    cubic through (w_a, d_a) and (w_b, d_b), the forcing integral
+    integral_0^dt exp(-z (dt - v)/dt * ... ) H(v) dv equals
+    c_wa*w_a + c_da*d_a + c_wb*w_b + c_db*d_b with the weights below.
+    """
+    i0, i1, i2, i3 = _exp_integrals(z)
+    c_wa = dt * (2.0 * i3 - 3.0 * i2 + i0)
+    c_da = dt * dt * (i3 - 2.0 * i2 + i1)
+    c_wb = dt * (-2.0 * i3 + 3.0 * i2)
+    c_db = dt * dt * (i3 - i2)
+    return c_wa, c_da, c_wb, c_db
+
+
+class HermiteStream(DdeStream):
+    """The DDE integrated by the method of steps on DdeStream's output grid.
+
+    The integrator qnmlab.dynamics ran before its exact series: within one
+    delay interval the equation is linear with a known forcing (the
+    previous interval's solution), so each step of dt multiplies by the
+    exact exponential of the local part and adds the exact integral of the
+    forcing represented by a cubic Hermite interpolant of the history, its
+    derivatives read off the DDE. It is exact before the first return (s
+    <= 2) and 4th order after, with an error that grows like (kappa
+    dt)^4. chunks() yields the same rows as DdeStream's; peak_abs_w is
+    taken over every node.
+    """
+
+    def chunks(self):
+        """Integrate the DDE, yielding (times, w) of at most CHUNK_ROWS rows.
+
+        The chunks are views of one reused buffer. Raises RuntimeError
+        after the last interval if |w| ever exceeded 1 by more than 1e-6 at
+        a node: the dynamics conserve the single-excitation norm.
+
+        Within delay interval m the step recurrence w_{k+1} = exp(-lam dt)
+        w_k + b_k is solved as a cumsum: w_k = exp(-lam k dt) (w_0 +
+        S_{k-1}) with S_k = sum_{j<=k} exp(lam (j+1) dt) b_j. b_k, the
+        exact step integral of the cubic-Hermite history, takes its
+        derivatives from the DDE, so it is alpha u_k + beta u_{k+1} +
+        gamma v_k + delta v_{k+1} over the nodes u of interval m - 1 and v
+        of m - 2 (v = 0 for m = 1), with alpha = (kappa/2)(c_wa - lam
+        c_da), beta = (kappa/2)(c_wb - lam c_db), gamma = (kappa/2)^2 c_da
+        and delta = (kappa/2)^2 c_db. The growing factor spans exp(kappa)
+        over an interval, so the work is split into blocks that keep every
+        intermediate below exp(400). The weights, the factor, its inverse
+        (an exp, not a division) and the block spans are computed once per
+        run: 7 array passes per interval and 4 per block, within 1e-13
+        absolute of the same method with derivative arrays and a division.
+
+        Each interval is written into a ring of _RING rows laid end to end
+        in one array, neighbouring rows sharing the node that ends one
+        interval and starts the next. Once per ring (and after the last
+        interval) |w|, the peak and the kept nodes are taken over every
+        node of the filled rows, so the guard sees every node.
+        """
+        cfg, n_per, dt, stride = self.cfg, self.n_per, self.dt, self.stride
+        kappa, n_intervals = cfg.d.kappa, self.n_intervals
+        lam = 1j * cfg.d.W + kappa / 2.0
+        half_kappa = kappa / 2.0
+        times = np.empty(CHUNK_ROWS)
+        w_out = np.empty(CHUNK_ROWS, dtype=complex)
+
+        c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
+        alpha = half_kappa * (c_wa - lam * c_da)
+        beta = half_kappa * (c_wb - lam * c_db)
+        gamma = half_kappa * half_kappa * c_da
+        delta = half_kappa * half_kappa * c_db
+        re_z = lam.real * dt
+        block = n_per if re_z * n_per <= _BLOCK_EXPONENT_CAP else max(
+            1, int(_BLOCK_EXPONENT_CAP / re_z))
+        grow = np.exp(lam * dt * np.arange(1, block + 1))
+        decay = np.exp(-lam * dt * np.arange(1, block + 1))
+
+        # Row m % _RING holds interval m; the last row's zeros are interval -1.
+        ring = np.zeros(_RING * n_per + 1, dtype=complex)
+        abs_ring = np.empty(ring.size)
+        rows = [ring[r * n_per:(r + 1) * n_per + 1] for r in range(_RING)]
+        node_times = dt * np.arange(n_per + 1)
+        rows[0][:] = np.exp(-lam * node_times)  # interval 0: closed form
+        # Products never overwrite an operand: numpy's in-place multiply of a
+        # one-element array can round differently from the out-of-place one.
+        acc = np.empty(n_per, dtype=complex)
+        b = np.empty(n_per, dtype=complex)
+        edges = [*range(0, n_per, block), n_per]
+        spans = [(acc[k0:k1], b[k0:k1], grow[:k1 - k0], decay[:k1 - k0],
+                  k0 + 1, k1 + 1) for k0, k1 in zip(edges, edges[1:])]
+        # rows done are yielded; the open chunk holds fill rows
+        w_out[0] = 1.0
+        done, fill, peak = 0, 1, 0.0
+
+        for m in range(1, n_intervals):
+            r = m % _RING
+            w_prev, w_back, w_cur = rows[r - 1], rows[r - 2], rows[r]
+            # b_k first: row r ends on w_back's node 0 unless r is the last row
+            np.multiply(alpha, w_prev[:-1], out=acc)
+            np.multiply(beta, w_prev[1:], out=b)
+            np.add(acc, b, out=acc)
+            np.multiply(gamma, w_back[:-1], out=b)
+            np.add(acc, b, out=acc)
+            np.multiply(delta, w_back[1:], out=b)
+            np.add(acc, b, out=b)
+
+            w_cur[0] = w_run = w_prev[-1]  # a copy only where row 0 wraps
+            for part, forcing, up, down, lo, hi in spans:
+                np.multiply(forcing, up, out=part)
+                np.add.accumulate(part, out=part)
+                np.add(w_run, part, out=part)
+                np.multiply(part, down, out=w_cur[lo:hi])
+                w_run = w_cur[hi - 1]
+
+            if r == _RING - 1 or m == n_intervals - 1:
+                # rows 0..r hold intervals m - r..m; node 0 of row 0 was kept
+                # (or is w(0)) with the previous block
+                nodes = ring[:(r + 1) * n_per + 1]
+                # np.maximum, unlike max(), keeps a NaN peak, which fails the
+                # guard.
+                peak = np.maximum(peak, np.maximum.reduce(
+                    np.abs(nodes, out=abs_ring[:nodes.size])))
+                kept = nodes[-(m - r) * n_per % stride or stride::stride]
+                kept = kept[:self.rows - done - fill]
+                while kept.size:
+                    take = min(kept.size, CHUNK_ROWS - fill)
+                    w_out[fill:fill + take] = kept[:take]
+                    kept, fill = kept[take:], fill + take
+                    if fill == CHUNK_ROWS or done + fill == self.rows:
+                        times[:fill] = self._times(done, done + fill)
+                        yield times[:fill], w_out[:fill]
+                        done, fill = done + fill, 0
+
+        if not peak <= 1.0 + 1e-6:
+            raise RuntimeError(
+                f"|w| reached {peak}, above the single-excitation bound; "
+                f"integration convention bug")
+        self.peak_abs_w = float(peak)
+
+
 def interval_recurrence_dde(cfg, max_output_points: int = 400_000
                             ) -> tuple[np.ndarray, np.ndarray, float]:
     """(times, w, peak |w|) of the DDE by the plain per-interval recurrence.
 
-    The reference for qnmlab.dynamics.DdeStream, whose chunks must reproduce
-    it bit for bit: the same method of steps and the same floating-point
+    The reference for HermiteStream, whose chunks must reproduce it bit for
+    bit: the same method of steps and the same floating-point
     operations in the same order, written the direct way, with fresh arrays,
     recomputed weights and growth and decay factors, and per-interval lists
     on every interval. The forcing on interval m is alpha u_k + beta u_{k+1}
@@ -181,8 +362,6 @@ def interval_recurrence_dde(cfg, max_output_points: int = 400_000
     multiplied by exp(-lam dt k). Raises RuntimeError above the
     single-excitation bound, as the package does.
     """
-    from qnmlab.dynamics import _BLOCK_EXPONENT_CAP, _hermite_forcing_weights
-
     d = cfg.d
     kappa, w_level = d.kappa, d.W
     n_per = int(round(2.0 / cfg.dt))
@@ -255,12 +434,10 @@ def derivative_recurrence_dde(cfg, max_output_points: int = 400_000
     forcing (kappa/2)(c_wa w_k + c_da d_k + c_wb w_{k+1} + c_db d_{k+1})
     read from a derivative array d = -lam w_{m-1} + (kappa/2) w_{m-2} kept
     per interval, and each chunk of the cumsum divided by its growth
-    factor. Algebraically the same as DdeStream, it bounds the rounding
+    factor. Algebraically the same as HermiteStream, it bounds the rounding
     that the derivative-free form changed. Raises RuntimeError above the
     single-excitation bound.
     """
-    from qnmlab.dynamics import _BLOCK_EXPONENT_CAP, _hermite_forcing_weights
-
     d = cfg.d
     kappa, w_level = d.kappa, d.W
     n_per = int(round(2.0 / cfg.dt))
@@ -319,6 +496,39 @@ def derivative_recurrence_dde(cfg, max_output_points: int = 400_000
     w = np.concatenate(out_w)
     inside = times <= cfg.t_max + 0.5 * dt
     return times[inside], w[inside], max_abs
+
+
+def mp_delay_series(kappa: float, w_level: float, s_values,
+                    dps: int = 40) -> np.ndarray:
+    """w(s) of the DDE by its exact series at dps digits, from the exact floats.
+
+    w(s) = sum_n P(n; kappa tau / 2) exp(-i W tau), tau = s - 2n, over the
+    terms n >= 0 with tau >= 0 within 12 sqrt(n* + 1)/(1 + kappa) + 10 of
+    n* = kappa s / (2 (1 + kappa)): the rest are below e^-70 of the
+    largest, where qnmlab.dynamics stops at e^-40. Each term is exp(n ln
+    lam - lam - ln n!) from mpmath's loggamma, with no Stirling series.
+    """
+    out = np.empty(len(s_values), dtype=complex)
+    with mpmath.workdps(dps):
+        k, wl = mpmath.mpf(kappa), mpmath.mpf(w_level)
+        for i, s in enumerate(map(float, s_values)):
+            centre = kappa * s / (2.0 * (1.0 + kappa))
+            reach = 12.0 * math.sqrt(centre + 1.0) / (1.0 + kappa) + 10.0
+            total = mpmath.mpc(0)
+            for n in range(max(0, math.floor(centre - reach)),
+                           min(int(s // 2), math.ceil(centre + reach)) + 1):
+                tau = mpmath.mpf(s) - 2 * n
+                lam = k * tau / 2
+                if n == 0:
+                    size = mpmath.exp(-lam)
+                elif lam > 0:
+                    size = mpmath.exp(n * mpmath.log(lam) - lam
+                                      - mpmath.loggamma(n + 1))
+                else:
+                    continue
+                total += size * mpmath.expj(-wl * tau)
+            out[i] = complex(total)
+    return out
 
 
 def polyfit_decay(times: np.ndarray, w: np.ndarray,

@@ -482,14 +482,28 @@ def test_evolve_non_finite_fit_window_is_usage_error(tmp_path, capsys,
 
 
 def test_evolve_too_coarse_step_is_usage_error(tmp_path, capsys):
-    # kappa * dt / 2 = 5000: one step's growth factor overflows float64
-    code = main(["evolve", "--kappa", "1e6", "--w", "2", "--t-max", "20",
-                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    # dt = 0.02 puts 100 grid nodes in a delay period, fewer than 200
+    code = main(["evolve", "--kappa", "50", "--w", "2", "--t-max", "20",
+                 "--dt", "0.02", "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert list(tmp_path.iterdir()) == []
     # one line naming dt, nothing printed from numpy
-    assert err.count("\n") == 1 and "dt = 0.01" in err
+    assert err.count("\n") == 1 and "got 0.02" in err
+
+
+def test_evolve_runs_at_any_kappa_dt(tmp_path, capsys):
+    # kappa * dt / 2 = 5000 overflowed one step of the integrator the
+    # series replaced; the run is summed and written, and its one-row
+    # window [20, 20] is refused
+    code = main(["evolve", "--kappa", "1e6", "--w", "2", "--t-max", "20",
+                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "empty window [20.0, 20.0]" in capsys.readouterr().err
+    _, rows = _read_csv(tmp_path / "evolve.csv")
+    assert len(rows) == 2001
+    assert all(math.isfinite(float(c)) for r in rows for c in r)
+    assert max(float(r[3]) for r in rows) == 1.0
 
 
 def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
@@ -563,7 +577,7 @@ def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
 
 
 _DDE_KEYS = {"n_per", "n_intervals", "stride", "output_points", "peak_abs_w",
-             "integrate_s", "fit_s"}
+             "terms", "rounding_bound", "integrate_s", "fit_s"}
 
 
 @pytest.mark.parametrize("kappa, t_max, code", [
@@ -613,7 +627,7 @@ def test_evolve_amplitude_guard_leaves_no_csv(tmp_path, monkeypatch, capsys,
                 break
             yield chunk
         raise RuntimeError("|w| reached 1.5, above the single-excitation "
-                           "bound; integration convention bug")
+                           "bound; series convention bug")
 
     monkeypatch.setattr(DdeStream, "chunks", guarded)
     code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "334",

@@ -8,15 +8,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnmlab import dynamics
-from qnmlab.dynamics import (_RING, CHUNK_ROWS, FIT_START, ROUND_TRIP,
-                             DdeConfig, DdeStream, FitWindowError, TailFit,
-                             evolve_atom, fit_decay, fit_tail, pole_check)
+from qnmlab.dynamics import (CHUNK_ROWS, FIT_START, MAX_ROUNDING_BOUND,
+                             ROUND_TRIP, DdeConfig, DdeStream, FitWindowError,
+                             TailFit, evolve_atom, fit_decay, fit_tail,
+                             pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
-from oracle_helpers import (derivative_recurrence_dde, drained_dde,
-                            interval_recurrence_dde, piecewise_delay_solution,
+from oracle_helpers import (_RING, HermiteStream, derivative_recurrence_dde,
+                            drained_dde, interval_recurrence_dde,
+                            mp_delay_series, piecewise_delay_solution,
                             polyfit_decay)
 from refs import ROOTS
 
@@ -60,7 +64,7 @@ def test_decoupled_atom_only_rotates(w_level):
 
 
 def test_decoupled_atom_rotates_accurately_for_long():
-    # 10^4 intervals, each one exact rotation factor per node: the phase
+    # 10^4 intervals, where the series keeps one term, exp(-iWs): the phase
     # error stays below 1e-12 and |w| at 1 to a few roundings
     cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=5.0), t_max=20000.0)
     stream, times, w = drained_dde(cfg)
@@ -70,7 +74,7 @@ def test_decoupled_atom_rotates_accurately_for_long():
 
 def test_matches_interval_polynomial_solution():
     # method-of-steps polynomials (exact integrals, small coupling so the
-    # polynomial coefficients stay well conditioned) vs the integrator
+    # polynomial coefficients stay well conditioned) vs the series
     d = DimensionlessParams(kappa=2.0, W=1.5)
     cfg = DdeConfig(d=d, t_max=40.0)
     res = evolve_atom(cfg)
@@ -86,9 +90,10 @@ def test_matches_interval_polynomial_solution():
 ])
 def test_integration_reproduces_interval_recurrence_bit_for_bit(
         kappa, w_level, t_max):
+    # the oracle integrator's optimised loop against its plain form
     cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
                     t_max=t_max)
-    stream, times, w = drained_dde(cfg)
+    stream, times, w = drained_dde(cfg, HermiteStream)
     times_ref, w_ref, peak = interval_recurrence_dde(cfg)
     assert np.array_equal(times, times_ref)
     assert np.array_equal(w, w_ref)
@@ -113,7 +118,7 @@ _BLOCKS = _RING * max(2, -(-11 // _RING))
 def test_ring_blocks_reproduce_interval_recurrence_bit_for_bit(
         t_max, n_intervals, stride):
     cfg = DdeConfig(d=D50, t_max=t_max)
-    stream, times, w = drained_dde(cfg)
+    stream, times, w = drained_dde(cfg, HermiteStream)
     assert (stream.n_intervals, stream.stride) == (n_intervals, stride)
     times_ref, w_ref, peak = interval_recurrence_dde(cfg)
     assert np.array_equal(times, times_ref)
@@ -132,11 +137,12 @@ _RECURRENCE_CONFIGS = [
 
 @pytest.mark.parametrize("kappa, w_level, t_max", _RECURRENCE_CONFIGS)
 def test_integration_matches_derivative_recurrence(kappa, w_level, t_max):
-    # the DDE-substituted forcing and the multiply by exp(-lam dt k) only
-    # round differently from derivative arrays and a division
+    # the oracle integrator's DDE-substituted forcing and multiply by
+    # exp(-lam dt k) only round differently from derivative arrays and a
+    # division
     cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
                     t_max=t_max)
-    _, times, w = drained_dde(cfg)
+    _, times, w = drained_dde(cfg, HermiteStream)
     times_ref, w_ref, _ = derivative_recurrence_dde(cfg)
     assert np.array_equal(times, times_ref)
     assert np.max(np.abs(w - w_ref)) <= 1e-13
@@ -153,33 +159,43 @@ def test_failed_fit_keeps_the_trajectory():
     seconds = [record.pop(k) for k in ("integrate_s", "fit_s", "handoff_s")]
     assert min(seconds) >= 0.0
     stream, times, _ = drained_dde(cfg)
+    # |w| underflows at the window's first row, so no row was fitted
     assert record == {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
                       "stride": stream.stride, "output_points": times.size,
-                      "peak_abs_w": stream.peak_abs_w}
+                      "peak_abs_w": stream.peak_abs_w, "terms": stream.terms,
+                      "rounding_bound": 0.0}
 
 
 # --- amplitude bound ------------------------------------------------------
 
 def test_amplitude_above_the_norm_bound_is_an_integration_error(monkeypatch):
-    # a faulty kernel: forcing weights scaled by 1.5 push |w| past 1
-    weights = dynamics._hermite_forcing_weights
-    monkeypatch.setattr(dynamics, "_hermite_forcing_weights", lambda z, dt: [
-        1.5 * c for c in weights(z, dt)])
+    # a faulty series: every term's log-pmf raised by ln 1.5, so w(0) = 1.5
+    scale = dynamics._log_scale
+    monkeypatch.setattr(dynamics, "_log_scale",
+                        lambda lo, hi: scale(lo, hi) + math.log(1.5))
     with pytest.raises(RuntimeError, match="single-excitation bound"):
         drained_dde(DdeConfig(d=D50, t_max=40.0))
-    # kappa * dt / 2 = 5000: exp of one step overflows, so the config
-    # itself is refused before any integration
-    with pytest.raises(ValueError, match="dt = 0.01"):
-        DdeConfig(d=DimensionlessParams(kappa=1e6, W=2.0), t_max=20.0,
-                  dt=0.01)
+
+
+def test_any_kappa_dt_runs_without_a_step():
+    # kappa * dt / 2 = 5000 overflowed one step of the integrator, which
+    # refused the config; the series has no step
+    cfg = DdeConfig(d=DimensionlessParams(kappa=1e6, W=2.0), t_max=20.0,
+                    dt=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream, _, w = drained_dde(cfg)
+    assert np.isfinite(w).all() and np.abs(w).max() <= 1.0
+    assert stream.peak_abs_w == 1.0 and stream.rows == 2001
 
 
 def test_stiffest_accepted_step_reproduces_interval_recurrence():
-    # kappa * dt / 2 = 700, just inside log(float max) = 709.78: every
-    # step is its own block and exp(700) stays finite
+    # kappa * dt / 2 = 700, just inside log(float max) = 709.78, the
+    # oracle integrator's stiffest step: every step is its own block and
+    # exp(700) stays finite
     cfg = DdeConfig(d=DimensionlessParams(kappa=1.4e6, W=2.0), t_max=20.0,
                     dt=1e-3)
-    stream, times, w = drained_dde(cfg)
+    stream, times, w = drained_dde(cfg, HermiteStream)
     times_ref, w_ref, peak = interval_recurrence_dde(cfg)
     assert np.array_equal(times, times_ref)
     assert np.array_equal(w, w_ref)
@@ -187,8 +203,8 @@ def test_stiffest_accepted_step_reproduces_interval_recurrence():
 
 
 def test_stiffest_accepted_config_integrates_without_overflow():
-    # kappa * dt / 2 = 709.75: exp(709.75) is within 2% of float max, and
-    # its inverse is subnormal
+    # the integrator's stiffest config, kappa * dt / 2 = 709.75: the
+    # series' terms fall to subnormals and 0 with no overflow on the way
     cfg = DdeConfig(d=DimensionlessParams(kappa=1.4195e6, W=2.0), t_max=40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -201,6 +217,111 @@ def test_single_excitation_norm_never_exceeds_one():
     res = evolve_atom(DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0),
                                 t_max=334.0), fit_window=(167.0, 334.0))
     assert np.max(np.abs(res.w)) <= 1.0 + 1e-9
+
+
+# --- the exact series ----------------------------------------------------
+
+def _with_bound(cfg):
+    """(times, w, eps * sum|terms| / |w|) of every row of the run."""
+    stream = DdeStream(cfg)
+    parts = [(t.copy(), w.copy(), stream.abs_sum.copy())
+             for t, w in stream.chunks()]
+    times, w, abs_sum = (np.concatenate(p) for p in zip(*parts))
+    with np.errstate(invalid="ignore"):     # NaN where every term is 0
+        return times, w, np.finfo(float).eps * (abs_sum / np.abs(w))
+
+
+# (kappa, W, t_max): the pulse case where the integrator was 1.1e-4 off on
+# the return pulses at s = 4..6, the benchmark's long run, the README run,
+# the decoupled atom and the integrator's stiffest config
+_MP_RUNS = [(1000.0, 5.0 * math.pi + 1e-3, 400.0),
+            (111.67522699950392, 2.1030341380000053, 38010.0),
+            (50.0, 2.0, 6522.0), (0.0, 5.0, 50.0), (1.4195e6, 2.0, 40.0)]
+
+
+@pytest.mark.parametrize("run", _MP_RUNS,
+                         ids=["pulses", "long", "readme", "decoupled", "stiff"])
+def test_series_matches_mpmath_at_sampled_rows(run):
+    times, w, bound = _with_bound(DdeConfig(
+        d=DimensionlessParams(kappa=run[0], W=run[1]), t_max=run[2]))
+    rng = np.random.default_rng(26)
+    # 60 random rows, the last one and 21 on each of the first two return
+    # pulses, which peak at s = 2n (1 + 1/kappa)
+    rows = np.unique(np.concatenate([
+        rng.integers(0, times.size, 60), [times.size - 1],
+        np.searchsorted(times, np.linspace(4.0, 4.02, 21)),
+        np.searchsorted(times, np.linspace(6.0, 6.02, 21))]))
+    ref = mp_delay_series(run[0], run[1], times[rows])
+    err = np.abs(w[rows] - ref)
+    assert err.max() <= 1e-12
+    # relative accuracy where the bound promises it and |w| is a normal float
+    kept = (bound[rows] <= 1e-12) & (np.abs(ref) >= 1e-300)
+    assert np.all(err[kept] <= 1e-10 * np.abs(ref[kept]))
+    if run[0] == 1000.0:
+        assert np.abs(ref).max() > 0.25    # the pulses were sampled
+    if run[0] == 1.4195e6:
+        # every term at the first row of the fit window is 0, so the fit
+        # refuses there
+        first = int(np.searchsorted(times, FIT_START))
+        assert w[first] == mp_delay_series(*run[:2], times[first:first + 1])
+        assert w[first] == 0.0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kappa=st.floats(2.0, 1000.0), detuning=st.floats(0.0, 1.0),
+       dt=st.floats(1e-3, 1e-2), t_max=st.floats(20.0, 60.0))
+def test_series_is_the_integrator_to_fourth_order_in_kappa_dt(
+        kappa, detuning, dt, t_max):
+    # the integrator's Hermite history errs like (kappa dt)^4 for W up to
+    # kappa/2; 4.0e-7 at kappa 50, dt 1e-2 and 4.1e-11 at dt 1e-3
+    cfg = DdeConfig(d=DimensionlessParams(
+        kappa=kappa, W=detuning * min(12.0, kappa / 2.0)), t_max=t_max, dt=dt)
+    _, times, w = drained_dde(cfg)
+    _, grid, reference = drained_dde(cfg, HermiteStream)
+    assert np.array_equal(times, grid)
+    assert np.abs(w - reference).max() <= 1e-3 * (
+        kappa * ROUND_TRIP / cfg.n_per) ** 4 + 1e-13
+
+
+def test_fit_refuses_a_window_past_the_rounding_bound():
+    # at kappa 0.3 |w| falls ~13 decades below its terms by s = 200, where
+    # the series keeps only absolute accuracy
+    cfg = DdeConfig(d=DimensionlessParams(kappa=0.3, W=1.0), t_max=200.0)
+    with pytest.raises(FitWindowError, match=(
+            r"rounding bound eps\*sum\|terms\|/\|w\| reaches .* in "
+            r"\[20.0, 200.0\], above 1e-08: .*end the window earlier")) as info:
+        fit_tail(cfg)
+    bound = info.value.record["rounding_bound"]
+    assert bound > MAX_ROUNDING_BOUND
+    # the bound holds: the last row is off mpmath by less than it says
+    times, w, _ = _with_bound(cfg)
+    (ref,) = mp_delay_series(0.3, 1.0, times[-1:])
+    assert 1e-4 < abs(w[-1] - ref) / abs(ref) <= bound
+    # an earlier window end is the remedy
+    fit, record = fit_tail(cfg, (FIT_START, 80.0))
+    assert record["rounding_bound"] <= MAX_ROUNDING_BOUND
+    assert fit.gamma_fit > 0.0
+
+
+@pytest.mark.parametrize("run", [(0.0, 5.0, 50.0), (50.0, 2.0, 6522.0),
+                                 (1000.0, 3.1516, 400.0)],
+                         ids=["decoupled", "readme", "pulses"])
+def test_series_chunks_rerun_bit_for_bit_and_bound_each_row(run):
+    cfg = DdeConfig(d=DimensionlessParams(kappa=run[0], W=run[1]),
+                    t_max=run[2])
+    stream = DdeStream(cfg)
+    chunks = [(t.copy(), w.copy(), stream.abs_sum.copy())
+              for t, w in stream.chunks()]
+    assert {len(t) for t, _, _ in chunks[:-1]} <= {CHUNK_ROWS}
+    times, w, abs_sum = (np.concatenate(p) for p in zip(*chunks))
+    assert times.size == stream.rows
+    # the moduli bound their sum, to rounding, and to the subnormals'
+    # absolute spacing
+    assert np.all(np.abs(w) <= abs_sum * (1.0 + 1e-13) + 1e-300)
+    assert stream.peak_abs_w == np.abs(w).max() <= 1.0 + 1e-15
+    assert 0 < stream.terms <= 60 * stream.rows
+    _, again, w_again = drained_dde(cfg)
+    assert np.array_equal(again, times) and np.array_equal(w_again, w)
 
 
 # --- tail fitting ---------------------------------------------------------
@@ -467,10 +588,12 @@ def test_fit_is_chunk_invariant_down_to_single_rows(case, size):
     ((1000.0, 3.1516, 400.0), 1),
 ], ids=["stride-1", "stride-16", "stride-95", "odd-t-max", "blocks"])
 def test_stream_chunks_are_the_interval_recurrence_bit_for_bit(run, stride):
+    # the oracle integrator keeps the chunks the package streamed before
+    # its series
     cfg = DdeConfig(d=DimensionlessParams(kappa=run[0], W=run[1]),
                     t_max=run[2])
     times, w_ref, peak = interval_recurrence_dde(cfg)
-    stream = DdeStream(cfg)
+    stream = HermiteStream(cfg)
     chunks = [(t.copy(), w.copy()) for t, w in stream.chunks()]
     assert {len(t) for t, _ in chunks[:-1]} <= {CHUNK_ROWS}
     assert 0 < len(chunks[-1][0]) <= CHUNK_ROWS
@@ -489,9 +612,11 @@ def test_streamed_fit_is_the_array_fit():
     fit, record = fit_tail(DdeConfig(d=D50, t_max=run[2]), window)
     assert fit == fit_decay(times, w, window)
     assert record.pop("integrate_s") >= 0.0 and record.pop("fit_s") >= 0.0
+    # the README run keeps all but about 1.4 digits of each row
+    assert 0.0 < record.pop("rounding_bound") <= 1e-12
     assert record == {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
                       "stride": stream.stride, "output_points": times.size,
-                      "peak_abs_w": stream.peak_abs_w}
+                      "peak_abs_w": stream.peak_abs_w, "terms": stream.terms}
 
 
 @pytest.mark.parametrize("window, refusal", [
@@ -517,7 +642,8 @@ def test_fit_tail_hands_on_each_chunk_and_keeps_its_record(window, refusal):
     assert np.array_equal(np.concatenate([t for t, _ in seen]), times)
     assert np.array_equal(np.concatenate([c for _, c in seen]), w)
     assert set(record) == {"n_per", "n_intervals", "stride", "output_points",
-                           "peak_abs_w", "integrate_s", "fit_s", "handoff_s"}
+                           "peak_abs_w", "terms", "rounding_bound",
+                           "integrate_s", "fit_s", "handoff_s"}
     assert record["output_points"] == times.size
     assert min(record[k] for k in ("integrate_s", "fit_s", "handoff_s")) >= 0
 
