@@ -1,4 +1,4 @@
-"""CSV lines from equal-length columns, with floats as exactly '%.17g' % v.
+"""CSV files from equal-length columns, with floats as exactly '%.17g' % v.
 
 Python's '%.17g' costs about 1 us a cell, and a 400k-row `evolve.csv` has
 1.6M of them. Here whole columns are formatted in numpy instead:
@@ -24,9 +24,18 @@ off, or rounding carried into an 18th digit; this also covers y < 2**53,
 where the high part of y need not be an integer), and x that is 0, nan,
 inf or outside (1e-200, 1e200), where the products could leave the
 normal range.
+
+CsvFile writes such chunks to a file and keeps its manifest record;
+StreamedCsv does so while the run that fills the file goes on.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import struct
+import sys
+import time
 
 import numpy as np
 
@@ -45,6 +54,10 @@ _SPLITTER = 134217729.0
 
 #: Slots after the first digit: 16 digits and the '.'.
 _TAIL = 17
+
+#: Capacity asked for the pipe to StreamedCsv's writer child: about five
+#: chunks, and Linux's default limit for an unprivileged process.
+_PIPE_BYTES = 1 << 20
 
 
 def _word(text: bytes) -> int:
@@ -182,12 +195,16 @@ def csv_chunks(columns):
     """Yield (bytes, fallback cells) for the CSV lines of the columns.
 
     columns are equal-length sequences; float columns print as '%.17g' %
-    value, integer columns as '%d' and others as '%s'. Each yield covers
-    CHUNK_ROWS rows and counts the float cells formatted by Python.
+    value, integer columns as '%d' and others as '%s'. A complex column z
+    prints as three float columns: re, im and abs(z), which is hypot, as
+    Python's complex abs (np.abs differs in the last digit). Each yield
+    covers CHUNK_ROWS rows and counts the float cells formatted by Python.
     """
     columns = [np.asarray(c) for c in columns]
-    columns = [c.astype(np.float64, copy=False) if c.dtype.kind == "f" else c
-               for c in columns]
+    columns = [part for c in columns for part in (
+        (c.real, c.imag, np.hypot(c.real, c.imag)) if c.dtype.kind == "c"
+        else (c.astype(np.float64, copy=False),) if c.dtype.kind == "f"
+        else (c,))]
     for start in range(0, len(columns[0]), CHUNK_ROWS):
         parts = [c[start:start + CHUNK_ROWS] for c in columns]
         texts = [None if p.dtype.kind == "f" else p.astype(np.bytes_)
@@ -209,3 +226,177 @@ def csv_chunks(columns):
                 view[:, start_byte:start_byte + text.itemsize] = text.view(
                     np.uint8).reshape(text.size, text.itemsize)
         yield view.tobytes().translate(None, b"\0"), fallback
+
+
+#: A CSV file's record (see _record), as StreamedCsv's writer child sends it.
+_REPORT = struct.Struct("<qqqd")
+
+
+def _record(rows: int, size: int, fallback: int, write_s: float) -> dict:
+    """A CSV file's entry in the manifest's csv block."""
+    return {"rows": rows, "bytes": size, "fallback_cells": fallback,
+            "write_s": write_s}
+
+
+class CsvFile:
+    """A CSV file written in blocks: the header line on opening, then the
+    lines of each block of equal-length columns given to add()."""
+
+    def __init__(self, path: str, header: str) -> None:
+        self.start = time.perf_counter()
+        self.fh = open(path, "wb")
+        self.size = self.fh.write(header.encode() + b"\n")
+        self.rows = self.fallback = 0
+
+    def __enter__(self) -> CsvFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def add(self, *columns) -> None:
+        for data, slow in csv_chunks(columns):
+            self.size += self.fh.write(data)
+            self.fallback += slow
+        self.rows += len(columns[0])
+
+    def record(self) -> dict:
+        return _record(self.rows, self.size, self.fallback,
+                       time.perf_counter() - self.start)
+
+
+def _received(pipe, rows: int):
+    """Yield the (times, w) chunks of a run of rows rows read from pipe.
+
+    Each chunk comes as its row count (8 bytes, little-endian) and then
+    the bytes of times and of w. Raises EOFError if the pipe ends first:
+    the sender has died.
+    """
+    done = 0
+    while done < rows:
+        n = min(int.from_bytes(pipe.read(8), "little"), rows - done)
+        times, w = np.empty(n), np.empty(n, dtype=complex)
+        if not n or pipe.readinto(times) + pipe.readinto(w) < 24 * n:
+            raise EOFError(f"the run ended after {done} of {rows} rows")
+        yield times, w
+        done += n
+
+
+def _writer_child(csv: StreamedCsv, data_fd: int, report_fd: int,
+                  parent_fds: tuple[int, int]):
+    """The whole life of a writer child: write the chunks read from data_fd
+    to csv's file, then send its record on report_fd, or its error there
+    after removing the partial file. It first closes its copies of the
+    parent's pipe ends, so that the data pipe ends when the parent closes
+    it or dies, and ends only through os._exit, so it never runs the
+    parent's atexit handlers or teardown or flushes its stdio buffers."""
+    code = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        # glibc gives the top of its heap back to the OS whenever more than its
+        # trim threshold is free there: 128 KiB, or twice the largest mmap()ed
+        # block freed so far. One chunk's formatting temporaries pass that, so
+        # each chunk would fault its pages in again (some 140k faults for the
+        # README run, nearly doubling the writer's CPU time). Freeing one 4 MiB
+        # block first lifts the threshold above them.
+        np.empty(1 << 19)
+        with open(data_fd, "rb") as pipe, open(report_fd, "wb") as report:
+            try:
+                with CsvFile(csv.path, csv.header) as out:
+                    for times, w in _received(pipe, csv.rows):
+                        out.add(times, w)
+            except BaseException as exc:
+                with contextlib.suppress(OSError):
+                    os.remove(csv.path)
+                report.write(str(exc).encode())
+            else:
+                report.write(_REPORT.pack(*out.record().values()))
+                code = 0
+    finally:
+        os._exit(code)
+
+
+class StreamedCsv:
+    """A CSV file of rows rows, written while the run that fills it goes on.
+
+    Entering forks a writer child and returns send(times, w), which pipes
+    it a chunk: a float column and a complex one (three in the file, see
+    csv_chunks). The child formats on a second core beside the run, and
+    touches only numpy, its pipes and the file, so no lock held by a thread
+    that fork does not copy can stop it; without os.fork (Windows) send
+    writes inline. Leaving reaps the child on every path. A clean exit sets
+    record, the file's manifest entry plus writer_cpu_s: the child's user
+    plus system seconds from os.wait4 (inline, the CPU seconds of send).
+    An exception removes the file, which holds a failed run; a failed
+    writer, or a pipe the child has closed, raises OSError.
+    """
+
+    def __init__(self, path: str, header: str, rows: int) -> None:
+        self.path, self.header, self.rows = path, header, rows
+        self.pid, self.cpu_s, self.record = None, 0.0, None
+
+    def __enter__(self):
+        if not hasattr(os, "fork"):
+            self.out = CsvFile(self.path, self.header)
+            return self._add
+        import fcntl
+
+        sys.stdout.flush()
+        sys.stderr.flush()
+        data_r, data_w = os.pipe()
+        report_r, report_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (data_r, data_w, report_r, report_w):
+                os.close(fd)
+            raise
+        if not self.pid:
+            _writer_child(self, data_r, report_w, (data_w, report_r))
+        os.close(data_r)
+        os.close(report_w)
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+            # A pipe holds 64 KiB by default, a third of a chunk, so each
+            # side would wait on the other at every chunk.
+            with contextlib.suppress(OSError):  # over the host's maximum
+                fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        self.pipe, self.report = open(data_w, "wb"), open(report_r, "rb")
+        return self._send
+
+    def _send(self, times, w) -> None:
+        self.pipe.write(len(times).to_bytes(8, "little"))
+        self.pipe.write(times)
+        self.pipe.write(w)
+
+    def _add(self, times, w) -> None:
+        mark = time.process_time()
+        self.out.add(times, w)
+        self.cpu_s += time.process_time() - mark
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        failure = ""
+        if self.pid is None:
+            self.out.fh.close()
+            record = self.out.record()
+        else:
+            with contextlib.suppress(BrokenPipeError):
+                self.pipe.close()  # the child sees the end of the run
+            with self.report:
+                report = self.report.read()
+            _, status, usage = os.wait4(self.pid, 0)
+            self.cpu_s = usage.ru_utime + usage.ru_stime
+            if code := os.waitstatus_to_exitcode(status):
+                failure = report.decode() or (
+                    f"the {os.path.basename(self.path)} writer ended with "
+                    f"status {code}")
+            else:
+                record = _record(*_REPORT.unpack(report))
+        if kind is not None or failure:
+            with contextlib.suppress(OSError):
+                os.remove(self.path)
+        if failure and (kind is None or issubclass(kind, BrokenPipeError)):
+            raise OSError(failure) from exc
+        if kind is None:
+            self.record = {**record, "writer_cpu_s": self.cpu_s}
+        return False

@@ -1,20 +1,18 @@
-"""Command-line front end: CSV data files plus a JSON manifest per run.
+"""Command-line front end: argument parsing and dispatch to one handler.
 
 Subcommands: spectrum (mode table), sweep (decay-rate minima vs W),
 wavefunction (mode profile), scatter (phase shift / delay / enhancement),
 evolve (time-domain amplitude), map (laboratory-parameter report) and
-verify (cross-module consistency suite). Each subcommand imports numpy and
-the library modules it uses when it runs, so --version, --help, usage
-errors and map start without numpy.
+verify (cross-module consistency suite, qnmlab.verify). Each subcommand
+imports numpy and the library modules it uses when it runs, so --version,
+--help, usage errors and map start without numpy.
 
 Every run writes its data files into --out-dir plus a manifest.json
 recording the command, the exact parameters used, tool version, ISO-8601
-timestamp, the list of emitted files and any warnings. Every numeric CSV
-cell is exactly '%.17g' % value (integers '%d'), so reruns with identical
-flags are byte-identical and values round-trip to double precision. The
-manifest's csv block records, per CSV file, its rows, bytes, write_s (wall
-seconds) and fallback_cells (float cells formatted by Python's '%' rather
-than by the numpy column formatter, see _csv).
+timestamp, the list of emitted files and any warnings. The CSV files and
+their records in the manifest's csv block come from _csv, which fixes
+every byte: numeric cells are exactly '%.17g' % value (integers '%d'), so
+reruns with identical flags are byte-identical.
 
 Exit codes: 0 success; 1 usage or invalid parameters (message on stderr);
 2 partial results (some points failed, see warnings); 3 verification or
@@ -24,13 +22,10 @@ internal-consistency failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import math
 import os
-import struct
 import sys
-import time
 
 from . import DEFAULT_TOL, __version__
 
@@ -39,18 +34,8 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_VERIFY = 3
 
-#: Seed for the randomized pole-identity check (fixed: reruns must agree).
-_VERIFY_SEED = 1302
-
 #: evolve warns when t_max * expected decay rate falls below this.
 _DECAY_COVERAGE = 3.0
-
-#: evolve.csv's header line.
-_EVOLVE_HEADER = "s,re_w,im_w,abs_w"
-
-#: Capacity asked for the pipe to evolve's writer child: about five chunks,
-#: and Linux's default limit for an unprivileged process.
-_PIPE_BYTES = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,35 +53,6 @@ def _dump_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-class _CsvFile:
-    """A CSV file written in blocks: the header line on opening, then the
-    lines of each block of equal-length columns given to add()."""
-
-    def __init__(self, path: str, header: str) -> None:
-        self.start = time.perf_counter()
-        self.fh = open(path, "wb")
-        self.size, self.fallback = self.fh.write(header.encode() + b"\n"), 0
-
-    def __enter__(self) -> _CsvFile:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.fh.close()
-
-    def add(self, *columns) -> None:
-        from ._csv import csv_chunks
-
-        for data, slow in csv_chunks(columns):
-            self.size += self.fh.write(data)
-            self.fallback += slow
-
-    def record(self, rows: int) -> dict:
-        """The file's entry in the manifest's csv block."""
-        return {"rows": rows, "bytes": self.size,
-                "fallback_cells": self.fallback,
-                "write_s": time.perf_counter() - self.start}
-
-
 class _Run:
     """Collects outputs and warnings while a command executes."""
 
@@ -112,15 +68,13 @@ class _Run:
         return os.path.join(self.out_dir, name)
 
     def write_csv(self, name: str, header: str, *columns) -> None:
-        """Write the header line, then one line per row of the columns.
+        """Write the header line, then one line per row of the columns
+        (see _csv.csv_chunks), and record the file in the csv block."""
+        from ._csv import CsvFile
 
-        columns are equal-length sequences: float cells are '%.17g' %
-        value, integer cells '%d' and any other '%s'. Records the file in
-        the manifest's csv block.
-        """
-        with _CsvFile(self.path(name), header) as out:
+        with CsvFile(self.path(name), header) as out:
             out.add(*columns)
-        self.add_csv(name, out.record(len(columns[0])))
+        self.add_csv(name, out.record())
 
     def add_csv(self, name: str, record: dict) -> None:
         self.outputs.append(self.path(name))
@@ -217,9 +171,7 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
         return EXIT_PARTIAL
     xs = np.linspace(0.0, args.x_max, args.samples)
     phi = qnm_wavefunction(mode, xs)
-    # hypot, as Python's complex abs: np.abs differs in the last digit.
-    run.write_csv("wavefunction.csv", "x,re_phi,im_phi,abs_phi",
-                  xs, phi.real, phi.imag, np.hypot(phi.real, phi.imag))
+    run.write_csv("wavefunction.csv", "x,re_phi,im_phi,abs_phi", xs, phi)
     run.extras["mode"] = {"j": mode.j, "re_theta": mode.theta.real,
                           "im_theta": mode.theta.imag}
     return EXIT_OK
@@ -243,180 +195,17 @@ def _cmd_scatter(args: argparse.Namespace, run: _Run) -> int:
     return EXIT_OK
 
 
-def _add_evolve_rows(out: _CsvFile, times, w) -> None:
-    import numpy as np
-
-    # hypot, as Python's complex abs: np.abs differs in the last digit.
-    out.add(times, w.real, w.imag, np.hypot(w.real, w.imag))
-
-
-def _received(pipe, rows: int):
-    """Yield the (times, w) chunks of a run of rows rows read from pipe.
-
-    Each chunk comes as its row count (8 bytes, little-endian) and then
-    the bytes of times and of w. Raises EOFError if the pipe ends first:
-    the sender has died.
-    """
-    import numpy as np
-
-    done = 0
-    while done < rows:
-        n = min(int.from_bytes(pipe.read(8), "little"), rows - done)
-        times, w = np.empty(n), np.empty(n, dtype=complex)
-        if not n or pipe.readinto(times) + pipe.readinto(w) < 24 * n:
-            raise EOFError(f"the run ended after {done} of {rows} rows")
-        yield times, w
-        done += n
-
-
-def _writer_child(path: str, rows: int, data_fd: int, report_fd: int,
-                  parent_fds: tuple[int, int]):
-    """The whole life of evolve's writer child: write the chunks read from
-    data_fd to path, then report its bytes, fallback cells and write_s on
-    report_fd, or its error there after removing the partial file.
-
-    It first closes its copies of the parent's pipe ends, so that the data
-    pipe ends when the parent closes it or dies. It ends only through
-    os._exit, so it never runs the parent's atexit handlers or teardown and
-    never flushes stdio buffers copied from it.
-    """
-    import numpy as np
-
-    code = 1
-    try:
-        for fd in parent_fds:
-            os.close(fd)
-        # glibc gives the top of its heap back to the OS whenever more than
-        # its trim threshold is free there: 128 KiB, or twice the largest
-        # mmap()ed block freed so far. One chunk's formatting temporaries
-        # pass that, so each chunk would fault its pages in again (some
-        # 140k faults for the README run, nearly doubling the writer's
-        # CPU time). Freeing one 4 MiB block first lifts the threshold
-        # above them.
-        np.empty(1 << 19)
-        with open(data_fd, "rb") as pipe, open(report_fd, "wb") as report:
-            try:
-                with _CsvFile(path, _EVOLVE_HEADER) as out:
-                    for times, w in _received(pipe, rows):
-                        _add_evolve_rows(out, times, w)
-                record = out.record(rows)
-            except BaseException as exc:
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-                report.write(str(exc).encode())
-            else:
-                report.write(struct.pack("<qqd", record["bytes"],
-                                         record["fallback_cells"],
-                                         record["write_s"]))
-                code = 0
-    finally:
-        os._exit(code)
-
-
-class _EvolveCsv:
-    """evolve.csv, written while the run that fills it goes on.
-
-    Entering forks a writer child, which formats and writes the chunks
-    that send(times, w) hands it through a pipe, so the formatting runs on
-    a second core beside the integration. Where os.fork is missing
-    (Windows) send runs the same writer inline. Leaving reaps the child on
-    every path and records the file in the manifest, with writer_cpu_s,
-    the child's user plus system seconds from os.wait4 (inline, the
-    process CPU seconds spent in send). Leaving by an exception removes
-    evolve.csv, which holds a failed run; a failed writer, or a pipe the
-    child has closed, raises OSError. The child touches only numpy, its
-    pipes and the file, so no lock held by a thread that fork does not
-    copy can stop it.
-    """
-
-    def __init__(self, run: _Run, rows: int) -> None:
-        self.run, self.rows = run, rows
-        self.path = run.path("evolve.csv")
-        self.pid, self.cpu_s = None, 0.0
-
-    def __enter__(self):
-        from . import _csv  # noqa: F401 - built once, before the fork
-
-        if not hasattr(os, "fork"):
-            self.out = _CsvFile(self.path, _EVOLVE_HEADER)
-            return self._add
-        import fcntl
-
-        sys.stdout.flush()
-        sys.stderr.flush()
-        data_r, data_w = os.pipe()
-        report_r, report_w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (data_r, data_w, report_r, report_w):
-                os.close(fd)
-            raise
-        if not self.pid:
-            _writer_child(self.path, self.rows, data_r, report_w,
-                          (data_w, report_r))
-        os.close(data_r)
-        os.close(report_w)
-        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
-            # A pipe holds 64 KiB by default, a third of a chunk, so each
-            # side would wait on the other at every chunk.
-            with contextlib.suppress(OSError):  # over the host's maximum
-                fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        self.pipe, self.report = open(data_w, "wb"), open(report_r, "rb")
-        return self._send
-
-    def _send(self, times, w) -> None:
-        self.pipe.write(len(times).to_bytes(8, "little"))
-        self.pipe.write(times)
-        self.pipe.write(w)
-
-    def _add(self, times, w) -> None:
-        mark = time.process_time()
-        _add_evolve_rows(self.out, times, w)
-        self.cpu_s += time.process_time() - mark
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        failure = ""
-        if self.pid is None:
-            self.out.fh.close()
-            record = self.out.record(self.rows)
-        else:
-            with contextlib.suppress(BrokenPipeError):
-                self.pipe.close()  # the child sees the end of the run
-            with self.report:
-                report = self.report.read()
-            _, status, usage = os.wait4(self.pid, 0)
-            self.cpu_s = usage.ru_utime + usage.ru_stime
-            if code := os.waitstatus_to_exitcode(status):
-                failure = report.decode() or (f"the evolve.csv writer ended "
-                                              f"with status {code}")
-            else:
-                size, fallback, write_s = struct.unpack("<qqd", report)
-                record = {"rows": self.rows, "bytes": size,
-                          "fallback_cells": fallback, "write_s": write_s}
-        if kind is not None or failure:
-            with contextlib.suppress(OSError):
-                os.remove(self.path)
-        if failure and (kind is None or issubclass(kind, BrokenPipeError)):
-            raise OSError(failure) from exc
-        if kind is None:
-            self.run.add_csv("evolve.csv",
-                             {**record, "writer_cpu_s": self.cpu_s})
-        return False
-
-
 def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
+    from ._csv import StreamedCsv
     from .dynamics import DdeConfig, DdeStream, FitWindowError, fit_tail
     from .model import DimensionlessParams
     from .qnm import MAX_W, ApproximationRangeError, slowest_mode
 
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     cfg = DdeConfig(d=d, t_max=args.t_max, dt=args.dt)
-    window = None
     if (args.fit_start is None) != (args.fit_end is None):
         raise ValueError("give both --fit-start and --fit-end or neither")
-    if args.fit_start is not None:
-        window = (args.fit_start, args.fit_end)
+    window = None if args.fit_start is None else (args.fit_start, args.fit_end)
     coverage_note = ""
     if d.kappa > 1.0:
         try:
@@ -435,7 +224,9 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
                 f"fitted rates will be unreliable")
             run.warnings.append(coverage_note)
     stream = DdeStream(cfg)
-    with _EvolveCsv(run, stream.rows) as send:
+    csv = StreamedCsv(run.path("evolve.csv"), "s,re_w,im_w,abs_w",
+                      stream.rows)
+    with csv as send:
         try:
             fit, run.extras["dde"] = fit_tail(cfg, window, send)
         except FitWindowError as exc:
@@ -444,6 +235,7 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
             hint = f" ({coverage_note})" if coverage_note else ""
             print(f"qnmlab evolve: decay fit failed: {exc}{hint}",
                   file=sys.stderr)
+    run.add_csv("evolve.csv", csv.record)
     if fit is None:
         return EXIT_USAGE
     run.extras["fit"] = {**fit._asdict(), "dt_used": stream.dt}
@@ -511,96 +303,14 @@ def _cmd_map(args: argparse.Namespace, run: _Run) -> int:
     return EXIT_OK
 
 
-# ------------------------------------------------------------------ verify
-
-
-def _check_pole_identity(n_points: int) -> tuple[bool, str]:
-    import random
-    import numpy as np
-    from .dynamics import pole_check
-    from .model import DimensionlessParams
-    from .qnm import characteristic
-
-    rng = random.Random(_VERIFY_SEED)
-    d = DimensionlessParams(kappa=200.0, W=5.0)
-    thetas = [complex(rng.uniform(-5.0, 20.0), rng.uniform(-1.0, 0.5))
-              for _ in range(n_points)]
-    f_abs = np.abs(characteristic(np.array(thetas), d)).tolist()
-    worst = max(abs(pole_check(d, theta) - f) / (1.0 + f)
-                for theta, f in zip(thetas, f_abs))
-    return worst <= 1e-12, f"max normalized gap {worst:.3e} over {n_points} points"
-
-
-def _check_root_count() -> tuple[bool, str]:
-    import numpy as np
-    from .model import DimensionlessParams
-    from .qnm import ContourBox, count_roots_in_box, find_modes
-
-    d = DimensionlessParams(kappa=200.0, W=5.0)
-    box = ContourBox(re_min=0.5, re_max=4.5 * math.pi,
-                     im_min=-0.05, im_max=0.001)
-    counted = count_roots_in_box(d, box)
-    modes = find_modes(d, j_min=1, j_max=6)
-    re, im = modes.theta.real, modes.theta.imag
-    found = int(np.count_nonzero(
-        modes.converged & (box.re_min <= re) & (re <= box.re_max)
-        & (box.im_min <= im) & (im <= box.im_max)))
-    return counted == found, (f"argument principle counts {counted}, "
-                              f"refinement found {found} distinct roots")
-
-
-def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
-    """Check the DDE tail fit against the slowest mode; record each run."""
-    from .dynamics import DdeConfig, fit_tail
-    from .model import DimensionlessParams
-    from .qnm import slowest_mode
-
-    configs = [(50.0, 2.0)] + ([(200.0, 5.0)] if full else [])
-    details = []
-    ok = True
-    for kappa, w in configs:
-        d = DimensionlessParams(kappa=kappa, W=w)
-        star = slowest_mode(d).theta
-        gamma = abs(star.imag)
-        t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
-        fit, record = fit_tail(DdeConfig(d=d, t_max=t_max),
-                               (t_max / 2.0, t_max))
-        records.append({"kappa": kappa, "w": w, "t_max": t_max, **record,
-                        "samples": fit.samples})
-        err_w = abs(fit.omega_fit - star.real) / abs(star.real)
-        err_g = abs(fit.gamma_fit - gamma) / gamma
-        details.append(f"({kappa:g},{w:g}): omega off {err_w:.2e}, "
-                       f"gamma off {err_g:.2e}")
-        ok = ok and err_w <= 0.01 and err_g <= 0.01
-    return ok, "; ".join(details)
-
-
-def _check_bound_state() -> tuple[bool, str]:
-    from .model import DimensionlessParams
-    from .qnm import refine_root, seed_mode
-
-    d = DimensionlessParams(kappa=200.0, W=math.pi)
-    mode = refine_root(seed_mode(1, d), d)
-    im = abs(mode.theta.imag)
-    return (mode.converged and im <= 1e-12,
-            f"W=pi root Im magnitude {im:.3e}")
-
-
 def _cmd_verify(args: argparse.Namespace, run: _Run) -> int:
+    from .verify import run_checks
+
     dde = run.extras["dde"] = []
-    checks = [
-        ("pole_identity", *_check_pole_identity(1000 if args.full else 200)),
-        ("root_count_certification", *_check_root_count()),
-        ("dde_vs_root", *_check_dde_agreement(args.full, dde)),
-        ("bound_state_in_continuum", *_check_bound_state()),
-    ]
-    payload = [{"name": name, "passed": passed, "detail": detail}
-               for name, passed, detail in checks]
-    run.write_json("verify_report.json", {"checks": payload})
-    run.extras["checks"] = payload
-    failed = [name for name, passed, _ in checks if not passed]
-    for name in failed:
-        run.warnings.append(f"check failed: {name}")
+    checks = run.extras["checks"] = run_checks(args.full, dde)
+    run.write_json("verify_report.json", {"checks": checks})
+    failed = [check["name"] for check in checks if not check["passed"]]
+    run.warnings += [f"check failed: {name}" for name in failed]
     return EXIT_VERIFY if failed else EXIT_OK
 
 

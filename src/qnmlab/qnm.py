@@ -56,6 +56,9 @@ MAX_NEWTON_STEPS = 50
 #: Largest mode index magnitude |j|: it leaves room for j + 1 in int64.
 MAX_J = 2 ** 62
 
+#: Most mode indices find_modes takes: merging their discs is quadratic.
+MAX_J_WIDTH = 10_000
+
 #: Largest level spacing W whose modes get an index: round(W/pi) <= MAX_J.
 MAX_W = math.pi * MAX_J
 
@@ -396,12 +399,16 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
     row. Two rows are one root when their proved discs overlap; the
     converged row is kept, then the one of lower Re(theta).
     Returns one Modes, rows sorted by Re(theta). Raises
-    ApproximationRangeError for W above MAX_W or an index beyond +/-MAX_J.
+    ApproximationRangeError for W above MAX_W or an index beyond +/-MAX_J,
+    and ValueError for an empty range or one of over MAX_J_WIDTH indices.
     """
     _require_usable_w(d)
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
     _require_usable_j(np.array([j_min, j_max], dtype=object))
+    if int(j_max) - int(j_min) >= MAX_J_WIDTH:
+        raise ValueError(f"index range [{j_min}, {j_max}] holds more than "
+                         f"{MAX_J_WIDTH} indices; split it")
     js = np.arange(j_min, j_max + 1)
     modes = _modes(seed_mode(js, d), d, tol, js)
 

@@ -296,9 +296,14 @@ _HUGE_J_RANGE = ["--j-min", "99999999999999999999",
       "--j-max", "4611686018427387905"], _HUGE_J),
     (["wavefunction", "--kappa", "200", "--w", "5",
       "--j", "100000000000000000000", "--x-max", "2"], _HUGE_J),
+    # usable indices, but too many of them for one run
+    (["spectrum", "--kappa", "200", "--w", "5", "--j-min", "1",
+      "--j-max", "100000000"],
+     "index range [1, 100000000] holds more than 10000 indices"),
 ], ids=["spectrum-kappa", "spectrum-kappa-edge", "sweep-kappa",
         "wavefunction-kappa", "spectrum-j", "spectrum-j-max-past-int64",
-        "spectrum-j-max-past-max-j", "wavefunction-j"])
+        "spectrum-j-max-past-max-j", "wavefunction-j",
+        "spectrum-j-range-too-wide"])
 def test_inputs_past_the_seed_formula_range_are_usage_errors(
         tmp_path, capsys, argv, message):
     # kappa**2 overflows a float, or j + 1 does not fit int64
@@ -614,11 +619,16 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("chunks", [3, None], ids=["midway", "after-last"])
+@pytest.mark.parametrize("chunks, fork", [
+    (3, True), (None, True), (3, False), (None, False),
+], ids=["midway", "after-last", "midway-no-fork", "after-last-no-fork"])
 def test_evolve_amplitude_guard_leaves_no_csv(tmp_path, monkeypatch, capsys,
-                                              chunks):
+                                              chunks, fork):
     # the |w| guard fires once the stream ends, after the writer has had
-    # every row (after-last), or earlier, as any error in the run would
+    # every row (after-last), or earlier, as any error in the run would;
+    # without os.fork the writer runs inline and removes the file as well
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     original = DdeStream.chunks
 
     def guarded(self):
@@ -639,7 +649,11 @@ def test_evolve_amplitude_guard_leaves_no_csv(tmp_path, monkeypatch, capsys,
     _assert_no_child_left()
 
 
-def test_evolve_writer_failure_is_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+def test_evolve_writer_failure_is_one_line(tmp_path, monkeypatch, capsys,
+                                           fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     (tmp_path / "evolve.csv").mkdir()
     code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "334",
                  "--dt", "0.01", "--out-dir", str(tmp_path)])
@@ -1026,7 +1040,7 @@ _LOADS_SCRIPT = (
      ["_csv", "model", "qnm", "scattering"], True),
     (["evolve", "--kappa", "10", "--w", "2", "--t-max", "40", "--dt",
       "0.01"], 0, ["_csv", "dynamics", "model", "qnm"], True),
-    (["verify", "--quick"], 0, ["dynamics", "model", "qnm"], True),
+    (["verify", "--quick"], 0, ["dynamics", "model", "qnm", "verify"], True),
 ], ids=["version", "help", "usage-error", "map-raman", "map-squid",
         "spectrum", "sweep", "wavefunction", "scatter", "evolve", "verify"])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, modules,

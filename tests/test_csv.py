@@ -112,3 +112,20 @@ def test_chunks_join_into_the_per_row_lines():
     assert b"".join(data for data, _ in chunks) == expected.encode()
     specials = np.count_nonzero(~np.isfinite(floats) | (floats == 0.0))
     assert sum(fallback for _, fallback in chunks) >= specials
+
+
+def test_a_complex_column_prints_re_im_and_python_abs():
+    rows = CHUNK_ROWS + 5
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    # np.abs differs from Python's complex abs in the last digit on about
+    # a third of these rows, in both chunks
+    differs = np.abs(z) != np.array([abs(v) for v in z.tolist()])
+    assert differs[:CHUNK_ROWS].any() and differs[CHUNK_ROWS:].any()
+    x = np.linspace(0.0, 1.0, rows)
+    chunks = list(csv_chunks([x, z]))
+    assert len(chunks) == 2
+    expected = "".join(
+        "%.17g,%.17g,%.17g,%.17g\n" % (s, v.real, v.imag, abs(v))
+        for s, v in zip(x.tolist(), z.tolist()))
+    assert b"".join(data for data, _ in chunks) == expected.encode()

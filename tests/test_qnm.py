@@ -611,6 +611,13 @@ def test_mode_index_beyond_the_largest_usable_index_is_refused():
         with pytest.raises(ApproximationRangeError,
                            match=f"4611686018427387904 .*got j = {outside}$"):
             find_modes(D200, j_min=j_min, j_max=j_max)
+    # a usable but wide range is refused before np.arange: the merge of
+    # the rows' discs is quadratic in their number
+    for j_min, j_max in ((1, qnm.MAX_J_WIDTH + 1), (1, 10 ** 8),
+                         (-2 ** 62, 2 ** 62)):
+        with pytest.raises(ValueError, match=f"holds more than "
+                                             f"{qnm.MAX_J_WIDTH} indices"):
+            find_modes(D200, j_min=j_min, j_max=j_max)
 
 
 def test_sweep_rejects_weak_coupling():
