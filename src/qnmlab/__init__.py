@@ -2,11 +2,6 @@
 
 __version__ = "0.1.0"
 
-#: Newton tolerance on |f|: the default of the root searches and of the
-#: --tol flag of the commands whose output is the roots. It sits here, not
-#: in qnm, so that the command-line parser needs no library module.
-DEFAULT_TOL = 1e-12
-
 #: The modules that bench/layers.py's tracer reads as attributes of the
 #: package; a command imports them only when it runs.
 _SUBMODULES = frozenset({"qnm", "dynamics", "scattering", "platforms"})

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 
-from . import DEFAULT_TOL, __version__
+from . import __version__
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,7 +120,7 @@ def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
     from .qnm import find_modes, lifetime_from_theta
 
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
-    modes = find_modes(d, j_min=args.j_min, j_max=args.j_max, tol=args.tol)
+    modes = find_modes(d, j_min=args.j_min, j_max=args.j_max)
     run.write_csv("modes.csv", "j,re_theta,im_theta,residual,lifetime,converged",
                   modes.j, modes.theta.real, modes.theta.imag, modes.residual,
                   lifetime_from_theta(modes.theta),
@@ -145,7 +145,7 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
         raise ValueError("--steps must be >= 1")
     d = DimensionlessParams(kappa=args.kappa, W=1.0)  # W comes per point
     ws = np.linspace(args.w_min, args.w_max, args.steps)
-    sweep = sweep_decay(d, ws, tol=args.tol)
+    sweep = sweep_decay(d, ws)
     run.write_csv("sweep.csv", "w,im_theta_min,j_used", *sweep[:3])
     gaps = ~sweep.converged
     for w, note in zip(sweep.w[gaps].tolist(), sweep.note[gaps]):
@@ -164,7 +164,7 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
     if args.x_max <= 0:
         raise ValueError("--x-max must be positive")
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
-    mode = refine_root(seed_mode(args.j, d), d, tol=args.tol)
+    mode = refine_root(seed_mode(args.j, d), d)
     if not mode.converged:
         run.warnings.append(f"mode j={args.j} did not converge "
                             f"(residual {mode.residual:.3e}); no samples")
@@ -206,6 +206,7 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
     if (args.fit_start is None) != (args.fit_end is None):
         raise ValueError("give both --fit-start and --fit-end or neither")
     window = None if args.fit_start is None else (args.fit_start, args.fit_end)
+    stream = DdeStream(cfg)  # refuses a run of over MAX_ROWS rows
     coverage_note = ""
     if d.kappa > 1.0:
         try:
@@ -223,7 +224,6 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
                 f"rate {gamma_expected:.3g}) barely decays over this run; "
                 f"fitted rates will be unreliable")
             run.warnings.append(coverage_note)
-    stream = DdeStream(cfg)
     csv = StreamedCsv(run.path("evolve.csv"), "s,re_w,im_w,abs_w",
                       stream.rows)
     with csv as send:
@@ -337,14 +337,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--j-min", type=int, default=1)
     p.add_argument("--j-max", type=int, default=6)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("sweep", _cmd_sweep, "decay-rate minima vs W -> sweep.csv")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--w-min", type=_finite, required=True)
     p.add_argument("--w-max", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("wavefunction", _cmd_wavefunction,
             "mode profile -> wavefunction.csv")
@@ -353,7 +351,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--x-max", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("scatter", _cmd_scatter,
             "phase shift / delay / enhancement -> scatter.csv")
@@ -423,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, run)
         run.write_manifest()
         return code
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a count too big
         print(f"qnmlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # ContourError among them

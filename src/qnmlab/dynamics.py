@@ -55,6 +55,9 @@ FIT_START = 10.0 * ROUND_TRIP
 #: Output rows of one run, roughly (DdeStream thins in whole grid nodes).
 MAX_OUTPUT_POINTS = 400_000
 
+#: Most output rows of a run, which only the stride's phase cap can reach.
+MAX_ROWS = 1_000_000
+
 #: Output rows per DdeStream chunk, and per slice fit_decay feeds TailFit.
 CHUNK_ROWS = 8192
 
@@ -145,11 +148,11 @@ class DdeStream:
     """The exact series of one DdeConfig, summed as a stream of output chunks.
 
     Fixed on construction: the output grid, n_per nodes of dt per delay
-    interval over n_intervals intervals, every stride-th node kept
-    (thinned only in whole nodes, to about MAX_OUTPUT_POINTS and a phase
-    advance of at most ~pi/2) and rows of them up to t_max. Set once
-    chunks() is exhausted: peak_abs_w, the largest |w| over the rows, and
-    terms, the number of band terms summed.
+    interval over n_intervals intervals, every stride-th node kept (thinned
+    only in whole nodes, to about MAX_OUTPUT_POINTS and a phase advance of
+    at most ~pi/2) and rows of them up to t_max, at most MAX_ROWS (else
+    ValueError). Set once chunks() is exhausted: peak_abs_w, the largest
+    |w| over the rows, and terms, the number of band terms summed.
     """
 
     def __init__(self, cfg: DdeConfig) -> None:
@@ -161,6 +164,12 @@ class DdeStream:
         phase_rate = cfg.d.W + math.pi  # generous bound on |Re theta| of the tail
         self.stride = min(stride, max(1, int(math.pi / 2.0
                                              / (phase_rate * self.dt))))
+        over = float(self._times(MAX_ROWS, MAX_ROWS + 1)[0])  # row MAX_ROWS
+        if over <= cfg.t_max + 0.5 * self.dt:  # is kept: one row too many
+            raise ValueError(
+                f"t_max = {cfg.t_max:g} needs over {MAX_ROWS} rows at W = "
+                f"{cfg.d.W:g}, dt = {self.dt:g}; the largest --t-max that "
+                f"fits is {math.ceil(over - 0.5 * self.dt) - 1}")
         # only the last interval can reach past t_max
         first = (total_steps - self.n_per) // self.stride
         tail = self._times(first, total_steps // self.stride + 1)

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .model import DimensionlessParams
-from .qnm import DEFAULT_TOL, CharacteristicParams, newton_roots, seed_mode
+from .qnm import CharacteristicParams, newton_roots, seed_mode
 
 
 class EmissionReport(NamedTuple):
@@ -61,7 +61,7 @@ def modified_emission_numeric(d: DimensionlessParams, j: int
     formula = modified_emission_formula(d, j)  # also validates j, kappa
     continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
     theta, resid, _iters, ok, _radius = newton_roots(
-        seed_mode(j, continued), continued, DEFAULT_TOL)
+        seed_mode(j, continued), continued)
     if not ok[0]:
         raise RuntimeError(
             f"complex-W root search did not converge for j={j}, "

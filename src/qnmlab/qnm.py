@@ -43,8 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_TOL
 from .model import DimensionlessParams
+
+#: Newton tolerance on |f| of every root search, read at each call.
+NEWTON_TOL = 1e-12
 
 #: Modes with |Im theta| below this are reported as non-decaying (infinite
 #: lifetime): the bound-state-in-continuum marker.
@@ -183,29 +185,27 @@ def _rounding_error(d: DimensionlessParams | CharacteristicParams, grow, z):
     return 2.0 ** -48 * (grow + d.kappa + np.abs(d.W) + np.abs(z) + 1.0)
 
 
-def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams
+                 ) -> tuple[np.ndarray, ...]:
     """Newton iteration on f from every seed at once, and a proof per root.
 
     seeds is a scalar or a 1-D array; d.W may be complex, or an array with
     one level spacing per seed. Returns 1-D arrays (theta, |f(theta)|,
-    iterations, converged, radius). Each element steps until |f| <= tol or
-    until MAX_NEWTON_STEPS steps. A converged element is then polished with
-    up to three further steps as long as each one strictly reduces |f|;
-    this drives the residual to its floating-point floor instead of
-    stopping at the first sub-tolerance value. An element whose next
-    iterate is not finite (as when f' vanishes) stops unconverged at its
-    last finite iterate.
+    iterations, converged, radius). Each element steps until |f| <=
+    NEWTON_TOL or until MAX_NEWTON_STEPS steps. A converged element is then
+    polished with up to three further steps as long as each one strictly
+    reduces |f|; this drives the residual to its floating-point floor
+    instead of stopping at the first sub-tolerance value. An element whose
+    next iterate is not finite (as when f' vanishes) stops unconverged at
+    its last finite iterate.
 
     radius r = 2 (|f| + E)/|f'| proves each root (Rouche; Rump, Acta Numer.
     19 (2010) 287): with e = kappa e^{2 i theta}, f' = e + 1 and 2|e|e^{2r}
     bounds |f''| on |z - theta| <= r. If |e|e^{2r} r**2 + |f| + E (1 + r)
     < |f'| r, f is closer to its tangent line on that circle than the line
     to 0, so f has exactly one zero in the disc; else r is nan. converged
-    means |f| <= tol and a proved disc.
+    means |f| <= NEWTON_TOL and a proved disc.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     theta = np.array(seeds, dtype=complex, ndmin=1)
     w = np.broadcast_to(d.W, theta.shape)
     iterations = np.zeros(theta.shape, dtype=int)
@@ -226,13 +226,13 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
     with np.errstate(all="ignore"):  # f overflows far below the real axis
         f = characteristic(theta, CharacteristicParams(d.kappa, w))
         resid = np.abs(f)
-        live = np.flatnonzero(resid > tol)
+        live = np.flatnonzero(resid > NEWTON_TOL)
         for _ in range(MAX_NEWTON_STEPS):
             if live.size == 0:
                 break
             live = step(live, lambda new, old: np.isfinite(new))
-            live = live[resid[live] > tol]
-        polish = np.flatnonzero(resid <= tol)
+            live = live[resid[live] > NEWTON_TOL]
+        polish = np.flatnonzero(resid <= NEWTON_TOL)
         for _ in range(3):
             if polish.size == 0:
                 break
@@ -244,7 +244,7 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams,
         proved = (grow * np.exp(2.0 * r) * r * r + resid + err * (1.0 + r)
                   < slope * r)
     radius = np.where(proved, r, math.nan)
-    return theta, resid, iterations, (resid <= tol) & proved, radius
+    return theta, resid, iterations, (resid <= NEWTON_TOL) & proved, radius
 
 
 def _require_usable_w(d: DimensionlessParams) -> None:
@@ -264,13 +264,13 @@ def _require_usable_j(j) -> None:
             f"int64), got j = {outside[0]}")
 
 
-def _classify(roots: tuple, tol: float, seed_j=None
+def _classify(roots: tuple, seed_j=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mode index, converged flag and note of each newton_roots result (see
     refine_root); seed_j, if given, names the seed index of each root."""
     theta, resid, iterations, converged, _ = roots
     j = np.round(theta.real / math.pi).astype(int)
-    growing = converged & (theta.imag > tol)
+    growing = converged & (theta.imag > NEWTON_TOL)
     notes = np.array(["", LOW_ENERGY_NOTE], dtype=object)[
         (j <= 0).astype(int)]
     flagged = np.flatnonzero(growing | ~converged)
@@ -282,19 +282,19 @@ def _classify(roots: tuple, tol: float, seed_j=None
                                  iterations[flagged].tolist(), seeds):
         where = f"|f| = {r:.3g} after {n} steps{seed}"
         why = ("converged to a growing mode" if ok else
-               f"no root disc was proved at {where}" if r <= tol else
+               f"no root disc was proved at {where}" if r <= NEWTON_TOL else
                f"Newton stopped at {where}")
         notes[i] = (notes[i] + "; " if notes[i] else "") + why
     return j, converged & ~growing, notes
 
 
-def _modes(seeds, d: DimensionlessParams, tol: float, seed_j=None) -> Modes:
+def _modes(seeds, d: DimensionlessParams, seed_j=None) -> Modes:
     """Refine every seed in one newton_roots call, one row per seed."""
-    theta, resid, iterations, _, radius = roots = newton_roots(seeds, d, tol)
+    theta, resid, iterations, _, radius = roots = newton_roots(seeds, d)
     bad = theta[~np.isfinite(theta)]
     if bad.size:
         raise ValueError(f"theta must be finite, got {bad.tolist()[0]!r}")
-    j, converged, notes = _classify(roots, tol, seed_j)
+    j, converged, notes = _classify(roots, seed_j)
     return Modes(j, theta, resid, iterations, converged, notes, radius)
 
 
@@ -303,8 +303,7 @@ def _row(modes: Modes, i: int) -> Modes:
     return Modes(*(column.tolist()[i] for column in modes))
 
 
-def refine_root(seed: complex, d: DimensionlessParams,
-                tol: float = DEFAULT_TOL) -> Modes:
+def refine_root(seed: complex, d: DimensionlessParams) -> Modes:
     """Refine a seed to a characteristic zero by Newton iteration.
 
     The mode index is assigned afterwards as j = round(Re(theta)/pi). A mode
@@ -314,7 +313,7 @@ def refine_root(seed: complex, d: DimensionlessParams,
     ApproximationRangeError for W above MAX_W.
     """
     _require_usable_w(d)
-    return _row(_modes(seed, d, tol), 0)
+    return _row(_modes(seed, d), 0)
 
 
 def lifetime_from_theta(theta):
@@ -391,8 +390,8 @@ def _winding_or_none(d: DimensionlessParams, box: ContourBox) -> int | None:
     return n
 
 
-def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
-               tol: float = DEFAULT_TOL) -> Modes:
+def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6
+               ) -> Modes:
     """Seed, refine and deduplicate modes for j in [j_min, j_max].
 
     All seeds are refined in one newton_roots call, whose disc proves each
@@ -410,7 +409,7 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
         raise ValueError(f"index range [{j_min}, {j_max}] holds more than "
                          f"{MAX_J_WIDTH} indices; split it")
     js = np.arange(j_min, j_max + 1)
-    modes = _modes(seed_mode(js, d), d, tol, js)
+    modes = _modes(seed_mode(js, d), d, js)
 
     thetas, radii = modes.theta.tolist(), modes.radius.tolist()
     kept: list[int] = []
@@ -422,8 +421,7 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6,
     return Modes(*(column[kept] for column in modes))
 
 
-def sweep_decay(d: DimensionlessParams, w_values,
-                tol: float = DEFAULT_TOL) -> Sweep:
+def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
     """Decay rate of the slowest mode as W is swept at fixed kappa.
 
     For each W the mode with j = round(W/pi) is refined (that index minimises
@@ -444,14 +442,14 @@ def sweep_decay(d: DimensionlessParams, w_values,
              & (np.abs(w - j * math.pi) < 1e-9))
     solve = np.flatnonzero(~invalid & ~bound)
     sub = CharacteristicParams(d.kappa, w[solve])
-    roots = newton_roots(seed_mode(j[solve], sub), sub, tol)
+    roots = newton_roots(seed_mode(j[solve], sub), sub)
 
     ok = bound.copy()
     kinds = np.array(["", "invalid W", f"invalid W: above the largest "
                       f"usable W = {MAX_W:.17g}",
                       "exact bound state in the continuum"], dtype=object)
     notes = kinds[1 * invalid + huge + 3 * bound]
-    j[solve], ok[solve], notes[solve] = _classify(roots, tol, j[solve])
+    j[solve], ok[solve], notes[solve] = _classify(roots, j[solve])
     im = np.zeros_like(w)
     im[solve] = np.abs(roots[0].imag)
     return Sweep(w, np.where(ok, im, math.nan), j, ok, notes)
@@ -468,7 +466,7 @@ def slowest_mode(d: DimensionlessParams) -> Modes:
     """
     _require_usable_w(d)
     j_lo = int(math.floor(d.W / math.pi))
-    modes = _modes(seed_mode(np.array([j_lo, j_lo + 1]), d), d, DEFAULT_TOL)
+    modes = _modes(seed_mode(np.array([j_lo, j_lo + 1]), d), d)
     if not modes.converged.any():
         raise ApproximationRangeError(
             f"no converged mode near W = {d.W} for kappa = {d.kappa}")

@@ -421,6 +421,23 @@ def test_config_and_integrator_share_the_step_grid():
     assert stream.dt == 2.0 / cfg.n_per
 
 
+@pytest.mark.parametrize("w_level", [0.0, 2.0, 12.0, 1e4])
+@pytest.mark.parametrize("dt", [1e-3, 3.7e-4, 1e-2])
+def test_row_bound_names_the_largest_run_that_fits(w_level, dt):
+    # past MAX_OUTPUT_POINTS rows the phase cap on the stride sets the row
+    # count; a run of more than MAX_ROWS is refused, naming the largest
+    # whole t_max that fits, and the one after it does not
+    d = DimensionlessParams(kappa=50.0, W=w_level)
+    with pytest.raises(ValueError,
+                       match="needs over 1000000 rows") as refused:
+        DdeStream(DdeConfig(d=d, t_max=1e300, dt=dt))
+    fits = int(str(refused.value).rsplit(" ", 1)[1])
+    assert dynamics.MAX_ROWS - 1000 < DdeStream(
+        DdeConfig(d=d, t_max=fits, dt=dt)).rows <= dynamics.MAX_ROWS
+    with pytest.raises(ValueError, match=f"fits is {fits}$"):
+        DdeStream(DdeConfig(d=d, t_max=fits + 1, dt=dt))
+
+
 # --- closed-form fit and output grid -------------------------------------
 
 # (kappa, W, t_max): the README example, then the three seeded evolve runs
