@@ -46,11 +46,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(path: str, payload: dict) -> None:
+    """Write payload as JSON, refusing (before the file opens) a NaN or
+    infinite number, which JSON has no way to write."""
     import json
 
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{os.path.basename(path)} would hold a result that "
+                         f"is not finite, which JSON cannot write") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 class _Run:
@@ -202,7 +208,7 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
     from .qnm import MAX_W, ApproximationRangeError, slowest_mode
 
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
-    cfg = DdeConfig(d=d, t_max=args.t_max, dt=args.dt)
+    cfg = DdeConfig(d=d, t_max=args.t_max)
     if (args.fit_start is None) != (args.fit_end is None):
         raise ValueError("give both --fit-start and --fit-end or neither")
     window = None if args.fit_start is None else (args.fit_start, args.fit_end)
@@ -228,7 +234,7 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
                       stream.rows)
     with csv as send:
         try:
-            fit, run.extras["dde"] = fit_tail(cfg, window, send)
+            fit, run.extras["dde"] = fit_tail(stream, window, send)
         except FitWindowError as exc:
             fit, run.extras["dde"] = None, exc.record
             run.warnings.append(f"decay fit failed: {exc}")
@@ -238,7 +244,7 @@ def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
     run.add_csv("evolve.csv", csv.record)
     if fit is None:
         return EXIT_USAGE
-    run.extras["fit"] = {**fit._asdict(), "dt_used": stream.dt}
+    run.extras["fit"] = fit._asdict()
     return EXIT_OK
 
 
@@ -364,8 +370,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3,
-                   help="spacing of the output grid before thinning")
     p.add_argument("--fit-start", type=_finite, default=None)
     p.add_argument("--fit-end", type=_finite, default=None)
 

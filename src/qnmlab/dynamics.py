@@ -16,11 +16,13 @@ where P(n; lam) = lam^n exp(-lam)/n! is a Poisson weight and term n is the
 photon's n-th return from the mirror (P. W. Milonni and P. L. Knight, PRA
 10 (1974) 1096; T. Tufarelli, F. Ciccarello and M. S. Kim, PRA 87 (2013)
 013820). DdeStream sums the series on the output rows only, with no step
-between them: each row needs just the band of terms within e^-40 of its
-largest, about 20 of them on the README run (more at weak coupling,
-fewer at strong, growing like the root of s). No term exceeds 1 in
-modulus, so nothing overflows, and eps * sum|terms| / |w| bounds the
-rounding of every row. That bound grows like exp(gamma s) once |w| decays.
+between them. The rows thin one grid that every run shares, DdeConfig's
+2000 nodes of 1e-3 per delay interval, and each row needs just the band
+of terms within e^-40 of its largest, about 20 of them on the README run
+(more at weak coupling, fewer at strong, growing like the root of s).
+No term exceeds 1 in modulus, so nothing overflows, and eps * sum|terms|
+/ |w| bounds the rounding of every row. That bound grows like exp(gamma s)
+once |w| decays.
 
 The long-time tail of |w| decays at the slowest quasi-normal mode rate, which
 is how the frequency-domain solver is cross-checked: fit_decay extracts
@@ -37,7 +39,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -45,9 +47,6 @@ from .model import DimensionlessParams
 
 #: Round-trip delay in natural units (mirror at x=0, atom at x=1, v_g=1).
 ROUND_TRIP = 2.0
-
-#: Minimum output grid nodes per delay interval, the grid evolve.csv thins.
-MIN_STEPS_PER_DELAY = 200
 
 #: Earliest tail-fit start: ten delay periods skip the direct-decay transient.
 FIT_START = 10.0 * ROUND_TRIP
@@ -95,28 +94,22 @@ class FitWindowError(ValueError):
 
 @dataclass(frozen=True)
 class DdeConfig:
-    """A run of the atomic-amplitude DDE from w(0) = 1, up to t_max, on an
-    output grid of spacing dt."""
+    """A run of the atomic-amplitude DDE from w(0) = 1, up to t_max.
+
+    Every run shares one output grid: n_per nodes of spacing dt per delay
+    interval, which tile the interval exactly (n_per * dt == ROUND_TRIP).
+    """
 
     d: DimensionlessParams
     t_max: float
-    dt: float = 1e-3
+    dt: ClassVar[float] = 1e-3
+    n_per: ClassVar[int] = 2000
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.t_max) or self.t_max < FIT_START:
             raise ValueError(
                 f"t_max must be >= {FIT_START} (ten delay periods), "
                 f"got {self.t_max}")
-        if not (0.0 < self.dt <= ROUND_TRIP / MIN_STEPS_PER_DELAY * (1 + 1e-12)):
-            raise ValueError(
-                f"dt must be in (0, {ROUND_TRIP / MIN_STEPS_PER_DELAY}] so the "
-                f"delay period holds >= {MIN_STEPS_PER_DELAY} grid nodes, "
-                f"got {self.dt}")
-
-    @property
-    def n_per(self) -> int:
-        """Grid nodes per delay interval: dt snapped onto the delay grid."""
-        return int(round(ROUND_TRIP / self.dt))
 
 
 class FitResult(NamedTuple):
@@ -147,33 +140,32 @@ def _log_scale(lo: int, hi: int) -> np.ndarray:
 class DdeStream:
     """The exact series of one DdeConfig, summed as a stream of output chunks.
 
-    Fixed on construction: the output grid, n_per nodes of dt per delay
-    interval over n_intervals intervals, every stride-th node kept (thinned
-    only in whole nodes, to about MAX_OUTPUT_POINTS and a phase advance of
-    at most ~pi/2) and rows of them up to t_max, at most MAX_ROWS (else
-    ValueError). Set once chunks() is exhausted: peak_abs_w, the largest
-    |w| over the rows, and terms, the number of band terms summed.
+    Fixed on construction: the rows, every stride-th node of DdeConfig's
+    grid over n_intervals delay intervals (thinned only in whole nodes, to
+    about MAX_OUTPUT_POINTS and a phase advance of at most ~pi/2) up to
+    t_max, at most MAX_ROWS of them (else ValueError). Set once chunks() is
+    exhausted: peak_abs_w, the largest |w| over the rows, and terms, the
+    number of band terms summed.
     """
 
     def __init__(self, cfg: DdeConfig) -> None:
-        self.cfg, self.n_per = cfg, cfg.n_per
-        self.dt = ROUND_TRIP / self.n_per
+        self.cfg, n_per, dt = cfg, cfg.n_per, cfg.dt
         self.n_intervals = int(math.ceil(cfg.t_max / ROUND_TRIP - 1e-12))
-        total_steps = self.n_per * self.n_intervals
+        total_steps = n_per * self.n_intervals
         stride = max(1, int(total_steps / MAX_OUTPUT_POINTS))
         phase_rate = cfg.d.W + math.pi  # generous bound on |Re theta| of the tail
         self.stride = min(stride, max(1, int(math.pi / 2.0
-                                             / (phase_rate * self.dt))))
+                                             / (phase_rate * dt))))
         over = float(self._times(MAX_ROWS, MAX_ROWS + 1)[0])  # row MAX_ROWS
-        if over <= cfg.t_max + 0.5 * self.dt:  # is kept: one row too many
+        if over <= cfg.t_max + 0.5 * dt:  # is kept: one row too many
             raise ValueError(
                 f"t_max = {cfg.t_max:g} needs over {MAX_ROWS} rows at W = "
-                f"{cfg.d.W:g}, dt = {self.dt:g}; the largest --t-max that "
-                f"fits is {math.ceil(over - 0.5 * self.dt) - 1}")
+                f"{cfg.d.W:g}; the largest --t-max that fits is "
+                f"{math.ceil(over - 0.5 * dt) - 1}")
         # only the last interval can reach past t_max
-        first = (total_steps - self.n_per) // self.stride
+        first = (total_steps - n_per) // self.stride
         tail = self._times(first, total_steps // self.stride + 1)
-        self.rows = first + int(tail.searchsorted(cfg.t_max + 0.5 * self.dt,
+        self.rows = first + int(tail.searchsorted(cfg.t_max + 0.5 * dt,
                                                   side="right"))
         self.peak_abs_w, self.terms = math.nan, 0
         self.abs_sum: np.ndarray | None = None
@@ -184,13 +176,14 @@ class DdeStream:
         Node g > 0 is node i = g - m n_per of interval m, at time ROUND_TRIP
         m + dt i: of these integer-valued floats only dt i rounds.
         """
+        n_per = self.cfg.n_per
         g = np.arange(row * self.stride, stop * self.stride, self.stride,
                       dtype=float)
         start = np.maximum(g - 1.0, 0.0)
-        start -= np.fmod(start, self.n_per)  # m n_per
+        start -= np.fmod(start, n_per)  # m n_per
         g -= start  # i
-        g *= self.dt
-        g += start / (self.n_per / ROUND_TRIP)  # ROUND_TRIP m
+        g *= self.cfg.dt
+        g += start / (n_per / ROUND_TRIP)  # ROUND_TRIP m
         return g
 
     def chunks(self):
@@ -236,7 +229,8 @@ class DdeStream:
         of the moduli with [cos 2Wk, sin 2Wk, 1] sums the terms and their
         moduli. A band that reaches n = 0, tau <= 0 or an infinite lam (at
         a huge kappa) is masked: term 0 is exp(-lam), and any other term
-        with lam <= 0 or lam = inf is 0.
+        with lam <= 0, lam = inf or a d / lam that rounds to -1 (lam past
+        about 2^52 n, where the weight underflows) is 0.
         """
         kappa, W = self.cfg.d.kappa, self.cfg.d.W
         half, centre = kappa / 2.0, kappa / (2.0 * (1.0 + kappa))
@@ -270,11 +264,11 @@ class DdeStream:
                               and math.isfinite(half * tau0.max()))
                 np.subtract(tau0[:, None], 2.0 * k, out=lam)
                 lam *= half
-                if masked:
-                    dropped = ~((lam > 0.0) & (lam < math.inf))
                 np.add(n0[:, None], k, out=n)
                 np.subtract(n, lam, out=log_p)  # d
                 np.divide(log_p, lam, out=lam)
+                if masked:  # lam < 0, lam = inf or lam > ~2^52 n
+                    dropped = ~(lam > -1.0)
                 np.log1p(lam, out=lam)
                 lam *= n
                 log_p -= lam
@@ -450,9 +444,9 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
     return fit.result()
 
 
-def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
+def fit_tail(stream: DdeStream, window: tuple[float, float] | None = None,
              consume=None) -> tuple[FitResult, dict]:
-    """fit_decay of one DDE run, fed chunk by chunk, never holding the run.
+    """fit_decay of the stream's run, fed chunk by chunk, never holding it.
 
     window defaults to [FIT_START, last sample time].
     consume(times, w), if given, gets each chunk after the fit has read it,
@@ -464,7 +458,6 @@ def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
     handoff_s. A refused fit
     raises its FitWindowError after the run, with the record in `record`.
     """
-    stream = DdeStream(cfg)
     if window is None:
         window = (FIT_START, float(stream._times(stream.rows - 1,
                                                   stream.rows)[0]))
@@ -479,7 +472,7 @@ def fit_tail(cfg: DdeConfig, window: tuple[float, float] | None = None,
             consume(*chunk)
             handoff_s += time.perf_counter() - fed
     mark = time.perf_counter()
-    record = {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
+    record = {"n_per": stream.cfg.n_per, "n_intervals": stream.n_intervals,
               "stride": stream.stride, "output_points": stream.rows,
               "peak_abs_w": stream.peak_abs_w, "terms": stream.terms,
               "rounding_bound": fit.rounding_bound,
@@ -513,15 +506,16 @@ def evolve_atom(cfg: DdeConfig, fit_window: tuple[float, float] | None = None
     The record's handoff_s is the seconds spent copying the chunks. A
     refused fit raises fit_tail's FitWindowError, which carries the record.
     """
-    rows = DdeStream(cfg).rows
-    times, w, done = np.empty(rows), np.empty(rows, dtype=complex), 0
+    stream = DdeStream(cfg)
+    times, w = np.empty(stream.rows), np.empty(stream.rows, dtype=complex)
+    done = 0
 
     def keep(t: np.ndarray, chunk: np.ndarray) -> None:
         nonlocal done
         times[done:done + len(t)], w[done:done + len(t)] = t, chunk
         done += len(t)
 
-    return Evolution(times, w, *fit_tail(cfg, fit_window, keep))
+    return Evolution(times, w, *fit_tail(stream, fit_window, keep))
 
 
 def pole_check(d: DimensionlessParams, theta: complex) -> float:

@@ -46,7 +46,7 @@ def _check_root_count() -> tuple[bool, str]:
 
 def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
     """Check the DDE tail fit against the slowest mode; record each run."""
-    from .dynamics import DdeConfig, fit_tail
+    from .dynamics import DdeConfig, DdeStream, fit_tail
     from .model import DimensionlessParams
     from .qnm import slowest_mode
 
@@ -57,7 +57,7 @@ def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
         star = slowest_mode(d).theta
         gamma = abs(star.imag)
         t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
-        fit, record = fit_tail(DdeConfig(d=d, t_max=t_max),
+        fit, record = fit_tail(DdeStream(DdeConfig(d=d, t_max=t_max)),
                                (t_max / 2.0, t_max))
         records.append({"kappa": kappa, "w": w, "t_max": t_max, **record,
                         "samples": fit.samples})

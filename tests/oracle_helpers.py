@@ -267,7 +267,8 @@ class HermiteStream(DdeStream):
         interval) |w|, the peak and the kept nodes are taken over every
         node of the filled rows, so the guard sees every node.
         """
-        cfg, n_per, dt, stride = self.cfg, self.n_per, self.dt, self.stride
+        cfg, stride = self.cfg, self.stride
+        n_per, dt = cfg.n_per, cfg.dt
         kappa, n_intervals = cfg.d.kappa, self.n_intervals
         lam = 1j * cfg.d.W + kappa / 2.0
         half_kappa = kappa / 2.0

@@ -482,17 +482,6 @@ def test_evolve_non_finite_fit_window_is_usage_error(tmp_path, capsys,
     assert err.count("\n") == 1 and "--fit-" in err and "finite" in err
 
 
-def test_evolve_too_coarse_step_is_usage_error(tmp_path, capsys):
-    # dt = 0.02 puts 100 grid nodes in a delay period, fewer than 200
-    code = main(["evolve", "--kappa", "50", "--w", "2", "--t-max", "20",
-                 "--dt", "0.02", "--out-dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert list(tmp_path.iterdir()) == []
-    # one line naming dt, nothing printed from numpy
-    assert err.count("\n") == 1 and "got 0.02" in err
-
-
 def test_evolve_past_the_row_bound_is_refused_first(tmp_path, capsys,
                                                     monkeypatch):
     # the phase cap keeps every 305th node at W = 2: 3.3e300 rows. The run
@@ -502,8 +491,8 @@ def test_evolve_past_the_row_bound_is_refused_first(tmp_path, capsys,
                  "--out-dir", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == (
-        "qnmlab evolve: t_max = 1e+300 needs over 1000000 rows at W = 2, "
-        "dt = 0.001; the largest --t-max that fits is 304999\n")
+        "qnmlab evolve: t_max = 1e+300 needs over 1000000 rows at W = 2; "
+        "the largest --t-max that fits is 304999\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -511,14 +500,29 @@ def test_evolve_runs_at_any_kappa_dt(tmp_path, capsys):
     # kappa * dt / 2 = 5000 overflowed one step of the integrator the
     # series replaced; the run is summed and written, and its one-row
     # window [20, 20] is refused
-    code = main(["evolve", "--kappa", "1e6", "--w", "2", "--t-max", "20",
-                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    code = main(["evolve", "--kappa", "1e7", "--w", "2", "--t-max", "20",
+                 "--out-dir", str(tmp_path)])
     assert code == 1
     assert "empty window [20.0, 20.0]" in capsys.readouterr().err
     _, rows = _read_csv(tmp_path / "evolve.csv")
-    assert len(rows) == 2001
+    assert len(rows) == 20001
     assert all(math.isfinite(float(c)) for r in rows for c in r)
     assert max(float(r[3]) for r in rows) == 1.0
+
+
+def test_evolve_at_a_huge_kappa_writes_its_rows(tmp_path, capsys):
+    # past kappa ~3e15 some band terms' weights underflow; summed as
+    # inf * 0 they made NaN rows (exit 3). The rows are finite, and |w|
+    # underflows before the window, so the fit refuses in one line
+    code = main(["evolve", "--kappa", "1e16", "--w", "2", "--t-max", "40",
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "|w| underflows already" in err
+    _, rows = _read_csv(tmp_path / "evolve.csv")
+    assert len(rows) == 40001
+    assert all(math.isfinite(float(c)) for r in rows for c in r)
+    assert _manifest(tmp_path)["dde"]["peak_abs_w"] == 1.0
 
 
 def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
@@ -584,7 +588,7 @@ def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):
     assert "fit" not in manifest
     dde = manifest["dde"]
     assert dde["output_points"] == len(rows)
-    assert (dde["n_per"], dde["n_intervals"]) == (stream.n_per,
+    assert (dde["n_per"], dde["n_intervals"]) == (cfg.n_per,
                                                   stream.n_intervals)
     assert all(dde[k] >= 0.0 for k in ("integrate_s", "fit_s"))
     assert manifest["csv"]["evolve.csv"]["write_s"] >= 0.0
@@ -613,14 +617,13 @@ def test_evolve_manifest_blocks(tmp_path, kappa, t_max, code):
     if code:
         assert "fit" not in manifest
         return
-    stream, times, w = drained_dde(DdeConfig(
+    _, times, w = drained_dde(DdeConfig(
         d=DimensionlessParams(kappa=kappa, W=5.0), t_max=t_max))
     fit = fit_decay(times, w, (20.0, float(times[-1])))
     assert manifest["fit"] == {"omega_fit": fit.omega_fit,
                                "gamma_fit": fit.gamma_fit,
                                "fit_residual": fit.fit_residual,
-                               "samples": fit.samples,
-                               "dt_used": stream.dt}
+                               "samples": fit.samples}
     assert fit.samples == 20001     # s = 20, 20.001, ..., 40
 
 
@@ -650,8 +653,8 @@ def test_evolve_amplitude_guard_leaves_no_csv(tmp_path, monkeypatch, capsys,
                            "bound; series convention bug")
 
     monkeypatch.setattr(DdeStream, "chunks", guarded)
-    code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "334",
-                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "40",
+                 "--out-dir", str(tmp_path)])
     assert code == 3
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
@@ -665,8 +668,8 @@ def test_evolve_writer_failure_is_one_line(tmp_path, monkeypatch, capsys,
     if not fork:
         monkeypatch.delattr(os, "fork")
     (tmp_path / "evolve.csv").mkdir()
-    code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "334",
-                 "--dt", "0.01", "--out-dir", str(tmp_path)])
+    code = main(["evolve", "--kappa", "10", "--w", "2", "--t-max", "40",
+                 "--out-dir", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("qnmlab evolve: cannot write outputs: ")
@@ -748,15 +751,15 @@ def _wavefunction_rows():
 
 
 @functools.lru_cache(maxsize=None)
-def _evolved(kappa, w_level, t_max, dt, window=None):
+def _evolved(kappa, w_level, t_max, window=None):
     """(times, w, the manifest's fit block or None where the fit fails)."""
-    stream, times, w = drained_dde(DdeConfig(
-        d=DimensionlessParams(kappa=kappa, W=w_level), t_max=t_max, dt=dt))
+    _, times, w = drained_dde(DdeConfig(
+        d=DimensionlessParams(kappa=kappa, W=w_level), t_max=t_max))
     try:
         fit = fit_decay(times, w, window or (FIT_START, float(times[-1])))
     except FitWindowError:
         return times, w, None
-    return times, w, {**fit._asdict(), "dt_used": stream.dt}
+    return times, w, fit._asdict()
 
 
 def _evolve_rows(*run):
@@ -771,9 +774,9 @@ def _evolve_fit(*run):
 
 
 def _evolve_case(*run, markers=(), fork=True):
-    kappa, w, t_max, dt, window = (*run, None)[:5]
+    kappa, w, t_max, window = (*run, None)[:4]
     argv = ["evolve", "--kappa", repr(kappa), "--w", repr(w), "--t-max",
-            repr(t_max), "--dt", repr(dt)]
+            repr(t_max)]
     if window:
         argv += ["--fit-start", repr(window[0]), "--fit-end", repr(window[1])]
     return pytest.param(argv, "evolve.csv", "s,re_w,im_w,abs_w",
@@ -781,7 +784,7 @@ def _evolve_case(*run, markers=(), fork=True):
                         functools.partial(_evolve_fit, *run), fork)
 
 
-_MULTI_CHUNK_RUN = (10.0, 2.0, 334.0, 0.01, (167.0, 334.0))
+_MULTI_CHUNK_RUN = (10.0, 2.0, 40.0, (20.0, 40.0))
 
 
 @pytest.mark.parametrize("argv, name, header, reference, markers, fit, fork", [
@@ -800,13 +803,12 @@ _MULTI_CHUNK_RUN = (10.0, 2.0, 334.0, 0.01, (167.0, 334.0))
       "3", "--samples", "31"], "wavefunction.csv", "x,re_phi,im_phi,abs_phi",
      _wavefunction_rows, [], None, True),
     # |w| as Python's complex abs: np.abs differs in the last digit on about
-    # a third of these rows; 33401 rows are five chunks of the stream
+    # a third of these rows; 40001 rows are five chunks of the stream
     _evolve_case(*_MULTI_CHUNK_RUN),
     # the tail fit fails (exit 1): the run is written all the same
-    _evolve_case(200.0, 5.0, 100.0, 0.01),
+    _evolve_case(200.0, 5.0, 40.0),
     # |w| underflows between the return pulses: signed zeros, a failed fit
-    _evolve_case(1000.0, 15.708963267948966, 40.0, 0.002,
-                 markers=[",-0,"]),
+    _evolve_case(1000.0, 15.708963267948966, 40.0, markers=[",-0,"]),
     # no os.fork (Windows): the writer runs inline
     _evolve_case(*_MULTI_CHUNK_RUN, fork=False),
 ], ids=["spectrum", "sweep", "scatter", "wavefunction", "evolve",
@@ -902,6 +904,8 @@ _SQUID = ["map", "--platform", "squid", "--e-j", "5e9", "--c-g", "0.7e-15",
           "--l", "0.01", "--c-line", "1.67e-10", "--omega-mode", "10e9",
           "--mixing-angle", "0.7794"]
 _RAMAN = ["map", "--platform", "raman", "--big-g", "2e9", "--delta", "5e10"]
+_NOT_FINITE = ("map_report.json would hold a result that is not finite, "
+               "which JSON cannot write")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -918,9 +922,15 @@ _RAMAN = ["map", "--platform", "raman", "--big-g", "2e9", "--delta", "5e10"]
     (["map", "--platform", "raman", "--g", "3e9", "--big-g", "inf",
       "--delta", "5e10"], "G must be finite, got inf"),
     (_RAMAN, "--g is required for --platform raman"),
+    # finite inputs whose results overflow: JSON has no Infinity
+    (["map", "--platform", "raman", "--g", "1e308", "--big-g", "1e308",
+      "--delta", "1"], _NOT_FINITE),
+    (_SQUID + ["--n-g", "0.45", "--e-j", "1.5e308", "--phi-x", "1e-17"],
+     _NOT_FINITE),
 ], ids=["squid-no-gate", "squid-both-gates", "squid-e-j-inf",
         "squid-mixing-nan", "squid-v-g-inf", "squid-c-g-inf", "raman-g-nan",
-        "raman-g-big-inf", "raman-no-g"])
+        "raman-g-big-inf", "raman-no-g", "raman-j-eff-overflows",
+        "squid-omega-overflows"])
 def test_map_bad_inputs_are_usage_errors(tmp_path, capsys, argv, message):
     code = main(argv + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
@@ -1002,20 +1012,26 @@ def test_verify_records_full_only(flags, full):
     assert not hasattr(args, "quick")
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--kappa", "200", "--w", "5"],
-    ["sweep", "--kappa", "200", "--w-min", "0.5", "--w-max", "12",
-     "--steps", "20"],
-    ["wavefunction", "--kappa", "200", "--w", "5", "--j", "1",
-     "--x-max", "40"],
-    ["evolve", "--kappa", "50", "--w", "2", "--t-max", "40"],
-    ["verify"],
-], ids=["spectrum", "sweep", "wavefunction", "evolve", "verify"])
-def test_tol_is_not_an_option_of_any_command(tmp_path, capsys, argv):
-    code = main(argv + ["--tol", "1e-12", "--out-dir", str(tmp_path)])
+_TOL = ["--tol", "1e-12"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--kappa", "200", "--w", "5"], _TOL),
+    (["sweep", "--kappa", "200", "--w-min", "0.5", "--w-max", "12",
+      "--steps", "20"], _TOL),
+    (["wavefunction", "--kappa", "200", "--w", "5", "--j", "1",
+      "--x-max", "40"], _TOL),
+    (["evolve", "--kappa", "50", "--w", "2", "--t-max", "40"], _TOL),
+    (["verify"], _TOL),
+    # evolve's output grid is one for every run: no --dt either
+    (["evolve", "--kappa", "50", "--w", "2", "--t-max", "1e300"],
+     ["--dt", "1e-300"]),
+], ids=["spectrum", "sweep", "wavefunction", "evolve", "verify", "evolve-dt"])
+def test_tol_is_not_an_option_of_any_command(tmp_path, capsys, argv, flag):
+    code = main(argv + flag + ["--out-dir", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == (
-        "qnmlab: unrecognized arguments: --tol 1e-12\n")
+        f"qnmlab: unrecognized arguments: {' '.join(flag)}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1052,8 +1068,8 @@ _LOADS_SCRIPT = (
     (["scatter", "--kappa", "200", "--w", "5", "--theta-min", "1",
       "--theta-max", "5", "--samples", "3"], 0,
      ["_csv", "model", "qnm", "scattering"], True),
-    (["evolve", "--kappa", "10", "--w", "2", "--t-max", "40", "--dt",
-      "0.01"], 0, ["_csv", "dynamics", "model", "qnm"], True),
+    (["evolve", "--kappa", "10", "--w", "2", "--t-max", "40"], 0,
+     ["_csv", "dynamics", "model", "qnm"], True),
     (["verify", "--quick"], 0, ["dynamics", "model", "qnm", "verify"], True),
 ], ids=["version", "help", "usage-error", "map-raman", "map-squid",
         "spectrum", "sweep", "wavefunction", "scatter", "evolve", "verify"])

@@ -33,10 +33,9 @@ D50 = DimensionlessParams(kappa=50.0, W=2.0)
 def test_config_rejects_short_horizon_and_coarse_step():
     with pytest.raises(ValueError):
         DdeConfig(d=D50, t_max=19.0)
-    with pytest.raises(ValueError):
+    # every run shares one output grid: no step can be passed at all
+    with pytest.raises(TypeError):
         DdeConfig(d=D50, t_max=100.0, dt=0.02)
-    with pytest.raises(ValueError):
-        DdeConfig(d=D50, t_max=100.0, dt=0.0)
 
 
 # --- closed-form segments -------------------------------------------------
@@ -98,7 +97,7 @@ def test_integration_reproduces_interval_recurrence_bit_for_bit(
     assert np.array_equal(times, times_ref)
     assert np.array_equal(w, w_ref)
     assert stream.peak_abs_w == peak
-    assert (stream.n_per, stream.n_intervals) == (2000, int(t_max / 2.0))
+    assert stream.n_intervals == int(t_max / 2.0)
     assert stream.stride == 1 and times.size == 1000 * int(t_max) + 1
 
 
@@ -160,7 +159,7 @@ def test_failed_fit_keeps_the_trajectory():
     assert min(seconds) >= 0.0
     stream, times, _ = drained_dde(cfg)
     # |w| underflows at the window's first row, so no row was fitted
-    assert record == {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
+    assert record == {"n_per": cfg.n_per, "n_intervals": stream.n_intervals,
                       "stride": stream.stride, "output_points": times.size,
                       "peak_abs_w": stream.peak_abs_w, "terms": stream.terms,
                       "rounding_bound": 0.0}
@@ -179,22 +178,27 @@ def test_amplitude_above_the_norm_bound_is_an_integration_error(monkeypatch):
 
 def test_any_kappa_dt_runs_without_a_step():
     # kappa * dt / 2 = 5000 overflowed one step of the integrator, which
-    # refused the config; the series has no step
-    cfg = DdeConfig(d=DimensionlessParams(kappa=1e6, W=2.0), t_max=20.0,
-                    dt=0.01)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        stream, _, w = drained_dde(cfg)
-    assert np.isfinite(w).all() and np.abs(w).max() <= 1.0
-    assert stream.peak_abs_w == 1.0 and stream.rows == 2001
+    # refused the config; the series has no step. From kappa ~3e15 on,
+    # d / lam of a band term rounds to -1, where its weight underflows: the
+    # term is dropped, not summed as inf * 0. 1.34e154 is the largest kappa
+    # whose square is finite
+    for kappa in (1e7, 1e16, 1e50, 1.34e154):
+        cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=2.0), t_max=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream, times, w = drained_dde(cfg)
+        assert np.isfinite(w).all() and np.abs(w).max() <= 1.0
+        assert stream.peak_abs_w == 1.0 and stream.rows == 20001
+        rows = np.arange(0, stream.rows, 499)
+        ref = mp_delay_series(kappa, 2.0, times[rows])
+        assert np.abs(w[rows] - ref).max() <= 1e-12
 
 
 def test_stiffest_accepted_step_reproduces_interval_recurrence():
     # kappa * dt / 2 = 700, just inside log(float max) = 709.78, the
     # oracle integrator's stiffest step: every step is its own block and
     # exp(700) stays finite
-    cfg = DdeConfig(d=DimensionlessParams(kappa=1.4e6, W=2.0), t_max=20.0,
-                    dt=1e-3)
+    cfg = DdeConfig(d=DimensionlessParams(kappa=1.4e6, W=2.0), t_max=20.0)
     stream, times, w = drained_dde(cfg, HermiteStream)
     times_ref, w_ref, peak = interval_recurrence_dde(cfg)
     assert np.array_equal(times, times_ref)
@@ -269,18 +273,17 @@ def test_series_matches_mpmath_at_sampled_rows(run):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(kappa=st.floats(2.0, 1000.0), detuning=st.floats(0.0, 1.0),
-       dt=st.floats(1e-3, 1e-2), t_max=st.floats(20.0, 60.0))
+       t_max=st.floats(20.0, 60.0))
 def test_series_is_the_integrator_to_fourth_order_in_kappa_dt(
-        kappa, detuning, dt, t_max):
+        kappa, detuning, t_max):
     # the integrator's Hermite history errs like (kappa dt)^4 for W up to
-    # kappa/2; 4.0e-7 at kappa 50, dt 1e-2 and 4.1e-11 at dt 1e-3
+    # kappa/2; 4.1e-11 at kappa 50
     cfg = DdeConfig(d=DimensionlessParams(
-        kappa=kappa, W=detuning * min(12.0, kappa / 2.0)), t_max=t_max, dt=dt)
+        kappa=kappa, W=detuning * min(12.0, kappa / 2.0)), t_max=t_max)
     _, times, w = drained_dde(cfg)
     _, grid, reference = drained_dde(cfg, HermiteStream)
     assert np.array_equal(times, grid)
-    assert np.abs(w - reference).max() <= 1e-3 * (
-        kappa * ROUND_TRIP / cfg.n_per) ** 4 + 1e-13
+    assert np.abs(w - reference).max() <= 1e-3 * (kappa * cfg.dt) ** 4 + 1e-13
 
 
 def test_fit_refuses_a_window_past_the_rounding_bound():
@@ -290,7 +293,7 @@ def test_fit_refuses_a_window_past_the_rounding_bound():
     with pytest.raises(FitWindowError, match=(
             r"rounding bound eps\*sum\|terms\|/\|w\| reaches .* in "
             r"\[20.0, 200.0\], above 1e-08: .*end the window earlier")) as info:
-        fit_tail(cfg)
+        fit_tail(DdeStream(cfg))
     bound = info.value.record["rounding_bound"]
     assert bound > MAX_ROUNDING_BOUND
     # the bound holds: the last row is off mpmath by less than it says
@@ -298,7 +301,7 @@ def test_fit_refuses_a_window_past_the_rounding_bound():
     (ref,) = mp_delay_series(0.3, 1.0, times[-1:])
     assert 1e-4 < abs(w[-1] - ref) / abs(ref) <= bound
     # an earlier window end is the remedy
-    fit, record = fit_tail(cfg, (FIT_START, 80.0))
+    fit, record = fit_tail(DdeStream(cfg), (FIT_START, 80.0))
     assert record["rounding_bound"] <= MAX_ROUNDING_BOUND
     assert fit.gamma_fit > 0.0
 
@@ -395,47 +398,42 @@ def test_tail_fit_matches_slowest_reference_root():
     assert res.fit.gamma_fit == pytest.approx(abs(ref.imag), rel=1e-4)
 
 
-def test_halving_the_step_leaves_the_rate_unchanged():
-    win = (1000.0, 2000.0)
-    coarse = evolve_atom(DdeConfig(d=D50, t_max=2000.0), fit_window=win)
-    fine = evolve_atom(DdeConfig(d=D50, t_max=2000.0, dt=5e-4),
-                       fit_window=win)
-    gamma = coarse.fit.gamma_fit
-    assert abs(fine.fit.gamma_fit - gamma) / gamma <= 1e-4
-
-
 def test_result_grid_is_increasing_and_step_snapped():
-    cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=5.0), t_max=100.0,
-                    dt=9e-4)
+    cfg = DdeConfig(d=DimensionlessParams(kappa=0.0, W=5.0), t_max=100.0)
     res = evolve_atom(cfg)
     assert np.all(np.diff(res.times) > 0)
-    # dt snaps to 2/N so interval ends land exactly on the delay grid
-    assert res.record["n_per"] == round(2.0 / 9e-4)
-    assert DdeStream(cfg).dt == 2.0 / round(2.0 / 9e-4)
+    # n_per steps of dt span a delay period exactly, so interval ends land
+    # exactly on the delay grid
+    ends = res.times[::cfg.n_per]
+    assert np.array_equal(ends, ROUND_TRIP * np.arange(ends.size))
+    assert ends[-1] == cfg.t_max
 
 
 def test_config_and_integrator_share_the_step_grid():
-    cfg = DdeConfig(d=D50, t_max=40.0, dt=1.3e-3)
-    stream = DdeStream(cfg)
-    assert cfg.n_per == stream.n_per == round(2.0 / 1.3e-3)
-    assert stream.dt == 2.0 / cfg.n_per
+    # one grid for every run, which the stream's rows thin
+    assert (DdeConfig.dt, DdeConfig.n_per) == (1e-3, 2000)
+    assert DdeConfig.n_per * DdeConfig.dt == ROUND_TRIP
+    stream = DdeStream(DdeConfig(d=D50, t_max=40.0))
+    assert stream.stride == 1
+    assert np.array_equal(stream._times(0, 3), [0.0, 1e-3, 2e-3])
 
 
-@pytest.mark.parametrize("w_level", [0.0, 2.0, 12.0, 1e4])
-@pytest.mark.parametrize("dt", [1e-3, 3.7e-4, 1e-2])
-def test_row_bound_names_the_largest_run_that_fits(w_level, dt):
+@pytest.mark.parametrize("w_level", [0.0, 2.0, 12.0, 1e4, 1e12, 1e300])
+def test_row_bound_names_the_largest_run_that_fits(w_level):
     # past MAX_OUTPUT_POINTS rows the phase cap on the stride sets the row
     # count; a run of more than MAX_ROWS is refused, naming the largest
-    # whole t_max that fits, and the one after it does not
+    # whole t_max that fits, and the one after it does not. From W ~ 1e3
+    # on the stride is 1 and that t_max is 999, a run that can be fitted
     d = DimensionlessParams(kappa=50.0, W=w_level)
     with pytest.raises(ValueError,
                        match="needs over 1000000 rows") as refused:
-        DdeStream(DdeConfig(d=d, t_max=1e300, dt=dt))
+        DdeStream(DdeConfig(d=d, t_max=1e300))
     fits = int(str(refused.value).rsplit(" ", 1)[1])
+    assert fits >= 999 >= FIT_START
     assert dynamics.MAX_ROWS - 1000 < DdeStream(
-        DdeConfig(d=d, t_max=fits, dt=dt)).rows <= dynamics.MAX_ROWS
+        DdeConfig(d=d, t_max=fits)).rows <= dynamics.MAX_ROWS
     with pytest.raises(ValueError, match=f"fits is {fits}$"):
-        DdeStream(DdeConfig(d=d, t_max=fits + 1, dt=dt))
+        DdeStream(DdeConfig(d=d, t_max=fits + 1))
 
 
 # --- closed-form fit and output grid -------------------------------------
@@ -449,11 +447,11 @@ SEEDED_RUNS = [(42.77082964881827, 4.1293426540381475, 6438.0),
 
 
 @functools.lru_cache(maxsize=None)
-def _trajectory(kappa, w_level, t_max, dt=1e-3):
+def _trajectory(kappa, w_level, t_max):
     """(stream, times, w) of the run, drained once and shared."""
     return drained_dde(DdeConfig(d=DimensionlessParams(kappa=kappa,
                                                        W=w_level),
-                                 t_max=t_max, dt=dt))
+                                 t_max=t_max))
 
 
 def _synthetic(rate):
@@ -508,10 +506,11 @@ def test_fit_reads_the_phase_of_a_tiny_tail():
 def test_output_grid_matches_its_integer_expression(run, stride):
     stream, times, _ = _trajectory(*run)
     assert stream.stride == stride
-    g = np.arange(0, stream.n_per * stream.n_intervals + 1, stride)
-    interval = np.maximum(g - 1, 0) // stream.n_per
-    expected = ROUND_TRIP * interval + stream.dt * (g - stream.n_per * interval)
-    inside = expected <= run[2] + 0.5 * stream.dt
+    n_per, dt = DdeConfig.n_per, DdeConfig.dt
+    g = np.arange(0, n_per * stream.n_intervals + 1, stride)
+    interval = np.maximum(g - 1, 0) // n_per
+    expected = ROUND_TRIP * interval + dt * (g - n_per * interval)
+    inside = expected <= run[2] + 0.5 * dt
     assert np.array_equal(times, expected[inside])
 
 
@@ -616,9 +615,9 @@ def test_stream_chunks_are_the_interval_recurrence_bit_for_bit(run, stride):
     assert 0 < len(chunks[-1][0]) <= CHUNK_ROWS
     assert np.array_equal(np.concatenate([t for t, _ in chunks]), times)
     assert np.array_equal(np.concatenate([w for _, w in chunks]), w_ref)
-    assert (stream.n_per, stream.n_intervals, stream.stride, stream.rows,
-            stream.peak_abs_w) == (cfg.n_per, math.ceil(run[2] / ROUND_TRIP),
-                                   stride, times.size, peak)
+    assert (stream.n_intervals, stream.stride, stream.rows,
+            stream.peak_abs_w) == (math.ceil(run[2] / ROUND_TRIP), stride,
+                                   times.size, peak)
 
 
 def test_streamed_fit_is_the_array_fit():
@@ -626,12 +625,13 @@ def test_streamed_fit_is_the_array_fit():
     run = README_RUN
     stream, times, w = _trajectory(*run)
     window = (run[2] / 2.0, run[2])
-    fit, record = fit_tail(DdeConfig(d=D50, t_max=run[2]), window)
+    fit, record = fit_tail(DdeStream(DdeConfig(d=D50, t_max=run[2])), window)
     assert fit == fit_decay(times, w, window)
     assert record.pop("integrate_s") >= 0.0 and record.pop("fit_s") >= 0.0
     # the README run keeps all but about 1.4 digits of each row
     assert 0.0 < record.pop("rounding_bound") <= 1e-12
-    assert record == {"n_per": stream.n_per, "n_intervals": stream.n_intervals,
+    assert record == {"n_per": DdeConfig.n_per,
+                      "n_intervals": stream.n_intervals,
                       "stride": stream.stride, "output_points": times.size,
                       "peak_abs_w": stream.peak_abs_w, "terms": stream.terms}
 
@@ -642,13 +642,12 @@ def test_streamed_fit_is_the_array_fit():
     ((5.0, 40.0), "window start 5.0 is inside the transient"),
 ], ids=["default-window", "refused-window"])
 def test_fit_tail_hands_on_each_chunk_and_keeps_its_record(window, refusal):
-    cfg = DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0), t_max=334.0,
-                    dt=0.01)
-    _, times, w = _trajectory(10.0, 2.0, 334.0, 0.01)
+    cfg = DdeConfig(d=DimensionlessParams(kappa=10.0, W=2.0), t_max=40.0)
+    _, times, w = _trajectory(10.0, 2.0, 40.0)
     seen = []
     try:
-        fit, record = fit_tail(cfg, window, lambda t, w: seen.append(
-            (t.copy(), w.copy())))
+        fit, record = fit_tail(DdeStream(cfg), window, lambda t, w:
+                               seen.append((t.copy(), w.copy())))
     except FitWindowError as exc:
         assert str(exc).startswith(refusal)
         record = exc.record
@@ -721,9 +720,11 @@ def test_fit_refusals_keep_their_precedence_across_slices(faults, message):
 
 def test_streamed_fit_memory_does_not_grow_with_the_run():
     window = (FIT_START, 6522.0)
-    _, peak = _traced_peak(fit_tail, DdeConfig(d=D50, t_max=6522.0), window)
+    _, peak = _traced_peak(fit_tail, DdeStream(DdeConfig(d=D50, t_max=6522.0)),
+                           window)
     assert peak <= 1.5e6
-    _, longer = _traced_peak(fit_tail, DdeConfig(d=D50, t_max=13044.0),
+    _, longer = _traced_peak(fit_tail, DdeStream(DdeConfig(d=D50,
+                                                           t_max=13044.0)),
                              window)
     assert longer <= 1.1 * peak
 

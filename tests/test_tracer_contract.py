@@ -49,9 +49,9 @@ def test_installed_tracer_counts_an_evolve_atom_run():
     tracer.install(qnmlab, cli)
     try:
         res = qnmlab.dynamics.evolve_atom(DdeConfig(
-            d=DimensionlessParams(kappa=10.0, W=2.0), t_max=40.0, dt=0.01))
+            d=DimensionlessParams(kappa=10.0, W=2.0), t_max=40.0))
     finally:
         tracer.uninstall()
     assert [span[0] for span in tracer.spans] == ["dynamics.evolve_atom"]
     assert tracer.counts["output_points"] == len(res.times)
-    assert tracer.counts["dde_steps"] == 200 * 20
+    assert tracer.counts["dde_steps"] == 2000 * 20
