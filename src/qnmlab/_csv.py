@@ -59,6 +59,15 @@ _TAIL = 17
 #: chunks, and Linux's default limit for an unprivileged process.
 _PIPE_BYTES = 1 << 20
 
+#: The header of a chunk in that pipe: its rows, the bytes of its CSV text
+#: (0: the columns follow raw, 24 bytes a row) and its fallback cells.
+_CHUNK = struct.Struct("<qqq")
+
+#: Unread bytes in the pipe that mean the child is behind: a whole raw chunk.
+#: A pipe left at its default 64 KiB never holds that many, so there the
+#: child formats every chunk.
+_BEHIND = _CHUNK.size + 24 * CHUNK_ROWS
+
 
 def _word(text: bytes) -> int:
     """The little-endian uint64 whose bytes from byte 1 on are text."""
@@ -255,10 +264,14 @@ class CsvFile:
         self.fh.close()
 
     def add(self, *columns) -> None:
-        for data, slow in csv_chunks(columns):
+        self.write(len(columns[0]), csv_chunks(columns))
+
+    def write(self, rows: int, chunks) -> None:
+        """Write rows rows given as csv_chunks' (bytes, fallback cells)."""
+        for data, slow in chunks:
             self.size += self.fh.write(data)
             self.fallback += slow
-        self.rows += len(columns[0])
+        self.rows += rows
 
     def record(self) -> dict:
         return _record(self.rows, self.size, self.fallback,
@@ -266,20 +279,42 @@ class CsvFile:
 
 
 def _received(pipe, rows: int):
-    """Yield the (times, w) chunks of a run of rows rows read from pipe.
+    """Yield (rows, csv_chunks' chunks) for a run of rows rows read from pipe.
 
-    Each chunk comes as its row count (8 bytes, little-endian) and then
-    the bytes of times and of w. Raises EOFError if the pipe ends first:
-    the sender has died.
+    Each chunk comes as its _CHUNK header and then either its CSV text or
+    the bytes of its times and of its w, which are formatted here. Raises
+    EOFError if the pipe ends first: the sender has died.
     """
     done = 0
     while done < rows:
-        n = min(int.from_bytes(pipe.read(8), "little"), rows - done)
-        times, w = np.empty(n), np.empty(n, dtype=complex)
-        if not n or pipe.readinto(times) + pipe.readinto(w) < 24 * n:
+        header = pipe.read(_CHUNK.size)
+        n, size, fallback = (_CHUNK.unpack(header)
+                             if len(header) == _CHUNK.size else (0, 0, 0))
+        n = min(n, rows - done)
+        if size:
+            text = pipe.read(size)
+            whole, chunks = len(text) == size, [(text, fallback)]
+        else:
+            times, w = np.empty(n), np.empty(n, dtype=complex)
+            whole = pipe.readinto(times) + pipe.readinto(w) == 24 * n
+            chunks = csv_chunks((times, w))
+        if not (n and whole):
             raise EOFError(f"the run ended after {done} of {rows} rows")
-        yield times, w
+        yield n, chunks
         done += n
+
+
+def _lift_trim_threshold() -> None:
+    """Keep a process's CSV formatting from faulting its pages in anew.
+
+    glibc gives the top of its heap back to the OS whenever more than its
+    trim threshold is free there: 128 KiB, or twice the largest mmap()ed
+    block freed so far. One chunk's formatting temporaries pass that, so
+    each chunk would fault its pages in again (some 140k faults for the
+    README run, nearly doubling the writer's CPU time). Freeing one 4 MiB
+    block first lifts the threshold above them.
+    """
+    np.empty(1 << 19)
 
 
 def _writer_child(csv: StreamedCsv, data_fd: int, report_fd: int,
@@ -294,18 +329,12 @@ def _writer_child(csv: StreamedCsv, data_fd: int, report_fd: int,
     try:
         for fd in parent_fds:
             os.close(fd)
-        # glibc gives the top of its heap back to the OS whenever more than its
-        # trim threshold is free there: 128 KiB, or twice the largest mmap()ed
-        # block freed so far. One chunk's formatting temporaries pass that, so
-        # each chunk would fault its pages in again (some 140k faults for the
-        # README run, nearly doubling the writer's CPU time). Freeing one 4 MiB
-        # block first lifts the threshold above them.
-        np.empty(1 << 19)
+        _lift_trim_threshold()
         with open(data_fd, "rb") as pipe, open(report_fd, "wb") as report:
             try:
                 with CsvFile(csv.path, csv.header) as out:
-                    for times, w in _received(pipe, csv.rows):
-                        out.add(times, w)
+                    for rows, chunks in _received(pipe, csv.rows):
+                        out.write(rows, chunks)
             except BaseException as exc:
                 with contextlib.suppress(OSError):
                     os.remove(csv.path)
@@ -324,17 +353,23 @@ class StreamedCsv:
     it a chunk: a float column and a complex one (three in the file, see
     csv_chunks). The child formats on a second core beside the run, and
     touches only numpy, its pipes and the file, so no lock held by a thread
-    that fork does not copy can stop it; without os.fork (Windows) send
-    writes inline. Leaving reaps the child on every path. A clean exit sets
-    record, the file's manifest entry plus writer_cpu_s: the child's user
-    plus system seconds from os.wait4 (inline, the CPU seconds of send).
-    An exception removes the file, which holds a failed run; a failed
-    writer, or a pipe the child has closed, raises OSError.
+    that fork does not copy can stop it. When the child is behind, with a
+    whole raw chunk still unread in the pipe, send formats its chunk in the
+    run instead and pipes the text, so both cores format; the child stays
+    the file's only writer and writes every chunk in order. Without os.fork
+    (Windows) send writes inline. Leaving reaps the child on every path. A
+    clean exit sets record, the file's manifest entry plus writer_cpu_s, the
+    child's user plus system seconds from os.wait4 (inline, the CPU seconds
+    of send), and run_formatted_chunks, the chunks formatted in the run
+    (inline, all of them). An exception removes the file, which holds a
+    failed run; a failed writer, or a pipe the child has closed, raises
+    OSError.
     """
 
     def __init__(self, path: str, header: str, rows: int) -> None:
         self.path, self.header, self.rows = path, header, rows
         self.pid, self.cpu_s, self.record = None, 0.0, None
+        self.formatted = 0
 
     def __enter__(self):
         if not hasattr(os, "fork"):
@@ -364,15 +399,35 @@ class StreamedCsv:
         self.pipe, self.report = open(data_w, "wb"), open(report_r, "rb")
         return self._send
 
+    def _behind(self) -> bool:
+        """Whether a whole raw chunk waits unread in the pipe to the child."""
+        import fcntl
+        import termios
+
+        # Linux counts a pipe's unread bytes from either end; where the
+        # write end reads 0, the child formats every chunk
+        unread = fcntl.ioctl(self.pipe, termios.FIONREAD, bytes(4))
+        return int.from_bytes(unread, sys.byteorder) >= _BEHIND
+
     def _send(self, times, w) -> None:
-        self.pipe.write(len(times).to_bytes(8, "little"))
-        self.pipe.write(times)
-        self.pipe.write(w)
+        if not self._behind():
+            self.pipe.write(_CHUNK.pack(len(times), 0, 0))
+            self.pipe.write(times)
+            self.pipe.write(w)
+            return
+        if not self.formatted:
+            _lift_trim_threshold()
+        # a stream chunk is at most CHUNK_ROWS rows: one CSV chunk
+        [(text, fallback)] = csv_chunks((times, w))
+        self.pipe.write(_CHUNK.pack(len(times), len(text), fallback))
+        self.pipe.write(text)
+        self.formatted += 1
 
     def _add(self, times, w) -> None:
         mark = time.process_time()
         self.out.add(times, w)
         self.cpu_s += time.process_time() - mark
+        self.formatted += 1
 
     def __exit__(self, kind, exc, tb) -> bool:
         failure = ""
@@ -398,5 +453,6 @@ class StreamedCsv:
         if failure and (kind is None or issubclass(kind, BrokenPipeError)):
             raise OSError(failure) from exc
         if kind is None:
-            self.record = {**record, "writer_cpu_s": self.cpu_s}
+            self.record = {**record, "writer_cpu_s": self.cpu_s,
+                           "run_formatted_chunks": self.formatted}
         return False

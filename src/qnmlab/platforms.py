@@ -172,10 +172,15 @@ def squid_coupling(s: SquidSpec) -> CouplingReport:
 
     The flag checks |V|/(2 pi) against the 5-200 MHz window of current
     hardware; couplings below ~1 GHz additionally carry an advisory note,
-    because long-lived quasi-bound modes need a GHz-scale coupling.
+    because long-lived quasi-bound modes need a GHz-scale coupling. Raises
+    ValueError when L c_line hbar underflows to 0.
     """
+    line = s.L * s.c_line * HBAR
+    if not line:
+        raise ValueError(f"L * c_line * hbar underflows to 0 at L = {s.L:g}, "
+                         f"c_line = {s.c_line:g}: the coupling is not finite")
     v = (E_CHARGE * math.sin(s.mixing_angle) * (s.C_g / s.C_Sigma)
-         * math.sqrt(s.omega_mode / (s.L * s.c_line * HBAR)))
+         * math.sqrt(s.omega_mode / line))
     value_hz = abs(v) / (2.0 * math.pi)
     flag = RangeFlag("coupling", value_hz, COUPLING_RANGE_HZ)
     note = COUPLING_ADVISORY_NOTE if value_hz < COUPLING_ADVISORY_HZ else ""

@@ -438,7 +438,7 @@ def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
     huge = w > MAX_W
     invalid = ~(np.isfinite(w) & (w >= 0)) | huge
     j = np.round(np.where(invalid, 0.0, w) / math.pi).astype(int)
-    bound = (~invalid & (j >= 1) & (np.spacing(w) < 1e-9)
+    bound = (~invalid & (j >= 1) & (w < 2.0 ** 23)
              & (np.abs(w - j * math.pi) < 1e-9))
     solve = np.flatnonzero(~invalid & ~bound)
     sub = CharacteristicParams(d.kappa, w[solve])

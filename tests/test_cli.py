@@ -3,6 +3,7 @@ codes and rerun determinism (all driven in-process through main())."""
 
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from qnmlab import __version__
+from qnmlab._csv import _BEHIND, CHUNK_ROWS, StreamedCsv
 from qnmlab.cli import _build_parser, main
 from qnmlab.dynamics import (FIT_START, DdeConfig, DdeStream,
                              FitWindowError, fit_decay)
@@ -220,6 +222,20 @@ def test_sweep_near_the_largest_usable_w_reads_no_bound_state(tmp_path):
     warnings = _manifest(tmp_path)["warnings"]
     assert len(warnings) == 3
     assert not [w for w in warnings if "exact bound state" in w]
+
+
+def test_sweep_at_float_max_prints_no_warning(tmp_path, capsys):
+    # the bound-state guard is evaluated only below W = 2**23, so no
+    # np.spacing overflows: under tier-1's error::RuntimeWarning filter a
+    # warning would fail the run
+    code = main(["sweep", "--kappa", "50", "--w-min", "200", "--w-max",
+                 "1.7976931348623157e308", "--steps", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[1:] for row in rows[1:]] == [["nan", "0"], ["nan", "0"]]
+    assert len(_manifest(tmp_path)["warnings"]) == 2
 
 
 def test_sweep_gap_rows_write_nan(tmp_path):
@@ -607,13 +623,16 @@ def test_evolve_manifest_blocks(tmp_path, kappa, t_max, code):
     assert main(["evolve", "--kappa", repr(kappa), "--w", "5", "--t-max",
                  repr(t_max), "--out-dir", str(tmp_path)]) == code
     manifest = _manifest(tmp_path)
-    # the seconds the run spent handing chunks to the writer, and the
-    # writer's own CPU seconds
+    # the seconds the run spent piping and formatting chunks for the
+    # writer, the writer's own CPU seconds, and the chunks the run formatted
     assert set(manifest["dde"]) == _DDE_KEYS | {"handoff_s"}
     assert set(manifest["csv"]["evolve.csv"]) == {
-        "rows", "bytes", "fallback_cells", "write_s", "writer_cpu_s"}
+        "rows", "bytes", "fallback_cells", "write_s", "writer_cpu_s",
+        "run_formatted_chunks"}
     assert manifest["dde"]["handoff_s"] >= 0.0
     assert manifest["csv"]["evolve.csv"]["writer_cpu_s"] > 0.0
+    assert 0 <= manifest["csv"]["evolve.csv"]["run_formatted_chunks"] <= (
+        math.ceil(manifest["dde"]["output_points"] / CHUNK_ROWS))
     if code:
         assert "fit" not in manifest
         return
@@ -632,16 +651,27 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("chunks, fork", [
-    (3, True), (None, True), (3, False), (None, False),
-], ids=["midway", "after-last", "midway-no-fork", "after-last-no-fork"])
+def _writer_behind(monkeypatch, answers):
+    """Make StreamedCsv's is-the-child-behind check give answers, cycled."""
+    cycle = itertools.cycle(answers)
+    monkeypatch.setattr(StreamedCsv, "_behind", lambda self: next(cycle))
+
+
+@pytest.mark.parametrize("chunks, fork, shared", [
+    (3, True, False), (None, True, False), (3, False, False),
+    (None, False, False), (3, True, True), (None, True, True),
+], ids=["midway", "after-last", "midway-no-fork", "after-last-no-fork",
+        "midway-shared", "after-last-shared"])
 def test_evolve_amplitude_guard_leaves_no_csv(tmp_path, monkeypatch, capsys,
-                                              chunks, fork):
+                                              chunks, fork, shared):
     # the |w| guard fires once the stream ends, after the writer has had
     # every row (after-last), or earlier, as any error in the run would;
-    # without os.fork the writer runs inline and removes the file as well
+    # without os.fork the writer runs inline and removes the file as well,
+    # and so does the child when the run formatted every chunk (shared)
     if not fork:
         monkeypatch.delattr(os, "fork")
+    if shared:
+        _writer_behind(monkeypatch, [True])
     original = DdeStream.chunks
 
     def guarded(self):
@@ -773,18 +803,26 @@ def _evolve_fit(*run):
     return _evolved(*run)[2]
 
 
-def _evolve_case(*run, markers=(), fork=True):
+def _evolve_argv(*run):
     kappa, w, t_max, window = (*run, None)[:4]
     argv = ["evolve", "--kappa", repr(kappa), "--w", repr(w), "--t-max",
             repr(t_max)]
     if window:
         argv += ["--fit-start", repr(window[0]), "--fit-end", repr(window[1])]
-    return pytest.param(argv, "evolve.csv", "s,re_w,im_w,abs_w",
+    return argv
+
+
+def _evolve_case(*run, markers=(), fork=True):
+    return pytest.param(_evolve_argv(*run), "evolve.csv", "s,re_w,im_w,abs_w",
                         functools.partial(_evolve_rows, *run), list(markers),
                         functools.partial(_evolve_fit, *run), fork)
 
 
 _MULTI_CHUNK_RUN = (10.0, 2.0, 40.0, (20.0, 40.0))
+
+#: Five chunks whose 59,600 signed zeros and underflows are formatted by
+#: Python's '%', the fallback of format_floats.
+_FALLBACK_RUN = (1000.0, 15.708963267948966, 40.0)
 
 
 @pytest.mark.parametrize("argv, name, header, reference, markers, fit, fork", [
@@ -808,7 +846,7 @@ _MULTI_CHUNK_RUN = (10.0, 2.0, 40.0, (20.0, 40.0))
     # the tail fit fails (exit 1): the run is written all the same
     _evolve_case(200.0, 5.0, 40.0),
     # |w| underflows between the return pulses: signed zeros, a failed fit
-    _evolve_case(1000.0, 15.708963267948966, 40.0, markers=[",-0,"]),
+    _evolve_case(*_FALLBACK_RUN, markers=[",-0,"]),
     # no os.fork (Windows): the writer runs inline
     _evolve_case(*_MULTI_CHUNK_RUN, fork=False),
 ], ids=["spectrum", "sweep", "scatter", "wavefunction", "evolve",
@@ -830,6 +868,50 @@ def test_csv_bytes_match_per_cell_reference(tmp_path, monkeypatch, argv, name,
     # the manifest's fit block is the array route's, or absent with exit 1
     assert code == (0 if fit() else 1)
     assert _manifest(tmp_path).get("fit") == fit()
+
+
+@pytest.mark.parametrize("answers, formatted", [
+    ([True], 5), ([True, False], 3),
+], ids=["always-behind", "alternately-behind"])
+@pytest.mark.parametrize("run", [_MULTI_CHUNK_RUN, _FALLBACK_RUN],
+                         ids=["multi-chunk", "fallback-cells"])
+def test_chunks_formatted_in_the_run_write_the_same_file(
+        tmp_path, monkeypatch, run, answers, formatted):
+    # the run formats each chunk it finds its child behind on; the file and
+    # its record are the child-only run's
+    results = []
+    for name, behind in (("child-only", [False]), ("shared", answers)):
+        _writer_behind(monkeypatch, behind)
+        out = tmp_path / name
+        code = main(_evolve_argv(*run) + ["--out-dir", str(out)])
+        record = _manifest(out)["csv"]["evolve.csv"]
+        results.append((code, (out / "evolve.csv").read_bytes(), {
+            k: record[k] for k in ("rows", "bytes", "fallback_cells")}))
+        assert record["run_formatted_chunks"] == (formatted
+                                                  if behind != [False] else 0)
+        _assert_no_child_left()
+    assert results[0] == results[1]
+    assert results[0][2]["rows"] == 40001
+    if run == _FALLBACK_RUN:
+        assert results[0][2]["fallback_cells"] > 50_000
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="F_SETPIPE_SZ")
+def test_writer_is_behind_once_a_whole_raw_chunk_waits(tmp_path):
+    import fcntl
+
+    csv = StreamedCsv(str(tmp_path / "evolve.csv"), "s", 1)
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 18)
+    with open(read_end, "rb") as pipe, open(write_end, "wb") as csv.pipe:
+        csv.pipe.write(bytes(_BEHIND - 1))
+        csv.pipe.flush()
+        assert not csv._behind()
+        csv.pipe.write(b"\0")
+        csv.pipe.flush()
+        assert csv._behind()
+        os.read(pipe.fileno(), 1)
+        assert not csv._behind()
 
 
 @pytest.mark.parametrize("argv, name, specials", [
@@ -927,10 +1009,16 @@ _NOT_FINITE = ("map_report.json would hold a result that is not finite, "
       "--delta", "1"], _NOT_FINITE),
     (_SQUID + ["--n-g", "0.45", "--e-j", "1.5e308", "--phi-x", "1e-17"],
      _NOT_FINITE),
+    # L c_line hbar underflows to 0, so the coupling would divide by it
+    (["map", "--platform", "squid", "--e-j", "1", "--c-g", "1", "--c-j", "1",
+      "--c-sigma", "1", "--phi-x", "0", "--omega-mode", "1", "--n-g", "0.5",
+      "--mixing-angle", "0.5", "--l", "1e-300", "--c-line", "1e-300"],
+     "L * c_line * hbar underflows to 0 at L = 1e-300, c_line = 1e-300: "
+     "the coupling is not finite"),
 ], ids=["squid-no-gate", "squid-both-gates", "squid-e-j-inf",
         "squid-mixing-nan", "squid-v-g-inf", "squid-c-g-inf", "raman-g-nan",
         "raman-g-big-inf", "raman-no-g", "raman-j-eff-overflows",
-        "squid-omega-overflows"])
+        "squid-omega-overflows", "squid-line-underflows"])
 def test_map_bad_inputs_are_usage_errors(tmp_path, capsys, argv, message):
     code = main(argv + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
