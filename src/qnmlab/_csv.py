@@ -63,9 +63,9 @@ _PIPE_BYTES = 1 << 20
 #: (0: the columns follow raw, 24 bytes a row) and its fallback cells.
 _CHUNK = struct.Struct("<qqq")
 
-#: Unread bytes in the pipe that mean the child is behind: a whole raw chunk.
-#: A pipe left at its default 64 KiB never holds that many, so there the
-#: child formats every chunk.
+#: Unread bytes in the pipe that mean the child is behind: CHUNK_ROWS raw
+#: rows. A pipe left at its default 64 KiB never holds that many, so there
+#: the child formats every chunk.
 _BEHIND = _CHUNK.size + 24 * CHUNK_ROWS
 
 
@@ -209,6 +209,7 @@ def csv_chunks(columns):
     Python's complex abs (np.abs differs in the last digit). Each yield
     covers CHUNK_ROWS rows and counts the float cells formatted by Python.
     """
+    _lift_trim_threshold()
     columns = [np.asarray(c) for c in columns]
     columns = [part for c in columns for part in (
         (c.real, c.imag, np.hypot(c.real, c.imag)) if c.dtype.kind == "c"
@@ -312,7 +313,7 @@ def _lift_trim_threshold() -> None:
     block freed so far. One chunk's formatting temporaries pass that, so
     each chunk would fault its pages in again (some 140k faults for the
     README run, nearly doubling the writer's CPU time). Freeing one 4 MiB
-    block first lifts the threshold above them.
+    block first lifts the threshold above them; every csv_chunks call does.
     """
     np.empty(1 << 19)
 
@@ -329,7 +330,6 @@ def _writer_child(csv: StreamedCsv, data_fd: int, report_fd: int,
     try:
         for fd in parent_fds:
             os.close(fd)
-        _lift_trim_threshold()
         with open(data_fd, "rb") as pipe, open(report_fd, "wb") as report:
             try:
                 with CsvFile(csv.path, csv.header) as out:
@@ -415,11 +415,9 @@ class StreamedCsv:
             self.pipe.write(times)
             self.pipe.write(w)
             return
-        if not self.formatted:
-            _lift_trim_threshold()
-        # a stream chunk is at most CHUNK_ROWS rows: one CSV chunk
-        [(text, fallback)] = csv_chunks((times, w))
-        self.pipe.write(_CHUNK.pack(len(times), len(text), fallback))
+        texts, fallbacks = zip(*csv_chunks((times, w)))
+        text = b"".join(texts)
+        self.pipe.write(_CHUNK.pack(len(times), len(text), sum(fallbacks)))
         self.pipe.write(text)
         self.formatted += 1
 

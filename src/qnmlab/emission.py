@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .model import DimensionlessParams
-from .qnm import CharacteristicParams, newton_roots, seed_mode
+from .qnm import CharacteristicParams, branch_seed, newton_roots, seed_mode
 
 
 class EmissionReport(NamedTuple):
@@ -54,14 +54,14 @@ def modified_emission_numeric(d: DimensionlessParams, j: int
                               ) -> EmissionReport:
     """Total decay rate from the root of f with W continued to W - i*gamma_ext.
 
-    The seed is the bare-mode seed evaluated at the complex level spacing,
-    then refined by the same Newton iteration used for ordinary modes; the
-    numeric rate is |Im theta| of the converged root.
+    The seed is branch j's (see qnm.branch_seed) at the complex level
+    spacing, refined by the same Newton iteration used for ordinary modes;
+    the numeric rate is |Im theta| of the converged root.
     """
     formula = modified_emission_formula(d, j)  # also validates j, kappa
     continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
     theta, resid, _iters, ok, _radius = newton_roots(
-        seed_mode(j, continued), continued)
+        branch_seed(j, continued), continued)
     if not ok[0]:
         raise RuntimeError(
             f"complex-W root search did not converge for j={j}, "

@@ -15,23 +15,21 @@ derivative is closed-form:
 
     f'(theta) = kappa * exp(2 i theta) + 1.
 
-For kappa > 1 an expansion of f around theta = j*pi gives the analytic seed
-
-    theta_seed = j*pi + (W - j*pi)(kappa - 1)/kappa**2
-                 - i (W - j*pi)**2 / kappa**2,
-
-accurate to O(1/kappa**3), from which Newton converges in a handful of steps.
+Each mode is a branch of the Lambert W function (Corless et al., Adv.
+Comput. Math. 5 (1996) 329; Asl and Ulsoy, J. Dyn. Syst. Meas. Control 125
+(2003) 215): with w = kappa + 2i(W - theta), f = 0 is w e^w = kappa
+e^{kappa + 2iW}, and mode j = round(Re(theta)/pi) solves the log form
+w + Log w = L = ln(kappa) + kappa + 2i(W - j*pi). Every search seeds mode j
+from its branch (branch_seed), so no two rows share a root, and runs, as
+refine_root does, through one batched kernel, newton_roots. For kappa > 1
+an expansion of f about j*pi gives seed_mode, accurate to O(1/kappa**3)
+near j = round(W/pi).
 
 Sign convention: a mode energy is theta = omega - i*gamma, so a decaying
 mode has Im(theta) < 0, gamma = -Im(theta) >= 0 is its decay rate and the
 time dependence is exp(-i theta s) = exp(-i omega s) exp(-gamma s).
 W = j*pi puts a zero exactly at theta = j*pi (the photon decouples and the
 lifetime diverges).
-
-Every root search (one mode, a spectrum, a sweep over W, the slowest mode,
-the complex-W emission root) runs through one batched kernel, newton_roots,
-and returns columns: a spectrum is one Modes, a sweep one Sweep. refine_root
-and slowest_mode return a one-row Modes whose fields are Python scalars.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ MAX_NEWTON_STEPS = 50
 #: Largest mode index magnitude |j|: it leaves room for j + 1 in int64.
 MAX_J = 2 ** 62
 
-#: Most mode indices find_modes takes: merging their discs is quadratic.
+#: Most mode indices find_modes takes: its memory grows with them.
 MAX_J_WIDTH = 10_000
 
 #: Largest level spacing W whose modes get an index: round(W/pi) <= MAX_J.
@@ -66,6 +64,9 @@ MAX_W = math.pi * MAX_J
 
 #: Largest kappa whose square, in the seed formula, is a finite float.
 MAX_KAPPA = math.sqrt(sys.float_info.max)
+
+#: Newton steps on the log form per branch seed; more save no later ones.
+_BRANCH_STEPS = 2
 
 LOW_ENERGY_NOTE = "low-energy regime (j <= 0), physical validity uncertain"
 
@@ -102,7 +103,7 @@ class ContourBox:
 class Modes(NamedTuple):
     """Refined roots as equal-length columns, one row per root.
 
-    j           mode index, round(Re(theta)/pi)
+    j           mode index: the root's branch, and round(Re(theta)/pi)
     theta       complex mode energy
     residual    |f(theta)| at the returned point
     iterations  Newton iterations consumed
@@ -155,28 +156,32 @@ def characteristic_derivative(theta,
 
 
 def seed_mode(j, d: DimensionlessParams | CharacteristicParams):
-    """Analytic seed for the mode near theta = j*pi.
+    """Closed-form seed for the mode near theta = j*pi (see the module notes).
 
-    Requires 1 < kappa <= MAX_KAPPA and |j| <= MAX_J, else raises
-    ApproximationRangeError. j may be an integer array, and d.W complex or
-    an array broadcasting against it.
+    j may be an integer array, and d.W complex or an array broadcasting
+    against it. Raises ApproximationRangeError unless 1 < kappa <= MAX_KAPPA
+    and |j| <= MAX_J.
     """
-    if d.kappa <= 1.0:
-        raise ApproximationRangeError(
-            f"seed formula needs kappa > 1 (atom more reflective than "
-            f"transparent), got kappa = {d.kappa}")
-    if not d.kappa <= MAX_KAPPA:
-        raise ApproximationRangeError(
-            f"kappa must be at most {MAX_KAPPA:.17g}, the largest usable "
-            f"kappa (kappa**2 must be a finite float), got {d.kappa}")
-    _require_usable_j(j)
-    kappa = d.kappa
-    delta = d.W - j * math.pi
-    # Real divisions only for real W: numpy's complex division rounds
-    # differently from Python's, and a seed must not depend on whether it
-    # was computed alone or in an array.
+    _require_seedable(j, d)
+    kappa, delta = d.kappa, d.W - j * math.pi
+    # Real divisions only for real W: numpy's complex division rounds unlike
+    # Python's, and a seed alone must equal its batched copy.
     return (j * math.pi + delta * (kappa - 1.0) / kappa**2
             - 1j * (delta * delta / kappa**2))
+
+
+def branch_seed(j, d: DimensionlessParams | CharacteristicParams):
+    """Seed of mode j from its Lambert W branch (see the module notes): Newton
+    on the log form from w = L - Log L; seed_mode's arguments and refusals."""
+    _require_seedable(j, d)
+    delta = np.subtract(d.W, np.multiply(j, math.pi))
+    # an array even for one seed: numpy's scalar complex product rounds
+    # unlike its array loop, and a seed alone must equal its batched copy
+    target = math.log(d.kappa) + d.kappa + 2j * np.atleast_1d(delta)
+    w = target - np.log(target)
+    for _ in range(_BRANCH_STEPS):
+        w -= w * (w + np.log(w) - target) / (w + 1.0)
+    return (d.W + 0.5j * (w - d.kappa)).reshape(np.shape(delta))[()]
 
 
 def _rounding_error(d: DimensionlessParams | CharacteristicParams, grow, z):
@@ -255,8 +260,16 @@ def _require_usable_w(d: DimensionlessParams) -> None:
             f"mode index round(W/pi) must fit int64), got {d.W:.17g}")
 
 
-def _require_usable_j(j) -> None:
-    """Refuse a mode index (or array of them) outside +/-MAX_J."""
+def _require_seedable(j, d) -> None:
+    """Refuse kappa outside (1, MAX_KAPPA] or an index j beyond +/-MAX_J."""
+    if d.kappa <= 1.0:
+        raise ApproximationRangeError(
+            f"seed formula needs kappa > 1 (atom more reflective than "
+            f"transparent), got kappa = {d.kappa}")
+    if not d.kappa <= MAX_KAPPA:
+        raise ApproximationRangeError(
+            f"kappa must be at most {MAX_KAPPA:.17g}, the largest usable "
+            f"kappa (kappa**2 must be a finite float), got {d.kappa}")
     # compared, not abs(): abs of int64's minimum is itself
     if (outside := np.extract((j < -MAX_J) | (j > MAX_J), j)).size:
         raise ApproximationRangeError(
@@ -267,19 +280,18 @@ def _require_usable_j(j) -> None:
 def _classify(roots: tuple, seed_j=None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mode index, converged flag and note of each newton_roots result (see
-    refine_root); seed_j, if given, names the seed index of each root."""
+    refine_root); seed_j, if given, is each root's branch and index."""
     theta, resid, iterations, converged, _ = roots
-    j = np.round(theta.real / math.pi).astype(int)
+    j = (np.round(theta.real / math.pi).astype(int) if seed_j is None
+         else seed_j)
     growing = converged & (theta.imag > NEWTON_TOL)
     notes = np.array(["", LOW_ENERGY_NOTE], dtype=object)[
         (j <= 0).astype(int)]
     flagged = np.flatnonzero(growing | ~converged)
-    seeds = ([""] * flagged.size if seed_j is None else
-             [f" from the j={k} seed" for k in seed_j[flagged].tolist()])
-    for i, ok, r, n, seed in zip(flagged.tolist(),
-                                 converged[flagged].tolist(),
-                                 resid[flagged].tolist(),
-                                 iterations[flagged].tolist(), seeds):
+    for i, ok, r, n in zip(flagged.tolist(), converged[flagged].tolist(),
+                           resid[flagged].tolist(),
+                           iterations[flagged].tolist()):
+        seed = "" if seed_j is None else f" from the j={j[i]} seed"
         where = f"|f| = {r:.3g} after {n} steps{seed}"
         why = ("converged to a growing mode" if ok else
                f"no root disc was proved at {where}" if r <= NEWTON_TOL else
@@ -291,9 +303,6 @@ def _classify(roots: tuple, seed_j=None
 def _modes(seeds, d: DimensionlessParams, seed_j=None) -> Modes:
     """Refine every seed in one newton_roots call, one row per seed."""
     theta, resid, iterations, _, radius = roots = newton_roots(seeds, d)
-    bad = theta[~np.isfinite(theta)]
-    if bad.size:
-        raise ValueError(f"theta must be finite, got {bad.tolist()[0]!r}")
     j, converged, notes = _classify(roots, seed_j)
     return Modes(j, theta, resid, iterations, converged, notes, radius)
 
@@ -304,15 +313,14 @@ def _row(modes: Modes, i: int) -> Modes:
 
 
 def refine_root(seed: complex, d: DimensionlessParams) -> Modes:
-    """Refine a seed to a characteristic zero by Newton iteration.
-
-    The mode index is assigned afterwards as j = round(Re(theta)/pi). A mode
-    that converged onto the upper half plane (growing solution, impossible
-    for this system) is returned unconverged and flagged. The result is one
-    row: mode.theta is a complex, mode.converged a bool. Raises
-    ApproximationRangeError for W above MAX_W.
-    """
+    """Refine a seed to a characteristic zero by Newton iteration: one row,
+    of Python scalars, with index j = round(Re(theta)/pi). A root in the
+    upper half plane (a growing mode, impossible here) is flagged
+    unconverged. Raises ApproximationRangeError for W above MAX_W and
+    ValueError for a seed that is not finite."""
     _require_usable_w(d)
+    if not np.isfinite(seed):
+        raise ValueError(f"theta must be finite, got {complex(seed)!r}")
     return _row(_modes(seed, d), 0)
 
 
@@ -392,33 +400,29 @@ def _winding_or_none(d: DimensionlessParams, box: ContourBox) -> int | None:
 
 def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6
                ) -> Modes:
-    """Seed, refine and deduplicate modes for j in [j_min, j_max].
-
-    All seeds are refined in one newton_roots call, whose disc proves each
-    row. Two rows are one root when their proved discs overlap; the
-    converged row is kept, then the one of lower Re(theta).
-    Returns one Modes, rows sorted by Re(theta). Raises
-    ApproximationRangeError for W above MAX_W or an index beyond +/-MAX_J,
-    and ValueError for an empty range or one of over MAX_J_WIDTH indices.
-    """
+    """Mode j of each j in [j_min, j_max] from its branch, in one newton_roots
+    call whose disc proves each row: one row per index, sorted by Re(theta),
+    and flagged if its disc overlaps a neighbour's. Raises
+    ApproximationRangeError as branch_seed does or for W above MAX_W, and
+    ValueError for an empty range or one of over MAX_J_WIDTH indices."""
     _require_usable_w(d)
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
-    _require_usable_j(np.array([j_min, j_max], dtype=object))
+    _require_seedable(np.array([j_min, j_max], dtype=object), d)
     if int(j_max) - int(j_min) >= MAX_J_WIDTH:
         raise ValueError(f"index range [{j_min}, {j_max}] holds more than "
                          f"{MAX_J_WIDTH} indices; split it")
     js = np.arange(j_min, j_max + 1)
-    modes = _modes(seed_mode(js, d), d, js)
-
-    thetas, radii = modes.theta.tolist(), modes.radius.tolist()
-    kept: list[int] = []
-    for i in np.lexsort((modes.theta.real, ~modes.converged)).tolist():
-        if not any(abs(thetas[i] - thetas[k]) <= radii[i] + radii[k]
-                   for k in kept):
-            kept.append(i)
-    kept.sort(key=lambda i: (thetas[i].real, i))
-    return Modes(*(column[kept] for column in modes))
+    modes = _modes(branch_seed(js, d), d, js)
+    order = np.argsort(modes.theta.real, kind="stable")
+    _, theta, _, _, converged, note, radius = modes = Modes(
+        *(column[order] for column in modes))
+    touch = np.abs(np.diff(theta)) <= radius[1:] + radius[:-1]
+    for i in np.flatnonzero(np.r_[touch, False] | np.r_[False, touch]):
+        converged[i] = False
+        note[i] = ((note[i] + "; " if note[i] else "")
+                   + "its root disc overlaps a neighbour's")
+    return modes
 
 
 def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
@@ -430,9 +434,8 @@ def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
     multiple of pi is recorded as exactly 0 without solving: theta = j*pi is
     an exact zero there. Every other point, larger W included (j*pi can
     round onto it), is refined in one newton_roots call. Failed points come
-    back as gaps, with a nan decay rate, instead of aborting the sweep, as
-    do a negative or non-finite W and a W above MAX_W. Requires
-    1 < kappa <= MAX_KAPPA, as seed_mode.
+    back as gaps, with a nan decay rate, as do a negative or non-finite W
+    and a W above MAX_W. Requires 1 < kappa <= MAX_KAPPA, as branch_seed.
     """
     w = np.fromiter(map(float, w_values), dtype=float)
     huge = w > MAX_W
@@ -442,7 +445,7 @@ def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
              & (np.abs(w - j * math.pi) < 1e-9))
     solve = np.flatnonzero(~invalid & ~bound)
     sub = CharacteristicParams(d.kappa, w[solve])
-    roots = newton_roots(seed_mode(j[solve], sub), sub)
+    roots = newton_roots(branch_seed(j[solve], sub), sub)
 
     ok = bound.copy()
     kinds = np.array(["", "invalid W", f"invalid W: above the largest "
@@ -460,13 +463,12 @@ def slowest_mode(d: DimensionlessParams) -> Modes:
 
     The lifetime maximum sits at the j minimising |W - j*pi|, which is one of
     the two neighbours; both are refined in one newton_roots call and
-    compared on |Im theta|. Indices below 1 are included but carry the
-    low-energy validity note. Raises ApproximationRangeError for W above
-    MAX_W.
+    compared on |Im theta|. Indices below 1 carry the low-energy note.
+    Raises ApproximationRangeError as branch_seed does or for W above MAX_W.
     """
     _require_usable_w(d)
     j_lo = int(math.floor(d.W / math.pi))
-    modes = _modes(seed_mode(np.array([j_lo, j_lo + 1]), d), d)
+    modes = _modes(branch_seed(js := np.array([j_lo, j_lo + 1]), d), d, js)
     if not modes.converged.any():
         raise ApproximationRangeError(
             f"no converged mode near W = {d.W} for kappa = {d.kappa}")

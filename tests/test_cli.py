@@ -23,8 +23,9 @@ from qnmlab.cli import _build_parser, main
 from qnmlab.dynamics import (FIT_START, DdeConfig, DdeStream,
                              FitWindowError, fit_decay)
 from qnmlab.model import DimensionlessParams
-from qnmlab.qnm import (ContourError, find_modes, lifetime_from_theta,
-                        refine_root, seed_mode, sweep_decay)
+from qnmlab.qnm import (ContourError, branch_seed, find_modes,
+                        lifetime_from_theta, refine_root, seed_mode,
+                        sweep_decay)
 from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from oracle_helpers import drained_dde
 from refs import ROOTS
@@ -125,16 +126,21 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first_manifest == second_manifest
 
 
-def test_spectrum_with_overflowing_seeds_is_silent(tmp_path, capsys):
-    # at kappa = 1.2 the seeds of j >= 4 lie far below the real axis, where
-    # f overflows; they stop unconverged without a numpy warning
+def test_spectrum_with_overflowing_seeds_is_silent(tmp_path, monkeypatch,
+                                                   capsys):
+    # fault injection: at kappa = 1.2 the closed-form seeds of j >= 4, given
+    # as branch seeds, lie far below the real axis, where f overflows; they
+    # stop unconverged without a numpy warning
+    monkeypatch.setattr("qnmlab.qnm.branch_seed", seed_mode)
     code = main(["spectrum", "--kappa", "1.2", "--w", "5", "--j-min", "1",
                  "--j-max", "12", "--out-dir", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == ""
 
 
-def test_unconverged_mode_warnings_are_distinct(tmp_path):
+def test_unconverged_mode_warnings_are_distinct(tmp_path, monkeypatch):
+    # the injected seeds of the test above: nine rows stop unconverged
+    monkeypatch.setattr("qnmlab.qnm.branch_seed", seed_mode)
     code = main(["spectrum", "--kappa", "1.2", "--w", "5", "--j-min", "1",
                  "--j-max", "12", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -148,29 +154,32 @@ DUPLICATE_ARGV = ["spectrum", "--kappa", "1.8618254128079412",
                   "--w", "7.041582857257689"]
 
 
-def test_spectrum_keeps_the_converged_copy_of_a_root(tmp_path):
-    # the j = 5 seed stops at |f| = 1.4e-11 on the j = 2 root, which the
-    # j = 2 seed reaches at the rounding floor: one row, converged; only
-    # the j = 6 seed's row is flagged
-    assert main(DUPLICATE_ARGV + ["--out-dir", str(tmp_path)]) == 2
+def test_spectrum_gives_each_index_its_own_root(tmp_path):
+    # the closed-form seed of j = 5 stopped on the j = 2 root, and that of
+    # j = 6 diverged; from its own branch each index converges
+    assert main(DUPLICATE_ARGV + ["--out-dir", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "modes.csv")
     assert [(row[0], row[5]) for row in rows] == [
-        ("1", "true"), ("2", "true"), ("3", "true"), ("4", "true"),
-        ("5", "false")]
-    warnings = _manifest(tmp_path)["warnings"]
-    assert len(warnings) == 1 and warnings[0].startswith("mode j=5 ")
+        (str(j), "true") for j in range(1, 7)]
+    assert _manifest(tmp_path)["warnings"] == []
 
 
-def test_spectrum_manifest_records_each_disc(tmp_path):
-    # radius is null where no disc was proved: NaN is not JSON
+def test_spectrum_manifest_records_each_disc(tmp_path, monkeypatch):
+    # radius is null where no disc was proved: NaN is not JSON. Fault
+    # injection: with the closed-form seeds as branch seeds, the j = 6 row
+    # diverges, and the j = 5 row stops on the j = 2 root, a flagged pair
+    # whose discs are both recorded
+    monkeypatch.setattr("qnmlab.qnm.branch_seed", seed_mode)
     assert main(DUPLICATE_ARGV + ["--out-dir", str(tmp_path)]) == 2
     text = (tmp_path / "manifest.json").read_text()
     records = json.loads(text, parse_constant=pytest.fail)["modes"]
     assert all(set(m) == {"j", "iterations", "note", "radius"}
                for m in records)
-    radii = [m["radius"] for m in records]
-    assert radii[-1] is None
-    assert all(0 < r < 1e-13 for r in radii[:-1])
+    assert [m["j"] for m in records] == [1, 5, 2, 3, 4, 6]
+    radii = {m["j"]: m["radius"] for m in records}
+    assert radii.pop(6) is None
+    assert 0 < radii.pop(5) < 1e-10     # |f| = 1.4e-11 on the j = 2 root
+    assert all(0 < r < 1e-13 for r in radii.values())
 
 
 def test_spectrum_without_a_proved_disc_is_partial(tmp_path, monkeypatch):
@@ -774,7 +783,7 @@ def _scatter_rows():
 
 def _wavefunction_rows():
     d = DimensionlessParams(kappa=200.0, W=5.0)
-    mode = refine_root(seed_mode(1, d), d)
+    mode = refine_root(branch_seed(1, d), d)
     xs = np.linspace(0.0, 3.0, 31)
     return [(x, phi.real, phi.imag, abs(phi)) for x, phi in zip(
         xs.tolist(), qnm_wavefunction(mode, xs).tolist())]
@@ -894,6 +903,26 @@ def test_chunks_formatted_in_the_run_write_the_same_file(
     assert results[0][2]["rows"] == 40001
     if run == _FALLBACK_RUN:
         assert results[0][2]["fallback_cells"] > 50_000
+
+
+def test_stream_chunks_of_another_size_write_the_same_file(tmp_path,
+                                                          monkeypatch):
+    # the stream's chunk size is its own: with chunks of twice the CSV's,
+    # a run that formats each one writes the child-only run's file
+    monkeypatch.setattr("qnmlab.dynamics.CHUNK_ROWS", 2 * CHUNK_ROWS)
+    results = []
+    for name, behind in (("child-only", [False]), ("shared", [True])):
+        _writer_behind(monkeypatch, behind)
+        out = tmp_path / name
+        assert main(_evolve_argv(*_MULTI_CHUNK_RUN)
+                    + ["--out-dir", str(out)]) == 0
+        record = _manifest(out)["csv"]["evolve.csv"]
+        results.append(((out / "evolve.csv").read_bytes(), {
+            k: record[k] for k in ("rows", "bytes", "fallback_cells")}))
+        _assert_no_child_left()
+    assert results[0] == results[1]
+    # 40001 rows: three stream chunks of at most 16384 rows
+    assert record["run_formatted_chunks"] == 3
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="F_SETPIPE_SZ")

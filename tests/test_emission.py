@@ -3,6 +3,7 @@ complex-level-spacing root, and cavity suppression of the bare rate."""
 
 import math
 
+import mpmath
 import pytest
 
 from qnmlab.emission import (modified_emission_formula,
@@ -105,3 +106,20 @@ def test_numeric_refuses_far_detuned_levels(w):
     d = DimensionlessParams(kappa=200.0, W=w, gamma_ext=1e-3)
     with pytest.raises(RuntimeError, match="did not converge"):
         modified_emission_numeric(d, 1)
+
+
+@pytest.mark.parametrize("kappa, w", [(3.0, 0.5), (1.5, 2.0)])
+def test_numeric_root_is_mode_j_at_weak_coupling(kappa, w):
+    # mode j = 3 from its own branch: the 1/kappa seed reached another mode
+    # at (3, 0.5) (rate 1.0103) and no root at (1.5, 2); the reference is
+    # W_c + i(W_k(kappa e^{kappa + 2iW_c}) - kappa)/2, W_c = W - i gamma_ext,
+    # k = round(W/pi) - j, in 40-digit mpmath
+    d = DimensionlessParams(kappa=kappa, W=w, gamma_ext=0.01)
+    with mpmath.workdps(40):
+        w_c = mpmath.mpc(w, -0.01)
+        z = kappa * mpmath.exp(kappa + 2j * w_c)
+        ref = w_c + 0.5j * (mpmath.lambertw(z, round(w / math.pi) - 3)
+                            - kappa)
+    report = modified_emission_numeric(d, 3)
+    assert report.gamma_t_numeric == pytest.approx(float(-ref.imag),
+                                                   rel=1e-12)

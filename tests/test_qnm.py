@@ -17,9 +17,9 @@ from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import (LOW_ENERGY_NOTE, ApproximationRangeError,
                         CharacteristicParams, ContourBox, ContourError, Modes,
                         characteristic, characteristic_derivative,
-                        count_roots_in_box, find_modes, lifetime,
-                        lifetime_from_theta, newton_roots, refine_root,
-                        seed_mode, slowest_mode, sweep_decay)
+                        branch_seed, count_roots_in_box, find_modes,
+                        lifetime, lifetime_from_theta, newton_roots,
+                        refine_root, seed_mode, slowest_mode, sweep_decay)
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -145,10 +145,12 @@ def test_non_finite_step_stops_unconverged_at_last_iterate():
     assert converged[1] and abs(theta[1] - ROOTS[(200.0, 5.0, 1)]) < 1e-11
 
 
-def test_seeds_where_f_overflows_raise_no_warning():
-    # at kappa = 1.2 the seeds of j >= 4 lie so far below the real axis
-    # that f overflows there; the suite turns any RuntimeWarning into an
-    # error, so this fails if the first evaluation escapes np.errstate
+def test_seeds_where_f_overflows_raise_no_warning(monkeypatch):
+    # at kappa = 1.2 the closed-form seeds of j >= 4, given to find_modes as
+    # its branch seeds, lie so far below the real axis that f overflows
+    # there; the suite turns any RuntimeWarning into an error, so this fails
+    # if the first evaluation escapes np.errstate
+    monkeypatch.setattr(qnm, "branch_seed", seed_mode)
     modes = find_modes(DimensionlessParams(kappa=1.2, W=5.0), 1, 12)
     assert modes.converged[:3].all() and not modes.converged[3:].any()
 
@@ -333,7 +335,7 @@ def test_every_proved_disc_holds_its_root(kappa, w, ws):
     sweep = sweep_decay(d, ws)
     sub = CharacteristicParams(kappa, np.array(ws))
     theta, _, _, _, radius = newton_roots(
-        seed_mode(np.round(sub.W / math.pi).astype(int), sub), sub)
+        branch_seed(np.round(sub.W / math.pi).astype(int), sub), sub)
     for i, (wi, t, r) in enumerate(zip(ws, theta.tolist(), radius.tolist())):
         if sweep.converged[i] and "bound state" not in sweep.note[i]:
             assert math.isfinite(r)
@@ -358,7 +360,7 @@ def test_find_modes_returns_four_distinct_certified_roots():
 
 def test_find_modes_matches_refine_root_per_seed():
     batched = find_modes(D200, j_min=1, j_max=4)
-    alone = [refine_root(seed_mode(j, D200), D200) for j in range(1, 5)]
+    alone = [refine_root(branch_seed(j, D200), D200) for j in range(1, 5)]
     assert list(zip(*(column.tolist() for column in batched))) == alone
 
 
@@ -372,6 +374,17 @@ def test_seeds_do_not_depend_on_batching():
             assert batch == [seed_mode(j, d) for j in range(9)]
 
 
+def test_branch_seeds_do_not_depend_on_batching():
+    # as for seed_mode, and also at a complex level spacing (the emission
+    # root), where numpy's scalar complex product would round differently
+    for kappa in (1.5, 37.0, 200.0, 1333.0, 1e4):
+        for w in np.linspace(0.0, 12.0, 25).tolist():
+            for level in (w, complex(w, -0.3)):
+                d = CharacteristicParams(kappa, level)
+                batch = branch_seed(np.arange(-40, 41), d).tolist()
+                assert batch == [branch_seed(j, d) for j in range(-40, 41)]
+
+
 def test_find_modes_rejects_weak_coupling_and_bad_range():
     with pytest.raises(ApproximationRangeError):
         find_modes(DimensionlessParams(kappa=0.5, W=5.0))
@@ -379,38 +392,77 @@ def test_find_modes_rejects_weak_coupling_and_bad_range():
         find_modes(D200, j_min=3, j_max=1)
 
 
-def test_find_modes_drops_duplicate_roots():
-    # at this weak coupling the j = 4 and j = 5 seeds fall back onto the
-    # j = 2 and j = 1 roots; the stable sort on Re theta keeps the root
-    # from the lower seed (fewer iterations), and j = 6 does not converge
+def test_find_modes_flags_rows_that_share_a_root(monkeypatch):
+    # fault injection: the closed-form seeds of j = 4 and 5, given as their
+    # branch seeds, fall back onto the j = 2 and j = 1 roots at this weak
+    # coupling; every row stays, sorted by Re theta, and both rows of each
+    # shared root are flagged; j = 6 does not converge
+    monkeypatch.setattr(qnm, "branch_seed", seed_mode)
     d = DimensionlessParams(kappa=3.0716, W=3.5611)
     modes = find_modes(d)
+    shared = "its root disc overlaps a neighbour's"
     assert list(zip(modes.j.tolist(), modes.theta.tolist(),
                     modes.iterations.tolist(), modes.converged.tolist(),
                     modes.note)) == [
-        (1, complex(3.2439340804618246, -0.007952093547167045), 4, True, ""),
-        (2, complex(5.761681368592322, -0.25297091641332387), 6, True, ""),
+        (1, complex(3.2439340804618246, -0.007952093547167045), 4, False,
+         shared),
+        (5, complex(3.2439340804618246, -0.007952093547167046), 44, False,
+         shared),
+        (2, complex(5.761681368592322, -0.25297091641332387), 6, False,
+         shared),
+        (4, complex(5.761681368592322, -0.25297091641332387), 25, False,
+         shared),
         (3, complex(8.72762215658331, -0.6144016484756893), 12, True, ""),
-        (5, complex(14.944189584094206, -1.0034838988085257), 50, False,
+        (6, complex(14.944189584094206, -1.0034838988085257), 50, False,
          "Newton stopped at |f| = 0.051 after 50 steps from the j=6 seed"),
     ]
+    assert np.isfinite(modes.radius).all()
 
 
-def test_find_modes_keeps_the_converged_copy_of_a_root():
-    # the j = 5 seed stops at |f| = 1.4e-11 on the j = 2 root, 4e-12 from
-    # the j = 2 seed's converged copy: their discs overlap, and the converged
-    # copy is the row kept, though the other has the lower Re theta
-    d = DimensionlessParams(kappa=1.8618254128079412, W=7.041582857257689)
-    modes = find_modes(d)
-    assert modes.j.tolist() == [1, 2, 3, 4, 5]
-    assert modes.converged.tolist() == [True, True, True, True, False]
-    assert modes.residual[1] <= 1e-12
+@pytest.mark.parametrize("kappa, w, j_max", [
+    # the closed-form seed of j = 5 stopped on the j = 2 root and that of
+    # j = 6 diverged; of j = 1..20 here, two fell onto roots found already
+    (1.8618254128079412, 7.041582857257689, 6),
+    (22.6, 10.52, 20),
+], ids=["weak", "moderate"])
+def test_find_modes_gives_each_index_its_own_root(kappa, w, j_max):
+    d = DimensionlessParams(kappa=kappa, W=w)
+    modes = find_modes(d, 1, j_max)
+    assert modes.j.tolist() == list(range(1, j_max + 1))
+    assert modes.converged.all() and not any(modes.note)
+    assert (modes.residual <= 1e-12).all()
+    assert (np.round(modes.theta.real / math.pi) == modes.j).all()
+    for theta, radius in zip(modes.theta.tolist(), modes.radius.tolist()):
+        _assert_disc_holds_root(kappa, w, theta, radius)
 
 
-def test_unconverged_rows_say_where_newton_stopped():
-    # at kappa = 1.2 the seeds of j >= 4 lie far below the real axis and
-    # never converge; each row's j is where Newton stopped, so the note
-    # names the seed the row started from
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kappa=st.floats(1.0, 1e4, exclude_min=True), w=st.floats(0.0, 12.0),
+       j_min=st.integers(-1000, 998))
+def test_every_branch_holds_its_lambert_w_root(kappa, w, j_min):
+    # mode j is theta = W + i(W_k(kappa e^{kappa + 2iW}) - kappa)/2 with
+    # k = round(W/pi) - j, here in 40-digit mpmath: each row carries its
+    # branch's index, and each proved disc holds that branch's root
+    modes = find_modes(DimensionlessParams(kappa=kappa, W=w), j_min,
+                       j_min + 2)
+    assert modes.j.tolist() == list(range(j_min, j_min + 3))
+    assert (np.round(modes.theta.real / math.pi) == modes.j).all()
+    assert np.isfinite(modes.radius[modes.converged]).all()
+    with mpmath.workdps(40):
+        z = kappa * mpmath.exp(mpmath.mpc(kappa, 2 * w))
+        for j, theta, radius in zip(modes.j.tolist(), modes.theta.tolist(),
+                                    modes.radius.tolist()):
+            w_k = mpmath.lambertw(z, round(w / math.pi) - j)
+            ref = w + 0.5j * (w_k - kappa)
+            if math.isfinite(radius):
+                assert abs(ref - mpmath.mpc(theta)) <= radius, (j, ref)
+
+
+def test_unconverged_rows_say_where_newton_stopped(monkeypatch):
+    # fault injection: at kappa = 1.2 the closed-form seeds of j >= 4, given
+    # as branch seeds, lie far below the real axis and never converge; the
+    # note names the seed the row started from
+    monkeypatch.setattr(qnm, "branch_seed", seed_mode)
     modes = find_modes(DimensionlessParams(kappa=1.2, W=5.0), 1, 12)
     notes = modes.note[~modes.converged].tolist()
     assert len(notes) == 9
@@ -604,8 +656,8 @@ def test_mode_index_beyond_the_largest_usable_index_is_refused():
         with pytest.raises(ApproximationRangeError,
                            match=f"4611686018427387904 .*got j = {outside}$"):
             find_modes(D200, j_min=j_min, j_max=j_max)
-    # a usable but wide range is refused before np.arange: the merge of
-    # the rows' discs is quadratic in their number
+    # a usable but wide range is refused before np.arange: one call's
+    # columns and Newton temporaries grow with its width
     for j_min, j_max in ((1, qnm.MAX_J_WIDTH + 1), (1, 10 ** 8),
                          (-2 ** 62, 2 ** 62)):
         with pytest.raises(ValueError, match=f"holds more than "
@@ -620,6 +672,8 @@ def test_sweep_rejects_weak_coupling():
 
 
 def test_slowest_mode_without_a_converged_neighbour_is_refused(monkeypatch):
+    # fault injection: no Newton step from seeds off both roots
+    monkeypatch.setattr(qnm, "branch_seed", seed_mode)
     monkeypatch.setattr(qnm, "MAX_NEWTON_STEPS", 0)
     with pytest.raises(ApproximationRangeError, match="no converged mode"):
         slowest_mode(D200)
