@@ -60,13 +60,18 @@ def modified_emission_numeric(d: DimensionlessParams, j: int
     """
     formula = modified_emission_formula(d, j)  # also validates j, kappa
     continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
-    theta, resid, _iters, ok, _radius = newton_roots(
+    theta, resid, iters, ok, radius = newton_roots(
         branch_seed(j, continued), continued)
     if not ok[0]:
+        # a proved disc with |f| above NEWTON_TOL is |f|'s rounding floor,
+        # not a missing root
+        disc = (f"a disc of radius {radius[0]:.3e} holds one root"
+                if math.isfinite(radius[0]) else "no disc proves a root")
         raise RuntimeError(
             f"complex-W root search did not converge for j={j}, "
             f"kappa={d.kappa}, W={d.W}, gamma_ext={d.gamma_ext} "
-            f"(residual {resid[0]:.3e})")
+            f"(residual {resid[0]:.3e} after {iters[0]} Newton steps; "
+            f"{disc})")
     gamma_numeric = float(abs(theta[0].imag))
     ratio = math.inf if d.gamma_ext == 0.0 else gamma_numeric / d.gamma_ext
     return EmissionReport(j, formula, gamma_numeric, ratio)

@@ -252,7 +252,7 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams
     return theta, resid, iterations, (resid <= NEWTON_TOL) & proved, radius
 
 
-def _require_usable_w(d: DimensionlessParams) -> None:
+def require_usable_w(d: DimensionlessParams) -> None:
     """Refuse a W above MAX_W, where mode indices overflow int64."""
     if not d.W <= MAX_W:
         raise ApproximationRangeError(
@@ -318,7 +318,7 @@ def refine_root(seed: complex, d: DimensionlessParams) -> Modes:
     upper half plane (a growing mode, impossible here) is flagged
     unconverged. Raises ApproximationRangeError for W above MAX_W and
     ValueError for a seed that is not finite."""
-    _require_usable_w(d)
+    require_usable_w(d)
     if not np.isfinite(seed):
         raise ValueError(f"theta must be finite, got {complex(seed)!r}")
     return _row(_modes(seed, d), 0)
@@ -405,7 +405,7 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6
     and flagged if its disc overlaps a neighbour's. Raises
     ApproximationRangeError as branch_seed does or for W above MAX_W, and
     ValueError for an empty range or one of over MAX_J_WIDTH indices."""
-    _require_usable_w(d)
+    require_usable_w(d)
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
     _require_seedable(np.array([j_min, j_max], dtype=object), d)
@@ -466,7 +466,7 @@ def slowest_mode(d: DimensionlessParams) -> Modes:
     compared on |Im theta|. Indices below 1 carry the low-energy note.
     Raises ApproximationRangeError as branch_seed does or for W above MAX_W.
     """
-    _require_usable_w(d)
+    require_usable_w(d)
     j_lo = int(math.floor(d.W / math.pi))
     modes = _modes(branch_seed(js := np.array([j_lo, j_lo + 1]), d), d, js)
     if not modes.converged.any():

@@ -91,12 +91,14 @@ def enhancement_scan(d: DimensionlessParams, thetas) -> ScatterScan:
     size[free] = 1.0
     ratio = level / size
     ratio[free] = 1.0
-    # The last division overflows only where the delay itself passes float
-    # max: (1 - kappa) / kappa at theta = W for kappa below 1 / max.
+    # The bracket is taken on exact halves, so 2 (W - theta) cos(theta)
+    # cannot overflow for W near float max. The delay overflows only where
+    # it passes float max itself: (1 - kappa) / kappa at theta = W for
+    # kappa below 1 / max.
     with np.errstate(over="ignore"):
         delay = (d.kappa * sin_t / size
-                 * ((1.0 - d.kappa) * sin_t + 2.0 * level * cos_t) / size
-                 + 0.0)
+                 * ((0.5 - 0.5 * d.kappa) * sin_t + level * cos_t) / size
+                 * 2.0 + 0.0)
     note = np.full(theta.shape, "", dtype=object)
     note[(d.kappa > 0.0) & (np.abs(level) <= DEGENERATE_TOL * d.W)] = \
         MIRROR_LIMIT_NOTE

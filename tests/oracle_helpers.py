@@ -5,22 +5,18 @@ re-derived by integrating the wave equation with the atom's delta potential
 regularized as a narrow Lorentzian, the resonance width by a Breit-Wigner
 least-squares fit of the inverse enhancement, and the time-domain amplitude
 by the exact piecewise-analytic solution of the delay equation, by its
-exact series at 40 digits (mp_delay_series) and by the method-of-steps
-integrator HermiteStream, the package's engine before the series. Tests
-compare package outputs against these, never the other way round. Three
-helpers are not independent on purpose: interval_recurrence_dde is
-HermiteStream's method written the plain way, the bit-for-bit reference
-for its optimised loop, derivative_recurrence_dde is the same method with
-derivative arrays and a division, which bounds that loop's rounding,
-and scalar_newton is the one-seed-at-a-time Newton iteration in complex
-scalars, the reference for the batched root kernel. mp_scattering evaluates
-the scattering closed form at 40 digits, the reference that bounds the
-rounding error of the array scattering kernel. potential_weight, the
-atom's effective delta-mirror weight, is checked by the tests alone.
-polyfit_decay is the earlier tail fit by np.polyfit and np.unwrap, the
-reference that bounds the rounding of the closed-form fit. drained_dde is
-no oracle: it keeps the package's own streamed run as whole arrays, for
-the tests that compare that run with one.
+exact series at 40 digits (mp_delay_series) and by one method-of-steps
+integrator, interval_recurrence_dde, which also computes its own output
+grid. Tests compare package outputs against these, never the other way
+round. scalar_newton is not independent on purpose: it is the
+one-seed-at-a-time Newton iteration in complex scalars, the reference for
+the batched root kernel. mp_scattering evaluates the scattering closed form
+at 40 digits, the reference that bounds the rounding error of the array
+scattering kernel. potential_weight, the atom's effective delta-mirror
+weight, is checked by the tests alone. polyfit_decay is the earlier tail
+fit by np.polyfit and np.unwrap, the reference that bounds the rounding of
+the closed-form fit. drained_dde is no oracle: it keeps the package's own
+streamed run as whole arrays, for the tests that compare that run with one.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from qnmlab.dynamics import CHUNK_ROWS, DdeStream
+from qnmlab.dynamics import DdeStream
 from qnmlab.model import DimensionlessParams
 from qnmlab.scattering import DEGENERATE_TOL
 
@@ -154,13 +150,12 @@ def _polyval(coeffs: list[complex], u: float) -> complex:
     return acc
 
 
-def drained_dde(cfg, engine=DdeStream):
-    """(stream, times, w): engine(cfg).chunks() copied into whole arrays.
+def drained_dde(cfg):
+    """(stream, times, w): DdeStream(cfg).chunks() copied into whole arrays.
 
-    The stream, drained, holds the run's counts and peak |w|. engine is
-    DdeStream, the package's series, or HermiteStream, the integrator.
+    The stream, drained, holds the run's counts and peak |w|.
     """
-    stream = engine(cfg)
+    stream = DdeStream(cfg)
     times, w = np.empty(stream.rows), np.empty(stream.rows, dtype=complex)
     done = 0
     for t, chunk in stream.chunks():
@@ -175,11 +170,8 @@ def drained_dde(cfg, engine=DdeStream):
 #: running rescale kicks in (exp(400) is still comfortably inside float64).
 _BLOCK_EXPONENT_CAP = 400.0
 
-#: Delay intervals integrated between two passes of |w|, the peak guard
-#: and the output thinning over all their nodes. At least 3: the interval
-#: in row r reads rows r - 1 and r - 2, and row 0, which wraps round to
-#: follow the last row, shares no node with it.
-_RING = 3
+#: Output rows the grid thins to, as the package's does.
+_OUTPUT_POINTS = 400_000
 
 
 def _exp_integrals(z: complex) -> list[complex]:
@@ -225,142 +217,25 @@ def _hermite_forcing_weights(z: complex, dt: float) -> tuple[complex, complex,
     return c_wa, c_da, c_wb, c_db
 
 
-class HermiteStream(DdeStream):
-    """The DDE integrated by the method of steps on DdeStream's output grid.
+def interval_recurrence_dde(cfg) -> tuple[np.ndarray, np.ndarray, float]:
+    """(times, w, peak |w|) of the DDE by the method of steps.
 
-    The integrator qnmlab.dynamics ran before its exact series: within one
-    delay interval the equation is linear with a known forcing (the
-    previous interval's solution), so each step of dt multiplies by the
-    exact exponential of the local part and adds the exact integral of the
-    forcing represented by a cubic Hermite interpolant of the history, its
-    derivatives read off the DDE. It is exact before the first return (s
-    <= 2) and 4th order after, with an error that grows like (kappa
-    dt)^4. chunks() yields the same rows as DdeStream's; peak_abs_w is
-    taken over every node.
-    """
+    Within one delay interval the equation is linear with a known forcing
+    (the previous interval's solution), so each step of dt multiplies by
+    the exact exponential of the local part and adds the exact integral of
+    the forcing represented by a cubic Hermite interpolant of the history,
+    its derivatives read off the DDE. The forcing on interval m is then
+    alpha u_k + beta u_{k+1} + gamma v_k + delta v_{k+1} over the nodes u
+    of interval m - 1 and v of interval m - 2 (zero for m = 1), and the
+    step recurrence is solved as a cumsum, each block of it multiplied by
+    exp(-lam dt k) and kept below exp(400). Exact before the first return
+    (s <= 2) and 4th order after, with an error that grows like (kappa
+    dt)^4.
 
-    def chunks(self):
-        """Integrate the DDE, yielding (times, w) of at most CHUNK_ROWS rows.
-
-        The chunks are views of one reused buffer. Raises RuntimeError
-        after the last interval if |w| ever exceeded 1 by more than 1e-6 at
-        a node: the dynamics conserve the single-excitation norm.
-
-        Within delay interval m the step recurrence w_{k+1} = exp(-lam dt)
-        w_k + b_k is solved as a cumsum: w_k = exp(-lam k dt) (w_0 +
-        S_{k-1}) with S_k = sum_{j<=k} exp(lam (j+1) dt) b_j. b_k, the
-        exact step integral of the cubic-Hermite history, takes its
-        derivatives from the DDE, so it is alpha u_k + beta u_{k+1} +
-        gamma v_k + delta v_{k+1} over the nodes u of interval m - 1 and v
-        of m - 2 (v = 0 for m = 1), with alpha = (kappa/2)(c_wa - lam
-        c_da), beta = (kappa/2)(c_wb - lam c_db), gamma = (kappa/2)^2 c_da
-        and delta = (kappa/2)^2 c_db. The growing factor spans exp(kappa)
-        over an interval, so the work is split into blocks that keep every
-        intermediate below exp(400). The weights, the factor, its inverse
-        (an exp, not a division) and the block spans are computed once per
-        run: 7 array passes per interval and 4 per block, within 1e-13
-        absolute of the same method with derivative arrays and a division.
-
-        Each interval is written into a ring of _RING rows laid end to end
-        in one array, neighbouring rows sharing the node that ends one
-        interval and starts the next. Once per ring (and after the last
-        interval) |w|, the peak and the kept nodes are taken over every
-        node of the filled rows, so the guard sees every node.
-        """
-        cfg, stride = self.cfg, self.stride
-        n_per, dt = cfg.n_per, cfg.dt
-        kappa, n_intervals = cfg.d.kappa, self.n_intervals
-        lam = 1j * cfg.d.W + kappa / 2.0
-        half_kappa = kappa / 2.0
-        times = np.empty(CHUNK_ROWS)
-        w_out = np.empty(CHUNK_ROWS, dtype=complex)
-
-        c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
-        alpha = half_kappa * (c_wa - lam * c_da)
-        beta = half_kappa * (c_wb - lam * c_db)
-        gamma = half_kappa * half_kappa * c_da
-        delta = half_kappa * half_kappa * c_db
-        re_z = lam.real * dt
-        block = n_per if re_z * n_per <= _BLOCK_EXPONENT_CAP else max(
-            1, int(_BLOCK_EXPONENT_CAP / re_z))
-        grow = np.exp(lam * dt * np.arange(1, block + 1))
-        decay = np.exp(-lam * dt * np.arange(1, block + 1))
-
-        # Row m % _RING holds interval m; the last row's zeros are interval -1.
-        ring = np.zeros(_RING * n_per + 1, dtype=complex)
-        abs_ring = np.empty(ring.size)
-        rows = [ring[r * n_per:(r + 1) * n_per + 1] for r in range(_RING)]
-        node_times = dt * np.arange(n_per + 1)
-        rows[0][:] = np.exp(-lam * node_times)  # interval 0: closed form
-        # Products never overwrite an operand: numpy's in-place multiply of a
-        # one-element array can round differently from the out-of-place one.
-        acc = np.empty(n_per, dtype=complex)
-        b = np.empty(n_per, dtype=complex)
-        edges = [*range(0, n_per, block), n_per]
-        spans = [(acc[k0:k1], b[k0:k1], grow[:k1 - k0], decay[:k1 - k0],
-                  k0 + 1, k1 + 1) for k0, k1 in zip(edges, edges[1:])]
-        # rows done are yielded; the open chunk holds fill rows
-        w_out[0] = 1.0
-        done, fill, peak = 0, 1, 0.0
-
-        for m in range(1, n_intervals):
-            r = m % _RING
-            w_prev, w_back, w_cur = rows[r - 1], rows[r - 2], rows[r]
-            # b_k first: row r ends on w_back's node 0 unless r is the last row
-            np.multiply(alpha, w_prev[:-1], out=acc)
-            np.multiply(beta, w_prev[1:], out=b)
-            np.add(acc, b, out=acc)
-            np.multiply(gamma, w_back[:-1], out=b)
-            np.add(acc, b, out=acc)
-            np.multiply(delta, w_back[1:], out=b)
-            np.add(acc, b, out=b)
-
-            w_cur[0] = w_run = w_prev[-1]  # a copy only where row 0 wraps
-            for part, forcing, up, down, lo, hi in spans:
-                np.multiply(forcing, up, out=part)
-                np.add.accumulate(part, out=part)
-                np.add(w_run, part, out=part)
-                np.multiply(part, down, out=w_cur[lo:hi])
-                w_run = w_cur[hi - 1]
-
-            if r == _RING - 1 or m == n_intervals - 1:
-                # rows 0..r hold intervals m - r..m; node 0 of row 0 was kept
-                # (or is w(0)) with the previous block
-                nodes = ring[:(r + 1) * n_per + 1]
-                # np.maximum, unlike max(), keeps a NaN peak, which fails the
-                # guard.
-                peak = np.maximum(peak, np.maximum.reduce(
-                    np.abs(nodes, out=abs_ring[:nodes.size])))
-                kept = nodes[-(m - r) * n_per % stride or stride::stride]
-                kept = kept[:self.rows - done - fill]
-                while kept.size:
-                    take = min(kept.size, CHUNK_ROWS - fill)
-                    w_out[fill:fill + take] = kept[:take]
-                    kept, fill = kept[take:], fill + take
-                    if fill == CHUNK_ROWS or done + fill == self.rows:
-                        times[:fill] = self._times(done, done + fill)
-                        yield times[:fill], w_out[:fill]
-                        done, fill = done + fill, 0
-
-        if not peak <= 1.0 + 1e-6:
-            raise RuntimeError(
-                f"|w| reached {peak}, above the single-excitation bound; "
-                f"integration convention bug")
-        self.peak_abs_w = float(peak)
-
-
-def interval_recurrence_dde(cfg, max_output_points: int = 400_000
-                            ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(times, w, peak |w|) of the DDE by the plain per-interval recurrence.
-
-    The reference for HermiteStream, whose chunks must reproduce it bit for
-    bit: the same method of steps and the same floating-point
-    operations in the same order, written the direct way, with fresh arrays,
-    recomputed weights and growth and decay factors, and per-interval lists
-    on every interval. The forcing on interval m is alpha u_k + beta u_{k+1}
-    + gamma v_k + delta v_{k+1} over the nodes u of interval m - 1 and v of
-    interval m - 2 (zero for m = 1), and each chunk of the cumsum is
-    multiplied by exp(-lam dt k). Raises RuntimeError above the
+    The output grid is computed here, not read from the package: every
+    stride-th node up to t_max, the stride thinning to about
+    _OUTPUT_POINTS rows and a phase advance of at most ~pi/2. The peak is
+    taken over every node. Raises RuntimeError above the
     single-excitation bound, as the package does.
     """
     d = cfg.d
@@ -371,10 +246,15 @@ def interval_recurrence_dde(cfg, max_output_points: int = 400_000
     half_kappa = kappa / 2.0
     n_intervals = int(math.ceil(cfg.t_max / 2.0 - 1e-12))
     total_steps = n_per * n_intervals
-    stride = max(1, int(total_steps / max_output_points))
+    stride = max(1, int(total_steps / _OUTPUT_POINTS))
     phase_rate = w_level + math.pi
     if phase_rate > 0:
         stride = min(stride, max(1, int((math.pi / 2.0) / (phase_rate * dt))))
+    c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
+    alpha = half_kappa * (c_wa - lam * c_da)
+    beta = half_kappa * (c_wb - lam * c_db)
+    gamma = half_kappa * half_kappa * c_da
+    delta = half_kappa * half_kappa * c_db
 
     def advance(w_start, b):
         n = b.size
@@ -406,11 +286,6 @@ def interval_recurrence_dde(cfg, max_output_points: int = 400_000
     out_w = [np.array([1.0], dtype=complex), w_prev[kept(0)]]
     max_abs = float(np.max(np.abs(w_prev)))
     for m in range(1, n_intervals):
-        c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
-        alpha = half_kappa * (c_wa - lam * c_da)
-        beta = half_kappa * (c_wb - lam * c_db)
-        gamma = half_kappa * half_kappa * c_da
-        delta = half_kappa * half_kappa * c_db
         b = (alpha * w_prev[:-1] + beta * w_prev[1:] + gamma * w_back[:-1]
              + delta * w_back[1:])
         w_cur = advance(w_prev[-1], b)
@@ -419,78 +294,6 @@ def interval_recurrence_dde(cfg, max_output_points: int = 400_000
         out_w.append(w_cur[keep])
         max_abs = max(max_abs, float(np.max(np.abs(w_cur))))
         w_prev, w_back = w_cur, w_prev
-    if max_abs > 1.0 + 1e-6:
-        raise RuntimeError(f"|w| reached {max_abs}")
-    times = np.concatenate(out_times)
-    w = np.concatenate(out_w)
-    inside = times <= cfg.t_max + 0.5 * dt
-    return times[inside], w[inside], max_abs
-
-
-def derivative_recurrence_dde(cfg, max_output_points: int = 400_000
-                              ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(times, w, peak |w|) of the DDE by the earlier interval recurrence.
-
-    The same method of steps as interval_recurrence_dde, with the Hermite
-    forcing (kappa/2)(c_wa w_k + c_da d_k + c_wb w_{k+1} + c_db d_{k+1})
-    read from a derivative array d = -lam w_{m-1} + (kappa/2) w_{m-2} kept
-    per interval, and each chunk of the cumsum divided by its growth
-    factor. Algebraically the same as HermiteStream, it bounds the rounding
-    that the derivative-free form changed. Raises RuntimeError above the
-    single-excitation bound.
-    """
-    d = cfg.d
-    kappa, w_level = d.kappa, d.W
-    n_per = int(round(2.0 / cfg.dt))
-    dt = 2.0 / n_per
-    lam = 1j * w_level + kappa / 2.0
-    half_kappa = kappa / 2.0
-    n_intervals = int(math.ceil(cfg.t_max / 2.0 - 1e-12))
-    total_steps = n_per * n_intervals
-    stride = max(1, int(total_steps / max_output_points))
-    phase_rate = w_level + math.pi
-    if phase_rate > 0:
-        stride = min(stride, max(1, int((math.pi / 2.0) / (phase_rate * dt))))
-    c_wa, c_da, c_wb, c_db = _hermite_forcing_weights(lam * dt, dt)
-
-    def advance(w_start, b):
-        n = b.size
-        out = np.empty(n + 1, dtype=complex)
-        out[0] = w_start
-        re_z = lam.real * dt
-        block = n if re_z * n <= _BLOCK_EXPONENT_CAP else max(
-            1, int(_BLOCK_EXPONENT_CAP / re_z))
-        k0 = 0
-        w_run = w_start
-        while k0 < n:
-            m = min(block, n - k0)
-            grow = np.exp(lam * dt * np.arange(1, m + 1))
-            partial = np.cumsum(b[k0:k0 + m] * grow)
-            out[k0 + 1:k0 + m + 1] = (w_run + partial) / grow
-            w_run = out[k0 + m]
-            k0 += m
-        return out
-
-    def kept(interval):
-        start = (-interval * n_per) % stride
-        return np.arange(start or stride, n_per + 1, stride)
-
-    node_times = dt * np.arange(n_per + 1)
-    w_prev = np.exp(-lam * node_times)
-    d_prev = -lam * w_prev
-    out_times = [np.array([0.0]), node_times[kept(0)]]
-    out_w = [np.array([1.0], dtype=complex), w_prev[kept(0)]]
-    max_abs = float(np.max(np.abs(w_prev)))
-    for m in range(1, n_intervals):
-        b = half_kappa * (c_wa * w_prev[:-1] + c_da * d_prev[:-1]
-                          + c_wb * w_prev[1:] + c_db * d_prev[1:])
-        w_cur = advance(w_prev[-1], b)
-        d_cur = -lam * w_cur + half_kappa * w_prev
-        keep = kept(m)
-        out_times.append(2.0 * m + node_times[keep])
-        out_w.append(w_cur[keep])
-        max_abs = max(max_abs, float(np.max(np.abs(w_cur))))
-        w_prev, d_prev = w_cur, d_cur
     if max_abs > 1.0 + 1e-6:
         raise RuntimeError(f"|w| reached {max_abs}")
     times = np.concatenate(out_times)

@@ -263,7 +263,10 @@ def test_sweep_gap_rows_write_nan(tmp_path):
     ["wavefunction", "--kappa", "200", "--w", "1e200", "--j", "1",
      "--x-max", "2"],
     ["evolve", "--kappa", "200", "--w", "1e200", "--t-max", "40"],
-], ids=["spectrum", "wavefunction", "evolve"])
+    # the Lambert-W seed overflows here: refused before it is taken
+    ["wavefunction", "--kappa", "200", "--w", "1.7976931348623157e308",
+     "--j", "1", "--x-max", "2"],
+], ids=["spectrum", "wavefunction", "evolve", "wavefunction-w-max"])
 def test_w_above_the_largest_usable_w_is_usage_error(tmp_path, capsys,
                                                        argv):
     code = main(argv + ["--out-dir", str(tmp_path)])

@@ -1,6 +1,5 @@
 """Delay-differential evolution of the atomic amplitude and decay fitting."""
 
-import cmath
 import functools
 import math
 import tracemalloc
@@ -18,8 +17,7 @@ from qnmlab.dynamics import (CHUNK_ROWS, FIT_START, MAX_ROUNDING_BOUND,
                              pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
-from oracle_helpers import (_RING, HermiteStream, derivative_recurrence_dde,
-                            drained_dde, interval_recurrence_dde,
+from oracle_helpers import (drained_dde, interval_recurrence_dde,
                             mp_delay_series, piecewise_delay_solution,
                             polyfit_decay)
 from refs import ROOTS
@@ -81,72 +79,6 @@ def test_matches_interval_polynomial_solution():
     assert np.max(np.abs(res.w - exact)) <= 1e-12
 
 
-@pytest.mark.parametrize("kappa, w_level, t_max", [
-    (50.0, 2.0, 400.0),
-    (0.0, 5.0, 50.0),
-    # kappa * dt * n_per / 2 = 1000 > 400: every interval runs in blocks
-    (1000.0, 3.1516, 400.0),
-])
-def test_integration_reproduces_interval_recurrence_bit_for_bit(
-        kappa, w_level, t_max):
-    # the oracle integrator's optimised loop against its plain form
-    cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
-                    t_max=t_max)
-    stream, times, w = drained_dde(cfg, HermiteStream)
-    times_ref, w_ref, peak = interval_recurrence_dde(cfg)
-    assert np.array_equal(times, times_ref)
-    assert np.array_equal(w, w_ref)
-    assert stream.peak_abs_w == peak
-    assert stream.n_intervals == int(t_max / 2.0)
-    assert stream.stride == 1 and times.size == 1000 * int(t_max) + 1
-
-
-# whole ring blocks of intervals, with at least ten intervals in all
-_BLOCKS = _RING * max(2, -(-11 // _RING))
-
-
-@pytest.mark.parametrize("t_max, n_intervals, stride", [
-    # the output thinning keeps every 3rd or 7th node across ring blocks
-    (1202.0, 601, 3),
-    (2806.0, 1403, 7),
-    # the last block is one row short, full, or one row long
-    (2.0 * (_BLOCKS - 1), _BLOCKS - 1, 1),
-    (2.0 * _BLOCKS, _BLOCKS, 1),
-    (2.0 * (_BLOCKS + 1), _BLOCKS + 1, 1),
-], ids=["stride-3", "stride-7", "ring-minus-1", "ring", "ring-plus-1"])
-def test_ring_blocks_reproduce_interval_recurrence_bit_for_bit(
-        t_max, n_intervals, stride):
-    cfg = DdeConfig(d=D50, t_max=t_max)
-    stream, times, w = drained_dde(cfg, HermiteStream)
-    assert (stream.n_intervals, stream.stride) == (n_intervals, stride)
-    times_ref, w_ref, peak = interval_recurrence_dde(cfg)
-    assert np.array_equal(times, times_ref)
-    assert np.array_equal(w, w_ref)
-    assert stream.peak_abs_w == peak
-
-
-# (kappa, W, t_max) of the nine bit-for-bit tests, then the README example
-_RECURRENCE_CONFIGS = [
-    (50.0, 2.0, 400.0), (0.0, 5.0, 50.0), (1000.0, 3.1516, 400.0),
-    (50.0, 2.0, 1202.0), (50.0, 2.0, 2806.0), (50.0, 2.0, 2.0 * (_BLOCKS - 1)),
-    (50.0, 2.0, 2.0 * _BLOCKS), (50.0, 2.0, 2.0 * (_BLOCKS + 1)),
-    (1.4e6, 2.0, 20.0), (50.0, 2.0, 6522.0),
-]
-
-
-@pytest.mark.parametrize("kappa, w_level, t_max", _RECURRENCE_CONFIGS)
-def test_integration_matches_derivative_recurrence(kappa, w_level, t_max):
-    # the oracle integrator's DDE-substituted forcing and multiply by
-    # exp(-lam dt k) only round differently from derivative arrays and a
-    # division
-    cfg = DdeConfig(d=DimensionlessParams(kappa=kappa, W=w_level),
-                    t_max=t_max)
-    _, times, w = drained_dde(cfg, HermiteStream)
-    times_ref, w_ref, _ = derivative_recurrence_dde(cfg)
-    assert np.array_equal(times, times_ref)
-    assert np.max(np.abs(w - w_ref)) <= 1e-13
-
-
 def test_failed_fit_keeps_the_trajectory():
     # |w| underflows inside the default window, so the fit must refuse; the
     # error carries the run's record, as evolve's manifest `dde` block
@@ -177,8 +109,8 @@ def test_amplitude_above_the_norm_bound_is_an_integration_error(monkeypatch):
 
 
 def test_any_kappa_dt_runs_without_a_step():
-    # kappa * dt / 2 = 5000 overflowed one step of the integrator, which
-    # refused the config; the series has no step. From kappa ~3e15 on,
+    # kappa * dt / 2 = 5000 would overflow one step of a method-of-steps
+    # integrator; the series has no step. From kappa ~3e15 on,
     # d / lam of a band term rounds to -1, where its weight underflows: the
     # term is dropped, not summed as inf * 0. 1.34e154 is the largest kappa
     # whose square is finite
@@ -194,21 +126,10 @@ def test_any_kappa_dt_runs_without_a_step():
         assert np.abs(w[rows] - ref).max() <= 1e-12
 
 
-def test_stiffest_accepted_step_reproduces_interval_recurrence():
-    # kappa * dt / 2 = 700, just inside log(float max) = 709.78, the
-    # oracle integrator's stiffest step: every step is its own block and
-    # exp(700) stays finite
-    cfg = DdeConfig(d=DimensionlessParams(kappa=1.4e6, W=2.0), t_max=20.0)
-    stream, times, w = drained_dde(cfg, HermiteStream)
-    times_ref, w_ref, peak = interval_recurrence_dde(cfg)
-    assert np.array_equal(times, times_ref)
-    assert np.array_equal(w, w_ref)
-    assert stream.peak_abs_w == peak <= 1.0
-
-
 def test_stiffest_accepted_config_integrates_without_overflow():
-    # the integrator's stiffest config, kappa * dt / 2 = 709.75: the
-    # series' terms fall to subnormals and 0 with no overflow on the way
+    # kappa * dt / 2 = 709.75, just inside log(float max), where one step
+    # of a method-of-steps integrator would still be finite: the series'
+    # terms fall to subnormals and 0 with no overflow on the way
     cfg = DdeConfig(d=DimensionlessParams(kappa=1.4195e6, W=2.0), t_max=40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -235,9 +156,10 @@ def _with_bound(cfg):
         return times, w, np.finfo(float).eps * (abs_sum / np.abs(w))
 
 
-# (kappa, W, t_max): the pulse case where the integrator was 1.1e-4 off on
-# the return pulses at s = 4..6, the benchmark's long run, the README run,
-# the decoupled atom and the integrator's stiffest config
+# (kappa, W, t_max): the pulse case where the method-of-steps integrator
+# is 1.1e-4 off on the return pulses at s = 4..6, the benchmark's long run,
+# the README run, the decoupled atom and kappa dt / 2 = 709.75, just inside
+# log(float max)
 _MP_RUNS = [(1000.0, 5.0 * math.pi + 1e-3, 400.0),
             (111.67522699950392, 2.1030341380000053, 38010.0),
             (50.0, 2.0, 6522.0), (0.0, 5.0, 50.0), (1.4195e6, 2.0, 40.0)]
@@ -277,11 +199,11 @@ def test_series_matches_mpmath_at_sampled_rows(run):
 def test_series_is_the_integrator_to_fourth_order_in_kappa_dt(
         kappa, detuning, t_max):
     # the integrator's Hermite history errs like (kappa dt)^4 for W up to
-    # kappa/2; 4.1e-11 at kappa 50
+    # kappa/2; 4.1e-11 at kappa 50. Its grid is its own, not the stream's
     cfg = DdeConfig(d=DimensionlessParams(
         kappa=kappa, W=detuning * min(12.0, kappa / 2.0)), t_max=t_max)
     _, times, w = drained_dde(cfg)
-    _, grid, reference = drained_dde(cfg, HermiteStream)
+    grid, reference, _ = interval_recurrence_dde(cfg)
     assert np.array_equal(times, grid)
     assert np.abs(w - reference).max() <= 1e-3 * (kappa * cfg.dt) ** 4 + 1e-13
 
@@ -502,10 +424,14 @@ def test_fit_reads_the_phase_of_a_tiny_tail():
 @pytest.mark.parametrize("run, stride", [
     ((0.0, 5.0, 50.0), 1), (README_RUN, 16), (SEEDED_RUNS[2], 95),
     ((50.0, 2.0, 6523.0), 16),      # odd t_max: the last interval is cut
-], ids=["stride-1", "stride-16", "stride-95", "odd-t-max"])
+    ((50.0, 2.0, 1202.0), 3), ((50.0, 2.0, 2806.0), 7),
+    ((1000.0, 3.1516, 400.0), 1),
+], ids=["stride-1", "stride-16", "stride-95", "odd-t-max", "stride-3",
+        "stride-7", "kappa-1000"])
 def test_output_grid_matches_its_integer_expression(run, stride):
     stream, times, _ = _trajectory(*run)
     assert stream.stride == stride
+    assert stream.n_intervals == math.ceil(run[2] / ROUND_TRIP)
     n_per, dt = DdeConfig.n_per, DdeConfig.dt
     g = np.arange(0, n_per * stream.n_intervals + 1, stride)
     interval = np.maximum(g - 1, 0) // n_per
@@ -595,29 +521,6 @@ def test_fit_is_chunk_invariant_down_to_single_rows(case, size):
     times, w = times[hi - 20_005:hi + 5], w[hi - 20_005:hi + 5]
     _assert_same_fit(_fed(times, w, window, size),
                      _fed(times, w, window, len(times)))
-
-
-@pytest.mark.parametrize("run, stride", [
-    ((0.0, 5.0, 50.0), 1), (README_RUN, 16), (SEEDED_RUNS[2], 95),
-    ((50.0, 2.0, 6523.0), 16),
-    # kappa * dt * n_per / 2 = 1000 > 400: each interval runs in blocks
-    ((1000.0, 3.1516, 400.0), 1),
-], ids=["stride-1", "stride-16", "stride-95", "odd-t-max", "blocks"])
-def test_stream_chunks_are_the_interval_recurrence_bit_for_bit(run, stride):
-    # the oracle integrator keeps the chunks the package streamed before
-    # its series
-    cfg = DdeConfig(d=DimensionlessParams(kappa=run[0], W=run[1]),
-                    t_max=run[2])
-    times, w_ref, peak = interval_recurrence_dde(cfg)
-    stream = HermiteStream(cfg)
-    chunks = [(t.copy(), w.copy()) for t, w in stream.chunks()]
-    assert {len(t) for t, _ in chunks[:-1]} <= {CHUNK_ROWS}
-    assert 0 < len(chunks[-1][0]) <= CHUNK_ROWS
-    assert np.array_equal(np.concatenate([t for t, _ in chunks]), times)
-    assert np.array_equal(np.concatenate([w for _, w in chunks]), w_ref)
-    assert (stream.n_intervals, stream.stride, stream.rows,
-            stream.peak_abs_w) == (math.ceil(run[2] / ROUND_TRIP), stride,
-                                   times.size, peak)
 
 
 def test_streamed_fit_is_the_array_fit():

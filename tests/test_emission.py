@@ -9,7 +9,8 @@ import pytest
 from qnmlab.emission import (modified_emission_formula,
                              modified_emission_numeric)
 from qnmlab.model import DimensionlessParams
-from qnmlab.qnm import ApproximationRangeError, refine_root, seed_mode
+from qnmlab.qnm import (MAX_NEWTON_STEPS, ApproximationRangeError,
+                        refine_root, seed_mode)
 
 D_BARE = DimensionlessParams(kappa=200.0, W=5.0)
 
@@ -123,3 +124,16 @@ def test_numeric_root_is_mode_j_at_weak_coupling(kappa, w):
     report = modified_emission_numeric(d, 3)
     assert report.gamma_t_numeric == pytest.approx(float(-ref.imag),
                                                    rel=1e-12)
+
+
+def test_refusal_at_the_residual_floor_names_steps_and_disc():
+    # at kappa 2000 the rounding floor of |f| near mode 3 (1.6e-12) is
+    # above NEWTON_TOL: Newton runs all its steps, yet a disc proves the
+    # root, and the message says both
+    d = DimensionlessParams(kappa=2000.0, W=5.0, gamma_ext=0.01)
+    with pytest.raises(RuntimeError, match=(
+            r"did not converge for j=3, kappa=2000.0, W=5.0, "
+            r"gamma_ext=0.01 \(residual 1\.\d{3}e-12 after "
+            rf"{MAX_NEWTON_STEPS} Newton steps; a disc of radius "
+            r"1\.\d{3}e-14 holds one root\)$")):
+        modified_emission_numeric(d, 3)

@@ -179,7 +179,11 @@ def test_multiple_of_pi_is_evaluated_directly():
     (1e300, 5.0, [4.0, 4.75, 5.0 - 1e-12, 5.0, 5.0 + 1e-12, 5.5, 6.0]),
     (sys.float_info.max, 5.0, [4.0, 4.75, 5.0, 5.5, 6.0]),
     (200.0, 0.0, [1e-300, 1e-10, 0.5, 1.0]),
-], ids=["kappa-1e100", "kappa-1e300", "kappa-max", "w-0-theta-1e-300"])
+    # 2 (W - theta) cos(theta) would overflow: the delay is ~1e-307
+    (50.0, 1e308, [0.5, 2.25, 4.0]),
+    (0.0, sys.float_info.max, [0.5, 2.25, 4.0]),
+], ids=["kappa-1e100", "kappa-1e300", "kappa-max", "w-0-theta-1e-300",
+        "w-1e308", "w-max-decoupled"])
 def test_extreme_inputs_stay_finite_and_accurate(kappa, w, thetas):
     # No intermediate overflows, and the enhancement has no rounding floor:
     # at kappa = 1e100 it is ~1e-200, not sin^2 of a rounded node
