@@ -63,7 +63,7 @@ def enhancement_scan(d: DimensionlessParams, thetas) -> ScatterScan:
     """Phase shift, Wigner delay and enhancement over a grid, in one pass.
 
     Every column comes from F(theta) and its size |F|, scaled so that no
-    intermediate overflows for any finite kappa: the delay Im(F'/F) is
+    intermediate overflows for any finite kappa and W: the delay Im(F'/F) is
     kappa sin(theta) [(1 - kappa) sin(theta) + 2 (W - theta) cos(theta)]
     / |F|^2 and the enhancement ((W - theta) / |F|)^2. F vanishes only for
     kappa = 0 at theta = W, where the photon does not couple: delay 0 and
@@ -81,24 +81,26 @@ def enhancement_scan(d: DimensionlessParams, thetas) -> ScatterScan:
     if bad.size:
         raise ValueError(f"theta must be positive and finite, got {bad[0]}")
     sin_t, cos_t = np.sin(theta), np.cos(theta)
+    # F, |F| and the delay's bracket are taken on exact halves, so neither
+    # W - theta - kappa sin cos nor 2 (W - theta) cos(theta) can overflow
+    # for W and kappa near float max; each ratio below is unchanged.
     level = d.W - theta
+    half_level, half_kappa = 0.5 * level, 0.5 * d.kappa
     side = np.where(theta > d.W, -1.0, 1.0)
     # + 0.0, here and in the delay, turns the -0.0s of kappa = 0 into 0.0
-    re = side * (level - d.kappa * sin_t * cos_t)
-    im = side * (d.kappa * sin_t * sin_t) + 0.0
+    re = side * (half_level - half_kappa * sin_t * cos_t)
+    im = side * (half_kappa * sin_t * sin_t) + 0.0
     size = np.hypot(re, im)
     free = size == 0.0
     size[free] = 1.0
-    ratio = level / size
+    ratio = half_level / size
     ratio[free] = 1.0
-    # The bracket is taken on exact halves, so 2 (W - theta) cos(theta)
-    # cannot overflow for W near float max. The delay overflows only where
-    # it passes float max itself: (1 - kappa) / kappa at theta = W for
-    # kappa below 1 / max.
+    # The delay overflows only where it passes float max itself:
+    # (1 - kappa) / kappa at theta = W for kappa below 1 / max.
     with np.errstate(over="ignore"):
-        delay = (d.kappa * sin_t / size
-                 * ((0.5 - 0.5 * d.kappa) * sin_t + level * cos_t) / size
-                 * 2.0 + 0.0)
+        delay = (half_kappa * sin_t / size
+                 * ((0.25 - 0.5 * half_kappa) * sin_t
+                    + half_level * cos_t) / size * 2.0 + 0.0)
     note = np.full(theta.shape, "", dtype=object)
     note[(d.kappa > 0.0) & (np.abs(level) <= DEGENERATE_TOL * d.W)] = \
         MIRROR_LIMIT_NOTE

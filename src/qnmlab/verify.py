@@ -1,32 +1,28 @@
-"""The cross-module consistency checks of `qnmlab verify`. Each looks up
-the library names it uses when it runs, so a patched attribute reaches it.
-"""
+"""The checks of `qnmlab verify`, as one table. Each looks up the library
+names it uses when it runs, so a patched attribute reaches it."""
 
 import math
 
-#: Seed for the randomized pole-identity check (fixed: reruns must agree).
-_SEED = 1302
 
-
-def _check_pole_identity(n_points: int) -> tuple[bool, str]:
+def _pole_identity(full: bool, *_) -> tuple:
     import random
     import numpy as np
     from .dynamics import pole_check
     from .model import DimensionlessParams
     from .qnm import characteristic
 
-    rng = random.Random(_SEED)
+    rng = random.Random(1302)  # fixed: reruns must agree
     d = DimensionlessParams(kappa=200.0, W=5.0)
     thetas = [complex(rng.uniform(-5.0, 20.0), rng.uniform(-1.0, 0.5))
-              for _ in range(n_points)]
+              for _ in range(1000 if full else 200)]
     f_abs = np.abs(characteristic(np.array(thetas), d)).tolist()
-    worst = max(abs(pole_check(d, theta) - f) / (1.0 + f)
-                for theta, f in zip(thetas, f_abs))
-    return worst <= 1e-12, (f"max normalized gap {worst:.3e} over "
-                            f"{n_points} points")
+    gaps = [abs(pole_check(d, theta) - f) / (1.0 + f)
+            for theta, f in zip(thetas, f_abs)]
+    i = int(np.argmax(gaps))  # the first NaN, if there is one
+    return gaps[i], f"kappa=200 W=5 theta={thetas[i]:.6g}"
 
 
-def _check_root_count() -> tuple[bool, str]:
+def _root_count(*_) -> tuple:
     import numpy as np
     from .model import DimensionlessParams
     from .qnm import ContourBox, count_roots_in_box, find_modes
@@ -40,19 +36,17 @@ def _check_root_count() -> tuple[bool, str]:
     found = int(np.count_nonzero(
         modes.converged & (box.re_min <= re) & (re <= box.re_max)
         & (box.im_min <= im) & (im <= box.im_max)))
-    return counted == found, (f"argument principle counts {counted}, "
-                              f"refinement found {found} distinct roots")
+    return abs(counted - found), "kappa=200 W=5 Re 0.5..4.5pi Im -0.05..0.001"
 
 
-def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
-    """Check the DDE tail fit against the slowest mode; record each run."""
+def _dde_vs_root(full: bool, records: list) -> tuple:
+    import numpy as np
     from .dynamics import DdeConfig, DdeStream, fit_tail
     from .model import DimensionlessParams
     from .qnm import slowest_mode
 
-    configs = [(50.0, 2.0)] + ([(200.0, 5.0)] if full else [])
-    details, ok = [], True
-    for kappa, w in configs:
+    gaps = {}
+    for kappa, w in [(50.0, 2.0)] + ([(200.0, 5.0)] if full else []):
         d = DimensionlessParams(kappa=kappa, W=w)
         star = slowest_mode(d).theta
         gamma = abs(star.imag)
@@ -61,32 +55,38 @@ def _check_dde_agreement(full: bool, records: list) -> tuple[bool, str]:
                                (t_max / 2.0, t_max))
         records.append({"kappa": kappa, "w": w, "t_max": t_max, **record,
                         "samples": fit.samples})
-        err_w = abs(fit.omega_fit - star.real) / abs(star.real)
-        err_g = abs(fit.gamma_fit - gamma) / gamma
-        details.append(f"({kappa:g},{w:g}): omega off {err_w:.2e}, "
-                       f"gamma off {err_g:.2e}")
-        ok = ok and err_w <= 0.01 and err_g <= 0.01
-    return ok, "; ".join(details)
+        at = f"kappa={kappa:g} W={w:g}"
+        gaps[at + " omega"] = abs(fit.omega_fit - star.real) / abs(star.real)
+        gaps[at + " gamma"] = abs(fit.gamma_fit - gamma) / gamma
+    where = list(gaps)[int(np.argmax(list(gaps.values())))]
+    return gaps[where], where
 
 
-def _check_bound_state() -> tuple[bool, str]:
+def _bound_state(*_) -> tuple:
     from .model import DimensionlessParams
     from .qnm import refine_root, seed_mode
 
     d = DimensionlessParams(kappa=200.0, W=math.pi)
     mode = refine_root(seed_mode(1, d), d)
-    im = abs(mode.theta.imag)
-    return (mode.converged and im <= 1e-12,
-            f"W=pi root Im magnitude {im:.3e}")
+    return (abs(mode.theta.imag) if mode.converged else None,
+            "kappa=200 W=pi j=1")
+
+
+#: verify_report.json's checks: name, tolerance, check(full, dde_records) ->
+#: (largest gap between two routes, or None for no answer; where it is).
+CHECKS = (("pole_identity", 1e-12, _pole_identity),
+          ("root_count_certification", 0, _root_count),
+          ("dde_vs_root", 0.01, _dde_vs_root),
+          ("bound_state_in_continuum", 1e-12, _bound_state))
 
 
 def run_checks(full: bool, dde_records: list) -> list[dict]:
-    """verify_report.json's checks: name, passed and detail of each. Each
-    DDE run's record is appended to dde_records."""
-    checks = (
-        ("pole_identity", _check_pole_identity(1000 if full else 200)),
-        ("root_count_certification", _check_root_count()),
-        ("dde_vs_root", _check_dde_agreement(full, dde_records)),
-        ("bound_state_in_continuum", _check_bound_state()))
-    return [{"name": name, "passed": passed, "detail": detail}
-            for name, (passed, detail) in checks]
+    """The report's rows; each DDE run's record goes to dde_records."""
+    rows = []
+    for name, tolerance, check in CHECKS:
+        worst, where = check(full, dde_records)
+        worst = worst if math.isfinite(worst or 0.0) else None
+        rows.append({"name": name, "worst": worst, "tolerance": tolerance,
+                     "passed": worst is not None and worst <= tolerance,
+                     "where": where})
+    return rows

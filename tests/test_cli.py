@@ -1122,6 +1122,39 @@ def test_verify_failed_check_exits_3(tmp_path, monkeypatch, capsys):
         "root_count_certification"]
 
 
+def test_verify_report_rows_are_numbers_and_reruns_write_its_bytes(tmp_path):
+    # the benchmark compares each output but the manifest byte for byte
+    # across runs: each row holds its worst gap, tolerance and point, and
+    # no timing
+    for run in ("first", "second"):
+        assert main(["verify", "--quick", "--out-dir",
+                     str(tmp_path / run)]) == 0
+    first, second = ((tmp_path / run / "verify_report.json").read_bytes()
+                     for run in ("first", "second"))
+    assert first == second
+    for row in json.loads(first)["checks"]:
+        assert set(row) == {"name", "passed", "worst", "tolerance", "where"}
+        assert row["passed"] and 0 <= row["worst"] <= row["tolerance"]
+        assert isinstance(row["where"], str) and row["where"]
+
+
+@pytest.mark.parametrize("name, target, patch", [
+    ("bound_state_in_continuum", "qnmlab.qnm.refine_root",
+     lambda seed, d: refine_root(seed, d)._replace(converged=False)),
+    ("pole_identity", "qnmlab.dynamics.pole_check", lambda d, theta: math.nan),
+], ids=["no-answer", "not-finite"])
+def test_verify_check_without_a_number_fails_with_null_worst(
+        tmp_path, monkeypatch, name, target, patch):
+    # the W = pi root does not converge, or the gap is nan: worst is null,
+    # the check fails, and the report is still standard JSON
+    monkeypatch.setattr(target, patch)
+    assert main(["verify", "--quick", "--out-dir", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "verify_report.json").read_text(),
+                        parse_constant=pytest.fail)
+    (row,) = [c for c in report["checks"] if not c["passed"]]
+    assert (row["name"], row["worst"]) == (name, None)
+
+
 @pytest.mark.parametrize("flags, full", [
     ([], False), (["--quick"], False), (["--full"], True),
 ], ids=["default", "quick", "full"])

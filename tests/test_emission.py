@@ -102,8 +102,10 @@ def test_cavity_suppresses_extra_loss_channel():
 
 @pytest.mark.parametrize("w", [1e20, 1e150, 1e160])
 def test_numeric_refuses_far_detuned_levels(w):
-    # the seed's linewidth overflows (or Newton cannot reach the root):
-    # the numeric route raises rather than report a non-finite rate
+    # Newton reaches the root (the refusal names a proved disc), but the
+    # rounding floor of |f| there, about |f'| ulp(theta), is far above the
+    # Newton tolerance: the numeric route raises rather than report a rate
+    # from a root it did not converge
     d = DimensionlessParams(kappa=200.0, W=w, gamma_ext=1e-3)
     with pytest.raises(RuntimeError, match="did not converge"):
         modified_emission_numeric(d, 1)

@@ -52,8 +52,9 @@ def _assert_matches_mpmath(scan, d):
             assert (delta, delay, enhancement) == (0.0, 0.0, 1.0)
             continue
         level, sin_t = abs(d.W - t), abs(math.sin(t))
-        rel = SCATTER_ULPS * (
-            eps + (eps * (level + (1.0 + d.kappa) * sin_t) + step) / size)
+        # each term over |F| on its own: |F| is inf past float max
+        rel = SCATTER_ULPS * (eps + eps * (level / size + (1.0 + d.kappa)
+                                           * sin_t / size) + step / size)
         assert _within(wrap_half_pi(delta - ref_delta), 0.0, 0.0, rel)
         # + float min: below the normal range results round to subnormal
         # steps, as an enhancement of 1e-600 does
@@ -61,7 +62,7 @@ def _assert_matches_mpmath(scan, d):
         # delay = (kappa sin / |F|) (bracket / |F|): off by rel, and by the
         # rounding of each factor
         coupling = d.kappa * sin_t / size
-        bracket = ((1.0 + d.kappa) * sin_t + 2.0 * level) / size
+        bracket = (1.0 + d.kappa) * sin_t / size + 2.0 * (level / size)
         assert _within(delay, ref_delay, rel, SCATTER_ULPS * (
             (coupling * eps + step / size) * bracket + coupling * step / size)
             + sys.float_info.min)
@@ -182,8 +183,10 @@ def test_multiple_of_pi_is_evaluated_directly():
     # 2 (W - theta) cos(theta) would overflow: the delay is ~1e-307
     (50.0, 1e308, [0.5, 2.25, 4.0]),
     (0.0, sys.float_info.max, [0.5, 2.25, 4.0]),
+    # W - theta - kappa sin cos would overflow: |F| is past float max
+    (1e300, sys.float_info.max, [2.25]),
 ], ids=["kappa-1e100", "kappa-1e300", "kappa-max", "w-0-theta-1e-300",
-        "w-1e308", "w-max-decoupled"])
+        "w-1e308", "w-max-decoupled", "w-max-kappa-1e300"])
 def test_extreme_inputs_stay_finite_and_accurate(kappa, w, thetas):
     # No intermediate overflows, and the enhancement has no rounding floor:
     # at kappa = 1e100 it is ~1e-200, not sin^2 of a rounded node
