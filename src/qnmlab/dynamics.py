@@ -143,9 +143,9 @@ class DdeStream:
     Fixed on construction: the rows, every stride-th node of DdeConfig's
     grid over n_intervals delay intervals (thinned only in whole nodes, to
     about MAX_OUTPUT_POINTS and a phase advance of at most ~pi/2) up to
-    t_max, at most MAX_ROWS of them (else ValueError). Set once chunks() is
-    exhausted: peak_abs_w, the largest |w| over the rows, and terms, the
-    number of band terms summed.
+    t_max, at most MAX_ROWS of them (else ValueError), and end, the last
+    row's time. Set once chunks() is exhausted: peak_abs_w, the largest |w|
+    over the rows, and terms, the number of band terms summed.
     """
 
     def __init__(self, cfg: DdeConfig) -> None:
@@ -167,33 +167,28 @@ class DdeStream:
         tail = self._times(first, total_steps // self.stride + 1)
         self.rows = first + int(tail.searchsorted(cfg.t_max + 0.5 * dt,
                                                   side="right"))
+        self.end = float(tail[self.rows - first - 1])
         self.peak_abs_w, self.terms = math.nan, 0
-        self.abs_sum: np.ndarray | None = None
 
     def _times(self, row: int, stop: int) -> np.ndarray:
         """Times of output rows row..stop - 1, kept at every stride-th node.
 
-        Node g > 0 is node i = g - m n_per of interval m, at time ROUND_TRIP
-        m + dt i: of these integer-valued floats only dt i rounds.
+        Node g is node g % n_per of interval g // n_per, at time ROUND_TRIP
+        (g // n_per) + dt (g % n_per), in which only the second product
+        rounds. As n_per dt == ROUND_TRIP exactly, that is to the bit the
+        time of node n_per of the interval before.
         """
         n_per = self.cfg.n_per
-        g = np.arange(row * self.stride, stop * self.stride, self.stride,
-                      dtype=float)
-        start = np.maximum(g - 1.0, 0.0)
-        start -= np.fmod(start, n_per)  # m n_per
-        g -= start  # i
-        g *= self.cfg.dt
-        g += start / (n_per / ROUND_TRIP)  # ROUND_TRIP m
-        return g
+        g = np.arange(row * self.stride, stop * self.stride, self.stride)
+        return ROUND_TRIP * (g // n_per) + self.cfg.dt * (g % n_per)
 
     def chunks(self):
-        """Sum the series on the rows, yielding (times, w) of at most
-        CHUNK_ROWS rows.
+        """Sum the series on the rows, yielding (times, w, abs_sum) of at
+        most CHUNK_ROWS rows, abs_sum holding each row's sum|terms|.
 
-        w is a view of a reused buffer, and so is abs_sum, set to the same
-        rows' sum|terms| before each yield. Raises RuntimeError after the
-        last chunk if |w| exceeded 1 by more than 1e-6 on a row: the
-        dynamics conserve the single-excitation norm.
+        w and abs_sum are views of reused buffers. Raises RuntimeError
+        after the last chunk if |w| exceeded 1 by more than 1e-6 on a row:
+        the dynamics conserve the single-excitation norm.
         """
         w_out = np.empty(CHUNK_ROWS, dtype=complex)
         abs_sum = np.empty(CHUNK_ROWS)
@@ -206,8 +201,7 @@ class DdeStream:
             # np.maximum, unlike max(), keeps a NaN peak, which fails the
             # guard.
             peak = np.maximum(peak, np.maximum.reduce(np.abs(w_out[:n])))
-            self.abs_sum = abs_sum[:n]
-            yield times, w_out[:n]
+            yield times, w_out[:n], abs_sum[:n]
         if not peak <= 1.0 + 1e-6:
             raise RuntimeError(
                 f"|w| reached {peak}, above the single-excitation bound; "
@@ -448,28 +442,30 @@ def fit_tail(stream: DdeStream, window: tuple[float, float] | None = None,
              consume=None) -> tuple[FitResult, dict]:
     """fit_decay of the stream's run, fed chunk by chunk, never holding it.
 
-    window defaults to [FIT_START, last sample time].
-    consume(times, w), if given, gets each chunk after the fit has read it,
-    as views of buffers the next chunk reuses. Returns the FitResult and
-    the run's record, evolve's manifest `dde` block: n_per, n_intervals,
+    window defaults to [FIT_START, stream.end], and an empty default names
+    the run's length as its remedy. The fit reads each chunk's times, w and
+    sum|terms|; consume(times, w), if given, gets the chunk after it, as
+    views of buffers the next chunk reuses. Returns the FitResult and the
+    run's record, evolve's manifest `dde` block: n_per, n_intervals,
     stride, output_points, peak_abs_w, terms, the fit's rounding_bound and
     the wall seconds fit_s and integrate_s, plus, with consume, handoff_s,
     the seconds spent in it; integrate_s is the loop's time less fit_s and
-    handoff_s. A refused fit
-    raises its FitWindowError after the run, with the record in `record`.
+    handoff_s. A refused fit raises its FitWindowError after the run, with
+    the record in `record`.
     """
-    if window is None:
-        window = (FIT_START, float(stream._times(stream.rows - 1,
-                                                  stream.rows)[0]))
-    fit, fit_s, handoff_s = TailFit(window), 0.0, 0.0
+    fit = TailFit((FIT_START, stream.end) if window is None else window)
+    if window is None and fit._refused:
+        fit._refused = (f"empty window [{FIT_START}, {stream.end}]: the run "
+                        f"ends at the earliest fit start; increase --t-max")
+    fit_s = handoff_s = 0.0
     start = time.perf_counter()
-    for chunk in stream.chunks():
+    for times, w, abs_sum in stream.chunks():
         mark = time.perf_counter()
-        fit.feed(*chunk, stream.abs_sum)
+        fit.feed(times, w, abs_sum)
         fed = time.perf_counter()
         fit_s += fed - mark
         if consume is not None:
-            consume(*chunk)
+            consume(times, w)
             handoff_s += time.perf_counter() - fed
     mark = time.perf_counter()
     record = {"n_per": stream.cfg.n_per, "n_intervals": stream.n_intervals,

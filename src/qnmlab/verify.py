@@ -2,36 +2,32 @@
 names it uses when it runs, so a patched attribute reaches it."""
 
 import math
+import random
+
+import numpy as np
+
+from . import dynamics, qnm
+from .model import DimensionlessParams
 
 
 def _pole_identity(full: bool, *_) -> tuple:
-    import random
-    import numpy as np
-    from .dynamics import pole_check
-    from .model import DimensionlessParams
-    from .qnm import characteristic
-
     rng = random.Random(1302)  # fixed: reruns must agree
     d = DimensionlessParams(kappa=200.0, W=5.0)
     thetas = [complex(rng.uniform(-5.0, 20.0), rng.uniform(-1.0, 0.5))
               for _ in range(1000 if full else 200)]
-    f_abs = np.abs(characteristic(np.array(thetas), d)).tolist()
-    gaps = [abs(pole_check(d, theta) - f) / (1.0 + f)
+    f_abs = np.abs(qnm.characteristic(np.array(thetas), d)).tolist()
+    gaps = [abs(dynamics.pole_check(d, theta) - f) / (1.0 + f)
             for theta, f in zip(thetas, f_abs)]
     i = int(np.argmax(gaps))  # the first NaN, if there is one
     return gaps[i], f"kappa=200 W=5 theta={thetas[i]:.6g}"
 
 
 def _root_count(*_) -> tuple:
-    import numpy as np
-    from .model import DimensionlessParams
-    from .qnm import ContourBox, count_roots_in_box, find_modes
-
     d = DimensionlessParams(kappa=200.0, W=5.0)
-    box = ContourBox(re_min=0.5, re_max=4.5 * math.pi,
-                     im_min=-0.05, im_max=0.001)
-    counted = count_roots_in_box(d, box)
-    modes = find_modes(d, j_min=1, j_max=6)
+    box = qnm.ContourBox(re_min=0.5, re_max=4.5 * math.pi,
+                         im_min=-0.05, im_max=0.001)
+    counted = qnm.count_roots_in_box(d, box)
+    modes = qnm.find_modes(d, j_min=1, j_max=6)
     re, im = modes.theta.real, modes.theta.imag
     found = int(np.count_nonzero(
         modes.converged & (box.re_min <= re) & (re <= box.re_max)
@@ -40,19 +36,15 @@ def _root_count(*_) -> tuple:
 
 
 def _dde_vs_root(full: bool, records: list) -> tuple:
-    import numpy as np
-    from .dynamics import DdeConfig, DdeStream, fit_tail
-    from .model import DimensionlessParams
-    from .qnm import slowest_mode
-
-    gaps = {}
+    gaps, trip = {}, dynamics.ROUND_TRIP
     for kappa, w in [(50.0, 2.0)] + ([(200.0, 5.0)] if full else []):
         d = DimensionlessParams(kappa=kappa, W=w)
-        star = slowest_mode(d).theta
+        star = qnm.slowest_mode(d).theta
         gamma = abs(star.imag)
-        t_max = max(40.0, 2.0 * math.ceil(3.2 / gamma / 2.0))
-        fit, record = fit_tail(DdeStream(DdeConfig(d=d, t_max=t_max)),
-                               (t_max / 2.0, t_max))
+        t_max = max(2.0 * dynamics.FIT_START,
+                    trip * math.ceil(3.2 / gamma / trip))
+        stream = dynamics.DdeStream(dynamics.DdeConfig(d=d, t_max=t_max))
+        fit, record = dynamics.fit_tail(stream, (t_max / 2.0, t_max))
         records.append({"kappa": kappa, "w": w, "t_max": t_max, **record,
                         "samples": fit.samples})
         at = f"kappa={kappa:g} W={w:g}"
@@ -63,11 +55,8 @@ def _dde_vs_root(full: bool, records: list) -> tuple:
 
 
 def _bound_state(*_) -> tuple:
-    from .model import DimensionlessParams
-    from .qnm import refine_root, seed_mode
-
     d = DimensionlessParams(kappa=200.0, W=math.pi)
-    mode = refine_root(seed_mode(1, d), d)
+    mode = qnm.refine_root(qnm.seed_mode(1, d), d)
     return (abs(mode.theta.imag) if mode.converged else None,
             "kappa=200 W=pi j=1")
 

@@ -12,26 +12,22 @@ round. scalar_newton is not independent on purpose: it is the
 one-seed-at-a-time Newton iteration in complex scalars, the reference for
 the batched root kernel. mp_scattering evaluates the scattering closed form
 at 40 digits, the reference that bounds the rounding error of the array
-scattering kernel. potential_weight, the atom's effective delta-mirror
-weight, is checked by the tests alone. polyfit_decay is the earlier tail
-fit by np.polyfit and np.unwrap, the reference that bounds the rounding of
-the closed-form fit. drained_dde is no oracle: it keeps the package's own
-streamed run as whole arrays, for the tests that compare that run with one.
+scattering kernel. polyfit_decay is the earlier tail fit by np.polyfit and
+np.unwrap, the reference that bounds the rounding of the closed-form fit.
+drained_dde is no oracle: it keeps the package's own streamed run as whole
+arrays, for the tests that compare that run with one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from qnmlab.dynamics import DdeStream
-from qnmlab.model import DimensionlessParams
-from qnmlab.scattering import DEGENERATE_TOL
 
 #: Half width of the Lorentzian that stands in for the delta potential.
 LORENTZIAN_HWHM = 1e-4
@@ -158,7 +154,7 @@ def drained_dde(cfg):
     stream = DdeStream(cfg)
     times, w = np.empty(stream.rows), np.empty(stream.rows, dtype=complex)
     done = 0
-    for t, chunk in stream.chunks():
+    for t, chunk, _ in stream.chunks():
         times[done:done + len(t)], w[done:done + len(t)] = t, chunk
         done += len(t)
     return stream, times, w
@@ -449,38 +445,3 @@ def mp_scattering(theta: float, kappa: float, w: float) -> tuple:
         return (float(mpmath.atan2(side * im, side * re)),
                 float((d_im * re - d_re * im) / size2),
                 float((wl - t) ** 2 / size2), float(mpmath.sqrt(size2)))
-
-
-@dataclass(frozen=True)
-class PotentialDescriptor:
-    """Effective delta-mirror at the atom: position, weight and divergence.
-
-    position is the atom's location (1 in natural units). At probe energy
-    theta = W the weight diverges and the singular flag is set.
-    """
-
-    position: float
-    strength: float
-    singular: bool
-
-    def __post_init__(self) -> None:
-        if self.singular != math.isinf(self.strength):
-            raise ValueError("singular flag must match an infinite strength")
-
-
-def potential_weight(theta: float, d: DimensionlessParams) -> PotentialDescriptor:
-    """Weight g = kappa / (W - theta) of the atom's effective delta mirror.
-
-    A decoupled atom (kappa = 0) has zero weight at every energy, including
-    theta = W where the coupled weight would diverge.
-    """
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if d.kappa == 0.0:
-        return PotentialDescriptor(position=1.0, strength=0.0, singular=False)
-    if abs(d.W - theta) <= DEGENERATE_TOL * d.W:
-        return PotentialDescriptor(position=1.0, strength=math.inf,
-                                   singular=True)
-    return PotentialDescriptor(position=1.0,
-                               strength=d.kappa / (d.W - theta),
-                               singular=False)

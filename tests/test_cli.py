@@ -25,7 +25,7 @@ from qnmlab.dynamics import (FIT_START, DdeConfig, DdeStream,
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import (ContourError, branch_seed, find_modes,
                         lifetime_from_theta, refine_root, seed_mode,
-                        sweep_decay)
+                        slowest_mode, sweep_decay)
 from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from oracle_helpers import drained_dde
 from refs import ROOTS
@@ -575,7 +575,14 @@ def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
     # the beating tail of a short run: a longer run or a later window can
     (["--kappa", "200", "--w", "5", "--t-max", "100"],
      "increase --t-max or pass a later --fit-start/--fit-end", "shorten"),
-], ids=["stiff", "short"])
+    # the run's last row is the default window's start: only a longer run
+    # can help, as no window was given
+    (["--kappa", "50", "--w", "2", "--t-max", "20.0004"],
+     "increase --t-max", "end the window after its start"),
+    # a window given empty is the window's to mend, not the run's
+    (["--kappa", "50", "--w", "2", "--t-max", "40", "--fit-start", "30",
+      "--fit-end", "30"], "end the window after its start", "--t-max"),
+], ids=["stiff", "short", "empty-default", "empty-given"])
 def test_failed_fit_names_its_own_remedy_once(tmp_path, capsys, argv,
                                               remedy, wrong):
     code = main(["evolve", *argv, "--out-dir", str(tmp_path)])
@@ -1136,6 +1143,20 @@ def test_verify_report_rows_are_numbers_and_reruns_write_its_bytes(tmp_path):
         assert set(row) == {"name", "passed", "worst", "tolerance", "where"}
         assert row["passed"] and 0 <= row["worst"] <= row["tolerance"]
         assert isinstance(row["where"], str) and row["where"]
+
+
+def test_verify_dde_row_reaches_a_patched_slowest_mode(tmp_path, monkeypatch):
+    # the DDE row looks its reference root up when it runs, so the patch
+    # reaches a verify imported before it: the real root moved by 2% fails
+    # the row by about 2%, and only it
+    import qnmlab.verify  # noqa: F401
+    monkeypatch.setattr("qnmlab.qnm.slowest_mode", lambda d: (
+        mode := slowest_mode(d))._replace(theta=1.02 * mode.theta))
+    assert main(["verify", "--quick", "--out-dir", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    (row,) = [c for c in report["checks"] if not c["passed"]]
+    assert (row["name"], row["passed"]) == ("dde_vs_root", False)
+    assert row["worst"] == pytest.approx(0.02, abs=2e-3)
 
 
 @pytest.mark.parametrize("name, target, patch", [

@@ -149,8 +149,7 @@ def test_single_excitation_norm_never_exceeds_one():
 def _with_bound(cfg):
     """(times, w, eps * sum|terms| / |w|) of every row of the run."""
     stream = DdeStream(cfg)
-    parts = [(t.copy(), w.copy(), stream.abs_sum.copy())
-             for t, w in stream.chunks()]
+    parts = [(t.copy(), w.copy(), a.copy()) for t, w, a in stream.chunks()]
     times, w, abs_sum = (np.concatenate(p) for p in zip(*parts))
     with np.errstate(invalid="ignore"):     # NaN where every term is 0
         return times, w, np.finfo(float).eps * (abs_sum / np.abs(w))
@@ -235,11 +234,10 @@ def test_series_chunks_rerun_bit_for_bit_and_bound_each_row(run):
     cfg = DdeConfig(d=DimensionlessParams(kappa=run[0], W=run[1]),
                     t_max=run[2])
     stream = DdeStream(cfg)
-    chunks = [(t.copy(), w.copy(), stream.abs_sum.copy())
-              for t, w in stream.chunks()]
+    chunks = [(t.copy(), w.copy(), a.copy()) for t, w, a in stream.chunks()]
     assert {len(t) for t, _, _ in chunks[:-1]} <= {CHUNK_ROWS}
     times, w, abs_sum = (np.concatenate(p) for p in zip(*chunks))
-    assert times.size == stream.rows
+    assert times.size == stream.rows and stream.end == times[-1]
     # the moduli bound their sum, to rounding, and to the subnormals'
     # absolute spacing
     assert np.all(np.abs(w) <= abs_sum * (1.0 + 1e-13) + 1e-300)
@@ -337,7 +335,7 @@ def test_config_and_integrator_share_the_step_grid():
     assert DdeConfig.n_per * DdeConfig.dt == ROUND_TRIP
     stream = DdeStream(DdeConfig(d=D50, t_max=40.0))
     assert stream.stride == 1
-    assert np.array_equal(stream._times(0, 3), [0.0, 1e-3, 2e-3])
+    assert np.array_equal(next(stream.chunks())[0][:3], [0.0, 1e-3, 2e-3])
 
 
 @pytest.mark.parametrize("w_level", [0.0, 2.0, 12.0, 1e4, 1e12, 1e300])

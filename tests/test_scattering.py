@@ -1,5 +1,5 @@
-"""Real-energy scattering: effective potential weight, phase shift,
-Wigner delay, cavity enhancement and the leaky-mode profile."""
+"""Real-energy scattering: phase shift, Wigner delay, cavity enhancement
+and the leaky-mode profile."""
 
 import math
 import re
@@ -12,9 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import (PotentialDescriptor, breit_wigner_fwhm,
-                            lorentzian_ode_phase, mp_scattering,
-                            potential_weight, wrap_half_pi)
+from oracle_helpers import (breit_wigner_fwhm, lorentzian_ode_phase,
+                            mp_scattering, wrap_half_pi)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import Modes, refine_root, seed_mode
 from qnmlab.scattering import (DEGENERATE_TOL, MIRROR_LIMIT_NOTE,
@@ -66,50 +65,6 @@ def _assert_matches_mpmath(scan, d):
         assert _within(delay, ref_delay, rel, SCATTER_ULPS * (
             (coupling * eps + step / size) * bracket + coupling * step / size)
             + sys.float_info.min)
-
-
-# --- potential weight ---------------------------------------------------
-
-def test_weight_basic_value():
-    # kappa / (W - theta) = 200 / (5 - 4) exactly
-    desc = potential_weight(4.0, D200)
-    assert desc.strength == 200.0
-    assert desc.position == 1.0
-    assert not desc.singular
-
-
-def test_weight_decoupled_atom():
-    desc = potential_weight(2.0, D0)
-    assert desc.strength == 0.0
-    assert not desc.singular
-    # no divergence at theta = W either: the weight is identically zero
-    on_level = potential_weight(5.0, D0)
-    assert on_level.strength == 0.0
-    assert not on_level.singular
-
-
-def test_weight_diverges_on_level():
-    desc = potential_weight(5.0, D200)
-    assert desc.singular
-    assert math.isinf(desc.strength)
-    assert desc.position == 1.0
-
-
-def test_weight_sign_flips_across_level():
-    assert potential_weight(4.9, D200).strength > 0
-    assert potential_weight(5.1, D200).strength < 0
-
-
-def test_weight_rejects_nonpositive_energy():
-    with pytest.raises(ValueError):
-        potential_weight(0.0, D200)
-    with pytest.raises(ValueError):
-        potential_weight(-1.0, D200)
-
-
-def test_descriptor_flag_must_match_strength():
-    with pytest.raises(ValueError):
-        PotentialDescriptor(position=1.0, strength=3.0, singular=True)
 
 
 # --- phase shift: limits and identities ---------------------------------
