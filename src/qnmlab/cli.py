@@ -162,7 +162,7 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
 def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
     import numpy as np
     from .model import DimensionlessParams
-    from .qnm import branch_seed, refine_root, require_usable_w
+    from .qnm import _row, find_modes
     from .scattering import qnm_wavefunction
 
     if args.samples < 2:
@@ -170,8 +170,7 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
     if args.x_max <= 0:
         raise ValueError("--x-max must be positive")
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
-    require_usable_w(d)  # before the seed, which overflows near float max
-    mode = refine_root(branch_seed(args.j, d), d)
+    mode = _row(find_modes(d, args.j, args.j), 0)
     if not mode.converged:
         run.warnings.append(f"mode j={args.j} did not converge "
                             f"(residual {mode.residual:.3e}); no samples")

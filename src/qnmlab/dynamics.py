@@ -51,6 +51,9 @@ ROUND_TRIP = 2.0
 #: Earliest tail-fit start: ten delay periods skip the direct-decay transient.
 FIT_START = 10.0 * ROUND_TRIP
 
+#: Fewest window samples a tail fit accepts.
+MIN_FIT_SAMPLES = 100
+
 #: Output rows of one run, roughly (DdeStream thins in whole grid nodes).
 MAX_OUTPUT_POINTS = 400_000
 
@@ -389,8 +392,9 @@ class TailFit:
         for refused, message in (
                 (self._refused, self._refused),
                 (self._unsorted, "times are not strictly increasing; sort them"),
-                (n < 100, f"only {n} samples in [{s0}, {s1}]; need >= 100: "
-                          f"widen the window or increase --t-max"),
+                (n < MIN_FIT_SAMPLES,
+                 f"only {n} samples in [{s0}, {s1}]; need >= "
+                 f"{MIN_FIT_SAMPLES}: widen the window or increase --t-max"),
                 (self._non_finite, f"w is not finite inside [{s0}, {s1}]; "
                                    f"pass finite samples"),
                 (self._underflow, f"|w| underflows {self._underflow}"),
@@ -429,8 +433,8 @@ def fit_decay(times: np.ndarray, w: np.ndarray,
     step of arg w less its nearest multiple of 2 pi (DdeStream keeps the
     steps below ~pi/2); samples counts the window. The window must start at
     or after FIT_START (skipping the direct-decay transient) and hold at
-    least 100 finite samples with |w| >= 1e-300; each refusal names its
-    remedy. The arrays are fed to a TailFit in CHUNK_ROWS-row slices.
+    least MIN_FIT_SAMPLES finite samples with |w| >= 1e-300; each refusal
+    names its remedy. The arrays feed a TailFit in CHUNK_ROWS-row slices.
     """
     fit = TailFit(window)
     for k in range(0, len(times), CHUNK_ROWS):
@@ -442,8 +446,9 @@ def fit_tail(stream: DdeStream, window: tuple[float, float] | None = None,
              consume=None) -> tuple[FitResult, dict]:
     """fit_decay of the stream's run, fed chunk by chunk, never holding it.
 
-    window defaults to [FIT_START, stream.end], and an empty default names
-    the run's length as its remedy. The fit reads each chunk's times, w and
+    window defaults to [FIT_START, stream.end]; an empty default, or one of
+    fewer than MIN_FIT_SAMPLES samples, names only --t-max as its remedy:
+    it grows with the run alone. The fit reads each chunk's times, w and
     sum|terms|; consume(times, w), if given, gets the chunk after it, as
     views of buffers the next chunk reuses. Returns the FitResult and the
     run's record, evolve's manifest `dde` block: n_per, n_intervals,
@@ -454,9 +459,6 @@ def fit_tail(stream: DdeStream, window: tuple[float, float] | None = None,
     the record in `record`.
     """
     fit = TailFit((FIT_START, stream.end) if window is None else window)
-    if window is None and fit._refused:
-        fit._refused = (f"empty window [{FIT_START}, {stream.end}]: the run "
-                        f"ends at the earliest fit start; increase --t-max")
     fit_s = handoff_s = 0.0
     start = time.perf_counter()
     for times, w, abs_sum in stream.chunks():
@@ -476,6 +478,13 @@ def fit_tail(stream: DdeStream, window: tuple[float, float] | None = None,
     if consume is not None:
         record["handoff_s"] = handoff_s
     try:
+        if window is None and fit.samples < MIN_FIT_SAMPLES:
+            why = (f"only {fit.samples} samples in [{FIT_START}, "
+                   f"{stream.end}]; need >= {MIN_FIT_SAMPLES}"
+                   if FIT_START < stream.end else
+                   f"empty window [{FIT_START}, {stream.end}]: the run ends "
+                   f"at the earliest fit start")
+            raise FitWindowError(f"{why}; increase --t-max")
         return fit.result(), record
     except FitWindowError as exc:
         exc.record = record

@@ -21,9 +21,10 @@ Comput. Math. 5 (1996) 329; Asl and Ulsoy, J. Dyn. Syst. Meas. Control 125
 e^{kappa + 2iW}, and mode j = round(Re(theta)/pi) solves the log form
 w + Log w = L = ln(kappa) + kappa + 2i(W - j*pi). Every search seeds mode j
 from its branch (branch_seed), so no two rows share a root, and runs, as
-refine_root does, through one batched kernel, newton_roots. For kappa > 1
-an expansion of f about j*pi gives seed_mode, accurate to O(1/kappa**3)
-near j = round(W/pi).
+refine_root does, through one batched kernel, newton_roots. The slowest
+mode is j = round(W/pi), the index sweep_decay and slowest_mode refine
+alone. For kappa > 1 an expansion of f about j*pi gives seed_mode,
+accurate to O(1/kappa**3) near j = round(W/pi).
 
 Sign convention: a mode energy is theta = omega - i*gamma, so a decaying
 mode has Im(theta) < 0, gamma = -Im(theta) >= 0 is its decay rate and the
@@ -252,7 +253,7 @@ def newton_roots(seeds, d: DimensionlessParams | CharacteristicParams
     return theta, resid, iterations, (resid <= NEWTON_TOL) & proved, radius
 
 
-def require_usable_w(d: DimensionlessParams) -> None:
+def _require_usable_w(d: DimensionlessParams) -> None:
     """Refuse a W above MAX_W, where mode indices overflow int64."""
     if not d.W <= MAX_W:
         raise ApproximationRangeError(
@@ -277,11 +278,11 @@ def _require_seedable(j, d) -> None:
             f"int64), got j = {outside[0]}")
 
 
-def _classify(roots: tuple, seed_j=None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mode index, converged flag and note of each newton_roots result (see
+def _modes(seeds, d: DimensionlessParams | CharacteristicParams,
+           seed_j=None) -> Modes:
+    """Refine every seed in one newton_roots call, one row per seed (see
     refine_root); seed_j, if given, is each root's branch and index."""
-    theta, resid, iterations, converged, _ = roots
+    theta, resid, iterations, converged, radius = newton_roots(seeds, d)
     j = (np.round(theta.real / math.pi).astype(int) if seed_j is None
          else seed_j)
     growing = converged & (theta.imag > NEWTON_TOL)
@@ -297,14 +298,8 @@ def _classify(roots: tuple, seed_j=None
                f"no root disc was proved at {where}" if r <= NEWTON_TOL else
                f"Newton stopped at {where}")
         notes[i] = (notes[i] + "; " if notes[i] else "") + why
-    return j, converged & ~growing, notes
-
-
-def _modes(seeds, d: DimensionlessParams, seed_j=None) -> Modes:
-    """Refine every seed in one newton_roots call, one row per seed."""
-    theta, resid, iterations, _, radius = roots = newton_roots(seeds, d)
-    j, converged, notes = _classify(roots, seed_j)
-    return Modes(j, theta, resid, iterations, converged, notes, radius)
+    return Modes(j, theta, resid, iterations, converged & ~growing, notes,
+                 radius)
 
 
 def _row(modes: Modes, i: int) -> Modes:
@@ -318,7 +313,7 @@ def refine_root(seed: complex, d: DimensionlessParams) -> Modes:
     upper half plane (a growing mode, impossible here) is flagged
     unconverged. Raises ApproximationRangeError for W above MAX_W and
     ValueError for a seed that is not finite."""
-    require_usable_w(d)
+    _require_usable_w(d)
     if not np.isfinite(seed):
         raise ValueError(f"theta must be finite, got {complex(seed)!r}")
     return _row(_modes(seed, d), 0)
@@ -405,7 +400,7 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6
     and flagged if its disc overlaps a neighbour's. Raises
     ApproximationRangeError as branch_seed does or for W above MAX_W, and
     ValueError for an empty range or one of over MAX_J_WIDTH indices."""
-    require_usable_w(d)
+    _require_usable_w(d)
     if j_max < j_min:
         raise ValueError(f"empty index range [{j_min}, {j_max}]")
     _require_seedable(np.array([j_min, j_max], dtype=object), d)
@@ -428,7 +423,7 @@ def find_modes(d: DimensionlessParams, j_min: int = 1, j_max: int = 6
 def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
     """Decay rate of the slowest mode as W is swept at fixed kappa.
 
-    For each W the mode with j = round(W/pi) is refined (that index minimises
+    For each W slowest_mode's row, j = round(W/pi), is refined (it minimises
     |W - j*pi|, hence the decay rate); the Sweep records |Im theta|. Below
     W = 2**23, where float64 resolves 1e-9, a W within 1e-9 of a positive
     multiple of pi is recorded as exactly 0 without solving: theta = j*pi is
@@ -445,32 +440,28 @@ def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
              & (np.abs(w - j * math.pi) < 1e-9))
     solve = np.flatnonzero(~invalid & ~bound)
     sub = CharacteristicParams(d.kappa, w[solve])
-    roots = newton_roots(branch_seed(j[solve], sub), sub)
+    modes = _modes(branch_seed(j[solve], sub), sub, j[solve])
 
     ok = bound.copy()
     kinds = np.array(["", "invalid W", f"invalid W: above the largest "
                       f"usable W = {MAX_W:.17g}",
                       "exact bound state in the continuum"], dtype=object)
     notes = kinds[1 * invalid + huge + 3 * bound]
-    j[solve], ok[solve], notes[solve] = _classify(roots, j[solve])
+    ok[solve], notes[solve] = modes.converged, modes.note
     im = np.zeros_like(w)
-    im[solve] = np.abs(roots[0].imag)
+    im[solve] = np.abs(modes.theta.imag)
     return Sweep(w, np.where(ok, im, math.nan), j, ok, notes)
 
 
 def slowest_mode(d: DimensionlessParams) -> Modes:
-    """The mode with the smallest decay rate: floor(W/pi) vs ceil(W/pi).
-
-    The lifetime maximum sits at the j minimising |W - j*pi|, which is one of
-    the two neighbours; both are refined in one newton_roots call and
-    compared on |Im theta|. Indices below 1 carry the low-energy note.
-    Raises ApproximationRangeError as branch_seed does or for W above MAX_W.
-    """
-    require_usable_w(d)
-    j_lo = int(math.floor(d.W / math.pi))
-    modes = _modes(branch_seed(js := np.array([j_lo, j_lo + 1]), d), d, js)
-    if not modes.converged.any():
+    """The mode with the smallest decay rate: find_modes' row of
+    j = round(W/pi), sweep_decay's index (it minimises |W - j*pi|, hence the
+    decay rate). Raises ApproximationRangeError unless that root converged,
+    and as find_modes does."""
+    _require_usable_w(d)  # before round(), which fails on a nan or inf W
+    j = round(d.W / math.pi)
+    mode = _row(find_modes(d, j, j), 0)
+    if not mode.converged:
         raise ApproximationRangeError(
             f"no converged mode near W = {d.W} for kappa = {d.kappa}")
-    decay = np.where(modes.converged, np.abs(modes.theta.imag), math.inf)
-    return _row(modes, int(np.argmin(decay)))
+    return mode

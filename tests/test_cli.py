@@ -579,10 +579,13 @@ def test_evolve_short_run_warns_and_fails_usefully(tmp_path, capsys):
     # can help, as no window was given
     (["--kappa", "50", "--w", "2", "--t-max", "20.0004"],
      "increase --t-max", "end the window after its start"),
+    # a default window of 51 samples can only grow with the run
+    (["--kappa", "50", "--w", "2", "--t-max", "20.05"],
+     "increase --t-max", "widen the window"),
     # a window given empty is the window's to mend, not the run's
     (["--kappa", "50", "--w", "2", "--t-max", "40", "--fit-start", "30",
       "--fit-end", "30"], "end the window after its start", "--t-max"),
-], ids=["stiff", "short", "empty-default", "empty-given"])
+], ids=["stiff", "short", "empty-default", "few-default", "empty-given"])
 def test_failed_fit_names_its_own_remedy_once(tmp_path, capsys, argv,
                                               remedy, wrong):
     code = main(["evolve", *argv, "--out-dir", str(tmp_path)])
@@ -606,6 +609,18 @@ def test_evolve_runs_on_without_the_expected_rate(tmp_path, monkeypatch):
         "for kappa = 10.0"]
     assert {"dde", "fit"} <= set(manifest)
     assert (tmp_path / "evolve.csv").exists()
+
+
+def test_evolve_rate_is_unavailable_at_the_residual_floor(tmp_path):
+    # the root next to W stops at |f|'s rounding floor (ROADMAP item 9): the
+    # warning says so rather than naming the farther branch's rate. The fit
+    # fails as |w| underflows before its window (exit 1)
+    code = main(["evolve", "--kappa", "1200", "--w", "9.419548872180451",
+                 "--t-max", "40", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert _manifest(tmp_path)["warnings"][0] == (
+        "expected decay rate unavailable: no converged mode near "
+        "W = 9.419548872180451 for kappa = 1200.0")
 
 
 def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):

@@ -8,7 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import scalar_newton
@@ -679,7 +679,7 @@ def test_slowest_mode_without_a_converged_neighbour_is_refused(monkeypatch):
         slowest_mode(D200)
 
 
-def test_slowest_mode_picks_the_smaller_linewidth_neighbour():
+def test_slowest_mode_picks_the_nearest_branch():
     mode = slowest_mode(D200)
     assert mode.j == 2
     assert abs(mode.theta - ROOTS[(200.0, 5.0, 2)]) < 1e-11
@@ -687,6 +687,41 @@ def test_slowest_mode_picks_the_smaller_linewidth_neighbour():
     mode2 = slowest_mode(DimensionlessParams(kappa=50.0, W=2.0))
     assert mode2.j == 1
     assert abs(mode2.theta - ROOTS[(50.0, 2.0, 1)]) < 1e-11
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(log_kappa=st.floats(0.0, 4.0, exclude_min=True),
+       w=st.floats(0.0, 12.0))
+def test_slowest_mode_is_the_sweeps_nearest_branch(log_kappa, w):
+    # kappa log-uniform in (1, 1e4]: slowest_mode solves sweep_decay's one
+    # index j = round(W/pi), so it refuses exactly at the sweep's gaps and
+    # elsewhere returns the sweep's rate bit for bit. W within 1e-9 of j*pi
+    # is skipped: the sweep records those bound states without solving
+    kappa = 10.0 ** log_kappa
+    assume(kappa > 1.0 and abs(w - round(w / math.pi) * math.pi) >= 1e-9)
+    d = DimensionlessParams(kappa=kappa, W=w)
+    sweep = sweep_decay(d, [w])
+    if not sweep.converged[0]:
+        with pytest.raises(ApproximationRangeError, match="no converged mode"):
+            slowest_mode(d)
+        return
+    mode = slowest_mode(d)
+    assert mode.j == round(w / math.pi) == sweep.j_used[0]
+    assert abs(mode.theta.imag) == sweep.im_theta_min[0]
+
+
+def test_slowest_mode_refuses_at_the_nearest_roots_residual_floor():
+    # ROADMAP item 9: the j = 3 root next to W has a proved disc, but its
+    # |f| stays above NEWTON_TOL. The j = 2 neighbour converges with a rate
+    # 3.6e5 times as large, which is not the slowest mode's rate
+    d = DimensionlessParams(kappa=1200.0, W=9.419548872180451)
+    nearest = find_modes(d, 3, 3)
+    assert not nearest.converged[0] and nearest.radius[0] < 1e-13
+    assert find_modes(d, 2, 2).converged[0]
+    with pytest.raises(ApproximationRangeError) as info:
+        slowest_mode(d)
+    assert str(info.value) == ("no converged mode near W = 9.419548872180451 "
+                               "for kappa = 1200.0")
 
 
 # --- lifetimes ----------------------------------------------------------
