@@ -250,7 +250,8 @@ def _record(rows: int, size: int, fallback: int, write_s: float) -> dict:
 
 class CsvFile:
     """A CSV file written in blocks: the header line on opening, then the
-    lines of each block of equal-length columns given to add()."""
+    lines of each block of equal-length columns given to add(). An
+    exception inside its with block removes the file, which is partial."""
 
     def __init__(self, path: str, header: str) -> None:
         self.start = time.perf_counter()
@@ -261,8 +262,11 @@ class CsvFile:
     def __enter__(self) -> CsvFile:
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, kind, exc, tb) -> None:
         self.fh.close()
+        if kind is not None:
+            with contextlib.suppress(OSError):
+                os.remove(self.fh.name)
 
     def add(self, *columns) -> None:
         self.write(len(columns[0]), csv_chunks(columns))
@@ -322,7 +326,7 @@ def _writer_child(csv: StreamedCsv, data_fd: int, report_fd: int,
                   parent_fds: tuple[int, int]):
     """The whole life of a writer child: write the chunks read from data_fd
     to csv's file, then send its record on report_fd, or its error there
-    after removing the partial file. It first closes its copies of the
+    (CsvFile removes the partial file). It first closes its copies of the
     parent's pipe ends, so that the data pipe ends when the parent closes
     it or dies, and ends only through os._exit, so it never runs the
     parent's atexit handlers or teardown or flushes its stdio buffers."""
@@ -336,8 +340,6 @@ def _writer_child(csv: StreamedCsv, data_fd: int, report_fd: int,
                     for rows, chunks in _received(pipe, csv.rows):
                         out.write(rows, chunks)
             except BaseException as exc:
-                with contextlib.suppress(OSError):
-                    os.remove(csv.path)
                 report.write(str(exc).encode())
             else:
                 report.write(_REPORT.pack(*out.record().values()))

@@ -144,6 +144,7 @@ def _cmd_spectrum(args: argparse.Namespace, run: _Run) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
     import numpy as np
+    from ._csv import CHUNK_ROWS, CsvFile
     from .model import DimensionlessParams
     from .qnm import sweep_decay
 
@@ -151,12 +152,17 @@ def _cmd_sweep(args: argparse.Namespace, run: _Run) -> int:
         raise ValueError("--steps must be >= 1")
     d = DimensionlessParams(kappa=args.kappa, W=1.0)  # W comes per point
     ws = np.linspace(args.w_min, args.w_max, args.steps)
-    sweep = sweep_decay(d, ws)
-    run.write_csv("sweep.csv", "w,im_theta_min,j_used", *sweep[:3])
-    gaps = ~sweep.converged
-    for w, note in zip(sweep.w[gaps].tolist(), sweep.note[gaps]):
-        run.warnings.append(f"W={w:.17g}: no converged root ({note})")
-    return EXIT_PARTIAL if gaps.any() else EXIT_OK
+    # one chunk of the grid solved and written at a time: besides the grid,
+    # the sweep holds one chunk's columns and Newton temporaries
+    with CsvFile(run.path("sweep.csv"), "w,im_theta_min,j_used") as out:
+        for start in range(0, ws.size, CHUNK_ROWS):
+            sweep = sweep_decay(d, ws[start:start + CHUNK_ROWS])
+            out.add(*sweep[:3])
+            gaps = ~sweep.converged
+            for w, note in zip(sweep.w[gaps].tolist(), sweep.note[gaps]):
+                run.warnings.append(f"W={w:.17g}: no converged root ({note})")
+    run.add_csv("sweep.csv", out.record())
+    return EXIT_PARTIAL if run.warnings else EXIT_OK
 
 
 def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
@@ -172,8 +178,8 @@ def _cmd_wavefunction(args: argparse.Namespace, run: _Run) -> int:
     d = DimensionlessParams(kappa=args.kappa, W=args.w)
     mode = _row(find_modes(d, args.j, args.j), 0)
     if not mode.converged:
-        run.warnings.append(f"mode j={args.j} did not converge "
-                            f"(residual {mode.residual:.3e}); no samples")
+        run.warnings.append(f"mode j={args.j} did not converge, so no "
+                            f"samples: {mode.note}")
         return EXIT_PARTIAL
     xs = np.linspace(0.0, args.x_max, args.samples)
     phi = qnm_wavefunction(mode, xs)

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .model import DimensionlessParams
-from .qnm import CharacteristicParams, branch_seed, newton_roots, seed_mode
+from .qnm import CharacteristicParams, _modes, _row, branch_seed, seed_mode
 
 
 class EmissionReport(NamedTuple):
@@ -56,22 +56,16 @@ def modified_emission_numeric(d: DimensionlessParams, j: int
 
     The seed is branch j's (see qnm.branch_seed) at the complex level
     spacing, refined by the same Newton iteration used for ordinary modes;
-    the numeric rate is |Im theta| of the converged root.
+    the numeric rate is |Im theta| of the converged root. A root that does
+    not converge raises RuntimeError, quoting the row's note.
     """
     formula = modified_emission_formula(d, j)  # also validates j, kappa
     continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
-    theta, resid, iters, ok, radius = newton_roots(
-        branch_seed(j, continued), continued)
-    if not ok[0]:
-        # a proved disc with |f| above NEWTON_TOL is |f|'s rounding floor,
-        # not a missing root
-        disc = (f"a disc of radius {radius[0]:.3e} holds one root"
-                if math.isfinite(radius[0]) else "no disc proves a root")
+    mode = _row(_modes(branch_seed(j, continued), continued, [j]), 0)
+    if not mode.converged:
         raise RuntimeError(
-            f"complex-W root search did not converge for j={j}, "
-            f"kappa={d.kappa}, W={d.W}, gamma_ext={d.gamma_ext} "
-            f"(residual {resid[0]:.3e} after {iters[0]} Newton steps; "
-            f"{disc})")
-    gamma_numeric = float(abs(theta[0].imag))
+            f"complex-W root search did not converge for j={j}, kappa="
+            f"{d.kappa}, W={d.W}, gamma_ext={d.gamma_ext}: {mode.note}")
+    gamma_numeric = abs(mode.theta.imag)
     ratio = math.inf if d.gamma_ext == 0.0 else gamma_numeric / d.gamma_ext
     return EmissionReport(j, formula, gamma_numeric, ratio)

@@ -109,7 +109,7 @@ class Modes(NamedTuple):
     residual    |f(theta)| at the returned point
     iterations  Newton iterations consumed
     converged   True when residual met the tolerance and radius is proved
-    note        metadata flag, e.g. for the uncertain j <= 0 branch
+    note        why a row is unconverged (see _modes); the j <= 0 flag
     radius      of a disc about theta holding exactly one zero of f (see
                 newton_roots); nan (the default) where none was proved
     """
@@ -124,13 +124,24 @@ class Modes(NamedTuple):
 
 
 class Sweep(NamedTuple):
-    """A sweep over the level spacing W as columns; nan marks a gap."""
+    """A sweep over W as columns; a gap is a nan im_theta_min (see note)."""
 
     w: np.ndarray
     im_theta_min: np.ndarray
     j_used: np.ndarray
-    converged: np.ndarray
     note: np.ndarray
+
+    #: The points that have a decay rate, np.isfinite(im_theta_min).
+    converged = property(lambda self: np.isfinite(self.im_theta_min))
+
+
+def real_grid(values) -> np.ndarray:
+    """A list, tuple or 1-D real array as a new float64 array. TypeError for
+    complex values, a None (a float dtype reads it as nan) or not 1-D."""
+    if (grid := np.asarray(values)).ndim == 1 and grid.dtype.kind in "biuf":
+        return grid.astype(float)
+    raise TypeError(f"a grid must be 1-D and real, got {grid.dtype} values "
+                    f"of shape {grid.shape}")
 
 
 class CharacteristicParams(NamedTuple):
@@ -281,22 +292,24 @@ def _require_seedable(j, d) -> None:
 def _modes(seeds, d: DimensionlessParams | CharacteristicParams,
            seed_j=None) -> Modes:
     """Refine every seed in one newton_roots call, one row per seed (see
-    refine_root); seed_j, if given, is each root's branch and index."""
+    refine_root); seed_j, if given, is each root's branch and index. An
+    unconverged row's note is the one account of why it failed."""
     theta, resid, iterations, converged, radius = newton_roots(seeds, d)
     j = (np.round(theta.real / math.pi).astype(int) if seed_j is None
-         else seed_j)
+         else np.asarray(seed_j))
     growing = converged & (theta.imag > NEWTON_TOL)
     notes = np.array(["", LOW_ENERGY_NOTE], dtype=object)[
         (j <= 0).astype(int)]
     flagged = np.flatnonzero(growing | ~converged)
-    for i, ok, r, n in zip(flagged.tolist(), converged[flagged].tolist(),
-                           resid[flagged].tolist(),
-                           iterations[flagged].tolist()):
+    for i, ok, r, n, rad in zip(flagged.tolist(), *(c[flagged].tolist() for c
+                                in (converged, resid, iterations, radius))):
         seed = "" if seed_j is None else f" from the j={j[i]} seed"
         where = f"|f| = {r:.3g} after {n} steps{seed}"
+        disc = (f"; a disc of radius {rad:.3g} holds one root"
+                if math.isfinite(rad) else "")
         why = ("converged to a growing mode" if ok else
                f"no root disc was proved at {where}" if r <= NEWTON_TOL else
-               f"Newton stopped at {where}")
+               f"Newton stopped at {where}{disc}")
         notes[i] = (notes[i] + "; " if notes[i] else "") + why
     return Modes(j, theta, resid, iterations, converged & ~growing, notes,
                  radius)
@@ -329,10 +342,11 @@ def lifetime_from_theta(theta):
 
 
 def lifetime(mode: Modes) -> float:
-    """Lifetime of a converged mode row (natural units of a/v_g)."""
+    """Lifetime of a converged mode row (natural units of a/v_g); an
+    unconverged row raises ValueError quoting its note."""
     if not mode.converged:
-        raise ValueError(f"mode j={mode.j} is not converged; its lifetime "
-                         f"is not meaningful")
+        raise ValueError(f"mode j={mode.j} is not converged, so its lifetime "
+                         f"is not meaningful: {mode.note}")
     return lifetime_from_theta(mode.theta)
 
 
@@ -432,7 +446,7 @@ def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
     back as gaps, with a nan decay rate, as do a negative or non-finite W
     and a W above MAX_W. Requires 1 < kappa <= MAX_KAPPA, as branch_seed.
     """
-    w = np.fromiter(map(float, w_values), dtype=float)
+    w = real_grid(w_values)
     huge = w > MAX_W
     invalid = ~(np.isfinite(w) & (w >= 0)) | huge
     j = np.round(np.where(invalid, 0.0, w) / math.pi).astype(int)
@@ -442,26 +456,26 @@ def sweep_decay(d: DimensionlessParams, w_values) -> Sweep:
     sub = CharacteristicParams(d.kappa, w[solve])
     modes = _modes(branch_seed(j[solve], sub), sub, j[solve])
 
-    ok = bound.copy()
     kinds = np.array(["", "invalid W", f"invalid W: above the largest "
                       f"usable W = {MAX_W:.17g}",
                       "exact bound state in the continuum"], dtype=object)
     notes = kinds[1 * invalid + huge + 3 * bound]
-    ok[solve], notes[solve] = modes.converged, modes.note
-    im = np.zeros_like(w)
-    im[solve] = np.abs(modes.theta.imag)
-    return Sweep(w, np.where(ok, im, math.nan), j, ok, notes)
+    notes[solve] = modes.note
+    im = np.where(bound, 0.0, math.nan)
+    im[solve] = np.where(modes.converged, np.abs(modes.theta.imag), math.nan)
+    return Sweep(w, im, j, notes)
 
 
 def slowest_mode(d: DimensionlessParams) -> Modes:
     """The mode with the smallest decay rate: find_modes' row of
     j = round(W/pi), sweep_decay's index (it minimises |W - j*pi|, hence the
-    decay rate). Raises ApproximationRangeError unless that root converged,
-    and as find_modes does."""
+    decay rate). Raises ApproximationRangeError, quoting the row's note,
+    unless that root converged, and as find_modes does."""
     _require_usable_w(d)  # before round(), which fails on a nan or inf W
     j = round(d.W / math.pi)
     mode = _row(find_modes(d, j, j), 0)
     if not mode.converged:
         raise ApproximationRangeError(
-            f"no converged mode near W = {d.W} for kappa = {d.kappa}")
+            f"no converged mode near W = {d.W} for kappa = {d.kappa}: "
+            f"{mode.note}")
     return mode

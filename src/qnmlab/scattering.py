@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import LOG_FLOAT_MAX, DimensionlessParams
-from .qnm import Modes
+from .qnm import Modes, real_grid
 
 #: |W - theta| within this relative to W is the perfect-mirror limit,
 #: flagged in the note.
@@ -76,7 +76,7 @@ def enhancement_scan(d: DimensionlessParams, thetas) -> ScatterScan:
     delay are invariant under shifts of delta by multiples of pi, so only
     delta is rewritten.
     """
-    theta = np.fromiter(map(float, thetas), dtype=float)
+    theta = real_grid(thetas)
     bad = theta[~((theta > 0) & np.isfinite(theta))]
     if bad.size:
         raise ValueError(f"theta must be positive and finite, got {bad[0]}")
@@ -125,12 +125,13 @@ def qnm_wavefunction(mode: Modes, xs) -> np.ndarray:
     Returns one complex array, each sample independent of the grid and
     within 4 eps (1 + |theta| x) of the exact profile, relative to
     cosh(Im(theta) x) inside and |phi(x)| outside. Raises ValueError,
-    naming the largest usable x, if a sample would not be finite.
+    quoting the note of an unconverged row, or naming the largest usable x
+    if a sample would not be finite.
     """
     if not mode.converged:
-        raise ValueError(f"mode j={mode.j} is not converged; refusing to "
-                         f"evaluate its wavefunction")
-    x = np.fromiter(map(float, xs), dtype=float)
+        raise ValueError(f"mode j={mode.j} is not converged, so its "
+                         f"wavefunction is not evaluated: {mode.note}")
+    x = real_grid(xs)
     bad = x[~((x >= 0.0) & (x < math.inf))]
     if bad.size:
         raise ValueError(f"x must be finite and >= 0, got {bad[0]}")

@@ -22,10 +22,12 @@ from qnmlab._csv import _BEHIND, CHUNK_ROWS, StreamedCsv
 from qnmlab.cli import _build_parser, main
 from qnmlab.dynamics import (FIT_START, DdeConfig, DdeStream,
                              FitWindowError, fit_decay)
+from qnmlab.emission import modified_emission_numeric
 from qnmlab.model import DimensionlessParams
-from qnmlab.qnm import (ContourError, branch_seed, find_modes,
-                        lifetime_from_theta, refine_root, seed_mode,
-                        slowest_mode, sweep_decay)
+from qnmlab.qnm import (ApproximationRangeError, CharacteristicParams,
+                        ContourError, _modes, _row, branch_seed, find_modes,
+                        lifetime, lifetime_from_theta, refine_root,
+                        seed_mode, slowest_mode, sweep_decay)
 from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from oracle_helpers import drained_dde
 from refs import ROOTS
@@ -245,6 +247,28 @@ def test_sweep_at_float_max_prints_no_warning(tmp_path, capsys):
     _, rows = _read_csv(tmp_path / "sweep.csv")
     assert [row[1:] for row in rows[1:]] == [["nan", "0"], ["nan", "0"]]
     assert len(_manifest(tmp_path)["warnings"]) == 2
+
+
+def test_sweep_streams_the_whole_grids_bytes_and_warnings(tmp_path):
+    # three chunks and five rows at kappa 1500, where |f|'s rounding floor
+    # leaves gaps in every chunk: solved chunk by chunk, the sweep writes the
+    # bytes and gap warnings, in order, of one sweep_decay over the grid
+    steps = 3 * CHUNK_ROWS + 5
+    code = main(["sweep", "--kappa", "1500", "--w-min", "6", "--w-max", "12",
+                 "--steps", str(steps), "--out-dir", str(tmp_path)])
+    whole = sweep_decay(DimensionlessParams(kappa=1500.0, W=1.0),
+                        np.linspace(6.0, 12.0, steps))
+    gaps = np.isnan(whole.im_theta_min)
+    assert all(gaps[i:i + CHUNK_ROWS].any()
+               for i in range(0, steps, CHUNK_ROWS))
+    assert code == 2
+    rows = zip(whole.w.tolist(), whole.im_theta_min.tolist(),
+               whole.j_used.tolist())
+    assert (tmp_path / "sweep.csv").read_text() == "w,im_theta_min,j_used\n" \
+        + "".join(",".join(map(_reference_cell, row)) + "\n" for row in rows)
+    assert _manifest(tmp_path)["warnings"] == [
+        f"W={w:.17g}: no converged root ({note})"
+        for w, note in zip(whole.w[gaps].tolist(), whole.note[gaps])]
 
 
 def test_sweep_gap_rows_write_nan(tmp_path):
@@ -479,6 +503,60 @@ def test_wavefunction_unconverged_mode_writes_no_samples(tmp_path,
     assert not (tmp_path / "wavefunction.csv").exists()
 
 
+#: The j = 3 root next to W stops at |f|'s rounding floor, in a proved
+#: disc, as does the j = 3 root of the emission route here.
+_AT_THE_FLOOR = DimensionlessParams(kappa=1200.0, W=9.419548872180451)
+_EMISSION_AT_THE_FLOOR = DimensionlessParams(kappa=2000.0, W=5.0,
+                                             gamma_ext=0.01)
+
+
+def _floor_row():
+    return _row(find_modes(_AT_THE_FLOOR, 3, 3), 0)
+
+
+def _emission_row():
+    d = _EMISSION_AT_THE_FLOOR
+    continued = CharacteristicParams(d.kappa, complex(d.W, -d.gamma_ext))
+    return _row(_modes(branch_seed(3, continued), continued, [3]), 0)
+
+
+def _refused(call, error):
+    def message(tmp_path):
+        with pytest.raises(error) as info:
+            call()
+        return str(info.value)
+    return message
+
+
+def _wavefunction_warning(tmp_path):
+    assert main(["wavefunction", "--kappa", "1200", "--w",
+                 "9.419548872180451", "--j", "3", "--x-max", "2",
+                 "--out-dir", str(tmp_path)]) == 2
+    [warning] = _manifest(tmp_path)["warnings"]
+    return warning
+
+
+@pytest.mark.parametrize("message, row", [
+    (_refused(lambda: modified_emission_numeric(_EMISSION_AT_THE_FLOOR, 3),
+              RuntimeError), _emission_row),
+    (_refused(lambda: slowest_mode(_AT_THE_FLOOR), ApproximationRangeError),
+     _floor_row),
+    (_refused(lambda: lifetime(_floor_row()), ValueError), _floor_row),
+    (_refused(lambda: qnm_wavefunction(_floor_row(), [0.0, 1.0]),
+              ValueError), _floor_row),
+    (_wavefunction_warning, _floor_row),
+], ids=["emission", "slowest_mode", "lifetime", "qnm_wavefunction",
+        "wavefunction-command"])
+def test_a_failed_root_is_told_in_its_rows_note(tmp_path, message, row):
+    # one account of a failed root: each refusal ends with the note of its
+    # unconverged row, and at |f|'s floor that note names the proved disc
+    row = row()
+    assert not row.converged
+    assert row.note.startswith("Newton stopped at |f| = ")
+    assert row.note.endswith(" holds one root")
+    assert message(tmp_path).endswith(": " + row.note)
+
+
 # --- evolve -------------------------------------------------------------
 
 def test_evolve_decoupled_atom_keeps_norm(tmp_path):
@@ -606,7 +684,8 @@ def test_evolve_runs_on_without_the_expected_rate(tmp_path, monkeypatch):
     manifest = _manifest(tmp_path)
     assert manifest["warnings"] == [
         "expected decay rate unavailable: no converged mode near W = 2.0 "
-        "for kappa = 10.0"]
+        "for kappa = 10.0: Newton stopped at |f| = 8.93e-10 after 0 steps "
+        "from the j=1 seed; a disc of radius 1.6e-10 holds one root"]
     assert {"dde", "fit"} <= set(manifest)
     assert (tmp_path / "evolve.csv").exists()
 
@@ -620,7 +699,9 @@ def test_evolve_rate_is_unavailable_at_the_residual_floor(tmp_path):
     assert code == 1
     assert _manifest(tmp_path)["warnings"][0] == (
         "expected decay rate unavailable: no converged mode near "
-        "W = 9.419548872180451 for kappa = 1200.0")
+        "W = 9.419548872180451 for kappa = 1200.0: Newton stopped at |f| = "
+        "1.04e-12 after 50 steps from the j=3 seed; a disc of radius "
+        "1.61e-14 holds one root")
 
 
 def test_failed_evolve_keeps_trajectory_and_manifest(tmp_path):

@@ -129,3 +129,14 @@ def test_a_complex_column_prints_re_im_and_python_abs():
         "%.17g,%.17g,%.17g,%.17g\n" % (s, v.real, v.imag, abs(v))
         for s, v in zip(x.tolist(), z.tolist()))
     assert b"".join(data for data, _ in chunks) == expected.encode()
+
+
+@pytest.mark.parametrize("values", [
+    [0], [9], [10], [9999], [10000], [-1], [2 ** 62], [0, 9, 10, 9999],
+    [0, 9, 10, 9999, 10000, -1, 2 ** 62]])
+def test_integer_cells_are_percent_d(values):
+    # small, large and negative integers, alone and in one chunk
+    column = np.array(values, dtype=np.int64)
+    text = b"".join(chunk for chunk, _ in csv_chunks([column, column * 0.5]))
+    assert text.decode() == "".join("%d,%.17g\n" % (v, v * 0.5)
+                                    for v in values)

@@ -131,11 +131,11 @@ def test_numeric_root_is_mode_j_at_weak_coupling(kappa, w):
 def test_refusal_at_the_residual_floor_names_steps_and_disc():
     # at kappa 2000 the rounding floor of |f| near mode 3 (1.6e-12) is
     # above NEWTON_TOL: Newton runs all its steps, yet a disc proves the
-    # root, and the message says both
+    # root, and the row's note, which the message quotes, says both
     d = DimensionlessParams(kappa=2000.0, W=5.0, gamma_ext=0.01)
     with pytest.raises(RuntimeError, match=(
             r"did not converge for j=3, kappa=2000.0, W=5.0, "
-            r"gamma_ext=0.01 \(residual 1\.\d{3}e-12 after "
-            rf"{MAX_NEWTON_STEPS} Newton steps; a disc of radius "
-            r"1\.\d{3}e-14 holds one root\)$")):
+            r"gamma_ext=0.01: Newton stopped at \|f\| = 1\.\d+e-12 after "
+            rf"{MAX_NEWTON_STEPS} steps from the j=3 seed; a disc of radius "
+            r"1\.\d+e-14 holds one root$")):
         modified_emission_numeric(d, 3)

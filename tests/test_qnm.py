@@ -19,10 +19,20 @@ from qnmlab.qnm import (LOW_ENERGY_NOTE, ApproximationRangeError,
                         characteristic, characteristic_derivative,
                         branch_seed, count_roots_in_box, find_modes,
                         lifetime, lifetime_from_theta, newton_roots,
-                        refine_root, seed_mode, slowest_mode, sweep_decay)
+                        real_grid, refine_root, seed_mode, slowest_mode,
+                        sweep_decay)
+from qnmlab.scattering import enhancement_scan, qnm_wavefunction
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
+
+#: Each function that takes a grid, called on one.
+_GRID_TAKERS = [
+    lambda grid: sweep_decay(D200, grid).w,
+    lambda grid: enhancement_scan(D200, grid).theta,
+    lambda grid: qnm_wavefunction(qnm._row(find_modes(D200, 1, 1), 0), grid),
+]
+_GRID_IDS = ["sweep_decay", "enhancement_scan", "qnm_wavefunction"]
 
 
 # --- characteristic function -------------------------------------------
@@ -414,7 +424,8 @@ def test_find_modes_flags_rows_that_share_a_root(monkeypatch):
          shared),
         (3, complex(8.72762215658331, -0.6144016484756893), 12, True, ""),
         (6, complex(14.944189584094206, -1.0034838988085257), 50, False,
-         "Newton stopped at |f| = 0.051 after 50 steps from the j=6 seed"),
+         "Newton stopped at |f| = 0.051 after 50 steps from the j=6 seed; "
+         "a disc of radius 0.00445 holds one root"),
     ]
     assert np.isfinite(modes.radius).all()
 
@@ -566,7 +577,8 @@ def test_sweep_gap_note_names_its_seed(monkeypatch):
     rows = sweep_decay(D200, [5.0])
     assert not rows.converged[0]
     assert rows.note[0].startswith("Newton stopped at |f| = ")
-    assert rows.note[0].endswith(" after 50 steps from the j=2 seed")
+    assert rows.note[0].endswith(" after 50 steps from the j=2 seed; a disc "
+                                 "of radius 1.51e-14 holds one root")
 
 
 def test_sweep_gap_note_text_after_the_low_energy_note(monkeypatch):
@@ -574,7 +586,7 @@ def test_sweep_gap_note_text_after_the_low_energy_note(monkeypatch):
     rows = sweep_decay(D200, [0.4])
     assert rows.note.tolist() == [
         LOW_ENERGY_NOTE + "; Newton stopped at |f| = 5.55e-17 after 50 "
-        "steps from the j=0 seed"]
+        "steps from the j=0 seed; a disc of radius 1.42e-14 holds one root"]
 
 
 def test_sweep_gap_records_no_decay_rate(monkeypatch):
@@ -720,8 +732,10 @@ def test_slowest_mode_refuses_at_the_nearest_roots_residual_floor():
     assert find_modes(d, 2, 2).converged[0]
     with pytest.raises(ApproximationRangeError) as info:
         slowest_mode(d)
-    assert str(info.value) == ("no converged mode near W = 9.419548872180451 "
-                               "for kappa = 1200.0")
+    assert str(info.value) == (
+        "no converged mode near W = 9.419548872180451 for kappa = 1200.0: "
+        "Newton stopped at |f| = 1.04e-12 after 50 steps from the j=3 seed; "
+        "a disc of radius 1.61e-14 holds one root")
 
 
 # --- lifetimes ----------------------------------------------------------
@@ -757,3 +771,27 @@ def test_lifetime_scales_with_coupling_squared_at_seed_level():
     s100 = seed_mode(1, DimensionlessParams(kappa=100.0, W=5.0))
     s200 = seed_mode(1, DimensionlessParams(kappa=200.0, W=5.0))
     assert s100.imag / s200.imag == pytest.approx(4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("take", _GRID_TAKERS, ids=_GRID_IDS)
+@pytest.mark.parametrize("grid", [
+    [2.5, 6], (2.5, 6.0), np.array([2.5, 6.0]),
+    np.array([2.5, 0.0, 6.0])[::2], np.array([2.5, 6.0], dtype=">f8"),
+    np.array([2, 6])],
+    ids=["list", "tuple", "array", "strided", "big-endian", "int-array"])
+def test_grids_in_as_lists_tuples_and_real_arrays(take, grid):
+    assert real_grid(grid).dtype == np.float64
+    # a new array, so that changing the caller's grid leaves it alone
+    assert not np.shares_memory(take(grid), grid)
+    assert len(take(grid)) == 2
+    assert take(grid).tolist() == take([float(x) for x in grid]).tolist()
+
+
+@pytest.mark.parametrize("take", _GRID_TAKERS, ids=_GRID_IDS)
+@pytest.mark.parametrize("grid", [
+    # np.asarray([5.0, None], dtype=float) would read the None as nan
+    [5.0, None], [5.0 + 1j], np.array([5.0 + 0j]), np.ones((2, 2)), 5.0],
+    ids=["none", "complex", "complex-array", "2-d", "scalar"])
+def test_grids_refuse_complex_none_and_not_1d(take, grid):
+    with pytest.raises(TypeError, match="a grid must be 1-D and real"):
+        take(grid)
