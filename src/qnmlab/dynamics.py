@@ -70,10 +70,10 @@ MAX_ROUNDING_BOUND = 1e-8
 #: A row sums the terms within e^-_BAND_LOG of its largest.
 _BAND_LOG = 40.0
 
-#: Band terms and rows summed per block of rows: the terms size its three
-#: scratch arrays, the rows its per-row ones.
+#: Band terms summed per block of rows: a block is max(1, _BLOCK_TERMS //
+#: size) rows of size terms, so its three scratch arrays and its mask hold
+#: _BLOCK_TERMS values at most (or one row).
 _BLOCK_TERMS = 12288
-_BLOCK_ROWS = 1024
 
 #: n ln n - n - ln n! for n < 16, where the Stirling series is not yet exact.
 _LOW_LOG_SCALE = np.array([0.0] + [n * math.log(n) - n - math.lgamma(n + 1)
@@ -143,34 +143,47 @@ def _log_scale(lo: int, hi: int) -> np.ndarray:
 class DdeStream:
     """The exact series of one DdeConfig, summed as a stream of output chunks.
 
-    Fixed on construction: the rows, every stride-th node of DdeConfig's
-    grid over n_intervals delay intervals (thinned only in whole nodes, to
-    about MAX_OUTPUT_POINTS and a phase advance of at most ~pi/2) up to
-    t_max, at most MAX_ROWS of them (else ValueError), and end, the last
-    row's time. Set once chunks() is exhausted: peak_abs_w, the largest |w|
-    over the rows, and terms, the number of band terms summed.
+    Fixed on construction: stride, the grid nodes between rows, at most
+    max_stride and at most a phase advance of ~pi/2 (max_stride defaults
+    to about n_intervals n_per / MAX_OUTPUT_POINTS, so that a run from 0
+    has about MAX_OUTPUT_POINTS rows); the rows, every stride-th node of
+    DdeConfig's grid over n_intervals delay intervals from the first at or
+    after start (row index first) up to t_max, at most MAX_ROWS of them
+    (else ValueError, as for no row at all); and end, the last row's time.
+    Set once chunks() is exhausted: peak_abs_w, the largest |w| over the
+    rows, and terms, the number of band terms summed.
     """
 
-    def __init__(self, cfg: DdeConfig) -> None:
+    def __init__(self, cfg: DdeConfig, start: float = 0.0,
+                 max_stride: float | None = None) -> None:
         self.cfg, n_per, dt = cfg, cfg.n_per, cfg.dt
         self.n_intervals = int(math.ceil(cfg.t_max / ROUND_TRIP - 1e-12))
         total_steps = n_per * self.n_intervals
-        stride = max(1, int(total_steps / MAX_OUTPUT_POINTS))
+        if max_stride is None:
+            max_stride = max(1, int(total_steps / MAX_OUTPUT_POINTS))
         phase_rate = cfg.d.W + math.pi  # generous bound on |Re theta| of the tail
-        self.stride = min(stride, max(1, int(math.pi / 2.0
-                                             / (phase_rate * dt))))
-        over = float(self._times(MAX_ROWS, MAX_ROWS + 1)[0])  # row MAX_ROWS
-        if over <= cfg.t_max + 0.5 * dt:  # is kept: one row too many
+        self.stride = max(1, int(min(max_stride, math.pi / 2.0
+                                     / (phase_rate * dt))))
+        # row r is at r stride dt to rounding: the first at or after start
+        # is one of three
+        guess = max(0, int(start / (self.stride * dt)) - 1)
+        self.first = guess + int(self._times(guess, guess + 3).searchsorted(
+            start))
+        over = float(self._times(self.first + MAX_ROWS,
+                                 self.first + MAX_ROWS + 1)[0])
+        if over <= cfg.t_max + 0.5 * dt:  # row MAX_ROWS is kept: one too many
             raise ValueError(
                 f"t_max = {cfg.t_max:g} needs over {MAX_ROWS} rows at W = "
                 f"{cfg.d.W:g}; the largest --t-max that fits is "
                 f"{math.ceil(over - 0.5 * dt) - 1}")
         # only the last interval can reach past t_max
-        first = (total_steps - n_per) // self.stride
-        tail = self._times(first, total_steps // self.stride + 1)
-        self.rows = first + int(tail.searchsorted(cfg.t_max + 0.5 * dt,
-                                                  side="right"))
-        self.end = float(tail[self.rows - first - 1])
+        lo = max(self.first, (total_steps - n_per) // self.stride)
+        tail = self._times(lo, total_steps // self.stride + 1)
+        stop = lo + int(tail.searchsorted(cfg.t_max + 0.5 * dt, side="right"))
+        self.rows = stop - self.first
+        if self.rows < 1:
+            raise ValueError(f"no output row in [{start:g}, {cfg.t_max:g}]")
+        self.end = float(tail[stop - lo - 1])
         self.peak_abs_w, self.terms = math.nan, 0
 
     def _times(self, row: int, stop: int) -> np.ndarray:
@@ -191,14 +204,16 @@ class DdeStream:
 
         w and abs_sum are views of reused buffers. Raises RuntimeError
         after the last chunk if |w| exceeded 1 by more than 1e-6 on a row:
-        the dynamics conserve the single-excitation norm.
+        the dynamics conserve the single-excitation norm. Only the rows are
+        checked: a stream from a later start sums none before it.
         """
         w_out = np.empty(CHUNK_ROWS, dtype=complex)
         abs_sum = np.empty(CHUNK_ROWS)
         peak = 0.0
         self.terms = 0
-        for done in range(0, self.rows, CHUNK_ROWS):
-            times = self._times(done, min(done + CHUNK_ROWS, self.rows))
+        stop = self.first + self.rows
+        for done in range(self.first, stop, CHUNK_ROWS):
+            times = self._times(done, min(done + CHUNK_ROWS, stop))
             n = times.size
             self._sum(times, w_out[:n], abs_sum[:n])
             # np.maximum, unlike max(), keeps a NaN peak, which fails the
@@ -224,10 +239,10 @@ class DdeStream:
         saddle-point form, in which no large logarithms cancel. Its phase
         is exp(-i W tau0) exp(2 i W k) with tau0 = s - 2 n0, so one product
         of the moduli with [cos 2Wk, sin 2Wk, 1] sums the terms and their
-        moduli. A band that reaches n = 0, tau <= 0 or an infinite lam (at
-        a huge kappa) is masked: term 0 is exp(-lam), and any other term
-        with lam <= 0, lam = inf or a d / lam that rounds to -1 (lam past
-        about 2^52 n, where the weight underflows) is 0.
+        moduli. Every block is masked: term 0 is exp(-lam), and any other
+        term with lam <= 0, lam = inf (at a huge kappa) or a d / lam that
+        rounds to -1 (lam past about 2^52 n, where the weight underflows)
+        is 0.
         """
         kappa, W = self.cfg.d.kappa, self.cfg.d.W
         half, centre = kappa / 2.0, kappa / (2.0 * (1.0 + kappa))
@@ -237,35 +252,37 @@ class DdeStream:
         k = np.arange(size, dtype=float)
         table = np.ones((size, 3))
         table[:, 0], table[:, 1] = np.cos(2.0 * W * k), np.sin(2.0 * W * k)
+        two_k = 2.0 * k
         # row j of bands is c(first + j), ..., c(first + j + size - 1)
         first = max(0, math.floor(centre * float(s[0]) - reach))
         c = _log_scale(first, max(first, math.floor(
             centre * float(s[-1]) - reach)) + size)
         bands = np.lib.stride_tricks.as_strided(
             c, (c.size - size + 1, size), 2 * c.strides, writeable=False)
-        per = max(1, min(_BLOCK_ROWS, _BLOCK_TERMS // size))
+        per = max(1, _BLOCK_TERMS // size)
         # freed on return, so that the consumer's scratch and this never
         # add up
         scratch = np.empty(3 * per * size)
+        dropped = np.empty(per * size, dtype=bool)
+        sums, phase = np.empty((per, 3)), np.empty(per, dtype=complex)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for lo in range(0, s.size, per):
                 rows = min(per, s.size - lo)
                 lam, log_p, n = (
                     scratch[j * per * size:(j * per + rows) * size].reshape(
                         rows, size) for j in range(3))
+                drop = dropped[:rows * size].reshape(rows, size)
                 t = s[lo:lo + rows]
                 n0 = np.floor(t * centre - reach)
                 np.maximum(n0, 0.0, out=n0)
                 tau0 = t - 2.0 * n0
-                masked = not (n0[0] > 0.0 and tau0.min() > 2.0 * (size - 1)
-                              and math.isfinite(half * tau0.max()))
-                np.subtract(tau0[:, None], 2.0 * k, out=lam)
+                np.subtract(tau0[:, None], two_k, out=lam)
                 lam *= half
                 np.add(n0[:, None], k, out=n)
                 np.subtract(n, lam, out=log_p)  # d
                 np.divide(log_p, lam, out=lam)
-                if masked:  # lam < 0, lam = inf or lam > ~2^52 n
-                    dropped = ~(lam > -1.0)
+                # lam < 0, lam = inf or lam > ~2^52 n
+                np.logical_not(np.greater(lam, -1.0, out=drop), out=drop)
                 np.log1p(lam, out=lam)
                 lam *= n
                 log_p -= lam
@@ -274,16 +291,16 @@ class DdeStream:
                 np.take(bands, (n0 - first).astype(np.intp), axis=0, out=n,
                         mode="clip")
                 log_p += n
-                if masked:
-                    np.copyto(log_p, -math.inf, where=dropped)
-                    zero = int(np.count_nonzero(n0 == 0.0))
-                    log_p[:zero, 0] = n[:zero, 0] - half * t[:zero]
+                np.copyto(log_p, -math.inf, where=drop)
+                zero = int(n0.searchsorted(0.0, side="right"))  # n0 rises
+                log_p[:zero, 0] = n[:zero, 0] - half * t[:zero]
                 np.exp(log_p, out=log_p)
-                sums = log_p @ table
+                np.matmul(log_p, table, out=sums[:rows])
                 part = w[lo:lo + rows]
-                part.real, part.imag = sums[:, 0], sums[:, 1]
-                part *= np.exp(tau0 * (-1j * W))
-                abs_sum[lo:lo + rows] = sums[:, 2]
+                part.real, part.imag = sums[:rows, 0], sums[:rows, 1]
+                np.multiply(tau0, -1j * W, out=phase[:rows])
+                part *= np.exp(phase[:rows], out=phase[:rows])
+                abs_sum[lo:lo + rows] = sums[:rows, 2]
         self.terms += s.size * size
 
 
@@ -448,15 +465,17 @@ def fit_tail(stream: DdeStream, window: tuple[float, float] | None = None,
 
     window defaults to [FIT_START, stream.end]; an empty default, or one of
     fewer than MIN_FIT_SAMPLES samples, names only --t-max as its remedy:
-    it grows with the run alone. The fit reads each chunk's times, w and
-    sum|terms|; consume(times, w), if given, gets the chunk after it, as
-    views of buffers the next chunk reuses. Returns the FitResult and the
-    run's record, evolve's manifest `dde` block: n_per, n_intervals,
-    stride, output_points, peak_abs_w, terms, the fit's rounding_bound and
-    the wall seconds fit_s and integrate_s, plus, with consume, handoff_s,
-    the seconds spent in it; integrate_s is the loop's time less fit_s and
-    handoff_s. A refused fit raises its FitWindowError after the run, with
-    the record in `record`.
+    it grows with the run alone. The fit reads only the stream's rows, so
+    on a stream from a later start the default fits [start, end]. It reads
+    each chunk's times, w and sum|terms|; consume(times, w), if given, gets
+    the chunk after it, as views of buffers the next chunk reuses. Returns
+    the FitResult and the run's record, evolve's manifest `dde` block:
+    n_per, n_intervals, stride, output_points (the rows summed), their
+    peak_abs_w and terms, the fit's rounding_bound and the wall seconds
+    fit_s and integrate_s, plus, with consume, handoff_s, the seconds spent
+    in it; integrate_s is the loop's time less fit_s and handoff_s. A
+    refused fit raises its FitWindowError after the run, with the record
+    in `record`.
     """
     fit = TailFit((FIT_START, stream.end) if window is None else window)
     fit_s = handoff_s = 0.0

@@ -471,7 +471,6 @@ def slowest_mode(d: DimensionlessParams) -> Modes:
     j = round(W/pi), sweep_decay's index (it minimises |W - j*pi|, hence the
     decay rate). Raises ApproximationRangeError, quoting the row's note,
     unless that root converged, and as find_modes does."""
-    _require_usable_w(d)  # before round(), which fails on a nan or inf W
     j = round(d.W / math.pi)
     mode = _row(find_modes(d, j, j), 0)
     if not mode.converged:

@@ -43,8 +43,10 @@ def _dde_vs_root(full: bool, records: list) -> tuple:
         gamma = abs(star.imag)
         t_max = max(2.0 * dynamics.FIT_START,
                     trip * math.ceil(3.2 / gamma / trip))
-        stream = dynamics.DdeStream(dynamics.DdeConfig(d=d, t_max=t_max))
-        fit, record = dynamics.fit_tail(stream, (t_max / 2.0, t_max))
+        # only the fitted half is summed, at the stride the phase allows
+        stream = dynamics.DdeStream(dynamics.DdeConfig(d=d, t_max=t_max),
+                                    start=t_max / 2.0, max_stride=math.inf)
+        fit, record = dynamics.fit_tail(stream)
         records.append({"kappa": kappa, "w": w, "t_max": t_max, **record,
                         "samples": fit.samples})
         at = f"kappa={kappa:g} W={w:g}"

@@ -15,13 +15,16 @@ at 40 digits, the reference that bounds the rounding error of the array
 scattering kernel. polyfit_decay is the earlier tail fit by np.polyfit and
 np.unwrap, the reference that bounds the rounding of the closed-form fit.
 drained_dde is no oracle: it keeps the package's own streamed run as whole
-arrays, for the tests that compare that run with one.
+arrays, for the tests that compare that run with one. Nor is
+pi_shift_offset: it measures, exactly, how far a float shift by m pi lands
+off, which bounds the tests of the pi-periodicity in W.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -83,6 +86,16 @@ def lorentzian_ode_phase(theta: float, kappa: float, w_level: float) -> float:
         x0 = x1
     phi, dphi = y
     return math.atan2(theta * phi, dphi) - theta * MATCH_RADIUS
+
+
+#: pi to 40 digits, written out: m PI_40 is off m pi by under m 1e-40.
+PI_40 = Fraction("3.141592653589793238462643383279502884197")
+
+
+def pi_shift_offset(shifted: float, x: float, m: int) -> float:
+    """shifted - (x + m pi), exact in fractions of the two floats and
+    rounded once: how far a float shift of x by m pi lands off."""
+    return float(Fraction(shifted) - Fraction(x) - m * PI_40)
 
 
 def wrap_half_pi(x: float) -> float:

@@ -1188,14 +1188,16 @@ _VERIFY_DDE_KEYS = _DDE_KEYS | {"kappa", "w", "t_max", "samples"}
 
 def test_verify_manifest_records_each_dde_run(tmp_path):
     # the DDE check streams its run into the fit; the manifest keeps its
-    # counts: the README run, fitted over [t_max/2, t_max]
+    # counts: the README run's fit window [t_max/2, t_max] alone, at the
+    # stride its phase allows, every row summed in the fit
     assert main(["verify", "--quick", "--out-dir", str(tmp_path)]) == 0
     (record,) = _manifest(tmp_path)["dde"]
     assert set(record) == _VERIFY_DDE_KEYS
     assert (record["kappa"], record["w"], record["t_max"]) == (50.0, 2.0,
                                                                6522.0)
     assert (record["stride"], record["output_points"],
-            record["samples"]) == (16, 407626, 203813)
+            record["samples"]) == (305, 10692, 10692)
+    assert record["terms"] < 1_000_000
     assert 0.0 < record["peak_abs_w"] <= 1.0
     assert record["integrate_s"] > 0.0 and record["fit_s"] > 0.0
 

@@ -2,8 +2,10 @@
 
 import functools
 import math
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from qnmlab.dynamics import (CHUNK_ROWS, FIT_START, MAX_ROUNDING_BOUND,
                              pole_check)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import characteristic, find_modes
-from oracle_helpers import (drained_dde, interval_recurrence_dde,
-                            mp_delay_series, piecewise_delay_solution,
-                            polyfit_decay)
+from oracle_helpers import (PI_40, drained_dde, interval_recurrence_dde,
+                            mp_delay_series, pi_shift_offset,
+                            piecewise_delay_solution, polyfit_decay)
 from refs import ROOTS
 
 D200 = DimensionlessParams(kappa=200.0, W=5.0)
@@ -146,11 +148,15 @@ def test_single_excitation_norm_never_exceeds_one():
 
 # --- the exact series ----------------------------------------------------
 
+def _rows(stream):
+    """(times, w, sum|terms|) of every row of the stream, as whole arrays."""
+    parts = [(t.copy(), w.copy(), a.copy()) for t, w, a in stream.chunks()]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def _with_bound(cfg):
     """(times, w, eps * sum|terms| / |w|) of every row of the run."""
-    stream = DdeStream(cfg)
-    parts = [(t.copy(), w.copy(), a.copy()) for t, w, a in stream.chunks()]
-    times, w, abs_sum = (np.concatenate(p) for p in zip(*parts))
+    times, w, abs_sum = _rows(DdeStream(cfg))
     with np.errstate(invalid="ignore"):     # NaN where every term is 0
         return times, w, np.finfo(float).eps * (abs_sum / np.abs(w))
 
@@ -436,6 +442,132 @@ def test_output_grid_matches_its_integer_expression(run, stride):
     expected = ROUND_TRIP * interval + dt * (g - n_per * interval)
     inside = expected <= run[2] + 0.5 * dt
     assert np.array_equal(times, expected[inside])
+
+
+@pytest.mark.parametrize("run, start", [
+    (README_RUN, README_RUN[2] / 2.0), ((1000.0, 3.1516, 400.0), 123.4565),
+    ((0.0, 5.0, 50.0), 20.0), ((1.4195e6, 2.0, 40.0), 39.9995),
+], ids=["readme-half", "between-rows", "on-a-row", "last-row-alone"])
+def test_stream_from_a_later_start_is_the_tail_of_the_run(run, start):
+    # the rows at or after start, at the whole run's stride; each is summed
+    # over a band sized by its own chunk, so it is the whole run's row to
+    # rounding and to the e^-40 the band leaves out
+    cfg = DdeConfig(d=DimensionlessParams(kappa=run[0], W=run[1]),
+                    t_max=run[2])
+    whole = DdeStream(cfg)
+    times, w, abs_sum = _rows(whole)
+    tail = DdeStream(cfg, start=start, max_stride=whole.stride)
+    kept = times >= start
+    assert (tail.stride, tail.end) == (whole.stride, whole.end)
+    assert (tail.first, tail.rows) == (np.argmax(kept), np.count_nonzero(kept))
+    tail_times, tail_w, tail_abs_sum = _rows(tail)
+    assert np.array_equal(tail_times, times[kept])
+    scale = np.maximum(abs_sum[kept], tail_abs_sum)
+    assert np.all(np.abs(tail_w - w[kept]) <= 1e-13 * scale + 1e-300)
+    assert tail.peak_abs_w == np.abs(tail_w).max()
+    assert 0 < tail.terms < whole.terms
+
+
+def test_stride_bound_gives_way_to_the_phase_cap():
+    # by default about MAX_OUTPUT_POINTS rows; an unbounded stride is the
+    # phase cap pi / (2 (W + pi) dt), 305 at W = 2, and the cap holds
+    # whatever the caller's bound
+    cfg = DdeConfig(d=D50, t_max=6522.0)
+    assert DdeStream(cfg).stride == 16
+    assert DdeStream(cfg, max_stride=math.inf).stride == 305
+    assert DdeStream(cfg, max_stride=7).stride == 7
+    assert DdeStream(cfg, max_stride=1000).stride == 305
+    fast = DdeConfig(d=DimensionlessParams(kappa=50.0, W=1e4), t_max=40.0)
+    assert DdeStream(fast, max_stride=math.inf).stride == 1
+
+
+def test_a_stream_with_no_row_is_refused():
+    cfg = DdeConfig(d=D50, t_max=40.0)
+    with pytest.raises(ValueError, match=r"no output row in \[41, 40\]"):
+        DdeStream(cfg, start=41.0)
+
+
+def _fit_rounding(ln_amp, centred, slope, rate):
+    """Largest rounding of a float fit of n rows over a span L: the slope,
+    sum(c ln|w|) / sum(c^2), its dot products of n terms off by n eps of
+    their sizes; the phase rate, a mean of n - 1 steps of at most `rate`,
+    each off by 2 eps of itself, which numpy sums pairwise (in runs of 8
+    under 128 terms), so off by (log2 n + 16) eps of rate more, and each of
+    its at most rate L / (2 pi) + 1 wraps off by 2 pi eps of phase."""
+    n, eps = ln_amp.size, sys.float_info.epsilon
+    gamma = (n + 16) * eps * (
+        float(np.abs(centred) @ (np.abs(ln_amp) + np.abs(ln_amp).max()))
+        / float(centred @ centred) + abs(slope))
+    span = float(centred.max() - centred.min())
+    return gamma, (math.log2(n) + 20) * eps * rate + 7.0 * eps / span
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(log_kappa=st.floats(0.0, 4.0, exclude_min=True),
+       w=st.floats(0.0, 12.0), m=st.integers(1, 24))
+def test_series_repeats_when_w_shifts_by_pi(log_kappa, w, m):
+    # Term n's phase exp(-i W (s - 2n)) gains exp(-i m pi s) at W + m pi, as
+    # exp(2 i m pi n) = 1: |w(s)| and the fitted gamma repeat, and omega
+    # moves by m pi. At t_max = 40 both runs have stride 1 (W + m pi <= 90),
+    # so they share their rows. The float W + m pi lands dw off, which
+    # moves term n by at most |dw| s of its modulus. Each run rounds the
+    # angle 2 W k of a term (k <= n <= s/2) by at most eps W s/2, its cos
+    # and sin by eps each, the dot product of at most s/2 + 1 nonzero terms
+    # by (s/2 + 1) eps of their moduli, and |w| by a few eps more; a
+    # subnormal term is off by a step of its own:
+    # | |w'| - |w| | <= sum|terms| (|dw| s + eps ((W + W') s/2 + s + 22))
+    # + (s + 8) steps.
+    kappa, eps = 10.0 ** log_kappa, sys.float_info.epsilon
+    shifted_w = w + m * math.pi
+    runs = [DdeConfig(d=DimensionlessParams(kappa=kappa, W=level),
+                      t_max=40.0) for level in (w, shifted_w)]
+    (times, z, abs_sum), (times2, z2, abs_sum2) = (_rows(DdeStream(cfg))
+                                                   for cfg in runs)
+    assert np.array_equal(times, times2)
+    dw = abs(pi_shift_offset(shifted_w, w, m))
+    bound = np.maximum(abs_sum, abs_sum2) * (
+        dw * times + eps * ((w + shifted_w) * times / 2.0 + times + 22.0)
+        ) + (times + 8.0) * math.ulp(0.0)
+    assert np.all(np.abs(np.abs(z2) - np.abs(z)) <= bound)
+
+    fits = []
+    for cfg in runs:
+        try:
+            fits.append(fit_tail(DdeStream(cfg))[0])
+        except FitWindowError as refused:  # a bound state's beating grows
+            fits.append(str(refused).split(" (")[0])
+    fit, fit2 = fits
+    if isinstance(fit, str):
+        assert fit2 == fit
+        return
+    inside = times >= FIT_START
+    s, amp, x = times[inside], np.abs(z[inside]), bound[inside]
+    assert fit.samples == fit2.samples == s.size
+    x = x / amp
+    assert x.max() < 0.5
+    # ln|w| moves by at most x / (1 - x) a row: the least-squares slope by
+    # sum |c| that / sum c^2, c the centred times
+    centred = s - s.mean()
+    shift = float(np.abs(centred) @ (x / (1.0 - x))) / float(centred @
+                                                             centred)
+    ln_amp = np.log(amp)
+    rate = 1.0 + float(np.abs(np.diff(np.unwrap(np.angle(z2[inside]))))
+                       .max() / np.diff(s).min())
+    gamma_round, omega_round = _fit_rounding(ln_amp, centred, fit.gamma_fit,
+                                             rate)
+    flat = dynamics._FLAT_LOG_DRIFT / (s[-1] - s[0])  # either may read 0
+    assert abs(fit2.gamma_fit - fit.gamma_fit) <= (
+        shift + 2.0 * gamma_round + flat)
+    # arg w moves by at most asin(x) plus the rounding of the row's phase
+    # W s: the steps' mean moves by the ends' change over h = dt, plus the
+    # spread of the steps about h
+    turn = float((np.arcsin(x) + eps * ((w + shifted_w) * s / 2.0 + 14.0))
+                 .max())
+    steps = np.diff(s)
+    spread = float(np.abs(1.0 / steps - 1.0 / DdeConfig.dt).sum())
+    moved = 2.0 * turn * (1.0 / DdeConfig.dt + spread) / (s.size - 1)
+    assert abs(float(Fraction(fit2.omega_fit) - Fraction(fit.omega_fit)
+                     - m * PI_40)) <= moved + 2.0 * omega_round
 
 
 def _traced_peak(fn, *args):

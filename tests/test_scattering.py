@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import (breit_wigner_fwhm, lorentzian_ode_phase,
-                            mp_scattering, wrap_half_pi)
+                            mp_scattering, pi_shift_offset, wrap_half_pi)
 from qnmlab.model import DimensionlessParams
 from qnmlab.qnm import Modes, refine_root, seed_mode
 from qnmlab.scattering import (DEGENERATE_TOL, MIRROR_LIMIT_NOTE,
@@ -40,31 +40,38 @@ def _within(value, ref, rel, floor):
     return value == ref or abs(value - ref) <= rel * abs(ref) + floor
 
 
+def _rounding(t, kappa, w, size):
+    """(rel, delay_floor) of a scan row at theta = t with |F| = size: delta,
+    |F| and (W - theta) / |F| are off by rel, the delay by rel of itself
+    plus delay_floor."""
+    eps, step = sys.float_info.epsilon, math.ulp(0.0)
+    level, sin_t = abs(w - t), abs(math.sin(t))
+    # each term over |F| on its own: |F| is inf past float max
+    rel = SCATTER_ULPS * (eps + eps * (level / size + (1.0 + kappa)
+                                       * sin_t / size) + step / size)
+    # delay = (kappa sin / |F|) (bracket / |F|): off by rel, and by the
+    # rounding of each factor
+    coupling = kappa * sin_t / size
+    bracket = (1.0 + kappa) * sin_t / size + 2.0 * (level / size)
+    return rel, SCATTER_ULPS * ((coupling * eps + step / size) * bracket
+                                + coupling * step / size) + sys.float_info.min
+
+
 def _assert_matches_mpmath(scan, d):
     """Every row of scan within SCATTER_ULPS of the 40-digit closed form;
     delta modulo pi, as the scan unwraps it."""
-    eps, step = sys.float_info.epsilon, math.ulp(0.0)
     for t, delta, delay, enhancement in zip(*(c.tolist() for c in scan[:4])):
         ref_delta, ref_delay, ref_enhancement, size = mp_scattering(
             t, d.kappa, d.W)
         if size == 0.0:  # the decoupled atom at theta = W is exact
             assert (delta, delay, enhancement) == (0.0, 0.0, 1.0)
             continue
-        level, sin_t = abs(d.W - t), abs(math.sin(t))
-        # each term over |F| on its own: |F| is inf past float max
-        rel = SCATTER_ULPS * (eps + eps * (level / size + (1.0 + d.kappa)
-                                           * sin_t / size) + step / size)
+        rel, delay_floor = _rounding(t, d.kappa, d.W, size)
         assert _within(wrap_half_pi(delta - ref_delta), 0.0, 0.0, rel)
         # + float min: below the normal range results round to subnormal
         # steps, as an enhancement of 1e-600 does
         assert _within(enhancement, ref_enhancement, rel, sys.float_info.min)
-        # delay = (kappa sin / |F|) (bracket / |F|): off by rel, and by the
-        # rounding of each factor
-        coupling = d.kappa * sin_t / size
-        bracket = (1.0 + d.kappa) * sin_t / size + 2.0 * (level / size)
-        assert _within(delay, ref_delay, rel, SCATTER_ULPS * (
-            (coupling * eps + step / size) * bracket + coupling * step / size)
-            + sys.float_info.min)
+        assert _within(delay, ref_delay, rel, delay_floor)
 
 
 # --- phase shift: limits and identities ---------------------------------
@@ -195,6 +202,68 @@ def test_scan_matches_mpmath(kappa, w, start, span, samples, near_w,
     assert scan.note.tolist() == [
         MIRROR_LIMIT_NOTE if kappa > 0 and abs(w - t) <= DEGENERATE_TOL * w
         else "" for t in grid.tolist()]
+
+
+def _off(value, rel, floor):
+    """Largest |value - exact| for a scan value within rel |exact| + floor
+    of its exact one."""
+    return (rel * abs(value) + floor) / (1.0 - rel)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(log_kappa=st.floats(0.0, 4.0, exclude_min=True),
+       w=st.floats(0.0, 12.0),
+       thetas=st.lists(st.floats(1e-3, 12.0), min_size=1, max_size=8),
+       m=st.integers(1, 10 ** 6))
+def test_scan_repeats_when_w_and_theta_shift_by_pi(log_kappa, w, thetas, m):
+    # F(theta + pi; W + pi) = F(theta; W), so delta (mod pi), the delay and
+    # the enhancement repeat. The float shifts land off W + m pi and theta
+    # + m pi by the exact offsets dw and dt: the shifted scan reads the
+    # exact F at level W - theta + dw - dt and angle theta + dt. F moves by
+    # at most |dw - dt| + kappa |dt| (d/d level = 1, and |d/d theta| of sin
+    # cos and sin^2 is at most 1), r of |F|; arg F then moves by at most
+    # asin(r), |F| by a factor within 1 -+ r, and the delay's numerator
+    # kappa sin ((1 - kappa) sin + 2 level cos) by at most its largest
+    # derivatives times the offsets. Each scan adds its own rounding.
+    kappa = 10.0 ** log_kappa
+    d = DimensionlessParams(kappa=kappa, W=w)
+    shifted_d = DimensionlessParams(kappa=kappa, W=w + m * math.pi)
+    grid = np.array(thetas)
+    scan = enhancement_scan(d, grid)
+    shifted = enhancement_scan(shifted_d, grid + m * math.pi)
+    dw = pi_shift_offset(shifted_d.W, w, m)
+    eps = sys.float_info.epsilon
+    for (t, delta, delay, enhancement, t_shifted, delta2, delay2,
+         enhancement2) in zip(*(c.tolist() for c in scan[:4] + shifted[:4])):
+        dt = pi_shift_offset(t_shifted, t, m)
+        sin_t, cos_t = math.sin(t), math.cos(t)
+        level = w - t
+        size = abs(complex(level - kappa * sin_t * cos_t,
+                           kappa * sin_t * sin_t))
+        rel, floor = _rounding(t, kappa, w, size)
+        low = size / (1.0 + rel)  # at most the exact |F|
+        moved = (1.0 + eps) * (abs(dw - dt) + kappa * abs(dt))
+        r = moved / low
+        if not r < 1.0:  # F may vanish in between: nothing is bounded
+            continue
+        rel2, floor2 = _rounding(t_shifted, kappa, shifted_d.W,
+                                 low * (1.0 - r))
+        assert abs(wrap_half_pi(delta2 - delta)) <= (
+            math.asin(r) + rel + rel2 + 4.0 * eps * (abs(delta)
+                                                     + abs(delta2)))
+        # sqrt(enhancement) is |level| / |F|
+        q = math.sqrt(enhancement) + _off(math.sqrt(enhancement), rel, 0.0)
+        dq = (abs(dw - dt) / low + q * r) / (1.0 - r)
+        assert abs(enhancement2 - enhancement) <= (
+            dq * (2.0 * q + dq) + _off(enhancement, rel, sys.float_info.min)
+            + _off(enhancement2, rel2, sys.float_info.min))
+        exact = abs(delay) + _off(delay, rel, floor)
+        numerator = kappa * (abs(dw - dt) + (abs(1.0 - kappa) + 2.0 * abs(
+            level) + 2.0 * abs(dw - dt)) * abs(dt))
+        shrink = (1.0 - r) ** -2
+        assert abs(delay2 - delay) <= (
+            numerator / (low * low) * shrink + exact * (shrink - 1.0)
+            + _off(delay, rel, floor) + _off(delay2, rel2, floor2))
 
 
 @pytest.mark.parametrize("kappa, w, theta", [
