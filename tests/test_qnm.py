@@ -617,18 +617,18 @@ def test_sweep_above_the_largest_usable_w_is_an_invalid_gap():
     lambda d: find_modes(d),
     slowest_mode,
 ], ids=["refine_root", "find_modes", "slowest_mode"])
-@pytest.mark.parametrize("w", [math.nextafter(qnm.MAX_W, math.inf), 1e200,
-                               sys.float_info.max])
-def test_w_above_the_largest_usable_w_is_refused(search, w):
+def test_w_above_the_largest_usable_w_is_refused(search):
     # one refusal, in one text, for every search: slowest_mode's is
     # find_modes'
-    d = DimensionlessParams(kappa=200.0, W=w)
-    with pytest.raises(ApproximationRangeError,
-                       match="the largest usable W") as info:
-        search(d)
-    assert str(info.value) == (
-        f"W must be at most {qnm.MAX_W:.17g}, the largest usable W (its "
-        f"mode index round(W/pi) must fit int64), got {w:.17g}")
+    for w in (math.nextafter(qnm.MAX_W, math.inf), 1e200,
+              sys.float_info.max):
+        d = DimensionlessParams(kappa=200.0, W=w)
+        with pytest.raises(ApproximationRangeError,
+                           match="the largest usable W") as info:
+            search(d)
+        assert str(info.value) == (
+            f"W must be at most {qnm.MAX_W:.17g}, the largest usable W (its "
+            f"mode index round(W/pi) must fit int64), got {w:.17g}")
 
 
 def test_largest_usable_w_is_pi_times_the_largest_usable_index():
